@@ -1,4 +1,4 @@
-"""Single-ball proximal subproblem solved by one-dimensional root finding.
+"""Single-ball proximal subproblem solved through its exact multiplier.
 
 Each outer iteration majorizes the smoothed constraint by a quadratic whose
 zero-sublevel set is a Euclidean ball.  The subproblem
@@ -7,10 +7,11 @@ zero-sublevel set is a Euclidean ball.  The subproblem
     s.t. ||x - center|| <= radius
 
 is solved through its Lagrangian: for a fixed multiplier the minimizer is a
-single prox evaluation, and the multiplier is pinned down by driving the
-distance-to-center residual to zero.  Safeguarded bisection is the default
-(the residual is only piecewise smooth when P1 is an l1 term); an exact
-piecewise linear-quadratic solve for the l1 case sits behind a flag.
+single prox evaluation, and the multiplier is the root of the
+distance-to-center residual along that path.  Each supported P1 has an exact
+root: for P1 = 0 the path is a segment toward the center, so the multiplier
+has a closed form; for weighted l1 the squared distance is piecewise
+quadratic between sorted soft-threshold breakpoints.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleStartError, NumericError
-from .problems import L1Regularizer
+from .errors import InfeasibleStartError, UnsupportedFamilyError
+from .problems import REGULARIZERS, L1Regularizer
 
-BRACKET_CAP = 200
 PHI_TOL = 1e-12
-WIDTH_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,6 @@ class BallConstraint:
 class SubproblemResult:
     x: np.ndarray
     lam: float
-    stationarity_residual: float
-    complementarity: float
-    iterations_rootfind: int
 
 
 def build_ball(x_k, grad_gmu, gmu_val, L_g, mu) -> BallConstraint:
@@ -94,162 +90,100 @@ def prox_path_point(p1, x_k, q, L_f, ball: BallConstraint, lam: float) -> np.nda
     return p1.prox(z, 1.0 / t)
 
 
-def _stationarity_residual(p1, x, x_k, q, L_f, ball, lam):
-    u = q + L_f * (x - x_k) + lam * ball.curvature * (x - ball.center)
-    return p1.subdiff_distance(x, u)
-
-
-def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint, exact_l1=False) -> SubproblemResult:
+def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     """Solve the ball-constrained prox subproblem, returning (x, lambda).
 
     The reported multiplier is the one of the quadratic constraint
-    ``(curvature/2)(||x - center||^2 - radius^2) <= 0``; the returned point
-    is always on the feasible side of the ball.
+    ``(curvature/2)(||x - center||^2 - radius^2) <= 0``.  The multiplier is
+    solved for a radius a hair below ``ball.radius``, so rounding does not
+    leave the returned point outside the ball, while ``|lam * g(x)|`` stays
+    below about ``1e-10 * lam``.  When ``curvature * radius**2`` is near
+    ``1e6`` or more, that margin is below the spacing of doubles at
+    ``radius`` and the point can land on the sphere itself.
     """
     if not (ball.radius > 0):
         raise ValueError("ball radius must be positive")
+    if not isinstance(p1, REGULARIZERS):
+        raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
     x_k = np.asarray(x_k, dtype=float)
     q = np.asarray(q, dtype=float)
-
-    def phi(lam):
-        x = prox_path_point(p1, x_k, q, L_f, ball, lam)
-        return float(np.linalg.norm(x - ball.center)) - ball.radius, x
-
-    evals = 1
-    phi0, x0 = phi(0.0)
-    if phi0 <= 0.0:
-        return _finish(p1, x0, 0.0, x_k, q, L_f, ball, evals)
-
-    if exact_l1 and isinstance(p1, L1Regularizer):
-        lam, evals_exact = _solve_l1_exact(p1, x_k, q, L_f, ball)
-        x = prox_path_point(p1, x_k, q, L_f, ball, lam)
-        return _finish(p1, x, lam, x_k, q, L_f, ball, evals + evals_exact)
-
-    # bracket the root by doubling, then bisect; phi is continuous and
-    # nonincreasing in the multiplier
-    lo, hi = 0.0, 1.0
-    phi_hi, x_hi = phi(hi)
-    evals += 1
-    doublings = 0
-    while phi_hi > 0.0:
-        doublings += 1
-        if doublings > BRACKET_CAP:
-            raise NumericError(
-                "multiplier bracketing failed: phi(%.3e) = %.3e after %d doublings "
-                "(radius %.3e, curvature %.3e)"
-                % (hi, phi_hi, BRACKET_CAP, ball.radius, ball.curvature)
-            )
-        lo, hi = hi, 2.0 * hi
-        phi_hi, x_hi = phi(hi)
-        evals += 1
-
-    # bisect, always keeping the feasible (phi <= 0) end as the candidate;
-    # besides the distance residual, drive the complementarity product
-    # lam * g(x) to zero on the constraint-value scale (the radius-relative
-    # tolerance alone is too loose when the ball is huge)
-    phi_tol = PHI_TOL * (1.0 + ball.radius)
-
-    def comp_residual(lam, phi_val):
-        dist = ball.radius + phi_val
-        return abs(lam * 0.5 * ball.curvature * (dist * dist - ball.radius**2))
-
-    while (
-        abs(phi_hi) > phi_tol or comp_residual(hi, phi_hi) > 1e-9 * (1.0 + hi)
-    ) and (hi - lo) > WIDTH_TOL * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        phi_mid, x_mid = phi(mid)
-        evals += 1
-        if phi_mid <= 0.0:
-            hi, x_hi, phi_hi = mid, x_mid, phi_mid
-        else:
-            lo = mid
-
-    return _finish(p1, x_hi, hi, x_k, q, L_f, ball, evals)
-
-
-def _finish(p1, x, lam, x_k, q, L_f, ball, evals):
-    dist = float(np.linalg.norm(x - ball.center))
-    return SubproblemResult(
-        x=x,
-        lam=lam,
-        stationarity_residual=_stationarity_residual(p1, x, x_k, q, L_f, ball, lam),
-        complementarity=lam * (dist - ball.radius),
-        iterations_rootfind=evals,
-    )
-
-
-def _solve_l1_exact(p1: L1Regularizer, x_k, q, L_f, ball: BallConstraint):
-    """Exact multiplier for the l1 subproblem via piecewise linear-quadratic roots.
-
-    In the rescaled multiplier ``nu = lam * curvature`` the prox path is
-    piecewise rational with breakpoints where coordinates enter or leave the
-    soft-threshold dead zone; on each piece the distance equation reduces to
-    one quadratic.
-    """
-    a = L_f * x_k - q
-    w_hat = ball.center
-    w = p1.weights
-    Lf = float(L_f)
     R = ball.radius
+    radius = R - min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R))
 
-    # breakpoints: a_i + nu * w_hat_i = +/- w_i
-    pts = []
-    for ai, ci, wi in zip(a, w_hat, w):
-        if ci != 0.0:
-            for target in (wi, -wi):
-                nu = (target - ai) / ci
-                if nu > 0.0 and math.isfinite(nu):
-                    pts.append(nu)
-    knots = [0.0] + sorted(set(pts)) + [math.inf]
+    x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
+    gap = x0 - ball.center
+    dist = float(np.linalg.norm(gap))
+    if dist <= radius:
+        return SubproblemResult(x=x0, lam=0.0)
 
-    def residual_sq_coeffs(nu_probe):
-        # numerator of x(nu) - center is affine per coordinate on the piece
-        s = a + nu_probe * w_hat
-        alpha = np.where(
-            s > w, a - w - Lf * w_hat, np.where(s < -w, a + w - Lf * w_hat, -Lf * w_hat)
-        )
-        beta = np.where(np.abs(s) <= w, -w_hat, 0.0)
-        A = float(np.dot(beta, beta)) - R * R
-        B = 2.0 * float(np.dot(alpha, beta)) - 2.0 * R * R * Lf
-        C = float(np.dot(alpha, alpha)) - R * R * Lf * Lf
-        return A, B, C
+    if isinstance(p1, L1Regularizer):
+        nu = _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, float(L_f), radius)
+        lam = nu / ball.curvature
+        return SubproblemResult(x=prox_path_point(p1, x_k, q, L_f, ball, lam), lam=lam)
 
-    def F(nu):
-        if math.isinf(nu):
-            return -math.inf
-        x = prox_path_point(p1, x_k, q, Lf, ball, nu / ball.curvature)
-        d = float(np.linalg.norm(x - ball.center))
-        return (d * d - R * R) * (Lf + nu) ** 2
-
-    evals = 0
-    for left, right in zip(knots[:-1], knots[1:]):
-        evals += 1
-        if F(left) <= 0.0:
-            # root attained at the left knot itself
-            return left / ball.curvature, evals
-        probe = left + 1.0 if math.isinf(right) else 0.5 * (left + right)
-        A, B, C = residual_sq_coeffs(probe)
-        roots = _quadratic_roots(A, B, C)
-        slack = 1e-12 * (1.0 + left)
-        for nu in roots:
-            if left - slack <= nu and (math.isinf(right) or nu <= right + slack):
-                return max(nu, left) / ball.curvature, evals
-    raise NumericError("exact l1 multiplier search exhausted all pieces")
+    # P1 = 0: x(nu) - center = L_f (x0 - center) / (L_f + nu)
+    nu = L_f * (dist / radius - 1.0)
+    return SubproblemResult(x=ball.center + (radius / dist) * gap, lam=float(nu / ball.curvature))
 
 
-def _quadratic_roots(A, B, C):
-    if A == 0.0:
-        if B == 0.0:
-            return []
-        return [-C / B]
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    # numerically stable pairing
-    if B >= 0:
-        r1 = (-B - sq) / (2.0 * A)
-    else:
-        r1 = (-B + sq) / (2.0 * A)
-    r2 = C / (A * r1) if r1 != 0.0 else (-B / A - r1)
-    return sorted([r1, r2])
+def _l1_multiplier(w, a, c, L_f, R):
+    """Smallest ``nu = lam * curvature`` with ``||x(nu) - c|| = R`` on the l1 path.
+
+    With ``s = a + nu c`` and ``a = L_f x_k - q``, coordinate i of the path
+    point is ``(s_i - w_i) / (L_f + nu)`` above the soft-threshold dead zone
+    (``s_i > w_i``), ``(s_i + w_i) / (L_f + nu)`` below it and 0 inside it.
+    So ``x_i - c_i`` is ``alpha_i / (L_f + nu)`` outside the dead zone, with
+    ``alpha = a -+ w - L_f c``, and ``-c_i`` inside it.  Between consecutive
+    breakpoints ``s_i = +-w_i`` the squared distance is ``Q + P / (L_f + nu)^2``,
+    where P sums alpha^2 outside and Q sums c^2 inside the dead zone, and
+    its root is ``nu = sqrt(P / (R^2 - Q)) - L_f``.  The distance is
+    continuous and nonincreasing in nu and exceeds R at nu = 0.
+    """
+    n = a.size
+    below2 = (a + w - L_f * c) ** 2
+    above2 = (a - w - L_f * c) ** 2
+    c2 = c * c
+    # region just right of nu = 0: -1 below, 0 dead, +1 above; a tie on a
+    # boundary moves in the direction of c
+    start = (((a > w) | ((a == w) & (c > 0))).astype(int)
+             - ((a < -w) | ((a == -w) & (c < 0))).astype(int))
+    # s_i crosses +w_i at (w - a) / c and -w_i at (-w - a) / c; each crossing
+    # moves coordinate i one region in the direction of c_i
+    sign = np.sign(c).astype(int)
+    nz = c != 0.0
+    knots = np.concatenate([np.divide(w - a, c, out=np.zeros(n), where=nz),
+                            np.divide(-w - a, c, out=np.zeros(n), where=nz)])
+    dP = np.concatenate([sign * above2, -sign * below2])
+    dQ = np.concatenate([-sign * c2, sign * c2])
+    keep = np.flatnonzero((knots > 0.0) & np.isfinite(knots))
+    order = keep[np.argsort(knots[keep], kind="stable")]
+    knots, coord = knots[order], order % n
+    ends = np.concatenate([[0.0], knots, [math.inf]])  # piece p is [ends[p], ends[p + 1]]
+    R2 = R * R
+
+    def sums(p):
+        """Exact (P, Q) on piece p."""
+        region = start + sign * np.bincount(coord[:p], minlength=n)
+        return (float(below2[region < 0].sum() + above2[region > 0].sum()),
+                float(c2[region == 0].sum()))
+
+    # locate the piece with running sums over the sorted breakpoints: the
+    # first whose right end is inside the sphere
+    P0, Q0 = sums(0)
+    P = P0 + np.concatenate([[0.0], np.cumsum(dP[order])[:-1]])
+    Q = Q0 + np.concatenate([[0.0], np.cumsum(dQ[order])[:-1]])
+    inside = Q + P / (L_f + knots) ** 2 <= R2
+    p = int(np.argmax(np.append(inside, True)))
+    # the running sums cancel badly when R is small next to ||c||, so the
+    # piece can be off by a breakpoint that lies within rounding of the
+    # sphere; step to the piece that holds the root of the exact sums
+    step = 0
+    while True:
+        P, Q = sums(p)
+        nu = math.sqrt(P / (R2 - Q)) - L_f if Q < R2 else math.inf
+        if nu > ends[p + 1] and step >= 0:
+            p, step = p + 1, 1
+        elif nu < ends[p] and p > 0 and step <= 0:
+            p, step = p - 1, -1
+        else:
+            return float(min(max(nu, ends[p]), ends[p + 1]))

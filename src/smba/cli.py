@@ -5,7 +5,6 @@ Subcommands
 ``gen-nsdp``  write a random NSDP instance to a JSON problem file
 ``solve``     solve one problem file, emitting a CSV trace and a JSON report
 ``bench``     sweep (seed, rbar, sbar) cells, one trace per cell plus a summary CSV
-``selftest``  run the built-in invariant checks
 
 Exit status: 0 on success, 1 for usage or file errors, 2 when the solver
 reports a numeric failure (partial outputs are kept).
@@ -166,127 +165,6 @@ def _cmd_bench(args) -> int:
     return 2 if failures else 0
 
 
-def _cmd_selftest(args) -> int:
-    ok = True
-    for name, fn in _SELFTESTS:
-        try:
-            fn()
-            print(f"[ok]   {name}")
-        except Exception as exc:  # noqa: BLE001 - report and keep going
-            ok = False
-            print(f"[FAIL] {name}: {exc}")
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# built-in invariant checks (fast, seeded)
-# ---------------------------------------------------------------------------
-
-
-def _families(rng, alpha4=1e-5):
-    from .cones import NegSemidef, NonposOrthant, PCone
-
-    def orthant_sample():
-        return rng.normal(0, 3, 5)
-
-    def psd_sample():
-        y = rng.normal(0, 3, (4, 4))
-        return 0.5 * (y + y.T)
-
-    def pcone_sample():
-        return rng.normal(0, 3, 6)
-
-    return [
-        (NonposOrthant(5, alpha4=alpha4), orthant_sample),
-        (NegSemidef(4, alpha4=alpha4), psd_sample),
-        (PCone(5, alpha4=alpha4), pcone_sample),
-    ]
-
-
-def _check_sandwich():
-    rng = np.random.default_rng(0)
-    for oracle, sample in _families(rng):
-        for _ in range(200):
-            y = sample()
-            mu = 10.0 ** rng.uniform(-6, 1)
-            sig = oracle.support_value(y)
-            val = oracle.msa_value(y, mu)
-            tol = 1e-12 * (1.0 + abs(sig))
-            if not (sig - tol <= val <= sig + oracle.cert.alpha3 * mu + tol):
-                raise AssertionError(f"sandwich violated for {oracle.family}")
-
-
-def _check_gradients():
-    rng = np.random.default_rng(1)
-    for oracle, sample in _families(rng):
-        for _ in range(20):
-            y = sample()
-            mu = 10.0 ** rng.uniform(-3, 1)
-            d = sample()
-            grad = oracle.msa_gradient(y, mu)
-            h = 1e-6
-            fd = (oracle.msa_value(y + h * d, mu) - oracle.msa_value(y - h * d, mu)) / (2 * h)
-            exact = float(np.vdot(grad, d))
-            if abs(fd - exact) > 1e-6 * (1.0 + abs(exact)):
-                raise AssertionError(f"gradient mismatch for {oracle.family}")
-
-
-def _check_ball_prox():
-    from .ball_prox import BallConstraint, solve_ball_prox
-    from .oracles import exact_ball_projection
-    from .problems import ZeroRegularizer
-
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = rng.integers(1, 6)
-        center = rng.normal(0, 2, n)
-        ball = BallConstraint(center=center, radius=float(rng.uniform(0.5, 3)),
-                              curvature=float(rng.uniform(0.2, 5)))
-        x_k = rng.normal(0, 2, n)
-        q = rng.normal(0, 2, n)
-        L_f = float(rng.uniform(0.2, 4))
-        res = solve_ball_prox(ZeroRegularizer(), x_k, q, L_f, ball)
-        want = exact_ball_projection(x_k - q / L_f, ball.center, ball.radius)
-        if float(np.linalg.norm(res.x - want)) > 1e-10:
-            raise AssertionError("ball prox disagrees with the closed form")
-
-
-def _check_schedules():
-    from .schedules import blockwise_schedule, mu_values, power_schedule
-
-    ks = np.arange(2001)
-    for spec in (power_schedule(0.5, mu0=1.0),
-                 blockwise_schedule(0.9, mu0=1.0),
-                 ramped_log_schedule(0.9, 3.0, mu0=1.0)):
-        mus = mu_values(spec, ks)
-        if not np.all(np.diff(mus) < 0):
-            raise AssertionError(f"schedule {spec.variant} is not strictly decreasing")
-
-
-def _check_toy_solve():
-    from .oracles import analytic_box_solution
-    from .problems import box_problem
-    from .schedules import power_schedule
-
-    prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
-    cfg = SolverConfig(eps=1e-7, max_outer=2000, schedule=power_schedule(0.9))
-    report = run(prob, cfg, np.zeros(2))
-    target = analytic_box_solution([2.0, -1.0], [1.0, 1.0])
-    if report.status is not SolveStatus.CONVERGED:
-        raise AssertionError(f"toy solve ended with {report.status.value}")
-    if float(np.linalg.norm(report.x - target)) > 1e-5:
-        raise AssertionError("toy solve missed the analytic solution")
-
-
-_SELFTESTS = [
-    ("smoothing sandwich and shift", _check_sandwich),
-    ("kernel gradients vs finite differences", _check_gradients),
-    ("ball prox vs closed-form projection", _check_ball_prox),
-    ("schedule strict decrease", _check_schedules),
-    ("analytic toy solve", _check_toy_solve),
-]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="smba", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -317,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer", type=int, default=5000)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant checks")
-    p.set_defaults(fn=_cmd_selftest)
 
     return parser
 

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cones import ConeBaseOracle, DEFAULT_SHIFT, NegSemidef, NonposOrthant, PCone
+from .errors import UnsupportedFamilyError
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,10 @@ class L1Regularizer:
         return float(np.linalg.norm(res))
 
 
+# P1 kinds with an exact ball-prox solver (see ball_prox)
+REGULARIZERS = (ZeroRegularizer, L1Regularizer)
+
+
 class ZeroConcave:
     """P2 = 0."""
 
@@ -129,6 +134,13 @@ class DCProblem:
     cone: ConeBaseOracle
     dim: int
     name: str = field(default="problem")
+
+    def __post_init__(self):
+        if not isinstance(self.p1, REGULARIZERS):
+            raise UnsupportedFamilyError(
+                f"P1 must be one of {', '.join(r.__name__ for r in REGULARIZERS)}, "
+                f"got {type(self.p1).__name__}"
+            )
 
 
 def composite_value(prob: DCProblem, x, mu) -> float:

@@ -73,6 +73,9 @@ class ScheduleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleSpec":
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown schedule keys: {', '.join(sorted(unknown))}")
         return cls(**d)
 
 

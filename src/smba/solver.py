@@ -53,7 +53,6 @@ class SolverConfig:
     max_outer: int = 5000
     max_inner_j: int = 40
     schedule: ScheduleSpec = field(default_factory=lambda: ramped_log_schedule(0.9, 3.0))
-    exact_l1_path: bool = False
     bb_warm_start: bool = True  # constant warm starts (L = 1) when disabled
 
     def __post_init__(self):
@@ -71,6 +70,9 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown solver config keys: {', '.join(sorted(unknown))}")
         d = dict(d)
         if "schedule" in d and isinstance(d["schedule"], dict):
             d["schedule"] = ScheduleSpec.from_dict(d["schedule"])
@@ -177,7 +179,15 @@ class InnerResult:
     j: int
     gmu: float
     psi: float
-    rootfind_iters: int
+
+
+def _nonfinite_oracle(state: IterateState) -> str:
+    """Name of the first oracle output in ``state`` that is not finite, or ''."""
+    for name, value in (("objective value", state.psi), ("f gradient", state.grad_f),
+                        ("constraint adjoint", state.grad_gmu), ("P2 subgradient", state.xi)):
+        if not np.all(np.isfinite(value)):
+            return name
+    return ""
 
 
 def find_initial_mu(prob: DCProblem, x0) -> float:
@@ -241,7 +251,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         Lf = (2.0**i) * state.Lf0
         Lg = (2.0**j) * state.Lg0
         ball = build_ball(state.x, state.grad_gmu, state.gmu, Lg, state.mu)
-        sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball, exact_l1=cfg.exact_l1_path)
+        sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
         gmu_cand = prob.cone.msa_value(prob.g.value(sub.x), state.mu)
         lg_tried.append(Lg)
         gmu_tried.append(gmu_cand)
@@ -253,8 +263,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
         if psi_cand <= state.psi - decrease:
             return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
-                               gmu=gmu_cand, psi=psi_cand,
-                               rootfind_iters=sub.iterations_rootfind)
+                               gmu=gmu_cand, psi=psi_cand)
         i += 1
         j += 1
 
@@ -293,6 +302,12 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     status, reason = SolveStatus.MAX_OUTER, ""
 
     for k in range(cfg.max_outer):
+        # a user oracle returning NaN or inf ends the run here, before it
+        # reaches the subproblem or the cone kernel
+        bad = _nonfinite_oracle(state)
+        if bad:
+            status, reason = SolveStatus.NUMERIC_FAILURE, f"{bad} is not finite at step {k}"
+            break
         state.k = k
         state.Lf0, state.Lg0 = bb_init(state, prob, cfg)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smba.ball_prox import BallConstraint, build_ball, prox_path_point, solve_ball_prox
-from smba.errors import InfeasibleStartError, NumericError
+from smba.errors import InfeasibleStartError, UnsupportedFamilyError
 from smba.oracles import GridSpec, exact_ball_projection, grid_bruteforce
 from smba.problems import L1Regularizer, ZeroRegularizer
 
@@ -12,6 +12,62 @@ from smba.problems import L1Regularizer, ZeroRegularizer
 def subproblem_objective(p1, x, x_k, q, L_f):
     d = x - x_k
     return p1.value(x) + float(np.dot(q, d)) + 0.5 * L_f * float(np.dot(d, d))
+
+
+def stationarity_residual(p1, x, lam, x_k, q, L_f, ball):
+    """dist(0, dP1(x) + q + L_f (x - x_k) + lam * curvature * (x - center))."""
+    u = q + L_f * (x - x_k) + lam * ball.curvature * (x - ball.center)
+    return p1.subdiff_distance(x, u)
+
+
+def reference_ball_prox(p1, x_k, q, L_f, ball):
+    """Safeguarded bisection on the multiplier: the reference the exact
+    solvers are checked against.  The distance to the center along the prox
+    path is continuous and nonincreasing in the multiplier, so doubling
+    brackets the root and bisection keeps the feasible end."""
+
+    def phi(lam):
+        x = prox_path_point(p1, x_k, q, L_f, ball, lam)
+        return float(np.linalg.norm(x - ball.center)) - ball.radius, x
+
+    phi_hi, x_hi = phi(0.0)
+    if phi_hi <= 0.0:
+        return x_hi, 0.0
+    lo, hi = 0.0, 1.0
+    phi_hi, x_hi = phi(hi)
+    for _ in range(200):
+        if phi_hi <= 0.0:
+            break
+        lo, hi = hi, 2.0 * hi
+        phi_hi, x_hi = phi(hi)
+    else:
+        raise AssertionError("reference bisection could not bracket the multiplier")
+    while (hi - lo) > 1e-15 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        phi_mid, x_mid = phi(mid)
+        if phi_mid <= 0.0:
+            hi, x_hi = mid, x_mid
+        else:
+            lo = mid
+    return x_hi, hi
+
+
+def assert_matches_reference(p1, x_k, q, L_f, ball):
+    res = solve_ball_prox(p1, x_k, q, L_f, ball)
+    x_ref, lam_ref = reference_ball_prox(p1, x_k, q, L_f, ball)
+    assert float(np.linalg.norm(res.x - x_ref)) <= 1e-9 * (1 + np.linalg.norm(res.x))
+    assert res.lam == pytest.approx(lam_ref, rel=1e-6, abs=1e-9)
+    assert_kkt_contract(p1, res, x_k, q, L_f, ball)
+
+
+def assert_kkt_contract(p1, res, x_k, q, L_f, ball):
+    dist = float(np.linalg.norm(res.x - ball.center))
+    assert res.lam >= 0.0
+    assert dist < ball.radius
+    assert stationarity_residual(p1, res.x, res.lam, x_k, q, L_f, ball) <= 1e-8 * (
+        1 + float(np.linalg.norm(q))
+    )
+    assert res.lam * abs(dist - ball.radius) <= 1e-8 * ball.radius
 
 
 def random_instance(rng, force_l1=None):
@@ -106,7 +162,6 @@ class TestSolveBallProx:
         res = solve_ball_prox(ZeroRegularizer(), np.zeros(2), np.array([-1.0, 0.0]), 1.0, ball)
         np.testing.assert_allclose(res.x, [1.0, 0.0])
         assert res.lam == 0.0
-        assert res.complementarity == 0.0
 
     def test_zero_regularizer_matches_closed_form_200(self, rng):
         for _ in range(200):
@@ -132,11 +187,7 @@ class TestSolveBallProx:
         for _ in range(200):
             p1, x_k, q, L_f, ball = random_instance(rng)
             res = solve_ball_prox(p1, x_k, q, L_f, ball)
-            dist = float(np.linalg.norm(res.x - ball.center))
-            assert res.lam >= 0.0
-            assert dist <= ball.radius * (1 + 1e-12)
-            assert res.stationarity_residual <= 1e-8 * (1 + float(np.linalg.norm(q)))
-            assert res.lam * abs(dist - ball.radius) <= 1e-8 * ball.radius
+            assert_kkt_contract(p1, res, x_k, q, L_f, ball)
 
     def test_path_distance_monotone(self, rng):
         lams = np.concatenate([[0.0], np.logspace(-4, 4, 60)])
@@ -163,38 +214,36 @@ class TestSolveBallProx:
                 val = subproblem_objective(p1, cand, x_k, q, L_f)
                 assert val >= base - 1e-8 * (1 + abs(base))
 
-    def test_exact_l1_path_matches_bisection(self, rng):
-        for _ in range(100):
-            p1, x_k, q, L_f, ball = random_instance(rng, force_l1=True)
-            slow = solve_ball_prox(p1, x_k, q, L_f, ball, exact_l1=False)
-            fast = solve_ball_prox(p1, x_k, q, L_f, ball, exact_l1=True)
-            assert float(np.linalg.norm(slow.x - fast.x)) <= 1e-9 * (1 + np.linalg.norm(slow.x))
-            assert fast.lam == pytest.approx(slow.lam, rel=1e-6, abs=1e-9)
+    def test_zero_matches_reference_bisection(self, rng):
+        for _ in range(200):
+            assert_matches_reference(*random_instance(rng, force_l1=False))
 
-    def test_exact_l1_path_kkt_contract(self, rng):
-        for _ in range(100):
-            p1, x_k, q, L_f, ball = random_instance(rng, force_l1=True)
-            res = solve_ball_prox(p1, x_k, q, L_f, ball, exact_l1=True)
-            dist = float(np.linalg.norm(res.x - ball.center))
-            assert dist <= ball.radius * (1 + 1e-12)
-            assert res.stationarity_residual <= 1e-8 * (1 + float(np.linalg.norm(q)))
-            assert res.lam * abs(dist - ball.radius) <= 1e-8 * ball.radius
+    def test_l1_matches_reference_bisection(self, rng):
+        for _ in range(200):
+            assert_matches_reference(*random_instance(rng, force_l1=True))
 
-    def test_bracket_cap_error(self):
-        class BrokenProx:
-            # prox that ignores its input: the path never reaches the ball
+    def test_l1_degenerate_breakpoints(self, rng):
+        # zero weights, zero center coordinates and points exactly on a
+        # soft-threshold boundary give repeated breakpoints and breakpoints at 0
+        for _ in range(200):
+            p1, x_k, q, L_f, ball = random_instance(rng, force_l1=True)
+            n = x_k.size
+            w = np.where(rng.random(n) < 0.3, 0.0, p1.weights)
+            center = np.where(rng.random(n) < 0.3, 0.0, ball.center)
+            on_edge = rng.random(n) < 0.3
+            x_k = np.where(on_edge, 0.0, x_k)
+            q = np.where(on_edge, rng.choice([-1.0, 1.0], n) * w, q)
+            ball = BallConstraint(center=center, radius=ball.radius, curvature=ball.curvature)
+            assert_matches_reference(L1Regularizer(w), x_k, q, L_f, ball)
+
+    def test_unsupported_regularizer_rejected(self):
+        class Huber:
             def prox(self, z, t):
-                return np.array([10.0, 0.0])
-
-            def value(self, x):
-                return 0.0
-
-            def subdiff_distance(self, x, u):
-                return 0.0
+                return z
 
         ball = BallConstraint(center=np.zeros(2), radius=1.0, curvature=1.0)
-        with pytest.raises(NumericError):
-            solve_ball_prox(BrokenProx(), np.zeros(2), np.zeros(2), 1.0, ball)
+        with pytest.raises(UnsupportedFamilyError):
+            solve_ball_prox(Huber(), np.zeros(2), np.ones(2), 1.0, ball)
 
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,16 @@ class TestGenSolve:
         doc = json.loads(report.read_text())
         assert doc["config"]["schedule"]["variant"] == "power"
 
+    def test_stale_config_key_exit_1(self, tmp_path, capsys):
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**SolverConfig().to_dict(), "exact_l1_path": True}))
+        code = main(["solve", "--problem", str(inst_path), "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exact_l1_path" in err
+
     def test_missing_problem_file_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--problem", str(tmp_path / "nope.json")])
         assert code == 1
@@ -150,10 +160,3 @@ class TestBench:
                      for row in csv.DictReader(fh)]
             assert a == b
 
-
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "[ok]" in out
-        assert "[FAIL]" not in out

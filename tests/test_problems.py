@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from smba.cones import NonposOrthant
+from smba.errors import UnsupportedFamilyError
 from smba.problems import (
     DCProblem,
     L1Concave,
@@ -231,6 +234,22 @@ class TestProblemWiring:
         assert prob.dim == 2
         assert isinstance(prob.cone, NonposOrthant)
         assert isinstance(prob, DCProblem)
+
+    def test_unsupported_regularizer_rejected(self):
+        prob = box_problem(c=[1.0, 2.0], b=[3.0, 3.0])
+
+        class Elastic:
+            def prox(self, z, t):
+                return z / (1.0 + t)
+
+        with pytest.raises(UnsupportedFamilyError):
+            dataclasses.replace(prob, p1=Elastic())
+
+        # subclasses of a supported regularizer (e.g. instrumented copies) pass
+        class CountingL1(L1Regularizer):
+            pass
+
+        assert isinstance(dataclasses.replace(prob, p1=CountingL1(np.ones(2))).p1, CountingL1)
 
     def test_quadratic_objective_hint(self):
         f = quadratic_objective([0.0])

@@ -334,6 +334,21 @@ class TestRunFailureModes:
         assert "diverged" in report.reason
         assert report.iterations == len(report.trace) > 0
 
+    def test_nonfinite_gradient_becomes_status(self):
+        base = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return np.array([np.nan, 0.0]) if len(calls) >= 6 else base.f.gradient(x)
+
+        prob = dataclasses.replace(base, f=dataclasses.replace(base.f, gradient=gradient))
+        cfg = SolverConfig(eps=1e-7, max_outer=2000, schedule=power_schedule(0.9))
+        report = run(prob, cfg, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert "f gradient" in report.reason
+        assert report.iterations == len(report.trace) > 0
+
     def test_max_outer_reached(self):
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
         cfg = SolverConfig(eps=1e-16, max_outer=5, schedule=power_schedule(0.9))
@@ -347,6 +362,14 @@ class TestConfig:
         cfg = SolverConfig(eps=1e-5, schedule=ramped_log_schedule(0.6, 3.0, mu0=0.9))
         again = SolverConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="exact_l1_path"):
+            SolverConfig.from_dict({**SolverConfig().to_dict(), "exact_l1_path": False})
+        doc = SolverConfig().to_dict()
+        doc["schedule"]["foo"] = 1
+        with pytest.raises(ValueError, match="foo"):
+            SolverConfig.from_dict(doc)
 
     def test_validation(self):
         with pytest.raises(ValueError):
