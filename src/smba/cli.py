@@ -7,7 +7,8 @@ Subcommands
 ``bench``     sweep (seed, rbar, sbar) cells, one trace per cell plus a summary CSV
 
 Exit status: 0 on success, 1 for usage or file errors, 2 when the solver
-reports a numeric failure (partial outputs are kept).
+does not converge (numeric failure, inner cap or ``max_outer``; partial
+outputs are kept).
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def _cmd_solve(args) -> int:
         f"{prob.name}: {report.status.value} after {report.iterations} iterations, "
         f"objective {report.objective:.9g}, {report.wall_time:.2f}s"
     )
-    if report.status in (SolveStatus.NUMERIC_FAILURE, SolveStatus.INNER_CAP_EXCEEDED):
-        print(f"solver failure: {report.reason}", file=sys.stderr)
+    if report.status is not SolveStatus.CONVERGED:
+        print(f"solver failure: {report.reason or report.status.value}", file=sys.stderr)
         return 2
     return 0
 

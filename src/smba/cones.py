@@ -11,6 +11,10 @@ Three cone families are provided.  For each one the membership test
 * second-order cone (p = 2): support value is ``||y[:m]|| - y[m]``,
   smoothed by the hyperbolic perturbation ``sqrt(||y[:m]||^2 + mu^2)``.
 
+``prepare(y)`` checks an argument and decomposes it once (one
+eigendecomposition for matrices); the returned point gives the support value
+and the smoothed value and gradient at any mu.
+
 Each smoothed kernel h_mu majorizes the support value with a uniform gap
 ``alpha3 * mu`` and carries a gradient-Lipschitz certificate
 ``alpha1 + alpha2 / mu``.  An additive shift ``alpha4 * mu`` makes the
@@ -68,24 +72,6 @@ def stable_logsumexp(v, mu):
     return value, expo / total
 
 
-def l1_smoothing_value(y, mu):
-    """Smooth majorant of the l1 norm: ``sum_i sqrt(y_i^2 + mu^2)``.
-
-    Standalone kernel with certificate (0, 1, m); it is not attached to any
-    cone family here because none of the supported bases has an l1-norm
-    support function.
-    """
-    y = np.asarray(y, dtype=float)
-    mu = _clamp_mu(mu)
-    return float(np.sum(np.sqrt(y * y + mu * mu)))
-
-
-def l1_smoothing_gradient(y, mu):
-    y = np.asarray(y, dtype=float)
-    mu = _clamp_mu(mu)
-    return y / np.sqrt(y * y + mu * mu)
-
-
 @dataclass(frozen=True)
 class SmoothingCert:
     """Certificate of a majorizing smoothing family.
@@ -111,39 +97,111 @@ class SmoothingCert:
         return self.alpha1 + self.alpha2 / _clamp_mu(mu)
 
 
+def _checked(y, shape):
+    y = np.asarray(y, dtype=float)
+    if y.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite entries in cone argument")
+    return y
+
+
+class ConePoint:
+    """A cone argument checked and decomposed once.
+
+    ``support`` is the support value; ``value(mu)`` (with the ``alpha4 * mu``
+    shift) and ``gradient(mu)`` evaluate the smoothed kernel at any mu from
+    the stored decomposition.
+    """
+
+    support: float
+
+    def value(self, mu) -> float:
+        raise NotImplementedError
+
+    def gradient(self, mu):
+        raise NotImplementedError
+
+
+class _LogSumExpPoint(ConePoint):
+    """Temperature log-sum-exp over a vector of values; the gradient is its softmax."""
+
+    def __init__(self, vals, alpha4):
+        self.vals = vals
+        self.alpha4 = alpha4
+        self.support = float(np.max(vals))
+
+    def value(self, mu):
+        return stable_logsumexp(self.vals, mu)[0] + self.alpha4 * float(mu)
+
+    def gradient(self, mu):
+        return stable_logsumexp(self.vals, mu)[1]
+
+
+class _SpectralPoint(_LogSumExpPoint):
+    """Log-sum-exp over a spectrum (descending), gradient ``V diag(softmax) V'``."""
+
+    def __init__(self, vals, vecs, alpha4):
+        super().__init__(vals, alpha4)
+        self.vecs = vecs
+
+    def gradient(self, mu):
+        # softmax weights below machine epsilon are harmless
+        grad = (self.vecs * super().gradient(mu)) @ self.vecs.T
+        return 0.5 * (grad + grad.T)
+
+
+class _PConePoint(ConePoint):
+    """Hyperbolic smoothing ``sqrt(||y[:-1]||^2 + mu^2) - y[-1]``."""
+
+    def __init__(self, y, alpha4):
+        self.y = y
+        self.alpha4 = alpha4
+        self.sq = float(np.dot(y[:-1], y[:-1]))
+        self.support = math.sqrt(self.sq) - float(y[-1])
+
+    def value(self, mu):
+        mu = _clamp_mu(mu)
+        return math.sqrt(self.sq + mu * mu) - self.y[-1] + self.alpha4 * mu
+
+    def gradient(self, mu):
+        mu = _clamp_mu(mu)
+        grad = np.empty_like(self.y)
+        grad[:-1] = self.y[:-1] / math.sqrt(self.sq + mu * mu)
+        grad[-1] = -1.0
+        return grad
+
+
 class ConeBaseOracle:
     """Common interface of the per-family kernels.
 
-    Subclasses fix a compact base B of the polar cone and provide the
-    support value, the smoothed value/gradient, and small residual helpers
-    used by tests and diagnostics.
+    Subclasses fix a compact base B of the polar cone and implement
+    ``prepare``, which checks an argument and decomposes it once (one
+    eigendecomposition for matrices); the value methods below are thin
+    wrappers over the evaluated point.
     """
 
     family: str
     cert: SmoothingCert
 
-    def support_value(self, y) -> float:
+    def prepare(self, y) -> ConePoint:
         raise NotImplementedError
+
+    def support_value(self, y) -> float:
+        return self.prepare(y).support
 
     def msa_value(self, y, mu) -> float:
-        return self.msa_value_and_gradient(y, mu)[0]
+        return self.prepare(y).value(mu)
 
     def msa_gradient(self, y, mu):
-        return self.msa_value_and_gradient(y, mu)[1]
+        return self.prepare(y).gradient(mu)
 
     def msa_value_and_gradient(self, y, mu):
-        """Value and gradient from one pass (one eigendecomposition for matrices)."""
-        raise NotImplementedError
-
-    def base_residual(self, u) -> float:
-        """How far u is from the base set B (0 means membership)."""
-        raise NotImplementedError
+        point = self.prepare(y)
+        return point.value(mu), point.gradient(mu)
 
     def polar_residual(self, v) -> float:
         """How far v is from the polar cone (0 means membership)."""
-        raise NotImplementedError
-
-    def zero_element(self):
         raise NotImplementedError
 
 
@@ -158,32 +216,12 @@ class NonposOrthant(ConeBaseOracle):
         self.m = int(m)
         self.cert = SmoothingCert(0.0, 1.0, math.log(m) + alpha4, alpha4, 1.0)
 
-    def _check(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m,):
-            raise ValueError(f"expected shape ({self.m},), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("non-finite entries in cone argument")
-        return y
-
-    def support_value(self, y):
-        return float(np.max(self._check(y)))
-
-    def msa_value_and_gradient(self, y, mu):
-        y = self._check(y)
-        value, weights = stable_logsumexp(y, mu)
-        return value + self.cert.alpha4 * float(mu), weights
-
-    def base_residual(self, u):
-        u = np.asarray(u, dtype=float)
-        return max(abs(float(np.sum(u)) - 1.0), max(0.0, -float(np.min(u))))
+    def prepare(self, y):
+        return _LogSumExpPoint(_checked(y, (self.m,)), self.cert.alpha4)
 
     def polar_residual(self, v):
         v = np.asarray(v, dtype=float)
         return max(0.0, -float(np.min(v)))
-
-    def zero_element(self):
-        return np.zeros(self.m)
 
 
 class NegSemidef(ConeBaseOracle):
@@ -197,49 +235,24 @@ class NegSemidef(ConeBaseOracle):
         self.m = int(m)
         self.cert = SmoothingCert(0.0, 1.0, math.log(m) + alpha4, alpha4, 1.0)
 
-    def _check(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m, self.m):
-            raise ValueError(f"expected shape ({self.m}, {self.m}), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("non-finite entries in cone argument")
-        skew = np.linalg.norm(y - y.T)
-        if skew > SYMMETRY_TOL * (1.0 + np.linalg.norm(y)):
-            raise ValueError(f"matrix asymmetry {skew:.3e} exceeds tolerance")
-        return 0.5 * (y + y.T)
-
     def _eigh(self, y):
         try:
             return np.linalg.eigh(y)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericError("symmetric eigendecomposition failed") from exc
 
-    def support_value(self, y):
-        vals = self._eigh(self._check(y))[0]
-        return float(vals[-1])
-
-    def msa_value_and_gradient(self, y, mu):
-        vals, vecs = self._eigh(self._check(y))
-        # descending order; softmax weights below machine epsilon are harmless
-        vals, vecs = vals[::-1], vecs[:, ::-1]
-        value, weights = stable_logsumexp(vals, mu)
-        grad = (vecs * weights) @ vecs.T
-        grad = 0.5 * (grad + grad.T)
-        return value + self.cert.alpha4 * float(mu), grad
-
-    def base_residual(self, u):
-        u = np.asarray(u, dtype=float)
-        u = 0.5 * (u + u.T)
-        vals = self._eigh(u)[0]
-        return max(abs(float(np.trace(u)) - 1.0), max(0.0, -float(vals[0])))
+    def prepare(self, y):
+        y = _checked(y, (self.m, self.m))
+        skew = np.linalg.norm(y - y.T)
+        if skew > SYMMETRY_TOL * (1.0 + np.linalg.norm(y)):
+            raise ValueError(f"matrix asymmetry {skew:.3e} exceeds tolerance")
+        vals, vecs = self._eigh(0.5 * (y + y.T))
+        return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
 
     def polar_residual(self, v):
         v = np.asarray(v, dtype=float)
         vals = self._eigh(0.5 * (v + v.T))[0]
         return max(0.0, -float(vals[0]))
-
-    def zero_element(self):
-        return np.zeros((self.m, self.m))
 
 
 class PCone(ConeBaseOracle):
@@ -258,35 +271,9 @@ class PCone(ConeBaseOracle):
         self.p = float(p)
         self.cert = SmoothingCert(0.0, 1.0, 1.0 + alpha4, alpha4, math.sqrt(2.0))
 
-    def _check(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m + 1,):
-            raise ValueError(f"expected shape ({self.m + 1},), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("non-finite entries in cone argument")
-        return y
-
-    def support_value(self, y):
-        y = self._check(y)
-        return float(np.linalg.norm(y[:-1]) - y[-1])
-
-    def msa_value_and_gradient(self, y, mu):
-        y = self._check(y)
-        mu = _clamp_mu(mu)
-        root = math.sqrt(float(np.dot(y[:-1], y[:-1])) + mu * mu)
-        value = root - y[-1] + self.cert.alpha4 * mu
-        grad = np.empty_like(y)
-        grad[:-1] = y[:-1] / root
-        grad[-1] = -1.0
-        return value, grad
-
-    def base_residual(self, u):
-        u = np.asarray(u, dtype=float)
-        return max(max(0.0, float(np.linalg.norm(u[:-1])) - 1.0), abs(float(u[-1]) + 1.0))
+    def prepare(self, y):
+        return _PConePoint(_checked(y, (self.m + 1,)), self.cert.alpha4)
 
     def polar_residual(self, v):
         v = np.asarray(v, dtype=float)
         return max(0.0, float(np.linalg.norm(v[:-1]) + v[-1]))
-
-    def zero_element(self):
-        return np.zeros(self.m + 1)

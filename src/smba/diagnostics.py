@@ -39,12 +39,14 @@ class KKTCertificate:
         }
 
 
-def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, g_next=None, v=None):
+def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, g_next=None, v=None,
+                  grad_f=None, xi=None):
     """Residual certificate at x_next with the multiplier built from lam.
 
     The P2 subgradient is taken at the previous iterate (deterministic
-    oracle), matching what the solver actually used.  ``g_next`` and ``v``
-    may be passed in when already computed.
+    oracle), matching what the solver actually used.  ``g_next``, ``v``, the
+    f gradient at x_next (``grad_f``) and the P2 subgradient at x_prev
+    (``xi``) may be passed in when already computed.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -59,7 +61,11 @@ def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, g_next=None, v=None)
             v = np.zeros_like(np.asarray(g_next, dtype=float))
         else:
             v = lam * prob.cone.msa_gradient(g_next, mu)
-    u = prob.f.gradient(x_next) - prob.p2.subgradient(x_prev) + prob.g.adjoint_apply(x_next, v)
+    if grad_f is None:
+        grad_f = prob.f.gradient(x_next)
+    if xi is None:
+        xi = prob.p2.subgradient(x_prev)
+    u = grad_f - xi + prob.g.adjoint_apply(x_next, v)
     rho = prob.p1.subdiff_distance(x_next, u)
     comp = -pairing(v, g_next)
     step = float(np.linalg.norm(x_next - x_prev))

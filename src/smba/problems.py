@@ -157,10 +157,6 @@ def objective_value(prob: DCProblem, x) -> float:
     return prob.f.value(x) + prob.p1.value(x) - prob.p2.value(x)
 
 
-def objective_f_gradient(prob: DCProblem, x) -> np.ndarray:
-    return prob.f.gradient(x)
-
-
 # ---------------------------------------------------------------------------
 # concrete instance families
 # ---------------------------------------------------------------------------

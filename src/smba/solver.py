@@ -22,6 +22,7 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
+from .cones import ConePoint
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem, objective_value
 from .schedules import ScheduleSpec, mu_at, ramped_log_schedule
@@ -99,7 +100,6 @@ class IterateState:
     x_prev: Optional[np.ndarray] = None
     grad_f_prev: Optional[np.ndarray] = None
     grad_gmu_prev: Optional[np.ndarray] = None
-    mu_prev: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,8 @@ class InnerCapError(NumericError):
 
 @dataclass(frozen=True)
 class InnerResult:
+    """The accepted trial, with ``y = G(x)`` and its evaluated cone point."""
+
     x: np.ndarray
     lam: float
     Lf: float
@@ -179,6 +181,8 @@ class InnerResult:
     j: int
     gmu: float
     psi: float
+    y: np.ndarray
+    point: ConePoint
 
 
 def _nonfinite_oracle(state: IterateState) -> str:
@@ -190,24 +194,32 @@ def _nonfinite_oracle(state: IterateState) -> str:
     return ""
 
 
+def _start_point(prob: DCProblem, x0) -> ConePoint:
+    """The evaluated cone point of ``G(x0)``; raises unless x0 is strictly feasible."""
+    point = prob.cone.prepare(prob.g.value(x0))
+    if not point.support < 0:
+        raise InfeasibleStartError(
+            f"starting point is not strictly feasible (support value {point.support:.3e})"
+        )
+    return point
+
+
+def _initial_mu(point: ConePoint) -> float:
+    target = 0.1 * point.support
+    for l0 in range(201):
+        mu = 0.9 * 2.0 ** (-l0)
+        if point.value(mu) <= target:
+            return mu
+    raise NumericError("initial smoothing search exceeded 200 halvings")
+
+
 def find_initial_mu(prob: DCProblem, x0) -> float:
     """Smallest 0.9 * 2^(-l) making the smoothed constraint clearly negative at x0.
 
     The acceptance threshold is one tenth of the (negative) exact constraint
     value, so the starting smoothing error cannot wash out feasibility.
     """
-    y0 = prob.g.value(np.asarray(x0, dtype=float))
-    sigma0 = prob.cone.support_value(y0)
-    if not sigma0 < 0:
-        raise InfeasibleStartError(
-            f"starting point is not strictly feasible (support value {sigma0:.3e})"
-        )
-    target = 0.1 * sigma0
-    for l0 in range(201):
-        mu = 0.9 * 2.0 ** (-l0)
-        if prob.cone.msa_value(y0, mu) <= target:
-            return mu
-    raise NumericError("initial smoothing search exceeded 200 halvings")
+    return _initial_mu(_start_point(prob, np.asarray(x0, dtype=float)))
 
 
 def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
@@ -252,7 +264,9 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         Lg = (2.0**j) * state.Lg0
         ball = build_ball(state.x, state.grad_gmu, state.gmu, Lg, state.mu)
         sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
-        gmu_cand = prob.cone.msa_value(prob.g.value(sub.x), state.mu)
+        y = prob.g.value(sub.x)
+        point = prob.cone.prepare(y)
+        gmu_cand = point.value(state.mu)
         lg_tried.append(Lg)
         gmu_tried.append(gmu_cand)
         if gmu_cand > 0.0:
@@ -263,7 +277,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
         if psi_cand <= state.psi - decrease:
             return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
-                               gmu=gmu_cand, psi=psi_cand)
+                               gmu=gmu_cand, psi=psi_cand, y=y, point=point)
         i += 1
         j += 1
 
@@ -273,16 +287,11 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     t0 = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
 
-    mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else find_initial_mu(prob, x0)
+    point0 = _start_point(prob, x0)
+    mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
     schedule = cfg.schedule.with_mu0(mu0)
 
-    y0 = prob.g.value(x0)
-    sigma0 = prob.cone.support_value(y0)
-    if not sigma0 < 0:
-        raise InfeasibleStartError(
-            f"starting point is not strictly feasible (support value {sigma0:.3e})"
-        )
-    gmu0, hgrad0 = prob.cone.msa_value_and_gradient(y0, mu0)
+    gmu0 = point0.value(mu0)
     if not gmu0 < 0:
         raise InfeasibleStartError(
             f"smoothed constraint is not negative at x0 for mu0={mu0:.3e} (value {gmu0:.3e})"
@@ -291,7 +300,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     state = IterateState(
         x=x0, k=0, mu=mu0, lam=0.0,
         psi=objective_value(prob, x0), gmu=gmu0,
-        grad_gmu=prob.g.adjoint_apply(x0, hgrad0),
+        grad_gmu=prob.g.adjoint_apply(x0, point0.gradient(mu0)),
         grad_f=prob.f.gradient(x0),
         xi=prob.p2.subgradient(x0),
     )
@@ -320,19 +329,25 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             status, reason = SolveStatus.NUMERIC_FAILURE, str(exc)
             break
 
-        x_next = inner.x
-        y_next = prob.g.value(x_next)
+        # the accepted trial's G value and cone point serve the certificate,
+        # the exact feasibility check and the next step's smoothing
+        x_next, y_next, point = inner.x, inner.y, inner.point
         if inner.lam > 0.0:
-            v_next = inner.lam * prob.cone.msa_gradient(y_next, state.mu)
+            v_next = inner.lam * point.gradient(state.mu)
         else:
             v_next = np.zeros_like(np.asarray(y_next, dtype=float))
+        grad_f_next = prob.f.gradient(x_next)
+        if not np.all(np.isfinite(grad_f_next)):
+            status, reason = SolveStatus.NUMERIC_FAILURE, f"f gradient is not finite at step {k}"
+            break
         cert = diagnostics.kkt_residuals(
-            prob, x_next, state.x, inner.lam, state.mu, g_next=y_next, v=v_next
+            prob, x_next, state.x, inner.lam, state.mu, g_next=y_next, v=v_next,
+            grad_f=grad_f_next, xi=state.xi,
         )
         term_step, term_slack = diagnostics.termination_metrics(
             state.x, x_next, inner.lam, state.mu, cfg.tau1, cfg.tau2, y_next, v_next
         )
-        sigma_next = prob.cone.support_value(y_next)
+        sigma_next = point.support
 
         # invariants of every accepted step
         if not math.isfinite(inner.psi) or (
@@ -362,7 +377,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         # advance the smoothing parameter; the shifted family keeps the new
         # iterate strictly feasible at the smaller mu
         mu_next = mu_at(schedule, k + 1)
-        gmu_next, hgrad_next = prob.cone.msa_value_and_gradient(y_next, mu_next)
+        gmu_next = point.value(mu_next)
         if not gmu_next < 0:
             status, reason = SolveStatus.NUMERIC_FAILURE, "strict feasibility chain broken"
             break
@@ -370,14 +385,13 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         state.x_prev = state.x
         state.grad_f_prev = state.grad_f
         state.grad_gmu_prev = state.grad_gmu
-        state.mu_prev = state.mu
         state.x = x_next
         state.mu = mu_next
         state.lam = inner.lam
         state.psi = inner.psi
         state.gmu = gmu_next
-        state.grad_gmu = prob.g.adjoint_apply(x_next, hgrad_next)
-        state.grad_f = prob.f.gradient(x_next)
+        state.grad_gmu = prob.g.adjoint_apply(x_next, point.gradient(mu_next))
+        state.grad_f = grad_f_next
         state.xi = prob.p2.subgradient(x_next)
         state.Lf, state.Lg = inner.Lf, inner.Lg
 

@@ -114,6 +114,21 @@ class TestGenSolve:
         assert json.loads(report.read_text())["status"] == "inner_cap_exceeded"
         assert trace.exists()
 
+    def test_max_outer_exit_2_with_outputs(self, tmp_path, capsys):
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "1", "--out", str(inst_path)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SolverConfig(eps=1e-7, max_outer=3).to_dict()))
+        report = tmp_path / "r.json"
+        trace = tmp_path / "t.csv"
+        code = main(["solve", "--problem", str(inst_path), "--config", str(cfg_path),
+                     "--report", str(report), "--trace", str(trace)])
+        assert code == 2
+        assert "max_outer" in capsys.readouterr().err
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "max_outer"
+        assert len(read_trace(trace)) == doc["iterations"] == 3
+
 
 class TestBench:
     def test_small_sweep(self, tmp_path):

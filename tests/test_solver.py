@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from smba.errors import InfeasibleStartError
+from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.oracles import analytic_box_solution
 from smba.problems import (
     box_problem,
@@ -348,6 +350,9 @@ class TestRunFailureModes:
         assert report.status is SolveStatus.NUMERIC_FAILURE
         assert "f gradient" in report.reason
         assert report.iterations == len(report.trace) > 0
+        # the bad gradient never reaches the certificate
+        assert all(math.isfinite(row.rho) for row in report.trace)
+        assert math.isfinite(report.final_kkt.rho)
 
     def test_max_outer_reached(self):
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
@@ -355,6 +360,33 @@ class TestRunFailureModes:
         report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.MAX_OUTER
         assert report.iterations == 5
+
+
+class TestCallCounts:
+    def test_each_point_evaluated_once(self):
+        # one G call and one eigendecomposition per linesearch trial plus the
+        # start point; one f gradient per accepted step plus the start point
+        base = nsdp_problem(generate_nsdp(6, 4, 1))
+        counts = {"G": 0, "eigh": 0, "grad_f": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        prob = dataclasses.replace(
+            base,
+            g=dataclasses.replace(base.g, value=counting("G", base.g.value)),
+            f=dataclasses.replace(base.f, gradient=counting("grad_f", base.f.gradient)),
+        )
+        prob.cone._eigh = counting("eigh", prob.cone._eigh)
+        report = run(prob, SolverConfig(eps=1e-6), np.zeros(6))
+        assert report.status is SolveStatus.CONVERGED
+        assert report.iterations > 10
+        trials = sum(row.j_k + 1 for row in report.trace)
+        assert counts["eigh"] == counts["G"] == 1 + trials
+        assert counts["grad_f"] == 1 + report.iterations
 
 
 class TestConfig:
