@@ -7,8 +7,8 @@ Subcommands
 ``bench``     sweep (seed, rbar, sbar) cells, one trace per cell plus a summary CSV
 
 Exit status: 0 on success, 1 for usage or file errors, 2 when the solver
-does not converge (numeric failure, inner cap or ``max_outer``; partial
-outputs are kept).
+does not converge (numeric failure, inner cap, smoothing floor or
+``max_outer``; partial outputs are kept).
 """
 
 from __future__ import annotations
@@ -131,11 +131,19 @@ def _bench_cell(cell):
         "objective": report.objective, "wall_time": report.wall_time,
         "term_step": report.term_step, "term_slack": report.term_slack,
         "trace_file": trace_name,
-    }
+    }, [row.psi for row in report.trace]
 
 
 SUMMARY_COLUMNS = ("n", "m", "seed", "rbar", "sbar", "eps", "status", "iterations",
-                   "objective", "wall_time", "term_step", "term_slack", "trace_file")
+                   "iters_to_best", "objective", "wall_time", "term_step", "term_slack",
+                   "trace_file")
+BEST_REL_TOL = 1e-6
+
+
+def _iters_to_best(psis, best):
+    """1-based index of the first row within BEST_REL_TOL (relative) of best, or ''."""
+    scale = max(1.0, abs(best))
+    return next((i for i, psi in enumerate(psis, 1) if (psi - best) / scale <= BEST_REL_TOL), "")
 
 
 def _cmd_bench(args) -> int:
@@ -150,10 +158,16 @@ def _cmd_bench(args) -> int:
     workers = int(os.environ.get("SMBA_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_cell, cells))
+            results = list(pool.map(_bench_cell, cells))
     else:
-        rows = [_bench_cell(cell) for cell in cells]
+        results = [_bench_cell(cell) for cell in cells]
 
+    # iterations each cell needs to come within BEST_REL_TOL of the lowest
+    # final objective over its seed's cells
+    best = {seed: min(row["objective"] for row, _ in results if row["seed"] == seed)
+            for seed in seeds}
+    rows = [{**row, "iters_to_best": _iters_to_best(psis, best[row["seed"]])}
+            for row, psis in results]
     rows.sort(key=lambda r: (r["seed"], r["rbar"], r["sbar"]))
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", newline="") as fh:

@@ -132,7 +132,8 @@ class _LogSumExpPoint(ConePoint):
         self.support = float(np.max(vals))
 
     def value(self, mu):
-        return stable_logsumexp(self.vals, mu)[0] + self.alpha4 * float(mu)
+        mu = _clamp_mu(mu)  # the shift and the kernel must use the same mu
+        return stable_logsumexp(self.vals, mu)[0] + self.alpha4 * mu
 
     def gradient(self, mu):
         return stable_logsumexp(self.vals, mu)[1]
@@ -195,10 +196,6 @@ class ConeBaseOracle:
 
     def msa_gradient(self, y, mu):
         return self.prepare(y).gradient(mu)
-
-    def msa_value_and_gradient(self, y, mu):
-        point = self.prepare(y)
-        return point.value(mu), point.gradient(mu)
 
     def polar_residual(self, v) -> float:
         """How far v is from the polar cone (0 means membership)."""

@@ -10,7 +10,7 @@ of the cone kernel with G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,20 +20,14 @@ from .errors import UnsupportedFamilyError
 
 @dataclass(frozen=True)
 class SmoothObjective:
-    """Smooth part f: value, gradient, and an optional Lipschitz hint.
-
-    The hint is advisory; the linesearch never requires it.
-    """
+    """Smooth part f: value and gradient (the linesearch needs no Lipschitz constant)."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    lipschitz_hint: Optional[float] = None
 
 
 class ZeroRegularizer:
     """P1 = 0."""
-
-    kind = "zero"
 
     def value(self, x):
         return 0.0
@@ -47,8 +41,6 @@ class ZeroRegularizer:
 
 class L1Regularizer:
     """Weighted l1 term with componentwise soft-threshold prox."""
-
-    kind = "l1"
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
@@ -118,11 +110,10 @@ class L1Concave:
 
 @dataclass(frozen=True)
 class ConstraintMap:
-    """Constraint map G with adjoint-Jacobian apply and Jacobian Lipschitz bound."""
+    """Constraint map G with its adjoint-Jacobian apply."""
 
     value: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_jacobian: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,6 @@ def quadratic_objective(c) -> SmoothObjective:
     return SmoothObjective(
         value=lambda x: 0.5 * float(np.dot(x - c, x - c)),
         gradient=lambda x: np.asarray(x, dtype=float) - c,
-        lipschitz_hint=1.0,
     )
 
 
@@ -193,7 +183,7 @@ def poly_quartic_objective(Q, b, cubic, quartic) -> SmoothObjective:
         x = np.asarray(x, dtype=float)
         return quartic * x**3 + cubic * x * np.abs(x) + Q @ x + b
 
-    return SmoothObjective(value=value, gradient=gradient, lipschitz_hint=None)
+    return SmoothObjective(value=value, gradient=gradient)
 
 
 def shift_map(b) -> ConstraintMap:
@@ -202,7 +192,6 @@ def shift_map(b) -> ConstraintMap:
     return ConstraintMap(
         value=lambda x: np.asarray(x, dtype=float) - b,
         adjoint_apply=lambda x, u: np.asarray(u, dtype=float).copy(),
-        lipschitz_jacobian=0.0,
     )
 
 
@@ -217,7 +206,6 @@ def pcone_lift_map(t: float) -> ConstraintMap:
     return ConstraintMap(
         value=value,
         adjoint_apply=lambda x, u: np.asarray(u, dtype=float)[:-1].copy(),
-        lipschitz_jacobian=0.0,
     )
 
 
@@ -238,7 +226,7 @@ def psd_affine_map(A) -> ConstraintMap:
         u = np.asarray(u, dtype=float)
         return -np.tensordot(A[1:], u, axes=([1, 2], [0, 1]))
 
-    return ConstraintMap(value=value, adjoint_apply=adjoint_apply, lipschitz_jacobian=0.0)
+    return ConstraintMap(value=value, adjoint_apply=adjoint_apply)
 
 
 def box_problem(c, b, l1_weight=0.0, alpha4=DEFAULT_SHIFT) -> DCProblem:

@@ -11,10 +11,10 @@ residuals vanish):
 * ``ramped_log``: the blockwise stem with a slowly ramped exponent and an
   extra logarithmic factor, evaluated at the fractional block index.
 
-Exponent rules are restricted to the two serializable forms used in
-practice: a constant cap ``rbar``, or the linear ramp
+``blockwise`` holds the exponent at ``rbar``; ``ramped_log`` ramps it as
 ``r_j = 0.01 + min(1, j / ramp_len) * (rbar - 0.01)`` (and
-``s_j = min(1, j / ramp_len) * sbar`` for the log factor).
+``s_j = min(1, j / ramp_len) * sbar`` for the log factor).  A supplied mu0
+must not lie below the kernel's smoothing floor.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .cones import MU_FLOOR
 
 VARIANTS = ("power", "blockwise", "ramped_log")
 
@@ -43,13 +45,12 @@ class ScheduleSpec:
     n0: int = DEFAULT_N0
     nu0: float = DEFAULT_NU0
     ramp_len: int = DEFAULT_RAMP_LEN
-    ramp_r: bool = False  # blockwise only: ramp the exponent instead of holding rbar
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown schedule variant {self.variant!r}")
-        if self.mu0 is not None and not self.mu0 > 0:
-            raise ValueError("mu0 must be positive")
+        if self.mu0 is not None and not self.mu0 >= MU_FLOOR:
+            raise ValueError(f"mu0 must be at least the smoothing floor {MU_FLOOR:.0e}")
         if self.variant == "power":
             if not 0.0 < self.r < 1.0:
                 raise ValueError("power exponent r must lie in (0, 1)")
@@ -83,10 +84,8 @@ def power_schedule(r: float, mu0=None) -> ScheduleSpec:
     return ScheduleSpec(variant="power", r=r, mu0=mu0)
 
 
-def blockwise_schedule(rbar, n0=DEFAULT_N0, nu0=DEFAULT_NU0, mu0=None, ramp_r=False,
-                       ramp_len=DEFAULT_RAMP_LEN) -> ScheduleSpec:
-    return ScheduleSpec(variant="blockwise", rbar=rbar, n0=n0, nu0=nu0, mu0=mu0,
-                        ramp_r=ramp_r, ramp_len=ramp_len)
+def blockwise_schedule(rbar, n0=DEFAULT_N0, nu0=DEFAULT_NU0, mu0=None) -> ScheduleSpec:
+    return ScheduleSpec(variant="blockwise", rbar=rbar, n0=n0, nu0=nu0, mu0=mu0)
 
 
 def ramped_log_schedule(rbar, sbar, n0=DEFAULT_N0, nu0=DEFAULT_NU0,
@@ -102,10 +101,9 @@ def mu_values(spec: ScheduleSpec, ks) -> np.ndarray:
     ks = np.asarray(ks)
     if np.any(ks < 0):
         raise ValueError("iteration indices must be nonnegative")
-    k = ks.astype(float)
 
     if spec.variant == "power":
-        return spec.mu0 * (k + 1.0) ** (-spec.r)
+        return spec.mu0 * (ks.astype(float) + 1.0) ** (-spec.r)
 
     block = spec.n0 + 1
     k1 = np.asarray(ks) % block
@@ -113,11 +111,7 @@ def mu_values(spec: ScheduleSpec, ks) -> np.ndarray:
     kbar = k2 * block + spec.nu0 * k1
 
     if spec.variant == "blockwise":
-        if spec.ramp_r:
-            rk = 0.01 + np.minimum(1.0, k / spec.ramp_len) * (spec.rbar - 0.01)
-        else:
-            rk = spec.rbar
-        return spec.mu0 * (kbar + 1.0) ** (-rk)
+        return spec.mu0 * (kbar + 1.0) ** (-spec.rbar)
 
     # ramped_log: exponent rules are indexed by the fractional block index
     frac = np.minimum(1.0, kbar / spec.ramp_len)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import ConePoint
+from .cones import MU_FLOOR, ConePoint
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem, objective_value
 from .schedules import ScheduleSpec, mu_at, ramped_log_schedule
@@ -42,6 +42,7 @@ class SolveStatus(enum.Enum):
     MAX_OUTER = "max_outer"
     INNER_CAP_EXCEEDED = "inner_cap_exceeded"
     NUMERIC_FAILURE = "numeric_failure"
+    MU_FLOOR = "mu_floor"
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class SolverConfig:
     max_outer: int = 5000
     max_inner_j: int = 40
     schedule: ScheduleSpec = field(default_factory=lambda: ramped_log_schedule(0.9, 3.0))
-    bb_warm_start: bool = True  # constant warm starts (L = 1) when disabled
 
     def __post_init__(self):
         if self.tau1 <= 0 or self.tau2 <= 0 or self.eps <= 0:
@@ -87,7 +87,6 @@ class IterateState:
     x: np.ndarray
     k: int
     mu: float
-    lam: float
     psi: float
     gmu: float
     grad_gmu: np.ndarray
@@ -95,8 +94,6 @@ class IterateState:
     xi: np.ndarray
     Lf0: float = 1.0
     Lg0: float = 1.0
-    Lf: float = 1.0
-    Lg: float = 1.0
     x_prev: Optional[np.ndarray] = None
     grad_f_prev: Optional[np.ndarray] = None
     grad_gmu_prev: Optional[np.ndarray] = None
@@ -159,13 +156,12 @@ class SolveReport:
 class InnerCapError(NumericError):
     """The feasibility/descent loop exhausted its doubling budget."""
 
-    def __init__(self, mu, lg_values, gmu_values):
+    def __init__(self, mu, Lg, g_mu):
         self.mu = mu
-        self.lg_values = list(lg_values)
-        self.gmu_values = list(gmu_values)
+        self.Lg = Lg
+        self.g_mu = g_mu
         super().__init__(
-            f"inner loop cap exceeded at mu={mu:.3e}; "
-            f"last Lg={self.lg_values[-1]:.3e}, last g_mu={self.gmu_values[-1]:.3e}"
+            f"inner loop cap exceeded at mu={mu:.3e}; last Lg={Lg:.3e}, last g_mu={g_mu:.3e}"
         )
 
 
@@ -206,11 +202,12 @@ def _start_point(prob: DCProblem, x0) -> ConePoint:
 
 def _initial_mu(point: ConePoint) -> float:
     target = 0.1 * point.support
-    for l0 in range(201):
-        mu = 0.9 * 2.0 ** (-l0)
+    mu = 0.9
+    while mu >= MU_FLOOR:
         if point.value(mu) <= target:
             return mu
-    raise NumericError("initial smoothing search exceeded 200 halvings")
+        mu *= 0.5
+    raise NumericError(f"initial smoothing search reached the floor {MU_FLOOR:.0e}")
 
 
 def find_initial_mu(prob: DCProblem, x0) -> float:
@@ -227,7 +224,7 @@ def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
     [L_min, L_max]; degenerate steps fall back to halving the previous start."""
     lo, hi = cfg.L_min, cfg.L_max
     clip = lambda v: min(max(v, lo), hi)
-    if state.k == 0 or state.x_prev is None or not cfg.bb_warm_start:
+    if state.k == 0 or state.x_prev is None:
         return clip(1.0), clip(1.0)
 
     dx = state.x - state.x_prev
@@ -256,10 +253,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
     constraint weight, descent failures raise both, so i <= j throughout."""
     q = state.grad_f - state.xi
     i = j = 0
-    lg_tried, gmu_tried = [], []
     while True:
-        if j > cfg.max_inner_j:
-            raise InnerCapError(state.mu, lg_tried, gmu_tried)
         Lf = (2.0**i) * state.Lf0
         Lg = (2.0**j) * state.Lg0
         ball = build_ball(state.x, state.grad_gmu, state.gmu, Lg, state.mu)
@@ -267,19 +261,17 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         y = prob.g.value(sub.x)
         point = prob.cone.prepare(y)
         gmu_cand = point.value(state.mu)
-        lg_tried.append(Lg)
-        gmu_tried.append(gmu_cand)
-        if gmu_cand > 0.0:
-            j += 1
-            continue
-        step2 = float(np.dot(sub.x - state.x, sub.x - state.x))
-        psi_cand = objective_value(prob, sub.x)
-        decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
-        if psi_cand <= state.psi - decrease:
-            return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
-                               gmu=gmu_cand, psi=psi_cand, y=y, point=point)
-        i += 1
+        if gmu_cand <= 0.0:
+            step2 = float(np.dot(sub.x - state.x, sub.x - state.x))
+            psi_cand = objective_value(prob, sub.x)
+            decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
+            if psi_cand <= state.psi - decrease:
+                return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
+                                   gmu=gmu_cand, psi=psi_cand, y=y, point=point)
+            i += 1
         j += 1
+        if j > cfg.max_inner_j:
+            raise InnerCapError(state.mu, Lg, gmu_cand)
 
 
 def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
@@ -298,7 +290,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         )
 
     state = IterateState(
-        x=x0, k=0, mu=mu0, lam=0.0,
+        x=x0, k=0, mu=mu0,
         psi=objective_value(prob, x0), gmu=gmu0,
         grad_gmu=prob.g.adjoint_apply(x0, point0.gradient(mu0)),
         grad_f=prob.f.gradient(x0),
@@ -371,12 +363,18 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             break
         if term_step <= cfg.eps and term_slack <= cfg.eps:
             status = SolveStatus.CONVERGED
-            state.x, state.psi, state.lam = x_next, inner.psi, inner.lam
+            state.x, state.psi = x_next, inner.psi
             break
 
         # advance the smoothing parameter; the shifted family keeps the new
-        # iterate strictly feasible at the smaller mu
+        # iterate strictly feasible at the smaller mu.  The kernel clamps any
+        # mu below its floor, so the run stops there instead
         mu_next = mu_at(schedule, k + 1)
+        if mu_next < MU_FLOOR:
+            status = SolveStatus.MU_FLOOR
+            reason = f"smoothing schedule falls below the floor {MU_FLOOR:.0e} at step {k + 1}"
+            state.x, state.psi = x_next, inner.psi
+            break
         gmu_next = point.value(mu_next)
         if not gmu_next < 0:
             status, reason = SolveStatus.NUMERIC_FAILURE, "strict feasibility chain broken"
@@ -387,13 +385,11 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         state.grad_gmu_prev = state.grad_gmu
         state.x = x_next
         state.mu = mu_next
-        state.lam = inner.lam
         state.psi = inner.psi
         state.gmu = gmu_next
         state.grad_gmu = prob.g.adjoint_apply(x_next, point.gradient(mu_next))
         state.grad_f = grad_f_next
         state.xi = prob.p2.subgradient(x_next)
-        state.Lf, state.Lg = inner.Lf, inner.Lg
 
     return SolveReport(
         status=status,

@@ -144,6 +144,13 @@ class TestBench:
             assert row["status"] == "converged"
             assert (out / row["trace_file"]).exists()
             assert int(row["iterations"]) >= 1
+            # 1-based row index within 1e-6 of the seed's best objective, or empty
+            if row["iters_to_best"]:
+                assert 1 <= int(row["iters_to_best"]) <= int(row["iterations"])
+        for seed in (0, 1):
+            cells = [r for r in rows if int(r["seed"]) == seed]
+            best = min(cells, key=lambda r: float(r["objective"]))
+            assert best["iters_to_best"]
         # summary is sorted by (seed, rbar, sbar)
         keys = [(int(r["seed"]), float(r["rbar"]), float(r["sbar"])) for r in rows]
         assert keys == sorted(keys)

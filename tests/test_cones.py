@@ -277,15 +277,19 @@ class TestPreparedPoint:
                         fresh = oracle.prepare(y)
                         assert value == fresh.value(mu)
                         np.testing.assert_array_equal(grad, fresh.gradient(mu))
-                        wrapped_value, wrapped_grad = oracle.msa_value_and_gradient(y, mu)
-                        assert value == wrapped_value
-                        np.testing.assert_array_equal(grad, wrapped_grad)
+                        assert value == oracle.msa_value(y, mu)
+                        np.testing.assert_array_equal(grad, oracle.msa_gradient(y, mu))
 
     def test_below_floor_warns(self):
         for oracle, sample in family_cases():
             point = oracle.prepare(sample(np.random.default_rng(1)))
             with pytest.warns(MuUnderflowWarning):
                 assert math.isfinite(point.value(0.1 * MU_FLOOR))
+        # every family shifts by alpha4 times the clamped mu it smooths with
+        for oracle, sample in family_cases(alpha4=1.0):
+            point = oracle.prepare(np.zeros_like(sample(np.random.default_rng(1))))
+            with pytest.warns(MuUnderflowWarning):
+                assert point.value(1e-15) == point.value(MU_FLOOR)
 
     def test_invalid_argument_raises_in_prepare(self):
         for oracle, sample in family_cases():

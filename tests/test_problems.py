@@ -19,7 +19,6 @@ from smba.problems import (
     objective_value,
     poly_quartic_objective,
     psd_affine_problem,
-    quadratic_objective,
     shift_map,
 )
 
@@ -250,7 +249,3 @@ class TestProblemWiring:
             pass
 
         assert isinstance(dataclasses.replace(prob, p1=CountingL1(np.ones(2))).p1, CountingL1)
-
-    def test_quadratic_objective_hint(self):
-        f = quadratic_objective([0.0])
-        assert f.lipschitz_hint == 1.0

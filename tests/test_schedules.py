@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smba.cones import MU_FLOOR
 from smba.schedules import (
     ScheduleSpec,
     blockwise_schedule,
@@ -68,6 +69,8 @@ class TestMuAt:
             ScheduleSpec(variant="blockwise", rbar=0.9, nu0=0.0, mu0=1.0)
         with pytest.raises(ValueError):
             ScheduleSpec(variant="nope", mu0=1.0)
+        with pytest.raises(ValueError, match="floor"):
+            power_schedule(0.5, mu0=0.5 * MU_FLOOR)
 
     def test_strict_decrease_sweep_to_1e5(self):
         ks = np.arange(100001)
