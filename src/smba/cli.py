@@ -18,12 +18,12 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .errors import InfeasibleStartError, NumericError
+from .errors import NumericError
 from .nsdp import generate_nsdp, load_instance, nsdp_problem, save_instance
 from .schedules import ramped_log_schedule
 from .solver import SolveReport, SolveStatus, SolverConfig, TRACE_COLUMNS, TraceRow, run
@@ -41,6 +41,9 @@ def write_trace(report: SolveReport, path) -> None:
             ])
 
 
+_COLUMN_TYPES = tuple(get_type_hints(TraceRow).values())  # int or float per column
+
+
 def read_trace(path):
     rows = []
     with open(path, newline="") as fh:
@@ -49,13 +52,7 @@ def read_trace(path):
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"unexpected trace header in {path}")
         for rec in reader:
-            vals = [float(v) for v in rec]
-            rows.append(TraceRow(
-                k=int(vals[0]), psi=vals[1], g_mu=vals[2], sigma_B=vals[3],
-                mu=vals[4], lam=vals[5], Lf=vals[6], Lg=vals[7],
-                i_k=int(vals[8]), j_k=int(vals[9]), term_step=vals[10],
-                term_slack=vals[11], rho=vals[12], elapsed_s=vals[13],
-            ))
+            rows.append(TraceRow._make(typ(float(v)) for typ, v in zip(_COLUMN_TYPES, rec)))
     return rows
 
 
@@ -116,17 +113,16 @@ def _parse_float_list(text):
     return [float(s) for s in text.split(",") if s]
 
 
-def _bench_cell(cell):
-    """One (seed, rbar, sbar) cell; module-level so it pickles for workers."""
-    n, m, seed, rbar, sbar, eps, max_outer, out_dir = cell
-    inst = generate_nsdp(n, m, seed)
-    cfg = SolverConfig(eps=eps, max_outer=max_outer,
+def _bench_cell(args, seed, rbar, sbar):
+    """Solve one (seed, rbar, sbar) cell and write its trace."""
+    n, m = args.n, args.m
+    cfg = SolverConfig(eps=args.eps, max_outer=args.max_outer,
                        schedule=ramped_log_schedule(rbar, sbar))
-    report = run(nsdp_problem(inst), cfg, np.zeros(n))
+    report = run(nsdp_problem(generate_nsdp(n, m, seed)), cfg, np.zeros(n))
     trace_name = f"trace_n{n}_m{m}_seed{seed}_r{rbar:g}_s{sbar:g}.csv"
-    write_trace(report, os.path.join(out_dir, trace_name))
+    write_trace(report, os.path.join(args.out, trace_name))
     return {
-        "n": n, "m": m, "seed": seed, "rbar": rbar, "sbar": sbar, "eps": eps,
+        "n": n, "m": m, "seed": seed, "rbar": rbar, "sbar": sbar, "eps": args.eps,
         "status": report.status.value, "iterations": report.iterations,
         "objective": report.objective, "wall_time": report.wall_time,
         "term_step": report.term_step, "term_slack": report.term_slack,
@@ -151,16 +147,8 @@ def _cmd_bench(args) -> int:
     rbars = _parse_float_list(args.rbar)
     sbars = _parse_float_list(args.sbar)
     os.makedirs(args.out, exist_ok=True)
-    cells = [
-        (args.n, args.m, seed, rbar, sbar, args.eps, args.max_outer, args.out)
-        for seed in seeds for rbar in rbars for sbar in sbars
-    ]
-    workers = int(os.environ.get("SMBA_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_cell, cells))
-    else:
-        results = [_bench_cell(cell) for cell in cells]
+    results = [_bench_cell(args, seed, rbar, sbar)
+               for seed in seeds for rbar in rbars for sbar in sbars]
 
     # iterations each cell needs to come within BEST_REL_TOL of the lowest
     # final objective over its seed's cells
@@ -222,9 +210,6 @@ def main(argv=None) -> int:
         print(f"error: missing file {exc.filename}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InfeasibleStartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

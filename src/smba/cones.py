@@ -25,30 +25,22 @@ iterates strictly feasible while mu shrinks.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MuUnderflowWarning, NumericError, UnsupportedFamilyError
+from .errors import NumericError, UnsupportedFamilyError
 
 MU_FLOOR = 1e-12
 SYMMETRY_TOL = 1e-10
 DEFAULT_SHIFT = 1e-5
 
 
-def _clamp_mu(mu: float) -> float:
-    """Validate mu > 0 and clamp below the floor (Lipschitz constants blow up otherwise)."""
+def _checked_mu(mu: float) -> float:
+    """Validate ``mu >= MU_FLOOR`` (Lipschitz constants blow up below the floor)."""
     mu = float(mu)
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise ValueError(f"smoothing parameter must be positive, got {mu}")
-    if mu < MU_FLOOR:
-        warnings.warn(
-            f"smoothing parameter {mu:.3e} clamped to {MU_FLOOR:.0e}",
-            MuUnderflowWarning,
-            stacklevel=3,
-        )
-        return MU_FLOOR
+    if not MU_FLOOR <= mu < math.inf:
+        raise ValueError(f"smoothing parameter must lie in [{MU_FLOOR:.0e}, inf), got {mu}")
     return mu
 
 
@@ -64,7 +56,7 @@ def stable_logsumexp(v, mu):
         raise ValueError("expected a non-empty 1-D vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite entries in log-sum-exp input")
-    mu = _clamp_mu(mu)
+    mu = _checked_mu(mu)
     top = float(np.max(v))
     expo = np.exp((v - top) / mu)
     total = float(np.sum(expo))
@@ -94,7 +86,7 @@ class SmoothingCert:
             raise ValueError("alpha2, alpha3 and base_norm_bound must be positive")
 
     def gradient_lipschitz(self, mu: float) -> float:
-        return self.alpha1 + self.alpha2 / _clamp_mu(mu)
+        return self.alpha1 + self.alpha2 / _checked_mu(mu)
 
 
 def _checked(y, shape):
@@ -132,7 +124,7 @@ class _LogSumExpPoint(ConePoint):
         self.support = float(np.max(vals))
 
     def value(self, mu):
-        mu = _clamp_mu(mu)  # the shift and the kernel must use the same mu
+        mu = _checked_mu(mu)
         return stable_logsumexp(self.vals, mu)[0] + self.alpha4 * mu
 
     def gradient(self, mu):
@@ -162,11 +154,11 @@ class _PConePoint(ConePoint):
         self.support = math.sqrt(self.sq) - float(y[-1])
 
     def value(self, mu):
-        mu = _clamp_mu(mu)
+        mu = _checked_mu(mu)
         return math.sqrt(self.sq + mu * mu) - self.y[-1] + self.alpha4 * mu
 
     def gradient(self, mu):
-        mu = _clamp_mu(mu)
+        mu = _checked_mu(mu)
         grad = np.empty_like(self.y)
         grad[:-1] = self.y[:-1] / math.sqrt(self.sq + mu * mu)
         grad[-1] = -1.0

@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .cones import ConePoint
 from .problems import DCProblem
 
 
@@ -27,7 +28,10 @@ class KKTCertificate:
     complementarity: float
     step: float
     v: np.ndarray
-    eps_triple: Tuple[float, float, float]
+
+    @property
+    def eps_triple(self) -> Tuple[float, float, float]:
+        return (self.rho, self.complementarity, self.step)
 
     def to_dict(self) -> dict:
         return {
@@ -39,52 +43,33 @@ class KKTCertificate:
         }
 
 
-def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, g_next=None, v=None,
-                  grad_f=None, xi=None):
-    """Residual certificate at x_next with the multiplier built from lam.
+def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, y, point: ConePoint,
+                  grad_f, xi) -> KKTCertificate:
+    """Residual certificate at x_next with the multiplier ``lam * grad h_mu(y)``.
 
-    The P2 subgradient is taken at the previous iterate (deterministic
-    oracle), matching what the solver actually used.  ``g_next``, ``v``, the
-    f gradient at x_next (``grad_f``) and the P2 subgradient at x_prev
-    (``xi``) may be passed in when already computed.
+    ``y = G(x_next)`` and ``point`` is its prepared cone point; ``grad_f`` is
+    the f gradient at x_next and ``xi`` the P2 subgradient taken at the
+    previous iterate x_prev, as the solver used them.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    x_next = np.asarray(x_next, dtype=float)
-    x_prev = np.asarray(x_prev, dtype=float)
-    if g_next is None:
-        g_next = prob.g.value(x_next)
-    if v is None:
-        if lam == 0.0:
-            v = np.zeros_like(np.asarray(g_next, dtype=float))
-        else:
-            v = lam * prob.cone.msa_gradient(g_next, mu)
-    if grad_f is None:
-        grad_f = prob.f.gradient(x_next)
-    if xi is None:
-        xi = prob.p2.subgradient(x_prev)
+    v = lam * point.gradient(mu) if lam > 0.0 else np.zeros(np.shape(y))
     u = grad_f - xi + prob.g.adjoint_apply(x_next, v)
     rho = prob.p1.subdiff_distance(x_next, u)
-    comp = -pairing(v, g_next)
+    comp = -pairing(v, y)
     step = float(np.linalg.norm(x_next - x_prev))
-    return KKTCertificate(rho=rho, complementarity=comp, step=step, v=v,
-                          eps_triple=(rho, comp, step))
+    return KKTCertificate(rho=rho, complementarity=comp, step=step, v=v)
 
 
-def termination_metrics(x_prev, x_next, lam_next, mu, tau1, tau2, g_next, v_next):
+def termination_metrics(cert: KKTCertificate, x_next, lam, mu, tau1, tau2):
     """The two scaled stopping quantities checked after every accepted step.
 
-    Returns ``(term_step, term_slack)``: the weighted relative step length
-    and the relative complementarity slack.
+    Returns ``(term_step, term_slack)``: the certificate's step length,
+    weighted and relative to ``max(1, ||x_next||)``, and its relative
+    complementarity slack.
     """
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
     scale = max(1.0, float(np.linalg.norm(x_next)))
-    term_step = (
-        np.sqrt(tau1 * mu + lam_next * tau2) / mu
-        * float(np.linalg.norm(x_next - x_prev)) / scale
-    )
-    term_slack = -pairing(g_next, v_next) / scale
-    return float(term_step), float(term_slack)
+    term_step = np.sqrt(tau1 * mu + lam * tau2) / mu * cert.step / scale
+    return float(term_step), cert.complementarity / scale

@@ -15,7 +15,3 @@ class NumericError(RuntimeError):
 
 class OracleError(RuntimeError):
     """A reference oracle could not produce a certificate (e.g. empty grid)."""
-
-
-class MuUnderflowWarning(RuntimeWarning):
-    """The smoothing parameter was clamped to the internal floor."""

@@ -16,7 +16,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -99,8 +99,7 @@ class IterateState:
     grad_gmu_prev: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     k: int
     psi: float
     g_mu: float
@@ -117,9 +116,7 @@ class TraceRow:
     elapsed_s: float
 
     def as_tuple(self):
-        return (self.k, self.psi, self.g_mu, self.sigma_B, self.mu, self.lam,
-                self.Lf, self.Lg, self.i_k, self.j_k, self.term_step,
-                self.term_slack, self.rho, self.elapsed_s)
+        return tuple(self)
 
 
 @dataclass
@@ -259,7 +256,10 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         ball = build_ball(state.x, state.grad_gmu, state.gmu, Lg, state.mu)
         sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
         y = prob.g.value(sub.x)
-        point = prob.cone.prepare(y)
+        try:
+            point = prob.cone.prepare(y)
+        except ValueError as exc:
+            raise NumericError(f"constraint map output rejected at a trial point: {exc}") from exc
         gmu_cand = point.value(state.mu)
         if gmu_cand <= 0.0:
             step2 = float(np.dot(sub.x - state.x, sub.x - state.x))
@@ -323,25 +323,23 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
 
         # the accepted trial's G value and cone point serve the certificate,
         # the exact feasibility check and the next step's smoothing
-        x_next, y_next, point = inner.x, inner.y, inner.point
-        if inner.lam > 0.0:
-            v_next = inner.lam * point.gradient(state.mu)
-        else:
-            v_next = np.zeros_like(np.asarray(y_next, dtype=float))
+        x_next, point = inner.x, inner.point
         grad_f_next = prob.f.gradient(x_next)
         if not np.all(np.isfinite(grad_f_next)):
             status, reason = SolveStatus.NUMERIC_FAILURE, f"f gradient is not finite at step {k}"
             break
         cert = diagnostics.kkt_residuals(
-            prob, x_next, state.x, inner.lam, state.mu, g_next=y_next, v=v_next,
-            grad_f=grad_f_next, xi=state.xi,
+            prob, x_next, state.x, inner.lam, state.mu, inner.y, point, grad_f_next, state.xi,
         )
         term_step, term_slack = diagnostics.termination_metrics(
-            state.x, x_next, inner.lam, state.mu, cfg.tau1, cfg.tau2, y_next, v_next
+            cert, x_next, inner.lam, state.mu, cfg.tau1, cfg.tau2
         )
         sigma_next = point.support
 
         # invariants of every accepted step
+        if not math.isfinite(cert.rho):
+            status, reason = SolveStatus.NUMERIC_FAILURE, f"KKT residual is not finite at step {k}"
+            break
         if not math.isfinite(inner.psi) or (
             inner.psi > state.psi + DESCENT_SLACK * (1.0 + abs(state.psi))
         ):
@@ -367,8 +365,8 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             break
 
         # advance the smoothing parameter; the shifted family keeps the new
-        # iterate strictly feasible at the smaller mu.  The kernel clamps any
-        # mu below its floor, so the run stops there instead
+        # iterate strictly feasible at the smaller mu.  The kernel rejects any
+        # mu below its floor, so the run stops there
         mu_next = mu_at(schedule, k + 1)
         if mu_next < MU_FLOOR:
             status = SolveStatus.MU_FLOOR

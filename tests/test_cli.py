@@ -164,21 +164,3 @@ class TestBench:
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert sorted(int(r["seed"]) for r in rows) == [2, 4]
-
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial"
-        main(["bench", "--n", "5", "--m", "3", "--seeds", "0..1", "--rbar", "0.9",
-              "--sbar", "0", "--eps", "1e-3", "--out", str(serial)])
-        monkeypatch.setenv("SMBA_WORKERS", "2")
-        pooled = tmp_path / "pooled"
-        main(["bench", "--n", "5", "--m", "3", "--seeds", "0..1", "--rbar", "0.9",
-              "--sbar", "0", "--eps", "1e-3", "--out", str(pooled)])
-        for fname in ("summary.csv",):
-            with open(serial / fname, newline="") as fh:
-                a = [{k: v for k, v in row.items() if k != "wall_time"}
-                     for row in csv.DictReader(fh)]
-            with open(pooled / fname, newline="") as fh:
-                b = [{k: v for k, v in row.items() if k != "wall_time"}
-                     for row in csv.DictReader(fh)]
-            assert a == b
-

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +14,7 @@ from smba.cones import (
     SmoothingCert,
     stable_logsumexp,
 )
-from smba.errors import MuUnderflowWarning, UnsupportedFamilyError
+from smba.errors import UnsupportedFamilyError
 
 from conftest import directional_derivative, family_cases, random_symmetric
 
@@ -138,11 +137,9 @@ class TestMsaValue:
         with pytest.raises(ValueError):
             NonposOrthant(2).msa_value([0.0, 0.0], -1.0)
 
-    def test_mu_underflow_clamped_with_warning(self):
-        oracle = NonposOrthant(2)
-        with pytest.warns(MuUnderflowWarning):
-            val = oracle.msa_value([0.0, 0.0], 1e-15)
-        assert math.isfinite(val)
+    def test_mu_below_floor_rejected(self):
+        with pytest.raises(ValueError, match="smoothing parameter"):
+            NonposOrthant(2).msa_value([0.0, 0.0], 1e-15)
 
     def test_sandwich_1000_random(self, rng):
         for oracle, sample in family_cases():
@@ -260,7 +257,7 @@ class TestCertificates:
 
 
 class TestPreparedPoint:
-    MUS = (2.0, 0.3, 1e-3, 1e-9, 0.1 * MU_FLOOR)  # the last is clamped to the floor
+    MUS = (2.0, 0.3, 1e-3, 1e-9, MU_FLOOR)
 
     def test_one_point_serves_every_mu(self, rng):
         # one prepared point answers bitwise like a fresh one and like the
@@ -270,26 +267,24 @@ class TestPreparedPoint:
                 y = sample(rng)
                 point = oracle.prepare(y)
                 assert point.support == oracle.prepare(y).support == oracle.support_value(y)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", MuUnderflowWarning)
-                    for mu in self.MUS:
-                        value, grad = point.value(mu), point.gradient(mu)
-                        fresh = oracle.prepare(y)
-                        assert value == fresh.value(mu)
-                        np.testing.assert_array_equal(grad, fresh.gradient(mu))
-                        assert value == oracle.msa_value(y, mu)
-                        np.testing.assert_array_equal(grad, oracle.msa_gradient(y, mu))
+                for mu in self.MUS:
+                    value, grad = point.value(mu), point.gradient(mu)
+                    fresh = oracle.prepare(y)
+                    assert value == fresh.value(mu)
+                    np.testing.assert_array_equal(grad, fresh.gradient(mu))
+                    assert value == oracle.msa_value(y, mu)
+                    np.testing.assert_array_equal(grad, oracle.msa_gradient(y, mu))
 
-    def test_below_floor_warns(self):
+    def test_below_floor_rejected(self):
+        # every entry point of every family rejects a mu below the floor, as
+        # it rejects a nonpositive one, and accepts the floor itself
         for oracle, sample in family_cases():
             point = oracle.prepare(sample(np.random.default_rng(1)))
-            with pytest.warns(MuUnderflowWarning):
-                assert math.isfinite(point.value(0.1 * MU_FLOOR))
-        # every family shifts by alpha4 times the clamped mu it smooths with
-        for oracle, sample in family_cases(alpha4=1.0):
-            point = oracle.prepare(np.zeros_like(sample(np.random.default_rng(1))))
-            with pytest.warns(MuUnderflowWarning):
-                assert point.value(1e-15) == point.value(MU_FLOOR)
+            for evaluate in (point.value, point.gradient, oracle.cert.gradient_lipschitz):
+                for mu in (0.1 * MU_FLOOR, np.nextafter(MU_FLOOR, 0.0), 0.0, math.inf):
+                    with pytest.raises(ValueError, match="smoothing parameter"):
+                        evaluate(mu)
+                assert np.all(np.isfinite(evaluate(MU_FLOOR)))
 
     def test_invalid_argument_raises_in_prepare(self):
         for oracle, sample in family_cases():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smba.diagnostics import kkt_residuals, pairing, termination_metrics
+from smba.diagnostics import KKTCertificate, kkt_residuals, pairing, termination_metrics
 from smba.problems import (
     ConstraintMap,
     DCProblem,
@@ -12,6 +12,7 @@ from smba.problems import (
     psd_affine_problem,
 )
 from smba.cones import NonposOrthant
+from smba.nsdp import generate_nsdp, nsdp_problem
 
 
 def constant_gradient_problem(u, l1_weight=1.0):
@@ -29,29 +30,47 @@ def constant_gradient_problem(u, l1_weight=1.0):
     )
 
 
+def certify(prob, x_next, x_prev, lam, mu):
+    """``kkt_residuals`` fed as the solver feeds it, with every input evaluated here."""
+    y = prob.g.value(x_next)
+    return kkt_residuals(prob, x_next, x_prev, lam, mu, y, prob.cone.prepare(y),
+                         prob.f.gradient(x_next), prob.p2.subgradient(x_prev))
+
+
+def reference_residuals(prob, x_next, x_prev, lam, mu):
+    """(rho, complementarity, step) recomputed from scratch through the per-call oracles."""
+    g = prob.g.value(x_next)
+    v = lam * prob.cone.msa_gradient(g, mu) if lam > 0.0 else np.zeros_like(g)
+    u = (prob.f.gradient(x_next) - prob.p2.subgradient(x_prev)
+         + prob.g.adjoint_apply(x_next, v))
+    return (prob.p1.subdiff_distance(x_next, u), -float(np.vdot(g, v)),
+            float(np.linalg.norm(x_next - x_prev)))
+
+
 class TestKKTResiduals:
     def test_l1_interval_membership_gives_zero(self):
         prob = constant_gradient_problem([0.5])
-        cert = kkt_residuals(prob, np.array([0.0]), np.array([0.0]), 0.0, 1.0)
+        cert = certify(prob, np.array([0.0]), np.array([0.0]), 0.0, 1.0)
         assert cert.rho == 0.0
 
     def test_l1_singleton_subdifferential(self):
         prob = constant_gradient_problem([0.5])
-        cert = kkt_residuals(prob, np.array([1.0]), np.array([1.0]), 0.0, 1.0)
+        cert = certify(prob, np.array([1.0]), np.array([1.0]), 0.0, 1.0)
         assert cert.rho == pytest.approx(1.5)
 
     def test_zero_multiplier_zeroes_v(self):
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
         x = np.array([0.2, -0.3])
-        cert = kkt_residuals(prob, x, x, 0.0, 0.5)
+        cert = certify(prob, x, x, 0.0, 0.5)
         np.testing.assert_array_equal(cert.v, np.zeros(2))
         assert cert.complementarity == 0.0
         assert cert.step == 0.0
         assert cert.eps_triple == (cert.rho, 0.0, 0.0)
+        assert cert.to_dict()["eps_triple"] == [cert.rho, 0.0, 0.0]
 
     def test_step_is_distance_between_iterates(self):
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
-        cert = kkt_residuals(prob, np.array([0.3, 0.0]), np.array([0.0, 0.4]), 0.0, 0.5)
+        cert = certify(prob, np.array([0.3, 0.0]), np.array([0.0, 0.4]), 0.0, 0.5)
         assert cert.step == pytest.approx(0.5)
 
     def test_psd_multiplier_eigenvalues(self, rng):
@@ -62,7 +81,7 @@ class TestKKTResiduals:
         prob = psd_affine_problem(c=[0.0, 0.0], A=A)
         x = np.zeros(2)
         lam = 0.7
-        cert = kkt_residuals(prob, x, x, lam, 0.3)
+        cert = certify(prob, x, x, lam, 0.3)
         vals = np.linalg.eigvalsh(cert.v)
         assert np.all(vals >= -1e-12)
         assert float(np.sum(vals)) == pytest.approx(lam, abs=1e-10 * (1 + lam))
@@ -72,41 +91,65 @@ class TestKKTResiduals:
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
         for _ in range(50):
             x = rng.uniform(-2, 0.9, 2)  # strictly feasible: x < b
-            cert = kkt_residuals(prob, x, x, float(rng.uniform(0, 3)), 0.2)
+            cert = certify(prob, x, x, float(rng.uniform(0, 3)), 0.2)
             assert cert.complementarity >= -1e-10
 
     def test_invalid_args(self):
         prob = box_problem(c=[0.0], b=[1.0])
         with pytest.raises(ValueError):
-            kkt_residuals(prob, np.zeros(1), np.zeros(1), 0.0, 0.0)
+            certify(prob, np.zeros(1), np.zeros(1), 0.0, 0.0)
         with pytest.raises(ValueError):
-            kkt_residuals(prob, np.zeros(1), np.zeros(1), -1.0, 1.0)
+            certify(prob, np.zeros(1), np.zeros(1), -1.0, 1.0)
+
+
+    def test_matches_reference(self, rng):
+        # the certificate built from the prepared point equals the one
+        # recomputed from scratch, bitwise, on all three kinds of toy
+        A = np.zeros((3, 2, 2))
+        A[0] = 2.0 * np.eye(2)
+        A[1] = np.diag([-1.0, 0.0])
+        A[2] = np.diag([0.0, -1.0])
+        probs = [box_problem(c=[2.0, -1.0], b=[1.0, 1.0], l1_weight=0.3),
+                 psd_affine_problem(c=[3.0, 1.0], A=A),
+                 nsdp_problem(generate_nsdp(6, 4, 1))]
+        for prob in probs:
+            for lam in (0.0, 0.4, 2.5):
+                x_prev = rng.uniform(-0.5, 0.5, prob.dim) * 1e-2
+                x_next = x_prev + rng.normal(0.0, 1e-2, prob.dim)
+                cert = certify(prob, x_next, x_prev, lam, 0.3)
+                assert cert.eps_triple == reference_residuals(prob, x_next, x_prev, lam, 0.3)
+
+
+def certificate(complementarity, step):
+    return KKTCertificate(rho=0.0, complementarity=complementarity, step=step, v=np.zeros(2))
 
 
 class TestTerminationMetrics:
     def test_fixed_point_is_zero(self):
-        x = np.array([0.4, 0.6])
-        g = np.array([-1.0, -1.0])
-        step, slack = termination_metrics(x, x, 0.0, 1.0, 0.01, 0.01, g, np.zeros(2))
+        step, slack = termination_metrics(certificate(0.0, 0.0), np.array([0.4, 0.6]),
+                                          0.0, 1.0, 0.01, 0.01)
         assert step == 0.0
         assert slack == 0.0
 
     def test_hand_value(self):
-        x_prev = np.zeros(2)
         x_next = np.array([1.0, 0.0])  # norm 1, step 1
-        step, _ = termination_metrics(x_prev, x_next, 0.0, 1.0, 0.01, 0.01,
-                                      np.array([-1.0, -1.0]), np.zeros(2))
+        step, _ = termination_metrics(certificate(0.0, 1.0), x_next, 0.0, 1.0, 0.01, 0.01)
         assert step == pytest.approx(0.1)
+        # both metrics are relative to max(1, ||x_next||)
+        step, slack = termination_metrics(certificate(6.0, 1.0), np.array([3.0, 4.0]),
+                                          0.0, 1.0, 0.01, 0.01)
+        assert (step, slack) == (pytest.approx(0.02), pytest.approx(1.2))
 
     def test_slack_nonnegative_for_polar_pairs(self, rng):
+        # a feasible x gives G(x) in the cone and a multiplier v in its polar
+        prob = box_problem(c=[0.0, 0.0, 0.0], b=[1.0, 1.0, 1.0])
         oracle = NonposOrthant(3)
         for _ in range(50):
-            g = -rng.uniform(0, 2, 3)        # in the cone
-            v = rng.uniform(0, 2, 3)         # in the polar cone
-            _, slack = termination_metrics(np.zeros(3), np.ones(3), 1.0, 0.5,
-                                           0.01, 0.01, g, v)
+            x = rng.uniform(-2, 0.9, 3)
+            cert = certify(prob, x, np.zeros(3), float(rng.uniform(0, 3)), 0.5)
+            _, slack = termination_metrics(cert, x, 1.0, 0.5, 0.01, 0.01)
             assert slack >= 0.0
-            assert oracle.polar_residual(v) == 0.0
+            assert oracle.polar_residual(cert.v) == 0.0
 
     def test_pairing_is_trace_inner_product(self):
         a = np.array([[1.0, 2.0], [2.0, 3.0]])

@@ -1,12 +1,13 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smba.cones import MU_FLOOR
-from smba.errors import InfeasibleStartError, MuUnderflowWarning, NumericError
+from smba.errors import InfeasibleStartError, NumericError
 from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.problems import (
     box_problem,
@@ -192,12 +193,7 @@ class TestRunToyProblems:
         assert float(np.linalg.norm(report.x - c / np.linalg.norm(c))) <= 1e-4
 
     def test_psd_toy(self, rng):
-        # diagonal constraint matrices reduce to a box: G(x) = diag(x - 2)
-        A = np.zeros((3, 2, 2))
-        A[0] = 2.0 * np.eye(2)
-        A[1] = np.diag([-1.0, 0.0])
-        A[2] = np.diag([0.0, -1.0])
-        prob = psd_affine_problem(c=[3.0, 1.0], A=A)
+        prob = psd_toy_problem()
         cfg = SolverConfig(eps=1e-7, max_outer=2000, schedule=power_schedule(0.9))
         report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.CONVERGED
@@ -304,6 +300,39 @@ class TestRunInvariants:
             x = res.x
 
 
+def psd_toy_problem():
+    # diagonal constraint matrices reduce to a box: G(x) = diag(x - 2)
+    A = np.zeros((3, 2, 2))
+    A[0] = 2.0 * np.eye(2)
+    A[1] = np.diag([-1.0, 0.0])
+    A[2] = np.diag([0.0, -1.0])
+    return psd_affine_problem(c=[3.0, 1.0], A=A)
+
+
+def asymmetric(y):
+    return y + np.array([[0.0, 1e-3], [0.0, 0.0]])
+
+
+def with_fault(prob, oracle, start, fault):
+    """``prob`` whose ``oracle`` ("g.value", "f.gradient", ...) passes its
+    output through ``fault`` from its ``start``-th call on."""
+    part, method = oracle.split(".")
+    fn = getattr(getattr(prob, part), method)
+    calls = []
+
+    def faulty(*args):
+        calls.append(1)
+        out = fn(*args)
+        return fault(out) if len(calls) >= start else out
+
+    return dataclasses.replace(prob, **{
+        part: dataclasses.replace(getattr(prob, part), **{method: faulty})})
+
+
+# eps is out of reach, so only a fault ends a run before max_outer
+FAULT_CFG = SolverConfig(eps=1e-16, max_outer=60, schedule=power_schedule(0.9))
+
+
 class TestRunFailureModes:
     def test_inner_cap_exceeded_status(self):
         prob = box_problem(c=[5.0, 0.0], b=[1.0, 1.0])
@@ -343,12 +372,11 @@ class TestRunFailureModes:
 
     def test_schedule_floor_becomes_status(self):
         # mu0 = 2e-12 with r = 0.9 falls below the kernel's 1e-12 floor at
-        # k = 2; the run stops there instead of evaluating a clamped mu
+        # k = 2; the run stops there, and the kernel, which rejects such a
+        # mu, never sees it
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
         cfg = SolverConfig(eps=1e-16, max_outer=3000, schedule=power_schedule(0.9, mu0=2e-12))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MuUnderflowWarning)
-            report = run(prob, cfg, np.zeros(2))
+        report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.MU_FLOOR
         assert report.reason
         assert report.iterations == len(report.trace) > 0
@@ -361,6 +389,50 @@ class TestRunFailureModes:
         report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.MAX_OUTER
         assert report.iterations == 5
+
+    @pytest.mark.parametrize("prob, fault", [
+        (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.nan)),
+        (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.inf)),
+        (psd_toy_problem(), asymmetric),
+    ])
+    def test_rejected_trial_output_becomes_status(self, prob, fault):
+        # G turns bad from its 4th call, a linesearch trial of the third step
+        prob = with_fault(prob, "g.value", 4, fault)
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert "constraint map" in report.reason
+        assert report.iterations == len(report.trace) > 0
+
+    def test_rejected_start_output_raises(self):
+        prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "g.value", 1,
+                          lambda y: np.full_like(y, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            run(prob, FAULT_CFG, np.zeros(2))
+
+    def test_raising_oracle_propagates(self):
+        def fault(y):
+            raise KeyError("oracle failure")
+
+        prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "g.value", 4, fault)
+        with pytest.raises(KeyError, match="oracle failure"):
+            run(prob, FAULT_CFG, np.zeros(2))
+
+    @given(st.sampled_from(["g.value", "g.adjoint_apply", "f.value", "f.gradient", "asymmetric G"]),
+           st.integers(2, 30), st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=120, deadline=None)
+    def test_persistent_fault_always_reports(self, oracle, start, bad):
+        # a fault from the start-th call on, in any oracle, ends the run with
+        # a report whose recorded rows are all feasible and certified
+        if oracle == "asymmetric G":
+            prob = with_fault(psd_toy_problem(), "g.value", start, asymmetric)
+        else:
+            prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), oracle, start,
+                              lambda out: np.full(np.shape(out), bad)[()])
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert report.status is not SolveStatus.CONVERGED
+        assert report.reason
+        assert report.iterations == len(report.trace)
+        assert all(row.sigma_B <= 0.0 and math.isfinite(row.rho) for row in report.trace)
 
 
 class TestCallCounts:
