@@ -47,7 +47,8 @@ class BallConstraint:
             raise ValueError("curvature weight must be positive")
 
     def constraint_value(self, x) -> float:
-        d = float(np.linalg.norm(np.asarray(x, dtype=float) - self.center))
+        gap = np.asarray(x, dtype=float) - self.center
+        d = math.sqrt(gap.dot(gap))
         return 0.5 * self.curvature * (d * d - self.radius**2)
 
 
@@ -112,7 +113,7 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
 
     x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
     gap = x0 - ball.center
-    dist = float(np.linalg.norm(gap))
+    dist = math.sqrt(gap.dot(gap))
     if dist <= radius:
         return SubproblemResult(x=x0, lam=0.0)
 
@@ -140,8 +141,9 @@ def _l1_multiplier(w, a, c, L_f, R):
     continuous and nonincreasing in nu and exceeds R at nu = 0.
     """
     n = a.size
-    below2 = (a + w - L_f * c) ** 2
-    above2 = (a - w - L_f * c) ** 2
+    Lc = L_f * c
+    below2 = (a + w - Lc) ** 2
+    above2 = (a - w - Lc) ** 2
     c2 = c * c
     # region just right of nu = 0: -1 below, 0 dead, +1 above; a tie on a
     # boundary moves in the direction of c
@@ -151,29 +153,34 @@ def _l1_multiplier(w, a, c, L_f, R):
     # moves coordinate i one region in the direction of c_i
     sign = np.sign(c).astype(int)
     nz = c != 0.0
-    knots = np.concatenate([np.divide(w - a, c, out=np.zeros(n), where=nz),
-                            np.divide(-w - a, c, out=np.zeros(n), where=nz)])
+    knots = np.zeros(2 * n)
+    np.divide(w - a, c, out=knots[:n], where=nz)
+    np.divide(-w - a, c, out=knots[n:], where=nz)
     dP = np.concatenate([sign * above2, -sign * below2])
     dQ = np.concatenate([-sign * c2, sign * c2])
     keep = np.flatnonzero((knots > 0.0) & np.isfinite(knots))
     order = keep[np.argsort(knots[keep], kind="stable")]
     knots, coord = knots[order], order % n
-    ends = np.concatenate([[0.0], knots, [math.inf]])  # piece p is [ends[p], ends[p + 1]]
+    K = knots.size
+    # piece p runs from ends(p) to ends(p + 1), for p = 0..K
+    ends = lambda p: 0.0 if p == 0 else knots[p - 1] if p <= K else math.inf
     R2 = R * R
 
     def sums(p):
         """Exact (P, Q) on piece p."""
-        region = start + sign * np.bincount(coord[:p], minlength=n)
+        region = start + sign * np.bincount(coord[:p], minlength=n) if p else start
         return (float(below2[region < 0].sum() + above2[region > 0].sum()),
                 float(c2[region == 0].sum()))
 
     # locate the piece with running sums over the sorted breakpoints: the
-    # first whose right end is inside the sphere
+    # first whose right end is inside the sphere.  P[p] and Q[p] hold the
+    # sums on piece p: the start sums plus the deltas of the first p knots
     P0, Q0 = sums(0)
-    P = P0 + np.concatenate([[0.0], np.cumsum(dP[order])[:-1]])
-    Q = Q0 + np.concatenate([[0.0], np.cumsum(dQ[order])[:-1]])
+    P, Q = np.full(K, P0), np.full(K, Q0)
+    P[1:] += np.cumsum(dP[order])[:-1]
+    Q[1:] += np.cumsum(dQ[order])[:-1]
     inside = Q + P / (L_f + knots) ** 2 <= R2
-    p = int(np.argmax(np.append(inside, True)))
+    p = int(np.argmax(inside)) if inside.any() else K
     # the running sums cancel badly when R is small next to ||c||, so the
     # piece can be off by a breakpoint that lies within rounding of the
     # sphere; step to the piece that holds the root of the exact sums
@@ -181,9 +188,9 @@ def _l1_multiplier(w, a, c, L_f, R):
     while True:
         P, Q = sums(p)
         nu = math.sqrt(P / (R2 - Q)) - L_f if Q < R2 else math.inf
-        if nu > ends[p + 1] and step >= 0:
+        if nu > ends(p + 1) and step >= 0:
             p, step = p + 1, 1
-        elif nu < ends[p] and p > 0 and step <= 0:
+        elif nu < ends(p) and p > 0 and step <= 0:
             p, step = p - 1, -1
         else:
-            return float(min(max(nu, ends[p]), ends[p + 1]))
+            return float(min(max(nu, ends(p)), ends(p + 1)))

@@ -54,12 +54,12 @@ def stable_logsumexp(v, mu):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite entries in log-sum-exp input")
     mu = _checked_mu(mu)
-    top = float(np.max(v))
+    top = float(v.max())
     expo = np.exp((v - top) / mu)
-    total = float(np.sum(expo))
+    total = float(expo.sum())
     value = top + mu * math.log(total)
     return value, expo / total
 
@@ -89,11 +89,17 @@ class SmoothingCert:
         return self.alpha1 + self.alpha2 / _checked_mu(mu)
 
 
+def _frobenius(y) -> float:
+    """``np.linalg.norm(y)`` for a real array: the same flattening and dot."""
+    flat = y.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _checked(y, shape):
     y = np.asarray(y, dtype=float)
     if y.shape != shape:
         raise ValueError(f"expected shape {shape}, got {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("non-finite entries in cone argument")
     return y
 
@@ -116,19 +122,31 @@ class ConePoint:
 
 
 class _LogSumExpPoint(ConePoint):
-    """Temperature log-sum-exp over a vector of values; the gradient is its softmax."""
+    """Temperature log-sum-exp over a vector of values; the gradient is its softmax.
+
+    The last ``(mu, value, weights)`` is kept, so ``value`` and ``gradient``
+    at the same mu share one exp pass.
+    """
 
     def __init__(self, vals, alpha4):
         self.vals = vals
         self.alpha4 = alpha4
-        self.support = float(np.max(vals))
+        self.support = float(vals.max())
+        self._mu = None
+
+    def _logsumexp(self, mu):
+        if mu != self._mu:
+            self._lse = stable_logsumexp(self.vals, mu)
+            self._mu = mu
+        return self._lse
 
     def value(self, mu):
         mu = _checked_mu(mu)
-        return stable_logsumexp(self.vals, mu)[0] + self.alpha4 * mu
+        return self._logsumexp(mu)[0] + self.alpha4 * mu
 
     def gradient(self, mu):
-        return stable_logsumexp(self.vals, mu)[1]
+        # a copy, so a caller that writes into it cannot change the kept weights
+        return self._logsumexp(_checked_mu(mu))[1].copy()
 
 
 class _SpectralPoint(_LogSumExpPoint):
@@ -140,7 +158,7 @@ class _SpectralPoint(_LogSumExpPoint):
 
     def gradient(self, mu):
         # softmax weights below machine epsilon are harmless
-        grad = (self.vecs * super().gradient(mu)) @ self.vecs.T
+        grad = (self.vecs * self._logsumexp(_checked_mu(mu))[1]) @ self.vecs.T
         return 0.5 * (grad + grad.T)
 
 
@@ -232,8 +250,8 @@ class NegSemidef(ConeBaseOracle):
 
     def prepare(self, y):
         y = _checked(y, (self.m, self.m))
-        skew = np.linalg.norm(y - y.T)
-        if skew > SYMMETRY_TOL * (1.0 + np.linalg.norm(y)):
+        skew = _frobenius(y - y.T)
+        if skew > SYMMETRY_TOL * (1.0 + _frobenius(y)):
             raise ValueError(f"matrix asymmetry {skew:.3e} exceeds tolerance")
         vals, vecs = self._eigh(0.5 * (y + y.T))
         return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)

@@ -8,6 +8,7 @@ step length (the point where the P2 subgradient was taken).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -59,7 +60,8 @@ def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, y, point: ConePoint,
     u = grad_f - xi + prob.g.adjoint_apply(x_next, v)
     rho = prob.p1.subdiff_distance(x_next, u)
     comp = -pairing(v, y)
-    step = float(np.linalg.norm(x_next - x_prev))
+    dx = x_next - x_prev
+    step = math.sqrt(dx.dot(dx))
     return KKTCertificate(rho=rho, complementarity=comp, step=step, v=v)
 
 
@@ -70,6 +72,7 @@ def termination_metrics(cert: KKTCertificate, x_next, lam, mu, tau1, tau2):
     weighted and relative to ``max(1, ||x_next||)``, and its relative
     complementarity slack.
     """
-    scale = max(1.0, float(np.linalg.norm(x_next)))
-    term_step = np.sqrt(tau1 * mu + lam * tau2) / mu * cert.step / scale
-    return float(term_step), cert.complementarity / scale
+    x_next = np.asarray(x_next, dtype=float)
+    scale = max(1.0, math.sqrt(x_next.dot(x_next)))
+    term_step = math.sqrt(tau1 * mu + lam * tau2) / mu * cert.step / scale
+    return term_step, cert.complementarity / scale

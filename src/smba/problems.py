@@ -9,6 +9,7 @@ of the cone kernel with G.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,7 +37,8 @@ class ZeroRegularizer:
         return np.asarray(z, dtype=float).copy()
 
     def subdiff_distance(self, x, u):
-        return float(np.linalg.norm(u))
+        u = np.asarray(u, dtype=float).ravel()
+        return math.sqrt(u.dot(u))
 
 
 class L1Regularizer:
@@ -63,7 +65,7 @@ class L1Regularizer:
         w = self.weights
         on = x != 0.0
         res = np.where(on, np.abs(u + w * np.sign(x)), np.maximum(np.abs(u) - w, 0.0))
-        return float(np.linalg.norm(res))
+        return math.sqrt(res.dot(res))
 
 
 # P1 kinds with an exact ball-prox solver (see ball_prox)
@@ -217,14 +219,19 @@ def psd_affine_map(A) -> ConstraintMap:
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("expected a stack of square matrices")
+    m = A.shape[1]
+    neg_A0 = -A[0]
+    # the stack flattened once (a view of a C-contiguous A): one matrix-vector
+    # product per call, the same bits as tensordot without its reshaping
+    Af = A[1:].reshape(A.shape[0] - 1, m * m)
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return -A[0] - np.tensordot(x, A[1:], axes=(0, 0))
+        return neg_A0 - (x @ Af).reshape(m, m)
 
     def adjoint_apply(x, u):
         u = np.asarray(u, dtype=float)
-        return -np.tensordot(A[1:], u, axes=([1, 2], [0, 1]))
+        return -(Af @ u.ravel())
 
     return ConstraintMap(value=value, adjoint_apply=adjoint_apply)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -120,9 +120,32 @@ def mu_values(spec: ScheduleSpec, ks) -> np.ndarray:
     return spec.mu0 * (kbar + 1.0) ** (-rk) * np.log(kbar + 3.0) ** (-sk)
 
 
+# mu_values over 0..size-1 for the last spec asked: a run asks about one
+# spec throughout, so one table, replaced by one twice as long when outgrown,
+# serves it; indices from _TABLE_MAX (a table of 8 MB) on are evaluated alone
+_TABLE_START = 1024
+_TABLE_MAX = 1 << 20
+_TABLE: Tuple[Optional[ScheduleSpec], np.ndarray] = (None, np.empty(0))
+
+
 def mu_at(spec: ScheduleSpec, k: int) -> float:
-    """Schedule value at iteration k; k = 0 returns mu0 for every variant."""
-    return float(mu_values(spec, np.asarray([int(k)]))[0])
+    """Schedule value at iteration k; k = 0 returns mu0 for every variant.
+
+    Reads a memoized table of ``mu_values(spec, arange(size))``, the same
+    bits as evaluating index k alone.
+    """
+    global _TABLE
+    k = int(k)
+    last, table = _TABLE
+    if spec is not last or not 0 <= k < table.size:
+        if not 0 <= k < _TABLE_MAX:
+            return float(mu_values(spec, np.asarray([k]))[0])
+        size = table.size if spec is last else _TABLE_START
+        while size <= k:
+            size *= 2
+        table = mu_values(spec, np.arange(size))
+        _TABLE = (spec, table)
+    return float(table[k])
 
 
 def partial_sum(spec: ScheduleSpec, K: int) -> float:

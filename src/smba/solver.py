@@ -162,8 +162,7 @@ class InnerCapError(NumericError):
         )
 
 
-@dataclass(frozen=True)
-class InnerResult:
+class InnerResult(NamedTuple):
     """The accepted trial, with ``y = G(x)`` and its evaluated cone point."""
 
     x: np.ndarray
@@ -180,9 +179,11 @@ class InnerResult:
 
 def _nonfinite_oracle(state: IterateState) -> str:
     """Name of the first oracle output in ``state`` that is not finite, or ''."""
-    for name, value in (("objective value", state.psi), ("f gradient", state.grad_f),
-                        ("constraint adjoint", state.grad_gmu), ("P2 subgradient", state.xi)):
-        if not np.all(np.isfinite(value)):
+    if not math.isfinite(state.psi):
+        return "objective value"
+    for name, value in (("f gradient", state.grad_f), ("constraint adjoint", state.grad_gmu),
+                        ("P2 subgradient", state.xi)):
+        if not np.isfinite(value).all():
             return name
     return ""
 
@@ -262,8 +263,11 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
             raise NumericError(f"constraint map output rejected at a trial point: {exc}") from exc
         gmu_cand = point.value(state.mu)
         if gmu_cand <= 0.0:
-            step2 = float(np.dot(sub.x - state.x, sub.x - state.x))
+            dx = sub.x - state.x
+            step2 = float(dx.dot(dx))
             psi_cand = objective_value(prob, sub.x)
+            if not math.isfinite(psi_cand):
+                raise NumericError("objective value is not finite at a trial point")
             decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
             if psi_cand <= state.psi - decrease:
                 return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
@@ -325,7 +329,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         # the exact feasibility check and the next step's smoothing
         x_next, point = inner.x, inner.point
         grad_f_next = prob.f.gradient(x_next)
-        if not np.all(np.isfinite(grad_f_next)):
+        if not np.isfinite(grad_f_next).all():
             status, reason = SolveStatus.NUMERIC_FAILURE, f"f gradient is not finite at step {k}"
             break
         cert = diagnostics.kkt_residuals(
@@ -340,9 +344,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         if not math.isfinite(cert.rho):
             status, reason = SolveStatus.NUMERIC_FAILURE, f"KKT residual is not finite at step {k}"
             break
-        if not math.isfinite(inner.psi) or (
-            inner.psi > state.psi + DESCENT_SLACK * (1.0 + abs(state.psi))
-        ):
+        if inner.psi > state.psi + DESCENT_SLACK * (1.0 + abs(state.psi)):
             status, reason = SolveStatus.NUMERIC_FAILURE, "objective increased"
             break
         if sigma_next > FEASIBILITY_SLACK * (1.0 + abs(state.gmu)):
@@ -356,7 +358,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             elapsed_s=time.perf_counter() - t0,
         ))
 
-        if float(np.linalg.norm(x_next)) > DIVERGENCE_NORM:
+        if math.sqrt(x_next.dot(x_next)) > DIVERGENCE_NORM:
             status, reason = SolveStatus.NUMERIC_FAILURE, "iterate norm diverged"
             break
         if term_step <= cfg.eps and term_slack <= cfg.eps:

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from smba.ball_prox import BallConstraint, build_ball, prox_path_point, solve_ball_prox
+from smba.ball_prox import (
+    BallConstraint,
+    _l1_multiplier,
+    build_ball,
+    prox_path_point,
+    solve_ball_prox,
+)
 from smba.errors import InfeasibleStartError, UnsupportedFamilyError
 from smba.oracles import GridSpec, exact_ball_projection, grid_bruteforce
 from smba.problems import L1Regularizer, ZeroRegularizer
@@ -70,6 +76,59 @@ def assert_kkt_contract(p1, res, x_k, q, L_f, ball):
     assert res.lam * abs(dist - ball.radius) <= 1e-8 * ball.radius
 
 
+def reference_l1_multiplier(w, a, c, L_f, R):
+    """``_l1_multiplier`` as it was before its allocations were trimmed,
+    kept verbatim: the bitwise reference for the trimmed version."""
+    n = a.size
+    below2 = (a + w - L_f * c) ** 2
+    above2 = (a - w - L_f * c) ** 2
+    c2 = c * c
+    # region just right of nu = 0: -1 below, 0 dead, +1 above; a tie on a
+    # boundary moves in the direction of c
+    start = (((a > w) | ((a == w) & (c > 0))).astype(int)
+             - ((a < -w) | ((a == -w) & (c < 0))).astype(int))
+    # s_i crosses +w_i at (w - a) / c and -w_i at (-w - a) / c; each crossing
+    # moves coordinate i one region in the direction of c_i
+    sign = np.sign(c).astype(int)
+    nz = c != 0.0
+    knots = np.concatenate([np.divide(w - a, c, out=np.zeros(n), where=nz),
+                            np.divide(-w - a, c, out=np.zeros(n), where=nz)])
+    dP = np.concatenate([sign * above2, -sign * below2])
+    dQ = np.concatenate([-sign * c2, sign * c2])
+    keep = np.flatnonzero((knots > 0.0) & np.isfinite(knots))
+    order = keep[np.argsort(knots[keep], kind="stable")]
+    knots, coord = knots[order], order % n
+    ends = np.concatenate([[0.0], knots, [math.inf]])  # piece p is [ends[p], ends[p + 1]]
+    R2 = R * R
+
+    def sums(p):
+        """Exact (P, Q) on piece p."""
+        region = start + sign * np.bincount(coord[:p], minlength=n)
+        return (float(below2[region < 0].sum() + above2[region > 0].sum()),
+                float(c2[region == 0].sum()))
+
+    # locate the piece with running sums over the sorted breakpoints: the
+    # first whose right end is inside the sphere
+    P0, Q0 = sums(0)
+    P = P0 + np.concatenate([[0.0], np.cumsum(dP[order])[:-1]])
+    Q = Q0 + np.concatenate([[0.0], np.cumsum(dQ[order])[:-1]])
+    inside = Q + P / (L_f + knots) ** 2 <= R2
+    p = int(np.argmax(np.append(inside, True)))
+    # the running sums cancel badly when R is small next to ||c||, so the
+    # piece can be off by a breakpoint that lies within rounding of the
+    # sphere; step to the piece that holds the root of the exact sums
+    step = 0
+    while True:
+        P, Q = sums(p)
+        nu = math.sqrt(P / (R2 - Q)) - L_f if Q < R2 else math.inf
+        if nu > ends[p + 1] and step >= 0:
+            p, step = p + 1, 1
+        elif nu < ends[p] and p > 0 and step <= 0:
+            p, step = p - 1, -1
+        else:
+            return float(min(max(nu, ends[p]), ends[p + 1]))
+
+
 def random_instance(rng, force_l1=None):
     n = int(rng.integers(1, 6))
     x_k = rng.normal(0, 2, n)
@@ -83,6 +142,36 @@ def random_instance(rng, force_l1=None):
     use_l1 = rng.random() < 0.5 if force_l1 is None else force_l1
     p1 = L1Regularizer(rng.uniform(0.1, 2.0, n)) if use_l1 else ZeroRegularizer()
     return p1, x_k, q, L_f, ball
+
+
+def degenerate_l1_instance(rng):
+    """Zero weights, zero center coordinates and points exactly on a
+    soft-threshold boundary: repeated breakpoints and breakpoints at 0."""
+    p1, x_k, q, L_f, ball = random_instance(rng, force_l1=True)
+    n = x_k.size
+    w = np.where(rng.random(n) < 0.3, 0.0, p1.weights)
+    center = np.where(rng.random(n) < 0.3, 0.0, ball.center)
+    on_edge = rng.random(n) < 0.3
+    x_k = np.where(on_edge, 0.0, x_k)
+    q = np.where(on_edge, rng.choice([-1.0, 1.0], n) * w, q)
+    ball = BallConstraint(center=center, radius=ball.radius, curvature=ball.curvature)
+    return L1Regularizer(w), x_k, q, L_f, ball
+
+
+def root_on_breakpoint_instance(rng):
+    """An l1 ball whose sphere meets the prox path exactly at a breakpoint."""
+    n = int(rng.integers(2, 21))
+    x_k, q, center = rng.normal(0, 2, n), rng.normal(0, 2, n), rng.normal(0, 2, n)
+    w = rng.uniform(0.1, 2.0, n)
+    L_f, curvature = float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 5.0))
+    a = L_f * x_k - q
+    knots = np.concatenate([(w - a) / center, (-w - a) / center])
+    nu = rng.choice(knots[knots > 0]) if np.any(knots > 0) else 1.0
+    p1 = L1Regularizer(w)
+    path_ball = BallConstraint(center=center, radius=1.0, curvature=curvature)
+    on_path = prox_path_point(p1, x_k, q, L_f, path_ball, nu / curvature)
+    radius = float(np.linalg.norm(on_path - center))
+    return p1, x_k, q, L_f, BallConstraint(center=center, radius=radius, curvature=curvature)
 
 
 class TestBuildBall:
@@ -223,18 +312,25 @@ class TestSolveBallProx:
             assert_matches_reference(*random_instance(rng, force_l1=True))
 
     def test_l1_degenerate_breakpoints(self, rng):
-        # zero weights, zero center coordinates and points exactly on a
-        # soft-threshold boundary give repeated breakpoints and breakpoints at 0
         for _ in range(200):
-            p1, x_k, q, L_f, ball = random_instance(rng, force_l1=True)
-            n = x_k.size
-            w = np.where(rng.random(n) < 0.3, 0.0, p1.weights)
-            center = np.where(rng.random(n) < 0.3, 0.0, ball.center)
-            on_edge = rng.random(n) < 0.3
-            x_k = np.where(on_edge, 0.0, x_k)
-            q = np.where(on_edge, rng.choice([-1.0, 1.0], n) * w, q)
-            ball = BallConstraint(center=center, radius=ball.radius, curvature=ball.curvature)
-            assert_matches_reference(L1Regularizer(w), x_k, q, L_f, ball)
+            assert_matches_reference(*degenerate_l1_instance(rng))
+
+    def test_l1_multiplier_bitwise_equal_to_reference(self, rng):
+        # random and degenerate balls, and balls whose sphere passes through
+        # the path point at a breakpoint, where the running sums often pick
+        # a neighbour of the root's piece and the exact sums step back
+        draws = [random_instance(rng, force_l1=True) for _ in range(300)]
+        draws += [degenerate_l1_instance(rng) for _ in range(300)]
+        draws += [root_on_breakpoint_instance(rng) for _ in range(300)]
+        reached = 0
+        for p1, x_k, q, L_f, ball in draws:
+            x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
+            if np.linalg.norm(x0 - ball.center) <= ball.radius:
+                continue
+            args = (p1.weights, L_f * x_k - q, ball.center, L_f, ball.radius)
+            assert _l1_multiplier(*args) == reference_l1_multiplier(*args)
+            reached += 1
+        assert reached > 600
 
     def test_unsupported_regularizer_rejected(self):
         class Huber:

@@ -298,3 +298,31 @@ class TestPreparedPoint:
         y[0, 1] = 1e-3
         with pytest.raises(ValueError, match="asymmetry"):
             NegSemidef(2).prepare(y)
+
+    def test_kept_exp_pass_matches_fresh_logsumexp(self, rng):
+        # value and gradient asked in interleaved mu order read the same bits
+        # as a log-sum-exp computed afresh for each question
+        alpha4 = 1e-5
+        orthant, psd = NonposOrthant(5, alpha4=alpha4), NegSemidef(4, alpha4=alpha4)
+        order = [("v", 0.3), ("g", 0.3), ("g", 1e-3), ("v", 0.3), ("v", 1e-3),
+                 ("g", 0.3), ("g", 0.3), ("v", 2.0), ("g", 1e-3), ("v", 2.0)]
+        for _ in range(10):
+            vec, mat = rng.normal(0.0, 3.0, 5), random_symmetric(rng, 4)
+            vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+            vals, vecs = vals[::-1], vecs[:, ::-1]
+            points = orthant.prepare(vec), psd.prepare(mat)
+            for ask, mu in order:
+                if ask == "v":
+                    assert points[0].value(mu) == stable_logsumexp(vec, mu)[0] + alpha4 * mu
+                    assert points[1].value(mu) == stable_logsumexp(vals, mu)[0] + alpha4 * mu
+                else:
+                    np.testing.assert_array_equal(points[0].gradient(mu),
+                                                  stable_logsumexp(vec, mu)[1])
+                    grad = (vecs * stable_logsumexp(vals, mu)[1]) @ vecs.T
+                    np.testing.assert_array_equal(points[1].gradient(mu), 0.5 * (grad + grad.T))
+
+    def test_written_gradient_leaves_point_unchanged(self, rng):
+        y = rng.normal(0.0, 3.0, 5)
+        point = NonposOrthant(5).prepare(y)
+        point.gradient(0.3)[:] = 7.0
+        np.testing.assert_array_equal(point.gradient(0.3), stable_logsumexp(y, 0.3)[1])

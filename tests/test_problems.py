@@ -5,7 +5,9 @@ import pytest
 
 from smba.cones import NonposOrthant
 from smba.errors import UnsupportedFamilyError
+from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.problems import (
+    ConstraintMap,
     DCProblem,
     L1Concave,
     L1Regularizer,
@@ -18,9 +20,11 @@ from smba.problems import (
     norm_ball_problem,
     objective_value,
     poly_quartic_objective,
+    psd_affine_map,
     psd_affine_problem,
     shift_map,
 )
+from smba.solver import SolverConfig, run
 
 from conftest import directional_derivative
 
@@ -225,6 +229,45 @@ class TestAdjointConsistency:
                     / (2 * eps)
                 )
                 assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-7)
+
+
+def tensordot_psd_map(A) -> ConstraintMap:
+    """The PSD affine map written with tensordot: the reference for the
+    flattened stack."""
+    A = np.asarray(A, dtype=float)
+    return ConstraintMap(
+        value=lambda x: -A[0] - np.tensordot(np.asarray(x, dtype=float), A[1:], axes=(0, 0)),
+        adjoint_apply=lambda x, u: -np.tensordot(A[1:], np.asarray(u, dtype=float),
+                                                 axes=([1, 2], [0, 1])),
+    )
+
+
+class TestFlatConstraintStack:
+    @pytest.mark.parametrize("n, m", [(20, 10), (100, 60)])
+    def test_bitwise_equal_to_tensordot(self, rng, n, m):
+        A = rng.normal(0, 1, (n + 1, m, m))
+        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+        fast, ref = psd_affine_map(A), tensordot_psd_map(A)
+        for _ in range(100):
+            x = rng.normal(0, 1, n) * rng.uniform(1e-3, 1e3)
+            u = rng.normal(0, 1, (m, m))
+            u = 0.5 * (u + u.T)
+            np.testing.assert_array_equal(fast.value(x), ref.value(x))
+            np.testing.assert_array_equal(fast.adjoint_apply(x, u), ref.adjoint_apply(x, u))
+
+    def test_trace_equal_to_tensordot_map(self):
+        # a whole solve reads the same bits through either map
+        fast = nsdp_problem(generate_nsdp(20, 10, 2))
+        ref = dataclasses.replace(fast, g=tensordot_psd_map(generate_nsdp(20, 10, 2).A))
+        cfg = SolverConfig(eps=1e-7)
+        a, b = run(fast, cfg, np.zeros(20)), run(ref, cfg, np.zeros(20))
+        assert a.iterations == b.iterations == 59
+        # every column but the last, elapsed_s, compared bit for bit
+        assert a.trace[0]._fields[-1] == "elapsed_s"
+        bits = lambda report: np.array([row[:-1] for row in report.trace], dtype=float).tobytes()
+        assert bits(a) == bits(b)
+        assert (a.status, a.objective) == (b.status, b.objective)
+        np.testing.assert_array_equal(a.x, b.x)
 
 
 class TestProblemWiring:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smba import schedules
 from smba.cones import MU_FLOOR
 from smba.schedules import (
     ScheduleSpec,
@@ -83,6 +84,48 @@ class TestMuAt:
         spec = ramped_log_schedule(0.9, 3.0, mu0=0.45)
         again = ScheduleSpec.from_dict(spec.to_dict())
         assert again == spec
+
+
+def one_spec_per_variant(mu0):
+    return (power_schedule(0.9, mu0=mu0), blockwise_schedule(0.9, mu0=mu0),
+            ramped_log_schedule(0.9, 3.0, mu0=mu0))
+
+
+def direct_mu(spec, k):
+    """Index k evaluated alone: the reference for mu_at's table."""
+    return float(mu_values(spec, np.asarray([k]))[0])
+
+
+class TestMuTable:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(schedules, "_TABLE", (None, np.empty(0)))
+
+    def test_bitwise_equal_to_direct_evaluation(self):
+        for spec in one_spec_per_variant(0.45):
+            assert all(mu_at(spec, k) == direct_mu(spec, k) for k in range(6001)), spec
+
+    def test_growth_boundaries(self):
+        # asked in this order, each table outgrows the previous one exactly
+        # at a power of two; indices below it must still read the same bits
+        for spec in one_spec_per_variant(0.3):
+            for k in (1023, 1024, 2047, 2048, 0, 4095, 4096, 1, 1023):
+                assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
+            last, table = schedules._TABLE
+            assert last is spec and table.dtype == np.float64 and table.size == 8192
+
+    def test_alternating_specs(self):
+        # a spec is never read from another spec's table, equal or not
+        first, second = power_schedule(0.5, mu0=0.2), blockwise_schedule(0.9, mu0=0.2)
+        for k in (5, 5, 2000, 7, 3000, 1):
+            for spec in (first, second, power_schedule(0.5, mu0=0.2)):
+                assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
+
+    def test_index_past_table_cap_evaluated_alone(self):
+        spec = power_schedule(0.5, mu0=1.0)
+        k = 10 * schedules._TABLE_MAX
+        assert mu_at(spec, k) == direct_mu(spec, k)
+        assert schedules._TABLE[0] is not spec
 
 
 class TestPartialSum:

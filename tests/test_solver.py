@@ -1,11 +1,14 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smba import cones
 from smba.cones import MU_FLOOR
 from smba.errors import InfeasibleStartError, NumericError
 from smba.nsdp import generate_nsdp, nsdp_problem
@@ -26,6 +29,9 @@ from smba.solver import (
     inner_loop_step,
     run,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def make_state(prob, x, mu, Lf0=1.0, Lg0=1.0, k=0):
@@ -403,6 +409,17 @@ class TestRunFailureModes:
         assert "constraint map" in report.reason
         assert report.iterations == len(report.trace) > 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_objective_becomes_status(self, bad):
+        # f turns bad from its 4th call, a linesearch trial of the third step
+        prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "f.value", 4,
+                          lambda value: bad)
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason == "objective value is not finite at a trial point"
+        assert report.iterations == len(report.trace) > 0
+        assert math.isfinite(report.objective)
+
     def test_rejected_start_output_raises(self):
         prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "g.value", 1,
                           lambda y: np.full_like(y, np.nan))
@@ -431,16 +448,19 @@ class TestRunFailureModes:
         report = run(prob, FAULT_CFG, np.zeros(2))
         assert report.status is not SolveStatus.CONVERGED
         assert report.reason
+        if oracle == "f.value":
+            assert "objective" in report.reason
         assert report.iterations == len(report.trace)
         assert all(row.sigma_B <= 0.0 and math.isfinite(row.rho) for row in report.trace)
 
 
 class TestCallCounts:
-    def test_each_point_evaluated_once(self):
+    def test_each_point_evaluated_once(self, monkeypatch):
         # one G call and one eigendecomposition per linesearch trial plus the
-        # start point; one f gradient per accepted step plus the start point
+        # start point; one f gradient per accepted step plus the start point;
+        # one exp pass per (point, mu) asked about
         base = nsdp_problem(generate_nsdp(6, 4, 1))
-        counts = {"G": 0, "eigh": 0, "grad_f": 0}
+        counts = {"G": 0, "eigh": 0, "grad_f": 0, "exp": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -454,12 +474,40 @@ class TestCallCounts:
             f=dataclasses.replace(base.f, gradient=counting("grad_f", base.f.gradient)),
         )
         prob.cone._eigh = counting("eigh", prob.cone._eigh)
+        monkeypatch.setattr(cones, "stable_logsumexp", counting("exp", cones.stable_logsumexp))
         report = run(prob, SolverConfig(eps=1e-6), np.zeros(6))
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations > 10
         trials = sum(row.j_k + 1 for row in report.trace)
         assert counts["eigh"] == counts["G"] == 1 + trials
         assert counts["grad_f"] == 1 + report.iterations
+        # the start point at mu = 0.9 / 2^l for l = 0..L (the initial search,
+        # whose last mu is mu0), each trial at the step's mu, and each
+        # accepted point but the last at the next mu
+        searched = 1 + round(math.log2(0.9 / report.mu0))
+        assert counts["exp"] == searched + trials + report.iterations - 1
+
+
+class TestTracedNames:
+    def test_every_traced_name_is_called(self, monkeypatch):
+        # the benchmark's per-layer metrics come from wrapping these
+        # module-level names; each must still be looked up during a run
+        spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        counts = {}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, attr, name in tracing.PATCHED:
+            monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        report = run(nsdp_problem(generate_nsdp(6, 4, 1)), SolverConfig(eps=1e-6), np.zeros(6))
+        assert report.iterations > 10
+        assert [name for _, _, name in tracing.PATCHED if name not in counts] == []
 
 
 class TestConfig:
