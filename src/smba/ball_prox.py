@@ -102,8 +102,6 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     ``1e6`` or more, that margin is below the spacing of doubles at
     ``radius`` and the point can land on the sphere itself.
     """
-    if not (ball.radius > 0):
-        raise ValueError("ball radius must be positive")
     if not isinstance(p1, REGULARIZERS):
         raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
     x_k = np.asarray(x_k, dtype=float)

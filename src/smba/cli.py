@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -72,7 +73,7 @@ def _load_config(path, eps=None) -> SolverConfig:
     else:
         cfg = SolverConfig()
     if eps is not None:
-        cfg = SolverConfig.from_dict({**cfg.to_dict(), "eps": eps})
+        cfg = dataclasses.replace(cfg, eps=eps)
     return cfg
 
 

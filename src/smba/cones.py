@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedFamilyError
+from .errors import NumericError
 
 MU_FLOOR = 1e-12
 SYMMETRY_TOL = 1e-10
@@ -263,19 +263,14 @@ class NegSemidef(ConeBaseOracle):
 
 
 class PCone(ConeBaseOracle):
-    """Norm cone ``||y[:m]||_p <= y[m]``; only p = 2 carries a smoothing."""
+    """Second-order cone ``||y[:m]||_2 <= y[m]``."""
 
     family = "p_cone"
 
-    def __init__(self, m: int, p: float = 2.0, alpha4: float = DEFAULT_SHIFT):
+    def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
         if m < 1:
             raise ValueError("block dimension must be >= 1")
-        if p != 2:
-            raise UnsupportedFamilyError(
-                f"p-cone smoothing is only available for p = 2, got p = {p}"
-            )
         self.m = int(m)
-        self.p = float(p)
         self.cert = SmoothingCert(0.0, 1.0, 1.0 + alpha4, alpha4, math.sqrt(2.0))
 
     def prepare(self, y):

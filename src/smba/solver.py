@@ -121,6 +121,10 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class SolveReport:
+    """Outcome of ``run``.  ``x``, ``objective``, ``final_kkt``, ``term_step``
+    and ``term_slack`` belong to the last trace row on every exit; with no
+    rows they are x0, its objective, None and inf."""
+
     status: SolveStatus
     iterations: int
     trace: List[TraceRow]
@@ -134,13 +138,13 @@ class SolveReport:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        # unset metrics (failed before any accepted step) serialize as null
+        # unset metrics (no accepted step) and a non-finite x0 objective serialize as null
         finite = lambda v: v if math.isfinite(v) else None
         return {
             "status": self.status.value,
             "iterations": self.iterations,
             "wall_time": self.wall_time,
-            "objective": self.objective,
+            "objective": finite(self.objective),
             "mu0": self.mu0,
             "term_step": finite(self.term_step),
             "term_slack": finite(self.term_slack),
@@ -177,15 +181,11 @@ class InnerResult(NamedTuple):
     point: ConePoint
 
 
-def _nonfinite_oracle(state: IterateState) -> str:
-    """Name of the first oracle output in ``state`` that is not finite, or ''."""
-    if not math.isfinite(state.psi):
-        return "objective value"
-    for name, value in (("f gradient", state.grad_f), ("constraint adjoint", state.grad_gmu),
-                        ("P2 subgradient", state.xi)):
-        if not np.isfinite(value).all():
-            return name
-    return ""
+def _finite(name: str, value, k: int):
+    """``value`` unchanged; raises NumericError if any entry is NaN or inf."""
+    if not np.isfinite(value).all():
+        raise NumericError(f"{name} is not finite at step {k}")
+    return value
 
 
 def _start_point(prob: DCProblem, x0) -> ConePoint:
@@ -279,7 +279,8 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
 
 
 def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
-    """Execute the full method from a strictly feasible starting point."""
+    """Execute the full method from a strictly feasible starting point; on every
+    exit the report's point, objective, certificate and metrics are the last row's."""
     t0 = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
 
@@ -293,103 +294,88 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             f"smoothed constraint is not negative at x0 for mu0={mu0:.3e} (value {gmu0:.3e})"
         )
 
-    state = IterateState(
-        x=x0, k=0, mu=mu0,
-        psi=objective_value(prob, x0), gmu=gmu0,
-        grad_gmu=prob.g.adjoint_apply(x0, point0.gradient(mu0)),
-        grad_f=prob.f.gradient(x0),
-        xi=prob.p2.subgradient(x0),
-    )
-
     trace: List[TraceRow] = []
-    cert = None
-    term_step = term_slack = math.inf
+    x, psi, cert, term_step, term_slack = x0, objective_value(prob, x0), None, math.inf, math.inf
     status, reason = SolveStatus.MAX_OUTER, ""
 
-    for k in range(cfg.max_outer):
-        # a user oracle returning NaN or inf ends the run here, before it
-        # reaches the subproblem or the cone kernel
-        bad = _nonfinite_oracle(state)
-        if bad:
-            status, reason = SolveStatus.NUMERIC_FAILURE, f"{bad} is not finite at step {k}"
-            break
-        state.k = k
-        state.Lf0, state.Lg0 = bb_init(state, prob, cfg)
+    try:
+        # a user oracle returning NaN or inf ends the run where its output is
+        # made, before it reaches the subproblem or the cone kernel
+        state = IterateState(
+            x=x0, k=0, mu=mu0,
+            psi=_finite("objective value", psi, 0), gmu=gmu0,
+            grad_f=_finite("f gradient", prob.f.gradient(x0), 0),
+            grad_gmu=_finite("constraint adjoint",
+                             prob.g.adjoint_apply(x0, point0.gradient(mu0)), 0),
+            xi=_finite("P2 subgradient", prob.p2.subgradient(x0), 0),
+        )
 
-        try:
+        for k in range(cfg.max_outer):
+            state.k = k
+            state.Lf0, state.Lg0 = bb_init(state, prob, cfg)
             inner = inner_loop_step(state, prob, cfg)
-        except InnerCapError as exc:
-            status, reason = SolveStatus.INNER_CAP_EXCEEDED, str(exc)
-            break
-        except NumericError as exc:
-            status, reason = SolveStatus.NUMERIC_FAILURE, str(exc)
-            break
 
-        # the accepted trial's G value and cone point serve the certificate,
-        # the exact feasibility check and the next step's smoothing
-        x_next, point = inner.x, inner.point
-        grad_f_next = prob.f.gradient(x_next)
-        if not np.isfinite(grad_f_next).all():
-            status, reason = SolveStatus.NUMERIC_FAILURE, f"f gradient is not finite at step {k}"
-            break
-        cert = diagnostics.kkt_residuals(
-            prob, x_next, state.x, inner.lam, state.mu, inner.y, point, grad_f_next, state.xi,
-        )
-        term_step, term_slack = diagnostics.termination_metrics(
-            cert, x_next, inner.lam, state.mu, cfg.tau1, cfg.tau2
-        )
-        sigma_next = point.support
+            # the accepted trial's G value and cone point serve the certificate,
+            # the exact feasibility check and the next step's smoothing
+            x_next, point = inner.x, inner.point
+            grad_f_next = _finite("f gradient", prob.f.gradient(x_next), k)
+            kkt = diagnostics.kkt_residuals(
+                prob, x_next, state.x, inner.lam, state.mu, inner.y, point, grad_f_next, state.xi,
+            )
+            step, slack = diagnostics.termination_metrics(
+                kkt, x_next, inner.lam, state.mu, cfg.tau1, cfg.tau2
+            )
+            sigma_next = point.support
 
-        # invariants of every accepted step
-        if not math.isfinite(cert.rho):
-            status, reason = SolveStatus.NUMERIC_FAILURE, f"KKT residual is not finite at step {k}"
-            break
-        if inner.psi > state.psi + DESCENT_SLACK * (1.0 + abs(state.psi)):
-            status, reason = SolveStatus.NUMERIC_FAILURE, "objective increased"
-            break
-        if sigma_next > FEASIBILITY_SLACK * (1.0 + abs(state.gmu)):
-            status, reason = SolveStatus.NUMERIC_FAILURE, "exact feasibility lost"
-            break
+            # invariants of every accepted step
+            if not math.isfinite(kkt.rho):
+                raise NumericError(f"KKT residual is not finite at step {k}")
+            if inner.psi > state.psi + DESCENT_SLACK * (1.0 + abs(state.psi)):
+                raise NumericError("objective increased")
+            if sigma_next > FEASIBILITY_SLACK * (1.0 + abs(state.gmu)):
+                raise NumericError("exact feasibility lost")
 
-        trace.append(TraceRow(
-            k=k, psi=inner.psi, g_mu=inner.gmu, sigma_B=sigma_next, mu=state.mu,
-            lam=inner.lam, Lf=inner.Lf, Lg=inner.Lg, i_k=inner.i, j_k=inner.j,
-            term_step=term_step, term_slack=term_slack, rho=cert.rho,
-            elapsed_s=time.perf_counter() - t0,
-        ))
+            trace.append(TraceRow(
+                k=k, psi=inner.psi, g_mu=inner.gmu, sigma_B=sigma_next, mu=state.mu,
+                lam=inner.lam, Lf=inner.Lf, Lg=inner.Lg, i_k=inner.i, j_k=inner.j,
+                term_step=step, term_slack=slack, rho=kkt.rho,
+                elapsed_s=time.perf_counter() - t0,
+            ))
+            x, psi, cert, term_step, term_slack = x_next, inner.psi, kkt, step, slack
 
-        if math.sqrt(x_next.dot(x_next)) > DIVERGENCE_NORM:
-            status, reason = SolveStatus.NUMERIC_FAILURE, "iterate norm diverged"
-            break
-        if term_step <= cfg.eps and term_slack <= cfg.eps:
-            status = SolveStatus.CONVERGED
-            state.x, state.psi = x_next, inner.psi
-            break
+            if math.sqrt(x_next.dot(x_next)) > DIVERGENCE_NORM:
+                raise NumericError("iterate norm diverged")
+            if step <= cfg.eps and slack <= cfg.eps:
+                status = SolveStatus.CONVERGED
+                break
 
-        # advance the smoothing parameter; the shifted family keeps the new
-        # iterate strictly feasible at the smaller mu.  The kernel rejects any
-        # mu below its floor, so the run stops there
-        mu_next = mu_at(schedule, k + 1)
-        if mu_next < MU_FLOOR:
-            status = SolveStatus.MU_FLOOR
-            reason = f"smoothing schedule falls below the floor {MU_FLOOR:.0e} at step {k + 1}"
-            state.x, state.psi = x_next, inner.psi
-            break
-        gmu_next = point.value(mu_next)
-        if not gmu_next < 0:
-            status, reason = SolveStatus.NUMERIC_FAILURE, "strict feasibility chain broken"
-            break
+            # advance the smoothing parameter; the shifted family keeps the new
+            # iterate strictly feasible at the smaller mu.  The kernel rejects any
+            # mu below its floor, so the run stops there
+            mu_next = mu_at(schedule, k + 1)
+            if mu_next < MU_FLOOR:
+                status = SolveStatus.MU_FLOOR
+                reason = f"smoothing schedule falls below the floor {MU_FLOOR:.0e} at step {k + 1}"
+                break
+            gmu_next = point.value(mu_next)
+            if not gmu_next < 0:
+                raise NumericError("strict feasibility chain broken")
 
-        state.x_prev = state.x
-        state.grad_f_prev = state.grad_f
-        state.grad_gmu_prev = state.grad_gmu
-        state.x = x_next
-        state.mu = mu_next
-        state.psi = inner.psi
-        state.gmu = gmu_next
-        state.grad_gmu = prob.g.adjoint_apply(x_next, point.gradient(mu_next))
-        state.grad_f = grad_f_next
-        state.xi = prob.p2.subgradient(x_next)
+            state.x_prev = state.x
+            state.grad_f_prev = state.grad_f
+            state.grad_gmu_prev = state.grad_gmu
+            state.x = x_next
+            state.mu = mu_next
+            state.psi = inner.psi
+            state.gmu = gmu_next
+            state.grad_gmu = _finite("constraint adjoint",
+                                     prob.g.adjoint_apply(x_next, point.gradient(mu_next)), k + 1)
+            state.grad_f = grad_f_next
+            state.xi = _finite("P2 subgradient", prob.p2.subgradient(x_next), k + 1)
+    except InnerCapError as exc:
+        status, reason = SolveStatus.INNER_CAP_EXCEEDED, str(exc)
+    except NumericError as exc:
+        status, reason = SolveStatus.NUMERIC_FAILURE, str(exc)
 
     return SolveReport(
         status=status,
@@ -397,8 +383,8 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         trace=trace,
         final_kkt=cert,
         wall_time=time.perf_counter() - t0,
-        objective=state.psi,
-        x=state.x,
+        objective=psi,
+        x=x,
         mu0=mu0,
         term_step=term_step,
         term_slack=term_slack,

@@ -14,7 +14,6 @@ from smba.cones import (
     SmoothingCert,
     stable_logsumexp,
 )
-from smba.errors import UnsupportedFamilyError
 
 from conftest import directional_derivative, family_cases, random_symmetric
 
@@ -250,10 +249,6 @@ class TestCertificates:
             SmoothingCert(0.0, 1.0, -1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             SmoothingCert(-1.0, 1.0, 1.0, 0.0, 1.0)
-
-    def test_pcone_rejects_other_p(self):
-        with pytest.raises(UnsupportedFamilyError):
-            PCone(3, p=3.0)
 
 
 class TestPreparedPoint:

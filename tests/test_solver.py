@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -357,6 +358,7 @@ class TestRunFailureModes:
         assert report.status is SolveStatus.NUMERIC_FAILURE
         assert "diverged" in report.reason
         assert report.iterations == len(report.trace) > 0
+        assert report.objective == report.trace[-1].psi
 
     def test_nonfinite_gradient_becomes_status(self):
         base = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
@@ -452,6 +454,15 @@ class TestRunFailureModes:
             assert "objective" in report.reason
         assert report.iterations == len(report.trace)
         assert all(row.sigma_B <= 0.0 and math.isfinite(row.rho) for row in report.trace)
+        # the report describes the last recorded row, and its JSON is strict
+        if report.trace:
+            last = report.trace[-1]
+            assert report.objective == last.psi
+            assert report.final_kkt.rho == last.rho
+            assert (report.term_step, report.term_slack) == (last.term_step, last.term_slack)
+        else:
+            assert report.final_kkt is None
+        json.dumps(report.to_dict(), allow_nan=False)
 
 
 class TestCallCounts:
