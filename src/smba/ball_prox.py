@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleStartError, UnsupportedFamilyError
+from .errors import InfeasibleStartError, NumericError, UnsupportedFamilyError
 from .problems import REGULARIZERS, L1Regularizer
 
 PHI_TOL = 1e-12
@@ -96,33 +96,41 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
 
     The reported multiplier is the one of the quadratic constraint
     ``(curvature/2)(||x - center||^2 - radius^2) <= 0``.  The multiplier is
-    solved for a radius a hair below ``ball.radius``, so rounding does not
-    leave the returned point outside the ball, while ``|lam * g(x)|`` stays
-    below about ``1e-10 * lam``.  When ``curvature * radius**2`` is near
-    ``1e6`` or more, that margin is below the spacing of doubles at
-    ``radius`` and the point can land on the sphere itself.
+    solved for a radius a hair below ``ball.radius``, so the returned point
+    is strictly inside the ball, while ``|lam * g(x)|`` stays below about
+    ``1e-10 * lam``.  When ``curvature * radius**2`` is near ``1e6`` or more,
+    that margin is below the spacing of doubles at ``radius`` and rounding
+    can leave the point on the sphere; the margin is then doubled (to at
+    least one ulp of ``radius``) until the point is strictly inside.
     """
     if not isinstance(p1, REGULARIZERS):
         raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
     x_k = np.asarray(x_k, dtype=float)
     q = np.asarray(q, dtype=float)
     R = ball.radius
-    radius = R - min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R))
+    margin = min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R))
 
     x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
     gap = x0 - ball.center
     dist = math.sqrt(gap.dot(gap))
-    if dist <= radius:
-        return SubproblemResult(x=x0, lam=0.0)
-
-    if isinstance(p1, L1Regularizer):
-        nu = _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, float(L_f), radius)
-        lam = nu / ball.curvature
-        return SubproblemResult(x=prox_path_point(p1, x_k, q, L_f, ball, lam), lam=lam)
-
-    # P1 = 0: x(nu) - center = L_f (x0 - center) / (L_f + nu)
-    nu = L_f * (dist / radius - 1.0)
-    return SubproblemResult(x=ball.center + (radius / dist) * gap, lam=float(nu / ball.curvature))
+    while margin < R:
+        radius = R - margin
+        if dist <= radius:
+            x, lam = x0, 0.0
+        elif isinstance(p1, L1Regularizer):
+            nu = _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, float(L_f), radius)
+            lam = nu / ball.curvature
+            x = prox_path_point(p1, x_k, q, L_f, ball, lam)
+        else:
+            # P1 = 0: x(nu) - center = L_f (x0 - center) / (L_f + nu)
+            nu = L_f * (dist / radius - 1.0)
+            lam = float(nu / ball.curvature)
+            x = ball.center + (radius / dist) * gap
+        x_gap = x - ball.center
+        if math.sqrt(x_gap.dot(x_gap)) < R:
+            return SubproblemResult(x=x, lam=lam)
+        margin = max(2.0 * margin, math.ulp(R))
+    raise NumericError("ball subproblem has no point strictly inside the ball at double precision")
 
 
 def _l1_multiplier(w, a, c, L_f, R):

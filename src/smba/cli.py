@@ -24,7 +24,6 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .errors import NumericError
 from .nsdp import generate_nsdp, load_instance, nsdp_problem, save_instance
 from .schedules import ramped_log_schedule
 from .solver import SolveReport, SolveStatus, SolverConfig, TRACE_COLUMNS, TraceRow, run
@@ -94,7 +93,8 @@ def _cmd_solve(args) -> int:
     if args.report:
         write_report(report, cfg, args.report, problem_name=prob.name)
     print(
-        f"{prob.name}: {report.status.value} after {report.iterations} iterations, "
+        f"{prob.name}: {report.status.value} after {report.iterations} iterations "
+        f"({report.trials} linesearch trials, {report.cone_evals} cone evaluations), "
         f"objective {report.objective:.9g}, {report.wall_time:.2f}s"
     )
     if report.status is not SolveStatus.CONVERGED:
@@ -213,9 +213,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

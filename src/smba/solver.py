@@ -2,11 +2,13 @@
 
 Each iteration majorizes the smoothed constraint at the current strictly
 feasible iterate, solves one ball-constrained prox subproblem, and accepts
-the trial point once it is feasible for the smoothed constraint and achieves
-a sufficient decrease; the two quadratic weights are found by doubling from
-warm starts.  The smoothing parameter then follows a prescheduled decreasing
-sequence, and the additive shift of the smoothing family guarantees the next
-iterate stays strictly feasible at the smaller parameter.
+the trial point once it achieves a sufficient decrease and is feasible for
+the smoothed constraint; the two quadratic weights are found by doubling from
+warm starts.  The descent test comes first, so the constraint map and the
+cone decomposition are paid for only by trials that pass it.  The smoothing
+parameter then follows a prescheduled decreasing sequence, and the additive
+shift of the smoothing family guarantees the next iterate stays strictly
+feasible at the smaller parameter.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ class TraceRow(NamedTuple):
 class SolveReport:
     """Outcome of ``run``.  ``x``, ``objective``, ``final_kkt``, ``term_step``
     and ``term_slack`` belong to the last trace row on every exit; with no
-    rows they are x0, its objective, None and inf."""
+    rows they are x0, its objective, None and inf.  ``mu0`` is NaN when the
+    initial smoothing search reached the floor."""
 
     status: SolveStatus
     iterations: int
@@ -137,15 +140,29 @@ class SolveReport:
     term_slack: float = math.inf
     reason: str = ""
 
+    @property
+    def trials(self) -> int:
+        """Linesearch trials of the recorded steps."""
+        return sum(row.j_k + 1 for row in self.trace)
+
+    @property
+    def cone_evals(self) -> int:
+        """G values and cone decompositions: the start point plus each recorded
+        step's trials that passed the descent test."""
+        return 1 + sum(row.j_k + 1 - row.i_k for row in self.trace)
+
     def to_dict(self) -> dict:
-        # unset metrics (no accepted step) and a non-finite x0 objective serialize as null
+        # unset metrics (no accepted step), a non-finite x0 objective and a
+        # mu0 the initial search never found serialize as null
         finite = lambda v: v if math.isfinite(v) else None
         return {
             "status": self.status.value,
             "iterations": self.iterations,
+            "trials": self.trials,
+            "cone_evals": self.cone_evals,
             "wall_time": self.wall_time,
             "objective": finite(self.objective),
-            "mu0": self.mu0,
+            "mu0": finite(self.mu0),
             "term_step": finite(self.term_step),
             "term_slack": finite(self.term_slack),
             "reason": self.reason,
@@ -247,31 +264,42 @@ def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
 
 
 def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> InnerResult:
-    """Doubling search over (i, j): feasibility failures raise only the
-    constraint weight, descent failures raise both, so i <= j throughout."""
+    """Doubling search over (i, j) for a trial that decreases the objective
+    enough and is feasible for the smoothed constraint.
+
+    The cheap descent test runs first, so only a trial that passes it pays
+    for ``G(x)``, the cone decomposition and the smoothed value.  Descent
+    failures raise both weights, feasibility failures only the constraint
+    weight, so i <= j throughout.  A non-finite objective is tested for
+    feasibility too: an infeasible trial is rejected as a feasibility
+    failure, a feasible one raises NumericError.
+    """
     q = state.grad_f - state.xi
     i = j = 0
+    gmu_cand = math.nan
     while True:
         Lf = (2.0**i) * state.Lf0
         Lg = (2.0**j) * state.Lg0
         ball = build_ball(state.x, state.grad_gmu, state.gmu, Lg, state.mu)
         sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
-        y = prob.g.value(sub.x)
-        try:
-            point = prob.cone.prepare(y)
-        except ValueError as exc:
-            raise NumericError(f"constraint map output rejected at a trial point: {exc}") from exc
-        gmu_cand = point.value(state.mu)
-        if gmu_cand <= 0.0:
-            dx = sub.x - state.x
-            step2 = float(dx.dot(dx))
-            psi_cand = objective_value(prob, sub.x)
-            if not math.isfinite(psi_cand):
-                raise NumericError("objective value is not finite at a trial point")
-            decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
-            if psi_cand <= state.psi - decrease:
+        dx = sub.x - state.x
+        step2 = float(dx.dot(dx))
+        psi_cand = objective_value(prob, sub.x)
+        decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
+        finite = math.isfinite(psi_cand)
+        if psi_cand <= state.psi - decrease or not finite:
+            y = prob.g.value(sub.x)
+            try:
+                point = prob.cone.prepare(y)
+            except ValueError as exc:
+                raise NumericError(f"constraint map output rejected at a trial point: {exc}") from exc
+            gmu_cand = point.value(state.mu)
+            if gmu_cand <= 0.0:
+                if not finite:
+                    raise NumericError("objective value is not finite at a trial point")
                 return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
                                    gmu=gmu_cand, psi=psi_cand, y=y, point=point)
+        else:
             i += 1
         j += 1
         if j > cfg.max_inner_j:
@@ -284,21 +312,22 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     t0 = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
 
-    point0 = _start_point(prob, x0)
-    mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
-    schedule = cfg.schedule.with_mu0(mu0)
-
-    gmu0 = point0.value(mu0)
-    if not gmu0 < 0:
-        raise InfeasibleStartError(
-            f"smoothed constraint is not negative at x0 for mu0={mu0:.3e} (value {gmu0:.3e})"
-        )
-
     trace: List[TraceRow] = []
     x, psi, cert, term_step, term_slack = x0, objective_value(prob, x0), None, math.inf, math.inf
-    status, reason = SolveStatus.MAX_OUTER, ""
+    status, reason, mu0 = SolveStatus.MAX_OUTER, "", math.nan
 
     try:
+        # an infeasible start is an input error and raises; an initial smoothing
+        # search that reaches the floor ends the run with no rows
+        point0 = _start_point(prob, x0)
+        mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
+        schedule = cfg.schedule.with_mu0(mu0)
+        gmu0 = point0.value(mu0)
+        if not gmu0 < 0:
+            raise InfeasibleStartError(
+                f"smoothed constraint is not negative at x0 for mu0={mu0:.3e} (value {gmu0:.3e})"
+            )
+
         # a user oracle returning NaN or inf ends the run where its output is
         # made, before it reaches the subproblem or the cone kernel
         state = IterateState(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smba.ball_prox import (
     BallConstraint,
@@ -331,6 +333,24 @@ class TestSolveBallProx:
             assert _l1_multiplier(*args) == reference_l1_multiplier(*args)
             reached += 1
         assert reached > 600
+
+    @given(st.floats(0.0, 12.0), st.floats(-6.0, 7.0), st.integers(1, 30),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_strictly_inside_at_any_curvature(self, log_cr2, log_r, n, use_l1, seed):
+        # curvature * R**2 from 1 to 1e12: from about 1e6 on, the 1e-10 / (curvature R)
+        # margin is below the spacing of doubles at R
+        rng = np.random.default_rng(seed)
+        R = 10.0**log_r
+        center = rng.normal(0, 1, n) * R * 10.0 ** rng.uniform(-2, 2)
+        ball = BallConstraint(center=center, radius=R, curvature=10.0**log_cr2 / R**2)
+        x_k = center + rng.normal(0, 1, n) * R / (2 * math.sqrt(n))
+        q = rng.normal(0, 1, n) * 10.0 ** rng.uniform(-2, 4)
+        p1 = L1Regularizer(rng.uniform(0, 1, n) * 10.0 ** rng.uniform(-3, 2)) if use_l1 \
+            else ZeroRegularizer()
+        res = solve_ball_prox(p1, x_k, q, float(10.0 ** rng.uniform(-4, 4)), ball)
+        assert float(np.linalg.norm(res.x - center)) < R
+        assert res.lam >= 0.0 and math.isfinite(res.lam)
 
     def test_unsupported_regularizer_rejected(self):
         class Huber:

@@ -130,6 +130,45 @@ class TestGenSolve:
         assert len(read_trace(trace)) == doc["iterations"] == 3
 
 
+    def test_solve_reports_trials_and_cone_evals(self, tmp_path, capsys):
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "1", "--out", str(inst_path)])
+        trace, report = tmp_path / "t.csv", tmp_path / "r.json"
+        assert main(["solve", "--problem", str(inst_path), "--eps", "1e-6",
+                     "--trace", str(trace), "--report", str(report)]) == 0
+        rows = read_trace(trace)
+        doc = json.loads(report.read_text())
+        assert doc["trials"] == sum(row.j_k + 1 for row in rows)
+        assert doc["cone_evals"] == 1 + sum(row.j_k + 1 - row.i_k for row in rows)
+        assert doc["trials"] >= doc["cone_evals"] - 1 >= doc["iterations"]
+        out = capsys.readouterr().out
+        assert f"{doc['trials']} linesearch trials, {doc['cone_evals']} cone evaluations" in out
+
+    @pytest.mark.parametrize("a0_scale, code", [(1e-14, 2), (-1.0, 1)])
+    def test_start_failures(self, tmp_path, capsys, a0_scale, code):
+        # A0 = 1e-14 I leaves a margin the initial smoothing search cannot
+        # resolve above the floor: exit 2 with a header-only trace and a
+        # report.  A0 = -I makes the origin infeasible: an input error
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "1", "--out", str(inst_path)])
+        doc = json.loads(inst_path.read_text())
+        doc["A"][0] = (a0_scale * np.eye(4)).tolist()
+        inst_path.write_text(json.dumps(doc))
+        trace, report = tmp_path / "t.csv", tmp_path / "r.json"
+        assert main(["solve", "--problem", str(inst_path),
+                     "--trace", str(trace), "--report", str(report)]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("error: starting point is not strictly feasible")
+            assert not trace.exists() and not report.exists()
+            return
+        assert "floor" in err
+        assert read_trace(trace) == []
+        out = json.loads(report.read_text())
+        assert (out["status"], out["iterations"], out["mu0"]) == ("numeric_failure", 0, None)
+        assert out["final_kkt"] is None
+
+
 class TestBench:
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "bench"

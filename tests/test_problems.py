@@ -261,7 +261,7 @@ class TestFlatConstraintStack:
         ref = dataclasses.replace(fast, g=tensordot_psd_map(generate_nsdp(20, 10, 2).A))
         cfg = SolverConfig(eps=1e-7)
         a, b = run(fast, cfg, np.zeros(20)), run(ref, cfg, np.zeros(20))
-        assert a.iterations == b.iterations == 59
+        assert a.iterations == b.iterations == 73
         # every column but the last, elapsed_s, compared bit for bit
         assert a.trace[0]._fields[-1] == "elapsed_s"
         bits = lambda report: np.array([row[:-1] for row in report.trace], dtype=float).tobytes()

@@ -164,6 +164,16 @@ class TestInnerLoop:
         assert err.value.Lg == pytest.approx(4e-6)
         assert err.value.g_mu > 0.0
 
+    def test_cap_without_evaluated_trial_reports_nan(self):
+        # every trial overshoots and fails descent, so no smoothed value exists
+        from smba.solver import InnerCapError
+
+        prob = box_problem(c=[0.5, 0.5], b=[10.0, 10.0])
+        state = make_state(prob, np.zeros(2), 0.9, Lf0=1e-3, Lg0=1.0)
+        with pytest.raises(InnerCapError, match="last g_mu=nan") as err:
+            inner_loop_step(state, prob, SolverConfig(max_inner_j=1))
+        assert math.isnan(err.value.g_mu)
+
     def test_accepted_point_satisfies_both_tests(self, rng):
         cfg = SolverConfig()
         for _ in range(20):
@@ -391,6 +401,19 @@ class TestRunFailureModes:
         assert all(row.mu >= MU_FLOOR for row in report.trace)
         assert report.objective == report.trace[-1].psi
 
+    def test_initial_search_floor_becomes_status(self):
+        # a margin of 1e-14 needs a starting mu far below the 1e-12 floor
+        prob = box_problem(c=[0.0, 0.0], b=[1e-14, 1e-14])
+        report = run(prob, SolverConfig(), np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert "floor" in report.reason
+        assert report.iterations == len(report.trace) == 0
+        assert math.isnan(report.mu0) and report.final_kkt is None
+        np.testing.assert_array_equal(report.x, np.zeros(2))
+        doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert doc["mu0"] is None
+        assert (doc["trials"], doc["cone_evals"]) == (0, 1)
+
     def test_max_outer_reached(self):
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
         cfg = SolverConfig(eps=1e-16, max_outer=5, schedule=power_schedule(0.9))
@@ -421,6 +444,58 @@ class TestRunFailureModes:
         assert report.reason == "objective value is not finite at a trial point"
         assert report.iterations == len(report.trace) > 0
         assert math.isfinite(report.objective)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("infeasible", [True, False])
+    def test_nonfinite_objective_checked_for_feasibility(self, bad, infeasible):
+        # a tiny constraint weight makes the first trials infeasible; the
+        # objective turns bad only at infeasible or only at feasible trials.
+        # An infeasible trial is rejected before its objective counts, so
+        # the search accepts the same trial as without the fault; a feasible
+        # one ends the search
+        base = box_problem(c=[5.0, 0.0], b=[1.0, 1.0])
+        state = make_state(base, np.zeros(2), 0.9, Lf0=2.0, Lg0=1e-6)
+        clean = inner_loop_step(state, base, SolverConfig())
+        assert clean.j > clean.i
+        hits = []
+
+        def value(x):
+            if (base.cone.prepare(base.g.value(x)).value(state.mu) > 0.0) == infeasible:
+                hits.append(1)
+                return bad
+            return base.f.value(x)
+
+        prob = dataclasses.replace(base, f=dataclasses.replace(base.f, value=value))
+        if infeasible:
+            res = inner_loop_step(state, prob, SolverConfig())
+            assert len(hits) == clean.j - clean.i
+            assert (res.i, res.j, res.psi) == (clean.i, clean.j, clean.psi)
+            np.testing.assert_array_equal(res.x, clean.x)
+        else:
+            with pytest.raises(NumericError, match="^objective value is not finite at a trial point$"):
+                inner_loop_step(state, prob, SolverConfig())
+            assert hits == [1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_objective_at_infeasible_trials_run_continues(self, bad):
+        # trials with a positive smoothed constraint at the run's smallest mu
+        # are infeasible at every step's mu (the smoothed value grows with
+        # mu); a bad objective there leaves the run to its step budget
+        base = box_problem(c=[3.0, 3.0], b=[0.01, 2.0])
+        clean = run(base, FAULT_CFG, np.zeros(2))
+        mu_min, hits = clean.trace[-1].mu, []
+
+        def value(x):
+            if base.cone.prepare(base.g.value(x)).value(mu_min) > 0.0:
+                hits.append(1)
+                return bad
+            return base.f.value(x)
+
+        prob = dataclasses.replace(base, f=dataclasses.replace(base.f, value=value))
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert hits
+        assert (report.status, report.iterations) == (SolveStatus.MAX_OUTER, FAULT_CFG.max_outer)
+        assert all(math.isfinite(row.psi) and row.sigma_B <= 0.0 for row in report.trace)
 
     def test_rejected_start_output_raises(self):
         prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "g.value", 1,
@@ -467,9 +542,10 @@ class TestRunFailureModes:
 
 class TestCallCounts:
     def test_each_point_evaluated_once(self, monkeypatch):
-        # one G call and one eigendecomposition per linesearch trial plus the
-        # start point; one f gradient per accepted step plus the start point;
-        # one exp pass per (point, mu) asked about
+        # one G call and one eigendecomposition per linesearch trial that
+        # passes the descent test, plus the start point; one f gradient per
+        # accepted step plus the start point; one exp pass per (point, mu)
+        # asked about
         base = nsdp_problem(generate_nsdp(6, 4, 1))
         counts = {"G": 0, "eigh": 0, "grad_f": 0, "exp": 0}
 
@@ -489,14 +565,40 @@ class TestCallCounts:
         report = run(prob, SolverConfig(eps=1e-6), np.zeros(6))
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations > 10
-        trials = sum(row.j_k + 1 for row in report.trace)
-        assert counts["eigh"] == counts["G"] == 1 + trials
+        # i_k of a step's j_k + 1 trials failed descent and never reached G
+        evaluated = sum(row.j_k + 1 - row.i_k for row in report.trace)
+        assert sum(row.i_k for row in report.trace) > 0
+        assert counts["eigh"] == counts["G"] == 1 + evaluated
         assert counts["grad_f"] == 1 + report.iterations
         # the start point at mu = 0.9 / 2^l for l = 0..L (the initial search,
-        # whose last mu is mu0), each trial at the step's mu, and each
-        # accepted point but the last at the next mu
+        # whose last mu is mu0), each evaluated trial at the step's mu, and
+        # each accepted point but the last at the next mu
         searched = 1 + round(math.log2(0.9 / report.mu0))
-        assert counts["exp"] == searched + trials + report.iterations - 1
+        assert counts["exp"] == searched + evaluated + report.iterations - 1
+
+    def test_descent_failure_skips_constraint_and_cone(self):
+        # a tiny objective weight overshoots the minimizer, so the first
+        # trials fail descent; only the trials that pass it reach G and the cone
+        base = box_problem(c=[0.5, 0.5], b=[10.0, 10.0])
+        counts = {"f": 0, "G": 0, "prepare": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        prob = dataclasses.replace(
+            base,
+            f=dataclasses.replace(base.f, value=counting("f", base.f.value)),
+            g=dataclasses.replace(base.g, value=counting("G", base.g.value)),
+        )
+        state = make_state(base, np.zeros(2), 0.9, Lf0=1e-3, Lg0=1.0)
+        prob.cone.prepare = counting("prepare", prob.cone.prepare)
+        res = inner_loop_step(state, prob, SolverConfig())
+        assert res.i >= 2
+        assert counts["f"] == res.j + 1  # one objective value per trial
+        assert counts["G"] == counts["prepare"] == res.j + 1 - res.i
 
 
 class TestTracedNames:
