@@ -145,54 +145,77 @@ def _l1_multiplier(w, a, c, L_f, R):
     where P sums alpha^2 outside and Q sums c^2 inside the dead zone, and
     its root is ``nu = sqrt(P / (R^2 - Q)) - L_f``.  The distance is
     continuous and nonincreasing in nu and exceeds R at nu = 0.
+
+    The root's piece is nearly always among the first few breakpoints, so
+    the per-coordinate terms and the sort stay vectorized while the scan
+    over the sorted breakpoints runs in Python floats and stops at the
+    root's piece.  It adds the deltas left to right, as ``np.cumsum`` does,
+    and the exact (P, Q) are numpy sums over masks, so the result keeps the
+    bits of a fully vectorized scan.
     """
     n = a.size
     Lc = L_f * c
     below2 = (a + w - Lc) ** 2
     above2 = (a - w - Lc) ** 2
     c2 = c * c
+    neg_w = -w
     # region just right of nu = 0: -1 below, 0 dead, +1 above; a tie on a
     # boundary moves in the direction of c
     start = (((a > w) | ((a == w) & (c > 0))).astype(int)
-             - ((a < -w) | ((a == -w) & (c < 0))).astype(int))
-    # s_i crosses +w_i at (w - a) / c and -w_i at (-w - a) / c; each crossing
-    # moves coordinate i one region in the direction of c_i
-    sign = np.sign(c).astype(int)
+             - ((a < neg_w) | ((a == neg_w) & (c < 0))))
+    # s_i crosses +w_i at (w - a) / c (position i) and -w_i at (-w - a) / c
+    # (position n + i); each crossing moves coordinate i one region in the
+    # direction of c_i.  The stable sort breaks ties by position
     nz = c != 0.0
     knots = np.zeros(2 * n)
     np.divide(w - a, c, out=knots[:n], where=nz)
-    np.divide(-w - a, c, out=knots[n:], where=nz)
-    dP = np.concatenate([sign * above2, -sign * below2])
-    dQ = np.concatenate([-sign * c2, sign * c2])
-    keep = np.flatnonzero((knots > 0.0) & np.isfinite(knots))
-    order = keep[np.argsort(knots[keep], kind="stable")]
-    knots, coord = knots[order], order % n
-    K = knots.size
+    np.divide(neg_w - a, c, out=knots[n:], where=nz)
+    keep = ((knots > 0.0) & (knots < math.inf)).nonzero()[0]
+    order = keep[knots[keep].argsort(kind="stable")].tolist()
+    knots, c_list = knots.tolist(), c.tolist()
+    K = len(order)
     # piece p runs from ends(p) to ends(p + 1), for p = 0..K
-    ends = lambda p: 0.0 if p == 0 else knots[p - 1] if p <= K else math.inf
+    ends = lambda p: 0.0 if p == 0 else knots[order[p - 1]] if p <= K else math.inf
     R2 = R * R
 
     def sums(p):
         """Exact (P, Q) on piece p."""
-        region = start + sign * np.bincount(coord[:p], minlength=n) if p else start
+        region = start
+        if p:
+            region = start.copy()
+            for pos in order[:p]:
+                i = pos % n
+                region[i] += 1 if c_list[i] > 0 else -1
         return (float(below2[region < 0].sum() + above2[region > 0].sum()),
                 float(c2[region == 0].sum()))
 
     # locate the piece with running sums over the sorted breakpoints: the
-    # first whose right end is inside the sphere.  P[p] and Q[p] hold the
-    # sums on piece p: the start sums plus the deltas of the first p knots
+    # first whose right end is inside the sphere.  On piece p the sums are
+    # the start sums plus the deltas of the first p breakpoints
     P0, Q0 = sums(0)
-    P, Q = np.full(K, P0), np.full(K, Q0)
-    P[1:] += np.cumsum(dP[order])[:-1]
-    Q[1:] += np.cumsum(dQ[order])[:-1]
-    inside = Q + P / (L_f + knots) ** 2 <= R2
-    p = int(np.argmax(inside)) if inside.any() else K
+    dP = dQ = 0.0
+    p = K
+    for j, pos in enumerate(order):
+        t = L_f + knots[pos]
+        if Q0 + dQ + (P0 + dP) / (t * t) <= R2:
+            p = j
+            break
+        i = pos % n
+        d = 1.0 if c_list[i] > 0 else -1.0
+        # a +w crossing moves i between dead and above, a -w crossing between
+        # below and dead; c_i's sign says which way
+        if pos < n:
+            dP += d * float(above2[i])
+            dQ -= d * float(c2[i])
+        else:
+            dP -= d * float(below2[i])
+            dQ += d * float(c2[i])
     # the running sums cancel badly when R is small next to ||c||, so the
     # piece can be off by a breakpoint that lies within rounding of the
     # sphere; step to the piece that holds the root of the exact sums
     step = 0
     while True:
-        P, Q = sums(p)
+        P, Q = (P0, Q0) if p == 0 else sums(p)
         nu = math.sqrt(P / (R2 - Q)) - L_f if Q < R2 else math.inf
         if nu > ends(p + 1) and step >= 0:
             p, step = p + 1, 1

@@ -51,7 +51,7 @@ class L1Regularizer:
         self.weights = w
 
     def value(self, x):
-        return float(np.sum(self.weights * np.abs(x)))
+        return float((self.weights * np.abs(x)).sum())
 
     def prox(self, z, t):
         z = np.asarray(z, dtype=float)
@@ -104,7 +104,7 @@ class L1Concave:
         self.weight = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def subgradient(self, x):
         return self.weight * np.sign(np.asarray(x, dtype=float))
@@ -178,7 +178,7 @@ def poly_quartic_objective(Q, b, cubic, quartic) -> SmoothObjective:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        sep = 0.25 * np.sum(quartic * x**4) + np.sum(cubic * np.abs(x) ** 3) / 3.0
+        sep = 0.25 * (quartic * x**4).sum() + (cubic * np.abs(x) ** 3).sum() / 3.0
         return float(sep + 0.5 * np.dot(x, Q @ x) + np.dot(b, x))
 
     def gradient(x):

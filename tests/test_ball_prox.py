@@ -176,6 +176,30 @@ def root_on_breakpoint_instance(rng):
     return p1, x_k, q, L_f, BallConstraint(center=center, radius=radius, curvature=curvature)
 
 
+def wide_l1_instance(rng, duplicate):
+    """An l1 ball at n from 20 to 128, where numpy's pairwise sums unroll,
+    whose sphere meets the prox path at a random multiplier or at a
+    breakpoint.  With ``duplicate``, a third of the coordinates copy
+    others, so breakpoints repeat exactly."""
+    n = int(rng.integers(20, 129))
+    x_k, q, center = rng.normal(0, 2, n), rng.normal(0, 2, n), rng.normal(0, 2, n)
+    w = rng.uniform(0.1, 2.0, n)
+    if duplicate:
+        src, dst = rng.integers(0, n, (2, n // 3))
+        for v in (x_k, q, center, w):
+            v[dst] = v[src]
+    L_f, curvature = float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 5.0))
+    a = L_f * x_k - q
+    knots = np.concatenate([(w - a) / center, (-w - a) / center])
+    knots = knots[knots > 0]
+    nu = rng.choice(knots) if knots.size and rng.random() < 0.5 else rng.uniform(0.0, 10.0)
+    p1 = L1Regularizer(w)
+    path_ball = BallConstraint(center=center, radius=1.0, curvature=curvature)
+    on_path = prox_path_point(p1, x_k, q, L_f, path_ball, nu / curvature)
+    radius = float(np.linalg.norm(on_path - center))
+    return p1, x_k, q, L_f, BallConstraint(center=center, radius=radius, curvature=curvature)
+
+
 class TestBuildBall:
     def test_worked_example(self):
         ball = build_ball(np.zeros(2), np.array([1.0, 0.0]), -0.5, 1.0, 1.0)
@@ -333,6 +357,21 @@ class TestSolveBallProx:
             assert _l1_multiplier(*args) == reference_l1_multiplier(*args)
             reached += 1
         assert reached > 600
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_l1_multiplier_bitwise_at_wide_n(self, rng, duplicate):
+        # at n >= 20 the exact sums run through numpy's unrolled pairwise
+        # summation, and repeated breakpoints tie in the sort
+        reached = 0
+        for _ in range(200):
+            p1, x_k, q, L_f, ball = wide_l1_instance(rng, duplicate)
+            x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
+            if np.linalg.norm(x0 - ball.center) <= ball.radius:
+                continue
+            args = (p1.weights, L_f * x_k - q, ball.center, L_f, ball.radius)
+            assert _l1_multiplier(*args) == reference_l1_multiplier(*args)
+            reached += 1
+        assert reached > 150
 
     @given(st.floats(0.0, 12.0), st.floats(-6.0, 7.0), st.integers(1, 30),
            st.booleans(), st.integers(0, 2**32 - 1))
