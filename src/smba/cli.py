@@ -94,7 +94,8 @@ def _cmd_solve(args) -> int:
         write_report(report, cfg, args.report, problem_name=prob.name)
     print(
         f"{prob.name}: {report.status.value} after {report.iterations} iterations "
-        f"({report.trials} linesearch trials, {report.cone_evals} cone evaluations), "
+        f"({report.trials} linesearch trials, {report.cone_evals} cone evaluations, "
+        f"{report.advances} schedule advances), "
         f"objective {report.objective:.9g}, {report.wall_time:.2f}s"
     )
     if report.status is not SolveStatus.CONVERGED:

@@ -9,6 +9,16 @@ cone decomposition are paid for only by trials that pass it.  The smoothing
 parameter then follows a prescheduled decreasing sequence, and the additive
 shift of the smoothing family guarantees the next iterate stays strictly
 feasible at the smaller parameter.
+
+The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
+blocks of ``n0 + 1`` indices, while the stop test can only pass once the
+slack falls with mu.  So when an accepted step meets the step test but not
+the slack test, the iterate has stalled at the current mu, and the schedule
+index advances to the start of the next block instead of by one.  The mu
+used is then a subsequence of the prescheduled one: still strictly
+decreasing to zero, with every iterate strictly feasible.  The paper's
+complexity bound is stated for the prescheduled sequence itself.
+``power`` schedules have no blocks and are followed index by index.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -126,7 +136,10 @@ class SolveReport:
     """Outcome of ``run``.  ``x``, ``objective``, ``final_kkt``, ``term_step``
     and ``term_slack`` belong to the last trace row on every exit; with no
     rows they are x0, its objective, None and inf.  ``mu0`` is NaN when the
-    initial smoothing search reached the floor."""
+    initial smoothing search reached the floor.  ``advances`` counts the steps
+    after which the schedule jumped to the next block.  ``capped`` holds
+    ``(i, j)`` of a step that ran out of doublings and has no row: ``i`` of
+    its ``j`` trials failed the descent test."""
 
     status: SolveStatus
     iterations: int
@@ -139,17 +152,20 @@ class SolveReport:
     term_step: float = math.inf
     term_slack: float = math.inf
     reason: str = ""
+    advances: int = 0
+    capped: Tuple[int, int] = (0, 0)
 
     @property
     def trials(self) -> int:
-        """Linesearch trials of the recorded steps."""
-        return sum(row.j_k + 1 for row in self.trace)
+        """Linesearch trials of the recorded steps and of a capped step."""
+        return sum(row.j_k + 1 for row in self.trace) + self.capped[1]
 
     @property
     def cone_evals(self) -> int:
-        """G values and cone decompositions: the start point plus each recorded
-        step's trials that passed the descent test."""
-        return 1 + sum(row.j_k + 1 - row.i_k for row in self.trace)
+        """G values and cone decompositions: the start point plus the trials
+        that passed the descent test, in recorded steps and a capped step."""
+        i, j = self.capped
+        return 1 + sum(row.j_k + 1 - row.i_k for row in self.trace) + j - i
 
     def to_dict(self) -> dict:
         # unset metrics (no accepted step), a non-finite x0 objective and a
@@ -160,6 +176,7 @@ class SolveReport:
             "iterations": self.iterations,
             "trials": self.trials,
             "cone_evals": self.cone_evals,
+            "advances": self.advances,
             "wall_time": self.wall_time,
             "objective": finite(self.objective),
             "mu0": finite(self.mu0),
@@ -172,12 +189,15 @@ class SolveReport:
 
 
 class InnerCapError(NumericError):
-    """The feasibility/descent loop exhausted its doubling budget."""
+    """The feasibility/descent loop exhausted its doubling budget: ``i`` of
+    its ``j`` trials failed the descent test."""
 
-    def __init__(self, mu, Lg, g_mu):
+    def __init__(self, mu, Lg, g_mu, i, j):
         self.mu = mu
         self.Lg = Lg
         self.g_mu = g_mu
+        self.i = i
+        self.j = j
         super().__init__(
             f"inner loop cap exceeded at mu={mu:.3e}; last Lg={Lg:.3e}, last g_mu={g_mu:.3e}"
         )
@@ -303,7 +323,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
             i += 1
         j += 1
         if j > cfg.max_inner_j:
-            raise InnerCapError(state.mu, Lg, gmu_cand)
+            raise InnerCapError(state.mu, Lg, gmu_cand, i, j)
 
 
 def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
@@ -315,6 +335,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     trace: List[TraceRow] = []
     x, psi, cert, term_step, term_slack = x0, objective_value(prob, x0), None, math.inf, math.inf
     status, reason, mu0 = SolveStatus.MAX_OUTER, "", math.nan
+    advances, capped = 0, (0, 0)
 
     try:
         # an infeasible start is an input error and raises; an initial smoothing
@@ -322,6 +343,9 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         point0 = _start_point(prob, x0)
         mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
         schedule = cfg.schedule.with_mu0(mu0)
+        # the schedule index s runs apart from the step count k: it jumps to
+        # the next block start when the iterate stalls (module docstring)
+        s, block = 0, None if schedule.variant == "power" else schedule.n0 + 1
         gmu0 = point0.value(mu0)
         if not gmu0 < 0:
             raise InfeasibleStartError(
@@ -381,10 +405,16 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             # advance the smoothing parameter; the shifted family keeps the new
             # iterate strictly feasible at the smaller mu.  The kernel rejects any
             # mu below its floor, so the run stops there
-            mu_next = mu_at(schedule, k + 1)
+            if block and step <= cfg.eps < slack:
+                s = (s // block + 1) * block
+                advances += 1
+            else:
+                s += 1
+            mu_next = mu_at(schedule, s)
             if mu_next < MU_FLOOR:
                 status = SolveStatus.MU_FLOOR
-                reason = f"smoothing schedule falls below the floor {MU_FLOOR:.0e} at step {k + 1}"
+                reason = (f"smoothing schedule falls below the floor {MU_FLOOR:.0e} "
+                          f"at step {k + 1} (schedule index {s})")
                 break
             gmu_next = point.value(mu_next)
             if not gmu_next < 0:
@@ -402,7 +432,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             state.grad_f = grad_f_next
             state.xi = _finite("P2 subgradient", prob.p2.subgradient(x_next), k + 1)
     except InnerCapError as exc:
-        status, reason = SolveStatus.INNER_CAP_EXCEEDED, str(exc)
+        status, reason, capped = SolveStatus.INNER_CAP_EXCEEDED, str(exc), (exc.i, exc.j)
     except NumericError as exc:
         status, reason = SolveStatus.NUMERIC_FAILURE, str(exc)
 
@@ -418,4 +448,6 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         term_step=term_step,
         term_slack=term_slack,
         reason=reason,
+        advances=advances,
+        capped=capped,
     )

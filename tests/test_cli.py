@@ -144,6 +144,19 @@ class TestGenSolve:
         out = capsys.readouterr().out
         assert f"{doc['trials']} linesearch trials, {doc['cone_evals']} cone evaluations" in out
 
+    def test_solve_reports_schedule_advances(self, tmp_path, capsys):
+        # this instance stalls once at eps = 1e-6: its step test passes while
+        # the slack test does not, and the schedule jumps to the next block
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "10", "--m", "5", "--seed", "12", "--out", str(inst_path)])
+        trace, report = tmp_path / "t.csv", tmp_path / "r.json"
+        assert main(["solve", "--problem", str(inst_path), "--eps", "1e-6",
+                     "--trace", str(trace), "--report", str(report)]) == 0
+        stalls = [row for row in read_trace(trace) if row.term_step <= 1e-6 < row.term_slack]
+        doc = json.loads(report.read_text())
+        assert doc["advances"] == len(stalls) > 0
+        assert f"{doc['advances']} schedule advances" in capsys.readouterr().out
+
     @pytest.mark.parametrize("a0_scale, code", [(1e-14, 2), (-1.0, 1)])
     def test_start_failures(self, tmp_path, capsys, a0_scale, code):
         # A0 = 1e-14 I leaves a margin the initial smoothing search cannot

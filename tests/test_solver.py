@@ -14,13 +14,14 @@ from smba.cones import MU_FLOOR
 from smba.errors import InfeasibleStartError, NumericError
 from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.problems import (
+    L1Concave,
     box_problem,
     composite_value,
     norm_ball_problem,
     objective_value,
     psd_affine_problem,
 )
-from smba.schedules import power_schedule, ramped_log_schedule
+from smba.schedules import blockwise_schedule, mu_at, power_schedule, ramped_log_schedule
 from smba.solver import (
     IterateState,
     SolveStatus,
@@ -317,6 +318,45 @@ class TestRunInvariants:
             x = res.x
 
 
+def stalling_norm_ball():
+    """A norm-ball problem with a concave l1 part whose step test passes long
+    before the slack test at a nearly constant mu."""
+    c = np.random.default_rng(2).normal(size=5)
+    prob = norm_ball_problem(c, 0.5 * float(np.linalg.norm(c)))
+    return dataclasses.replace(prob, p2=L1Concave(0.1))
+
+
+def stall_rows(report, eps):
+    return [row.k for row in report.trace if row.term_step <= eps < row.term_slack]
+
+
+class TestScheduleAdvance:
+    @pytest.mark.parametrize("schedule", [ramped_log_schedule(0.9, 3.0), blockwise_schedule(0.9)],
+                             ids=["ramped_log", "blockwise"])
+    def test_stall_jumps_to_next_block(self, schedule):
+        cfg = SolverConfig(eps=1e-5, schedule=schedule)
+        report = run(stalling_norm_ball(), cfg, np.zeros(5))
+        assert report.status is SolveStatus.CONVERGED
+        stalls = stall_rows(report, cfg.eps)
+        assert stalls and report.advances == len(stalls)
+        # before the first stall the schedule index is the step count
+        k = stalls[0]
+        block = schedule.n0 + 1
+        spec = schedule.with_mu0(report.mu0)
+        assert report.trace[k].mu == mu_at(spec, k)
+        assert report.trace[k + 1].mu == mu_at(spec, (k // block + 1) * block)
+        mus = [row.mu for row in report.trace]
+        assert all(b < a for a, b in zip(mus, mus[1:]))
+
+    def test_power_schedule_followed_index_by_index(self):
+        cfg = SolverConfig(eps=1e-5, schedule=power_schedule(0.9))
+        report = run(stalling_norm_ball(), cfg, np.zeros(5))
+        assert report.status is SolveStatus.CONVERGED
+        assert stall_rows(report, cfg.eps) and report.advances == 0
+        spec = cfg.schedule.with_mu0(report.mu0)
+        assert all(row.mu == mu_at(spec, row.k) for row in report.trace)
+
+
 def psd_toy_problem():
     # diagonal constraint matrices reduce to a box: G(x) = diag(x - 2)
     A = np.zeros((3, 2, 2))
@@ -358,6 +398,10 @@ class TestRunFailureModes:
         report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.INNER_CAP_EXCEEDED
         assert report.reason
+        # the step that ran out of doublings has no row, but its one trial counts
+        assert report.iterations == 0
+        assert report.trials == report.to_dict()["trials"] == 1
+        assert report.cone_evals == 1 + 1 - report.capped[0]
 
     def test_divergence_guard(self):
         # descent direction unbounded below: start just inside the norm guard
@@ -396,7 +440,7 @@ class TestRunFailureModes:
         cfg = SolverConfig(eps=1e-16, max_outer=3000, schedule=power_schedule(0.9, mu0=2e-12))
         report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.MU_FLOOR
-        assert report.reason
+        assert "at step 2 (schedule index 2)" in report.reason
         assert report.iterations == len(report.trace) > 0
         assert all(row.mu >= MU_FLOOR for row in report.trace)
         assert report.objective == report.trace[-1].psi
