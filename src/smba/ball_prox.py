@@ -98,17 +98,19 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     ``(curvature/2)(||x - center||^2 - radius^2) <= 0``.  The multiplier is
     solved for a radius a hair below ``ball.radius``, so the returned point
     is strictly inside the ball, while ``|lam * g(x)|`` stays below about
-    ``1e-10 * lam``.  When ``curvature * radius**2`` is near ``1e6`` or more,
-    that margin is below the spacing of doubles at ``radius`` and rounding
-    can leave the point on the sphere; the margin is then doubled (to at
-    least one ulp of ``radius``) until the point is strictly inside.
+    ``1e-10 * lam``; the margin starts at no more than half the radius, so a
+    radius below ``PHI_TOL`` is solved too.  When ``curvature * radius**2``
+    is near ``1e6`` or more, that margin is below the spacing of doubles at
+    ``radius`` and rounding can leave the point on the sphere; the margin is
+    then doubled (to at least one ulp of ``radius``) until the point is
+    strictly inside.
     """
     if not isinstance(p1, REGULARIZERS):
         raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
     x_k = np.asarray(x_k, dtype=float)
     q = np.asarray(q, dtype=float)
     R = ball.radius
-    margin = min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R))
+    margin = min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R), 0.5 * R)
 
     x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
     gap = x0 - ball.center

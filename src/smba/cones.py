@@ -157,9 +157,11 @@ class _SpectralPoint(_LogSumExpPoint):
         self.vecs = vecs
 
     def gradient(self, mu):
-        # softmax weights below machine epsilon are harmless
-        grad = (self.vecs * self._logsumexp(_checked_mu(mu))[1]) @ self.vecs.T
-        return 0.5 * (grad + grad.T)
+        # R R' with R = V diag(sqrt(softmax)): numpy runs a product of an
+        # array with its own transpose as one syrk, which is exactly
+        # symmetric; softmax weights below machine epsilon are harmless
+        R = self.vecs * np.sqrt(self._logsumexp(_checked_mu(mu))[1])
+        return R @ R.T
 
 
 class _PConePoint(ConePoint):

@@ -120,7 +120,11 @@ def generate_nsdp(n: int, m: int, seed: int, l1_weight: float = 1.0) -> NsdpInst
 
 def nsdp_problem(inst: NsdpInstance, alpha4: float = DEFAULT_SHIFT) -> DCProblem:
     """First-order oracles of the instance; the adjoint of the constraint map
-    is n trace inner products with the A_i."""
+    is n trace inner products with the A_i.
+
+    Every A_i must be symmetric (``psd_affine_map`` rejects a stack that is
+    not, within the cone's ``SYMMETRY_TOL``); the map stores the upper
+    triangles once and keeps no reference to ``inst.A``."""
     return DCProblem(
         f=poly_quartic_objective(inst.Q, inst.b, inst.c, inst.d),
         p1=L1Regularizer(np.full(inst.n, inst.l1_weight)),

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import ConeBaseOracle, DEFAULT_SHIFT, NegSemidef, NonposOrthant, PCone
+from .cones import SYMMETRY_TOL, ConeBaseOracle, DEFAULT_SHIFT, NegSemidef, NonposOrthant, PCone
 from .errors import UnsupportedFamilyError
 
 
@@ -46,8 +46,8 @@ class L1Regularizer:
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("l1 weights must be nonnegative")
+        if not (w >= 0).all():
+            raise ValueError("l1 weights must be nonnegative numbers")
         self.weights = w
 
     def value(self, x):
@@ -99,8 +99,8 @@ class L1Concave:
     """P2(x) = weight * ||x||_1 with the tie at 0 broken toward 0."""
 
     def __init__(self, weight: float):
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
+        if not weight >= 0:
+            raise ValueError("weight must be a nonnegative number")
         self.weight = float(weight)
 
     def value(self, x):
@@ -214,24 +214,45 @@ def pcone_lift_map(t: float) -> ConstraintMap:
 def psd_affine_map(A) -> ConstraintMap:
     """G(x) = -A[0] - sum_i x_i A[i+1] into the symmetric matrices.
 
-    The adjoint is the vector of trace inner products -<A_i, u>.
+    Every ``A[i]`` must be symmetric: one whose asymmetry exceeds the cone's
+    ``SYMMETRY_TOL`` (measured as in ``NegSemidef.prepare``) is rejected, and
+    one within it is symmetrized.  The map stores the upper triangles once, as
+    one contiguous ``(n, m(m+1)/2)`` array, and keeps no reference to ``A``.
+    ``G(x)`` is gathered from its triangle, so it is exactly symmetric.  The
+    adjoint, the vector of trace inner products ``-<A_i, u>``, folds
+    ``u + u'`` onto the triangle with the diagonal halved, so it stays the
+    exact adjoint for a non-symmetric ``u``.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("expected a stack of square matrices")
+    if not np.isfinite(A).all():
+        raise ValueError("non-finite entries in constraint matrices")
+    skew = np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2))
+    bad = (skew > SYMMETRY_TOL * (1.0 + np.linalg.norm(A, axis=(1, 2)))).nonzero()[0]
+    if bad.size:
+        raise ValueError(f"constraint matrix A[{bad[0]}] asymmetry {skew[bad[0]]:.3e} "
+                         "exceeds tolerance")
     m = A.shape[1]
-    neg_A0 = -A[0]
-    # the stack flattened once (a view of a C-contiguous A): one matrix-vector
-    # product per call, the same bits as tensordot without its reshaping
-    Af = A[1:].reshape(A.shape[0] - 1, m * m)
+    rows, cols = np.triu_indices(m)
+    # upper triangles, symmetrized (a symmetric matrix keeps its bits)
+    tri = 0.5 * (A[:, rows, cols] + A[:, cols, rows])
+    neg_t0, At = -tri[0], tri[1:]
+    # where each matrix entry sits in the triangle; where each triangle entry
+    # and its mirror sit in a flattened matrix; the fold's weights, negated,
+    # with the diagonal (counted twice by the fold) halved, all exact
+    where = np.empty((m, m), dtype=np.intp)
+    where[rows, cols] = where[cols, rows] = np.arange(rows.size)
+    upper, lower = rows * m + cols, cols * m + rows
+    neg_weight = np.where(rows == cols, -0.5, -1.0)
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return neg_A0 - (x @ Af).reshape(m, m)
+        return (neg_t0 - x @ At).take(where)
 
     def adjoint_apply(x, u):
         u = np.asarray(u, dtype=float)
-        return -(Af @ u.ravel())
+        return At @ ((u.take(upper) + u.take(lower)) * neg_weight)
 
     return ConstraintMap(value=value, adjoint_apply=adjoint_apply)
 

@@ -57,13 +57,13 @@ class ScheduleSpec:
         else:
             if not 0.01 < self.rbar < 1.0:
                 raise ValueError("rbar must lie in (0.01, 1)")
-            if self.sbar < 0:
+            if not self.sbar >= 0:
                 raise ValueError("sbar must be nonnegative")
-            if self.n0 < 0:
+            if not self.n0 >= 0:
                 raise ValueError("n0 must be nonnegative")
             if not 0.0 < self.nu0 <= 1.0:
                 raise ValueError("nu0 must lie in (0, 1]")
-            if self.ramp_len < 1:
+            if not self.ramp_len >= 1:
                 raise ValueError("ramp_len must be >= 1")
 
     def with_mu0(self, mu0: float) -> "ScheduleSpec":

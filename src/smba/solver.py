@@ -69,11 +69,12 @@ class SolverConfig:
     schedule: ScheduleSpec = field(default_factory=lambda: ramped_log_schedule(0.9, 3.0))
 
     def __post_init__(self):
-        if self.tau1 <= 0 or self.tau2 <= 0 or self.eps <= 0:
+        # written as "not (valid)" so that NaN fails every check
+        if not (self.tau1 > 0 and self.tau2 > 0 and self.eps > 0):
             raise ValueError("tau1, tau2 and eps must be positive")
         if not 0 < self.L_min <= self.L_max:
             raise ValueError("need 0 < L_min <= L_max")
-        if self.max_outer < 1 or self.max_inner_j < 0:
+        if not (self.max_outer >= 1 and self.max_inner_j >= 0):
             raise ValueError("iteration caps are out of range")
 
     def to_dict(self) -> dict:

@@ -391,6 +391,19 @@ class TestSolveBallProx:
         assert float(np.linalg.norm(res.x - center)) < R
         assert res.lam >= 0.0 and math.isfinite(res.lam)
 
+    @pytest.mark.parametrize("use_l1", [False, True], ids=["zero", "l1"])
+    def test_radius_below_phi_tol(self, rng, use_l1):
+        # a radius below the starting margin of about 1e-12 still gets a point
+        # strictly inside, from a margin capped at half the radius
+        R, n = 1e-13, 5
+        center = rng.normal(0, 1, n)
+        ball = BallConstraint(center=center, radius=R, curvature=2.8e12)
+        x_k = center + rng.normal(0, 1, n) * R / (4 * math.sqrt(n))
+        p1 = L1Regularizer(np.full(n, 0.1)) if use_l1 else ZeroRegularizer()
+        res = solve_ball_prox(p1, x_k, rng.normal(0, 1, n), 2.7e11, ball)
+        assert float(np.linalg.norm(res.x - center)) < R
+        assert res.lam > 0.0 and math.isfinite(res.lam)
+
     def test_unsupported_regularizer_rejected(self):
         class Huber:
             def prox(self, z, t):

@@ -82,6 +82,26 @@ class TestGenSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exact_l1_path" in err
 
+    @pytest.mark.parametrize("path", [("eps",), ("tau2",), ("schedule", "sbar")],
+                             ids=lambda path: ".".join(path))
+    def test_nan_config_exit_1(self, tmp_path, capsys, path):
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        doc = SolverConfig().to_dict()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = float("nan")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert "NaN" in cfg_path.read_text()
+        report = tmp_path / "r.json"
+        code = main(["solve", "--problem", str(inst_path), "--config", str(cfg_path),
+                     "--report", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
+
     def test_missing_problem_file_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--problem", str(tmp_path / "nope.json")])
         assert code == 1

@@ -313,8 +313,17 @@ class TestPreparedPoint:
                 else:
                     np.testing.assert_array_equal(points[0].gradient(mu),
                                                   stable_logsumexp(vec, mu)[1])
-                    grad = (vecs * stable_logsumexp(vals, mu)[1]) @ vecs.T
-                    np.testing.assert_array_equal(points[1].gradient(mu), 0.5 * (grad + grad.T))
+                    root = vecs * np.sqrt(stable_logsumexp(vals, mu)[1])
+                    np.testing.assert_array_equal(points[1].gradient(mu), root @ root.T)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 60])
+    def test_spectral_gradient_exactly_symmetric(self, rng, m):
+        oracle = NegSemidef(m)
+        for _ in range(20):
+            point = oracle.prepare(random_symmetric(rng, m))
+            for mu in self.MUS:
+                grad = point.gradient(mu)
+                np.testing.assert_array_equal(grad, grad.T)
 
     def test_written_gradient_leaves_point_unchanged(self, rng):
         y = rng.normal(0.0, 3.0, 5)

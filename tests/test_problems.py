@@ -1,7 +1,11 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smba.cones import NonposOrthant
 from smba.errors import UnsupportedFamilyError
@@ -69,6 +73,11 @@ class TestRegularizers:
         with pytest.raises(ValueError):
             L1Regularizer([-0.1])
 
+    @pytest.mark.parametrize("weights", [[np.nan], [1.0, np.nan], [np.nan, -1.0]])
+    def test_l1_nan_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            L1Regularizer(weights)
+
 
 class TestConcaveTerms:
     def test_zero(self):
@@ -84,6 +93,11 @@ class TestConcaveTerms:
                 x, z = rng.normal(0, 2, 4), rng.normal(0, 2, 4)
                 g = p2.subgradient(x)
                 assert p2.value(z) >= p2.value(x) + float(np.dot(g, z - x)) - 1e-10
+
+    @pytest.mark.parametrize("weight", [np.nan, -0.5])
+    def test_l1_bad_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="nonnegative number"):
+            L1Concave(weight)
 
     def test_l1_tie_broken_toward_zero(self):
         g = L1Concave(1.0).subgradient(np.array([0.0, 2.0, -3.0]))
@@ -232,8 +246,8 @@ class TestAdjointConsistency:
 
 
 def tensordot_psd_map(A) -> ConstraintMap:
-    """The PSD affine map written with tensordot: the reference for the
-    flattened stack."""
+    """The PSD affine map written with tensordot over the full stack: the
+    reference for the half-size stack."""
     A = np.asarray(A, dtype=float)
     return ConstraintMap(
         value=lambda x: -A[0] - np.tensordot(np.asarray(x, dtype=float), A[1:], axes=(0, 0)),
@@ -242,32 +256,104 @@ def tensordot_psd_map(A) -> ConstraintMap:
     )
 
 
-class TestFlatConstraintStack:
-    @pytest.mark.parametrize("n, m", [(20, 10), (100, 60)])
-    def test_bitwise_equal_to_tensordot(self, rng, n, m):
-        A = rng.normal(0, 1, (n + 1, m, m))
-        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-        fast, ref = psd_affine_map(A), tensordot_psd_map(A)
-        for _ in range(100):
-            x = rng.normal(0, 1, n) * rng.uniform(1e-3, 1e3)
-            u = rng.normal(0, 1, (m, m))
-            u = 0.5 * (u + u.T)
-            np.testing.assert_array_equal(fast.value(x), ref.value(x))
-            np.testing.assert_array_equal(fast.adjoint_apply(x, u), ref.adjoint_apply(x, u))
+def random_stack(rng, n, m):
+    A = rng.normal(0, 1, (n + 1, m, m))
+    return 0.5 * (A + np.transpose(A, (0, 2, 1)))
 
-    def test_trace_equal_to_tensordot_map(self):
-        # a whole solve reads the same bits through either map
-        fast = nsdp_problem(generate_nsdp(20, 10, 2))
-        ref = dataclasses.replace(fast, g=tensordot_psd_map(generate_nsdp(20, 10, 2).A))
+
+EPS = np.finfo(float).eps
+
+
+class TestHalfSizeStack:
+    @pytest.mark.parametrize("n, m", [(20, 10), (100, 60)])
+    def test_within_rounding_of_tensordot(self, rng, n, m):
+        # both maps sum the same terms in different orders, so they agree to
+        # the dot-product rounding bound: count * eps * sum |terms|, entrywise
+        A = random_stack(rng, n, m)
+        fast, ref = psd_affine_map(A), tensordot_psd_map(A)
+        absA = np.abs(A)
+        for _ in range(50):
+            x = rng.normal(0, 1, n) * rng.uniform(1e-3, 1e3)
+            y = fast.value(x)
+            np.testing.assert_array_equal(y, y.T)
+            terms = absA[0] + np.tensordot(np.abs(x), absA[1:], axes=(0, 0))
+            assert np.all(np.abs(y - ref.value(x)) <= (n + 1) * EPS * terms)
+            u = rng.normal(0, 1, (m, m))
+            for v in (u, 0.5 * (u + u.T)):
+                terms = np.tensordot(absA[1:], np.abs(v), axes=([1, 2], [0, 1]))
+                err = np.abs(fast.adjoint_apply(x, v) - ref.adjoint_apply(x, v))
+                assert np.all(err <= (m * m + 1) * EPS * terms)
+
+    def test_trace_equal_across_stack_layouts(self):
+        # a whole solve reads the same bits through maps built from C-ordered,
+        # Fortran-ordered and non-contiguous copies of one stack
+        base = nsdp_problem(generate_nsdp(20, 10, 2))
+        A = generate_nsdp(20, 10, 2).A
+        wide = np.zeros((21, 10, 20))
+        wide[:, :, ::2] = A
+        copies = [np.ascontiguousarray(A), np.asfortranarray(A), wide[:, :, ::2]]
+        assert not copies[1].flags.c_contiguous
+        assert not (copies[2].flags.c_contiguous or copies[2].flags.f_contiguous)
         cfg = SolverConfig(eps=1e-7)
-        a, b = run(fast, cfg, np.zeros(20)), run(ref, cfg, np.zeros(20))
-        assert a.iterations == b.iterations == 73
+        reports = [run(dataclasses.replace(base, g=psd_affine_map(c)), cfg, np.zeros(20))
+                   for c in copies]
+        a = reports[0]
+        assert a.status.value == "converged"
+        assert a.iterations == 73
         # every column but the last, elapsed_s, compared bit for bit
         assert a.trace[0]._fields[-1] == "elapsed_s"
         bits = lambda report: np.array([row[:-1] for row in report.trace], dtype=float).tobytes()
-        assert bits(a) == bits(b)
-        assert (a.status, a.objective) == (b.status, b.objective)
-        np.testing.assert_array_equal(a.x, b.x)
+        for b in reports[1:]:
+            assert b.iterations == a.iterations
+            assert bits(b) == bits(a)
+            assert (b.status, b.objective) == (a.status, a.objective)
+            np.testing.assert_array_equal(b.x, a.x)
+
+    def test_asymmetric_stack_rejected(self, rng):
+        A = random_stack(rng, 3, 4)
+        A[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match=r"A\[2\] asymmetry"):
+            psd_affine_map(A)
+        A[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_affine_map(A)
+
+    def test_asymmetry_within_tolerance_symmetrized(self, rng):
+        A = random_stack(rng, 3, 4)
+        B = A.copy()
+        B[1, 0, 1] += 1e-14
+        g, ref = psd_affine_map(B), tensordot_psd_map(A)
+        x = rng.normal(0, 1, 3)
+        np.testing.assert_array_equal(g.value(x), g.value(x).T)
+        np.testing.assert_allclose(g.value(x), ref.value(x), rtol=0, atol=1e-13)
+
+    def test_caller_stack_not_kept(self, rng):
+        A = random_stack(rng, 5, 6)
+        ref = weakref.ref(A)
+        g = psd_affine_map(A)
+        del A
+        gc.collect()
+        assert ref() is None
+        assert g.value(np.ones(5)).shape == (6, 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 9), scale=st.floats(-6, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, n, m, scale, seed):
+        # <G*(u), d> = <u, G(x + d) - G(x)> for any square u: G is affine, so
+        # the two sides differ by rounding only
+        rng = np.random.default_rng(seed)
+        A = random_stack(rng, n, m)
+        g = psd_affine_map(A)
+        x = rng.normal(0, 1, n) * 10.0 ** scale
+        d = rng.normal(0, 1, n)
+        u = rng.normal(0, 1, (m, m))
+        lhs = float(np.dot(g.adjoint_apply(x, u), d))
+        rhs = float(np.vdot(u, g.value(x + d) - g.value(x)))
+        # the differenced side carries the rounding of G at the scale of x
+        size = float(np.tensordot(np.abs(u), np.abs(A[0]) + np.tensordot(
+            np.abs(x) + np.abs(d), np.abs(A[1:]), axes=(0, 0)), axes=([0, 1], [0, 1])))
+        assert abs(lhs - rhs) <= 4 * (n + m * m + 2) * EPS * size
 
 
 class TestProblemWiring:

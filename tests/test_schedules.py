@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,12 @@ class TestMuAt:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             mu_at(power_schedule(0.5, mu0=1.0), -1)
+
+    @pytest.mark.parametrize("field", ["mu0", "r", "rbar", "sbar", "n0", "nu0", "ramp_len"])
+    def test_nan_rejected(self, field):
+        variant = "power" if field == "r" else "ramped_log"
+        with pytest.raises(ValueError):
+            ScheduleSpec(**{"variant": variant, "mu0": 1.0, field: math.nan})
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):

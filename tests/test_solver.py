@@ -357,6 +357,16 @@ class TestScheduleAdvance:
         assert all(row.mu == mu_at(spec, row.k) for row in report.trace)
 
 
+class TestTinyBall:
+    def test_ball_radius_below_phi_tol_converges(self):
+        # mu0 = 1e-9 and eps = 1e-9 drive the ball radius to about 1e-12 near
+        # step 178, below the ball prox's starting margin
+        cfg = SolverConfig(eps=1e-9, schedule=ramped_log_schedule(0.9, 3.0, mu0=1e-9))
+        report = run(stalling_norm_ball(), cfg, np.zeros(5))
+        assert report.status is SolveStatus.CONVERGED, report.reason
+        assert report.iterations == 203
+
+
 def psd_toy_problem():
     # diagonal constraint matrices reduce to a box: G(x) = diag(x - 2)
     A = np.zeros((3, 2, 2))
@@ -682,6 +692,14 @@ class TestConfig:
             doc["schedule"][stale] = 1
             with pytest.raises(ValueError, match=stale):
                 SolverConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["tau1", "tau2", "eps", "L_min", "L_max",
+                                     "max_outer", "max_inner_j"])
+    def test_nan_rejected(self, key):
+        with pytest.raises(ValueError):
+            SolverConfig(**{key: math.nan})
+        with pytest.raises(ValueError):
+            SolverConfig.from_dict({**SolverConfig().to_dict(), key: math.nan})
 
     def test_validation(self):
         with pytest.raises(ValueError):
