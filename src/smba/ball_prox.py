@@ -146,82 +146,69 @@ def _l1_multiplier(w, a, c, L_f, R):
     breakpoints ``s_i = +-w_i`` the squared distance is ``Q + P / (L_f + nu)^2``,
     where P sums alpha^2 outside and Q sums c^2 inside the dead zone, and
     its root is ``nu = sqrt(P / (R^2 - Q)) - L_f``.  The distance is
-    continuous and nonincreasing in nu and exceeds R at nu = 0.
+    continuous and nonincreasing in nu and exceeds R at nu = 0, so the
+    multiplier lies on the first piece whose own root is at most its right
+    end; it is clamped to at least the piece's left end.
 
-    The root's piece is nearly always among the first few breakpoints, so
-    the per-coordinate terms and the sort stay vectorized while the scan
-    over the sorted breakpoints runs in Python floats and stops at the
-    root's piece.  It adds the deltas left to right, as ``np.cumsum`` does,
-    and the exact (P, Q) are numpy sums over masks, so the result keeps the
-    bits of a fully vectorized scan.
+    The per-coordinate terms and the sort are vectorized; one pass over the
+    sorted breakpoints in Python floats stops at the root's piece, which is
+    nearly always among the first few.  P and Q are carried as double-doubles
+    (``hi + lo``): the start sums by ``math.fsum`` and its remainder, each
+    breakpoint's delta by a two-sum.  A delta removes the very double that
+    the start sum or an earlier delta added, so the sums stay accurate where
+    they cancel, as when R is small next to ``||c||`` and Q falls by many
+    orders of magnitude before the root's piece.
     """
     n = a.size
     Lc = L_f * c
-    below2 = (a + w - Lc) ** 2
-    above2 = (a - w - Lc) ** 2
+    wa = w - a  # w - s and -w - s at nu = 0
+    va = -w - a
+    above2 = (wa + Lc) ** 2
+    below2 = (va + Lc) ** 2
     c2 = c * c
-    neg_w = -w
-    # region just right of nu = 0: -1 below, 0 dead, +1 above; a tie on a
-    # boundary moves in the direction of c
-    start = (((a > w) | ((a == w) & (c > 0))).astype(int)
-             - ((a < neg_w) | ((a == neg_w) & (c < 0))))
-    # s_i crosses +w_i at (w - a) / c (position i) and -w_i at (-w - a) / c
-    # (position n + i); each crossing moves coordinate i one region in the
-    # direction of c_i.  The stable sort breaks ties by position
+    # region just right of nu = 0; a tie on a boundary moves in the
+    # direction of c
+    nc = -c
+    above = np.where(wa != 0.0, wa, nc) < 0.0
+    below = np.where(va != 0.0, va, nc) > 0.0
+    terms = below2[below].tolist() + above2[above].tolist()
+    P = math.fsum(terms)
+    P_lo = math.fsum(terms + [-P])
+    terms = c2[~(above | below)].tolist()
+    Q = math.fsum(terms)
+    Q_lo = math.fsum(terms + [-Q])
+    # s_i crosses +w_i at wa / c (position i) and -w_i at va / c (position
+    # n + i); each crossing moves coordinate i one region in the direction
+    # of c_i.  The stable sort breaks ties by position; a knot that
+    # overflows to inf only splits the last piece
     nz = c != 0.0
     knots = np.zeros(2 * n)
-    np.divide(w - a, c, out=knots[:n], where=nz)
-    np.divide(neg_w - a, c, out=knots[n:], where=nz)
-    keep = ((knots > 0.0) & (knots < math.inf)).nonzero()[0]
+    np.divide(wa, c, out=knots[:n], where=nz)
+    np.divide(va, c, out=knots[n:], where=nz)
+    keep = (knots > 0.0).nonzero()[0]
     order = keep[knots[keep].argsort(kind="stable")].tolist()
-    knots, c_list = knots.tolist(), c.tolist()
-    K = len(order)
-    # piece p runs from ends(p) to ends(p + 1), for p = 0..K
-    ends = lambda p: 0.0 if p == 0 else knots[order[p - 1]] if p <= K else math.inf
     R2 = R * R
-
-    def sums(p):
-        """Exact (P, Q) on piece p."""
-        region = start
-        if p:
-            region = start.copy()
-            for pos in order[:p]:
-                i = pos % n
-                region[i] += 1 if c_list[i] > 0 else -1
-        return (float(below2[region < 0].sum() + above2[region > 0].sum()),
-                float(c2[region == 0].sum()))
-
-    # locate the piece with running sums over the sorted breakpoints: the
-    # first whose right end is inside the sphere.  On piece p the sums are
-    # the start sums plus the deltas of the first p breakpoints
-    P0, Q0 = sums(0)
-    dP = dQ = 0.0
-    p = K
-    for j, pos in enumerate(order):
-        t = L_f + knots[pos]
-        if Q0 + dQ + (P0 + dP) / (t * t) <= R2:
-            p = j
-            break
+    left = 0.0
+    for pos in order + [None]:
+        right = math.inf if pos is None else knots.item(pos)
+        Qs = Q + Q_lo
+        nu = math.sqrt((P + P_lo) / (R2 - Qs)) - L_f if Qs < R2 else math.inf
+        if nu <= right:
+            return max(nu, left)
+        left = right
         i = pos % n
-        d = 1.0 if c_list[i] > 0 else -1.0
         # a +w crossing moves i between dead and above, a -w crossing between
         # below and dead; c_i's sign says which way
         if pos < n:
-            dP += d * float(above2[i])
-            dQ -= d * float(c2[i])
+            dP, dQ = above2.item(i), -c2.item(i)
         else:
-            dP -= d * float(below2[i])
-            dQ += d * float(c2[i])
-    # the running sums cancel badly when R is small next to ||c||, so the
-    # piece can be off by a breakpoint that lies within rounding of the
-    # sphere; step to the piece that holds the root of the exact sums
-    step = 0
-    while True:
-        P, Q = (P0, Q0) if p == 0 else sums(p)
-        nu = math.sqrt(P / (R2 - Q)) - L_f if Q < R2 else math.inf
-        if nu > ends(p + 1) and step >= 0:
-            p, step = p + 1, 1
-        elif nu < ends(p) and p > 0 and step <= 0:
-            p, step = p - 1, -1
-        else:
-            return float(min(max(nu, ends(p)), ends(p + 1)))
+            dP, dQ = -below2.item(i), c2.item(i)
+        if c.item(i) < 0.0:
+            dP, dQ = -dP, -dQ
+        # two-sums: hi + d exactly, its rounding error into lo
+        s = P + dP
+        P_lo += (P - s) + dP if abs(P) >= abs(dP) else (dP - s) + P
+        P = s
+        s = Q + dQ
+        Q_lo += (Q - s) + dQ if abs(Q) >= abs(dQ) else (dQ - s) + Q
+        Q = s

@@ -104,15 +104,23 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _nonempty(values, flag, text):
+    if not values:
+        raise ValueError(f"{flag} {text!r} selects no value")
+    return values
+
+
 def _parse_seed_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",") if s]
+    return _nonempty(seeds, "--seeds", text)
 
 
-def _parse_float_list(text):
-    return [float(s) for s in text.split(",") if s]
+def _parse_float_list(text, flag):
+    return _nonempty([float(s) for s in text.split(",") if s], flag, text)
 
 
 def _bench_cell(args, seed, rbar, sbar):
@@ -146,8 +154,8 @@ def _iters_to_best(psis, best):
 
 def _cmd_bench(args) -> int:
     seeds = _parse_seed_range(args.seeds)
-    rbars = _parse_float_list(args.rbar)
-    sbars = _parse_float_list(args.sbar)
+    rbars = _parse_float_list(args.rbar, "--rbar")
+    sbars = _parse_float_list(args.sbar, "--sbar")
     os.makedirs(args.out, exist_ok=True)
     results = [_bench_cell(args, seed, rbar, sbar)
                for seed in seeds for rbar in rbars for sbar in sbars]

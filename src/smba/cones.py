@@ -251,11 +251,21 @@ class NegSemidef(ConeBaseOracle):
             raise NumericError("symmetric eigendecomposition failed") from exc
 
     def prepare(self, y):
+        """Check ``y`` and decompose it once.
+
+        An exactly symmetric ``y`` (such as ``G(x)`` from ``psd_affine_map``)
+        goes to ``eigh`` as it is: ``0.5 * (y + y')`` would return the same
+        bits.  Otherwise an asymmetry ``||y - y'||_F`` above
+        ``SYMMETRY_TOL * (1 + ||y||_F)`` raises ``ValueError``, and a smaller
+        one is symmetrized before the decomposition.
+        """
         y = _checked(y, (self.m, self.m))
-        skew = _frobenius(y - y.T)
-        if skew > SYMMETRY_TOL * (1.0 + _frobenius(y)):
-            raise ValueError(f"matrix asymmetry {skew:.3e} exceeds tolerance")
-        vals, vecs = self._eigh(0.5 * (y + y.T))
+        if not (y == y.T).all():
+            skew = _frobenius(y - y.T)
+            if skew > SYMMETRY_TOL * (1.0 + _frobenius(y)):
+                raise ValueError(f"matrix asymmetry {skew:.3e} exceeds tolerance")
+            y = 0.5 * (y + y.T)
+        vals, vecs = self._eigh(y)
         return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
 
     def polar_residual(self, v):

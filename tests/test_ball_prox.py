@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smba.ball_prox import (
@@ -79,8 +80,9 @@ def assert_kkt_contract(p1, res, x_k, q, L_f, ball):
 
 
 def reference_l1_multiplier(w, a, c, L_f, R):
-    """``_l1_multiplier`` as it was before its allocations were trimmed,
-    kept verbatim: the bitwise reference for the trimmed version."""
+    """The l1 multiplier by a vectorized scan of running sums over the
+    sorted breakpoints, exact masked sums and a step-back to the root's
+    piece: the reference the one-pass ``_l1_multiplier`` is checked against."""
     n = a.size
     below2 = (a + w - L_f * c) ** 2
     above2 = (a - w - L_f * c) ** 2
@@ -129,6 +131,97 @@ def reference_l1_multiplier(w, a, c, L_f, R):
             p, step = p - 1, -1
         else:
             return float(min(max(nu, ends[p]), ends[p + 1]))
+
+
+EPS = np.finfo(float).eps
+
+
+def exact_l1_roots(w, a, c, L_f, R, widen=4 * EPS):
+    """Exact roots of the l1 multiplier for the radii ``R (1 + widen)`` and
+    ``R (1 - widen)``, in 40-digit arithmetic from the exact squared distance.
+
+    Bisection over the sorted breakpoints finds the root's piece, where the
+    squared distance is ``Q + P / (L_f + nu)^2`` with P and Q summed afresh
+    from the regions inside the piece; the root there is closed-form.  The
+    two radii bracket the rounding of ``R``: the roots agree to about
+    ``widen`` times the conditioning, except where the sphere meets the
+    plateau on which every coordinate is in the dead zone, so that the
+    whole plateau is a root within rounding.
+    """
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        L = mpf(L_f)
+        coords = []
+        for wi, ai, ci in zip(w.tolist(), a.tolist(), c.tolist()):
+            wi, ai, ci = mpf(wi), mpf(ai), mpf(ci)
+            coords.append((wi, ai, ci, (ai - wi - L * ci) ** 2, (ai + wi - L * ci) ** 2))
+
+        def sums(nu):
+            """(P, Q) of the regions at nu."""
+            P = Q = mpf(0)
+            for wi, ai, ci, above2, below2 in coords:
+                s = ai + nu * ci
+                if s > wi:
+                    P += above2
+                elif s < -wi:
+                    P += below2
+                else:
+                    Q += ci * ci
+            return P, Q
+
+        knots = sorted(k for wi, ai, ci, _, _ in coords if ci != 0
+                       for k in ((wi - ai) / ci, (-wi - ai) / ci) if k > 0)
+        at_knot = {}
+
+        def root(R2):
+            # the root's piece ends at the first breakpoint inside the sphere
+            lo, hi = 0, len(knots)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if mid not in at_knot:
+                    P, Q = sums(knots[mid])
+                    at_knot[mid] = Q + P / (L + knots[mid]) ** 2
+                if at_knot[mid] <= R2:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            left = knots[lo - 1] if lo else mpf(0)
+            right = knots[lo] if lo < len(knots) else mpmath.inf
+            P, Q = sums(left + 1 if right == mpmath.inf else (left + right) / 2)
+            nu = mpmath.sqrt(P / (R2 - Q)) - L if Q < R2 else mpmath.inf
+            return min(max(nu, left), right)
+
+        R = mpf(R)
+        return root((R * (1 + widen)) ** 2), root((R * (1 - widen)) ** 2)
+
+
+def assert_l1_multiplier_accurate(args, rel=1e-12):
+    """``_l1_multiplier`` between the exact roots for the radius rounded
+    either way, within ``rel``; and within ``rel`` of the reference scan
+    plus the width of that bracket."""
+    got = _l1_multiplier(*args)
+    lo, hi = exact_l1_roots(*args)
+    assert lo * (1 - rel) <= got <= hi * (1 + rel)
+    ref = reference_l1_multiplier(*args)
+    assert abs(got - ref) <= rel * ref + (hi - lo)
+    return got
+
+
+def cancelling_l1_instance(rng, through):
+    """``(w, a, c, L_f, R)`` where Q falls by eight or more orders of
+    magnitude before the root's piece, with ``R^2 = 10 Q`` there.  Three
+    coordinates with ``|c_i|`` near 0.25 start in the dead zone and leave
+    it, or with ``through`` start outside it and cross it, before the
+    root; five with ``|c_i|`` near 1e-5 stay in it."""
+    big, small = rng.uniform(0.2, 0.3, 3), rng.uniform(0.5, 1.5, 5) * 1e-5
+    c = np.concatenate([big, small]) * rng.choice([-1.0, 1.0], 8)
+    w = np.concatenate([rng.uniform(0.5, 1.5, 3), rng.uniform(6.0, 8.0, 5)])
+    if through:  # outside, on the side that s = a + nu c leaves
+        a_big = -np.sign(c[:3]) * (w[:3] + rng.uniform(0.1, 0.5, 3))
+    else:
+        a_big = rng.uniform(-0.9, 0.9, 3) * w[:3]
+    a = np.concatenate([a_big, rng.uniform(-0.5, 0.5, 5)])
+    return w, a, c, 1.0, math.sqrt(10.0 * float(np.sum(small**2)))
 
 
 def random_instance(rng, force_l1=None):
@@ -341,10 +434,9 @@ class TestSolveBallProx:
         for _ in range(200):
             assert_matches_reference(*degenerate_l1_instance(rng))
 
-    def test_l1_multiplier_bitwise_equal_to_reference(self, rng):
+    def test_l1_multiplier_matches_reference_and_exact_root(self, rng):
         # random and degenerate balls, and balls whose sphere passes through
-        # the path point at a breakpoint, where the running sums often pick
-        # a neighbour of the root's piece and the exact sums step back
+        # the path point at a breakpoint
         draws = [random_instance(rng, force_l1=True) for _ in range(300)]
         draws += [degenerate_l1_instance(rng) for _ in range(300)]
         draws += [root_on_breakpoint_instance(rng) for _ in range(300)]
@@ -353,25 +445,91 @@ class TestSolveBallProx:
             x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
             if np.linalg.norm(x0 - ball.center) <= ball.radius:
                 continue
-            args = (p1.weights, L_f * x_k - q, ball.center, L_f, ball.radius)
-            assert _l1_multiplier(*args) == reference_l1_multiplier(*args)
+            assert_l1_multiplier_accurate((p1.weights, L_f * x_k - q, ball.center, L_f,
+                                           ball.radius))
             reached += 1
         assert reached > 600
 
     @pytest.mark.parametrize("duplicate", [False, True])
-    def test_l1_multiplier_bitwise_at_wide_n(self, rng, duplicate):
-        # at n >= 20 the exact sums run through numpy's unrolled pairwise
-        # summation, and repeated breakpoints tie in the sort
+    def test_l1_multiplier_accurate_at_wide_n(self, rng, duplicate):
+        # n from 20 to 128; with duplicate, exactly repeated breakpoints tie in the sort
         reached = 0
         for _ in range(200):
             p1, x_k, q, L_f, ball = wide_l1_instance(rng, duplicate)
             x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
             if np.linalg.norm(x0 - ball.center) <= ball.radius:
                 continue
-            args = (p1.weights, L_f * x_k - q, ball.center, L_f, ball.radius)
-            assert _l1_multiplier(*args) == reference_l1_multiplier(*args)
+            assert_l1_multiplier_accurate((p1.weights, L_f * x_k - q, ball.center, L_f,
+                                           ball.radius))
             reached += 1
         assert reached > 150
+
+    @pytest.mark.parametrize("through", [False, True], ids=["start", "crossing"])
+    def test_l1_multiplier_cancelling_sums(self, rng, through):
+        # Q falls from about 0.2 to about 5e-10 before the root's piece: from
+        # the start sum, or after big c_i^2 join a small running sum and
+        # leave it.  A sum rounded to one double is off by about 1e-8 there
+        for _ in range(50):
+            w, a, c, L_f, R = cancelling_l1_instance(rng, through)
+            big, small = c[:3] ** 2, c[3:] ** 2
+            knots = np.concatenate([(w - a) / c, (-w - a) / c]).reshape(2, 8)
+            nu = assert_l1_multiplier_accurate((w, a, c, L_f, R))
+            assert np.all((np.abs(a) > w)[:3] if through else np.abs(a) < w)
+            assert (big.max() >= 1e7 * small.sum()) if through else \
+                (big.sum() >= 1e8 * small.sum())
+            assert knots[:, :3].max() < nu < np.abs(knots[:, 3:]).min()
+            ball = BallConstraint(center=c, radius=R, curvature=1.0)
+            res = solve_ball_prox(L1Regularizer(w), np.zeros(8), -a, L_f, ball)
+            assert float(np.linalg.norm(res.x - c)) < R
+            assert res.lam > 0.0
+
+    def test_l1_multiplier_at_start_distance(self, rng):
+        # a radius one ulp below the distance at nu = 0 puts the root at (or,
+        # on a plateau of the distance, past) the left end of the first
+        # piece, where rounding must not make it negative
+        at_zero = 0
+        for _ in range(300):
+            p1, x_k, q, L_f, ball = random_instance(rng, force_l1=True)
+            x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
+            R = math.nextafter(float(np.linalg.norm(x0 - ball.center)), 0.0)
+            nu = assert_l1_multiplier_accurate((p1.weights, L_f * x_k - q, ball.center, L_f, R))
+            assert nu >= 0.0
+            at_zero += nu == 0.0
+        assert at_zero > 30
+
+    @given(st.integers(1, 120), st.floats(-8.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_l1_multiplier_sweep(self, n, log_ratio, seed):
+        # R from 1e-8 to 10 times ||c||, with zero weights, zero and -0.0
+        # center entries, and coordinates exactly on a threshold (a == +-w).
+        # L_f is a power of two and a, w, c lie on dyadic grids, so
+        # a -+ w - L_f c is exact in doubles: the check measures the scan's
+        # rounding, not the cancellation in those terms when the path starts
+        # within 1e-8 ||c|| of the center
+        rng = np.random.default_rng(seed)
+        grid = lambda v, step: np.round(v / step) * step
+        c = grid(rng.normal(0.0, 1.0, n), 2.0**-33)
+        c[rng.random(n) < 0.15] = 0.0
+        c[rng.random(n) < 0.15] = -0.0
+        assume(np.any(c != 0.0))
+        R = float(np.linalg.norm(c)) * 10.0**log_ratio
+        w = grid(np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 2.0, n)), 2.0**-36)
+        L_f = 2.0 ** int(rng.integers(-3, 4))
+        # the path starts near x0 = c + u, R < ||u|| < 10 R, with some
+        # coordinates moved onto a threshold
+        u = rng.normal(0.0, 1.0, n)
+        x0 = c + u * (R * 10.0 ** rng.uniform(0.01, 1.0) / float(np.linalg.norm(u)))
+        a = grid(L_f * x0 + np.sign(x0) * w, 2.0**-36)
+        tie = rng.random(n) < 0.2
+        a[tie] = rng.choice([-1.0, 1.0], n)[tie] * w[tie]
+        p1 = L1Regularizer(w)
+        ball = BallConstraint(center=c, radius=R, curvature=float(10.0 ** rng.uniform(-2, 2)))
+        start = prox_path_point(p1, np.zeros(n), -a, L_f, ball, 0.0)
+        assume(np.linalg.norm(start - c) > R)
+        assert_l1_multiplier_accurate((w, a, c, L_f, R))
+        res = solve_ball_prox(p1, np.zeros(n), -a, L_f, ball)
+        assert float(np.linalg.norm(res.x - c)) < R
+        assert res.lam >= 0.0 and math.isfinite(res.lam)
 
     @given(st.floats(0.0, 12.0), st.floats(-6.0, 7.0), st.integers(1, 30),
            st.booleans(), st.integers(0, 2**32 - 1))

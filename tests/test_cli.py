@@ -236,3 +236,17 @@ class TestBench:
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert sorted(int(r["seed"]) for r in rows) == [2, 4]
+
+    @pytest.mark.parametrize("flag, text", [("--seeds", "5..1"), ("--seeds", ""),
+                                            ("--seeds", ","), ("--rbar", ""),
+                                            ("--sbar", ",")])
+    def test_empty_axis_exit_1(self, tmp_path, capsys, flag, text):
+        # an axis that selects nothing is a usage error, not an empty sweep
+        out = tmp_path / "bench"
+        args = {"--seeds": "0", "--rbar": "0.9", "--sbar": "0", flag: text}
+        code = main(["bench", "--n", "5", "--m", "3", "--eps", "1e-3", "--out", str(out),
+                     *(item for pair in args.items() for item in pair)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and "selects no value" in err
+        assert not out.exists()

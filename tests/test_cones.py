@@ -10,10 +10,12 @@ from smba.cones import (
     MU_FLOOR,
     NegSemidef,
     NonposOrthant,
+    SYMMETRY_TOL,
     PCone,
     SmoothingCert,
     stable_logsumexp,
 )
+from smba.nsdp import generate_nsdp, nsdp_problem
 
 from conftest import directional_derivative, family_cases, random_symmetric
 
@@ -324,6 +326,43 @@ class TestPreparedPoint:
             for mu in self.MUS:
                 grad = point.gradient(mu)
                 np.testing.assert_array_equal(grad, grad.T)
+
+    @pytest.mark.parametrize("n, m", [(20, 10), (100, 60)])
+    def test_exactly_symmetric_argument_decomposed_as_is(self, rng, n, m):
+        # G(x) from the NSDP map is exactly symmetric; eigh of it as it is
+        # gives the bits of eigh of its symmetrization
+        g = nsdp_problem(generate_nsdp(n, m, 3)).g
+        oracle = NegSemidef(m)
+        for _ in range(10):
+            y = g.value(rng.normal(0.0, 1.0, n) * rng.uniform(1e-2, 1e2))
+            np.testing.assert_array_equal(y, y.T)
+            point = oracle.prepare(y)
+            vals, vecs = np.linalg.eigh(0.5 * (y + y.T))
+            np.testing.assert_array_equal(point.vals, vals[::-1])
+            np.testing.assert_array_equal(point.vecs, vecs[:, ::-1])
+
+    def test_rounding_asymmetry_symmetrized(self, rng):
+        # a matrix off symmetric by 1e-14 relative is decomposed after
+        # symmetrization, not read one triangle
+        m = 10
+        for _ in range(10):
+            y = random_symmetric(rng, m)
+            y = y + 1e-14 * np.linalg.norm(y) * rng.normal(0.0, 1.0, (m, m)) / m
+            sym = 0.5 * (y + y.T)
+            vals, vecs = np.linalg.eigh(sym)
+            assert not np.array_equal(np.linalg.eigh(y)[0], vals)
+            point = NegSemidef(m).prepare(y)
+            np.testing.assert_array_equal(point.vals, vals[::-1])
+            np.testing.assert_array_equal(point.vecs, vecs[:, ::-1])
+
+    @pytest.mark.parametrize("factor", [1.01, 2.0, 1e6])
+    def test_asymmetry_above_tolerance_rejected(self, rng, factor):
+        y = random_symmetric(rng, 10)
+        bump = factor * SYMMETRY_TOL * (1.0 + np.linalg.norm(y)) / math.sqrt(2.0)
+        y[0, 1] += 0.5 * bump
+        y[1, 0] -= 0.5 * bump
+        with pytest.raises(ValueError, match="asymmetry"):
+            NegSemidef(10).prepare(y)
 
     def test_written_gradient_leaves_point_unchanged(self, rng):
         y = rng.normal(0.0, 3.0, 5)
