@@ -80,15 +80,20 @@ def build_ball(x_k, grad_gmu, gmu_val, L_g, mu) -> BallConstraint:
     return BallConstraint(center=center, radius=radius, curvature=L_g / mu)
 
 
+def _path_point(p1, a, L_f, ball: BallConstraint, lam: float) -> np.ndarray:
+    """``prox_path_point`` from ``a = L_f x_k - q``; at ``lam = 0`` the prox
+    gradient point."""
+    s = lam * ball.curvature
+    t = L_f + s
+    return p1.prox((a + s * ball.center) / t, 1.0 / t)
+
+
 def prox_path_point(p1, x_k, q, L_f, ball: BallConstraint, lam: float) -> np.ndarray:
     """Unique minimizer of the subproblem Lagrangian at multiplier ``lam``."""
     if lam < 0:
         raise ValueError("multiplier must be nonnegative")
-    x_k = np.asarray(x_k, dtype=float)
-    q = np.asarray(q, dtype=float)
-    t = L_f + lam * ball.curvature
-    z = (L_f * x_k - q + lam * ball.curvature * ball.center) / t
-    return p1.prox(z, 1.0 / t)
+    a = L_f * np.asarray(x_k, dtype=float) - np.asarray(q, dtype=float)
+    return _path_point(p1, a, L_f, ball, lam)
 
 
 def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
@@ -104,25 +109,30 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     ``radius`` and rounding can leave the point on the sphere; the margin is
     then doubled (to at least one ulp of ``radius``) until the point is
     strictly inside.
+
+    For l1 each pass costs one prox evaluation: the multiplier is exactly 0
+    when the prox gradient point ``x(0)`` lies within the radius, and the
+    path point at 0 is then ``x(0)`` itself.  For ``P1 = 0`` the prox
+    gradient point is formed once and the multiplier is closed-form.
     """
     if not isinstance(p1, REGULARIZERS):
         raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
-    x_k = np.asarray(x_k, dtype=float)
-    q = np.asarray(q, dtype=float)
+    a = L_f * np.asarray(x_k, dtype=float) - np.asarray(q, dtype=float)
     R = ball.radius
     margin = min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R), 0.5 * R)
 
-    x0 = prox_path_point(p1, x_k, q, L_f, ball, 0.0)
-    gap = x0 - ball.center
-    dist = math.sqrt(gap.dot(gap))
+    l1 = isinstance(p1, L1Regularizer)
+    if not l1:
+        x0 = _path_point(p1, a, L_f, ball, 0.0)
+        gap = x0 - ball.center
+        dist = math.sqrt(gap.dot(gap))
     while margin < R:
         radius = R - margin
-        if dist <= radius:
+        if l1:
+            lam = _l1_multiplier(p1.weights, a, ball.center, float(L_f), radius) / ball.curvature
+            x = _path_point(p1, a, L_f, ball, lam)
+        elif dist <= radius:
             x, lam = x0, 0.0
-        elif isinstance(p1, L1Regularizer):
-            nu = _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, float(L_f), radius)
-            lam = nu / ball.curvature
-            x = prox_path_point(p1, x_k, q, L_f, ball, lam)
         else:
             # P1 = 0: x(nu) - center = L_f (x0 - center) / (L_f + nu)
             nu = L_f * (dist / radius - 1.0)
@@ -135,8 +145,13 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     raise NumericError("ball subproblem has no point strictly inside the ball at double precision")
 
 
+# row signs of the (2, n) prelude of _l1_multiplier: row 0 is the +w
+# threshold, row 1 the -w one
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _l1_multiplier(w, a, c, L_f, R):
-    """Smallest ``nu = lam * curvature`` with ``||x(nu) - c|| = R`` on the l1 path.
+    """Smallest ``nu = lam * curvature >= 0`` with ``||x(nu) - c|| <= R`` on the l1 path.
 
     With ``s = a + nu c`` and ``a = L_f x_k - q``, coordinate i of the path
     point is ``(s_i - w_i) / (L_f + nu)`` above the soft-threshold dead zone
@@ -146,45 +161,42 @@ def _l1_multiplier(w, a, c, L_f, R):
     breakpoints ``s_i = +-w_i`` the squared distance is ``Q + P / (L_f + nu)^2``,
     where P sums alpha^2 outside and Q sums c^2 inside the dead zone, and
     its root is ``nu = sqrt(P / (R^2 - Q)) - L_f``.  The distance is
-    continuous and nonincreasing in nu and exceeds R at nu = 0, so the
-    multiplier lies on the first piece whose own root is at most its right
-    end; it is clamped to at least the piece's left end.
+    continuous and nonincreasing in nu, so the multiplier lies on the first
+    piece whose own root is at most its right end; it is clamped to at least
+    the piece's left end.  When ``x(0)`` lies within R, that is the first
+    piece, and the clamp returns exactly 0.0.
 
-    The per-coordinate terms and the sort are vectorized; one pass over the
-    sorted breakpoints in Python floats stops at the root's piece, which is
-    nearly always among the first few.  P and Q are carried as double-doubles
-    (``hi + lo``): the start sums by ``math.fsum`` and its remainder, each
-    breakpoint's delta by a two-sum.  A delta removes the very double that
-    the start sum or an earlier delta added, so the sums stay accurate where
-    they cancel, as when R is small next to ``||c||`` and Q falls by many
-    orders of magnitude before the root's piece.
+    The per-coordinate terms are formed on one ``(2, n)`` layout, row 0 for
+    the +w threshold and row 1 for the -w one, and sorted once; one pass
+    over the sorted breakpoints in Python floats stops at the root's piece,
+    which is nearly always among the first few.  P and Q are carried as
+    double-doubles (``hi + lo``): the start sums by ``math.fsum`` and its
+    remainder, each breakpoint's delta by a two-sum.  A delta removes the
+    very double that the start sum or an earlier delta added, so the sums
+    stay accurate where they cancel, as when R is small next to ``||c||``
+    and Q falls by many orders of magnitude before the root's piece.
     """
     n = a.size
-    Lc = L_f * c
-    wa = w - a  # w - s and -w - s at nu = 0
-    va = -w - a
-    above2 = (wa + Lc) ** 2
-    below2 = (va + Lc) ** 2
-    c2 = c * c
-    # region just right of nu = 0; a tie on a boundary moves in the
-    # direction of c
-    nc = -c
-    above = np.where(wa != 0.0, wa, nc) < 0.0
-    below = np.where(va != 0.0, va, nc) > 0.0
-    terms = below2[below].tolist() + above2[above].tolist()
+    S = _SIGNS * w - a  # w - s and -w - s at nu = 0
+    T2 = S + L_f * c
+    T2 *= T2  # alpha^2: above the dead zone in row 0, below it in row 1
+    # region just right of nu = 0: above where S[0] < 0, below where
+    # S[1] > 0; a tie on a boundary moves in the direction of c
+    outside = np.where(S != 0.0, S, -c) * _SIGNS < 0.0
+    terms = T2[outside].tolist()
     P = math.fsum(terms)
     P_lo = math.fsum(terms + [-P])
-    terms = c2[~(above | below)].tolist()
+    # no coordinate is both above and below, so the dead zone is where the
+    # two rows agree
+    dead = c[outside[0] == outside[1]]
+    terms = (dead * dead).tolist()
     Q = math.fsum(terms)
     Q_lo = math.fsum(terms + [-Q])
-    # s_i crosses +w_i at wa / c (position i) and -w_i at va / c (position
-    # n + i); each crossing moves coordinate i one region in the direction
-    # of c_i.  The stable sort breaks ties by position; a knot that
-    # overflows to inf only splits the last piece
-    nz = c != 0.0
-    knots = np.zeros(2 * n)
-    np.divide(wa, c, out=knots[:n], where=nz)
-    np.divide(va, c, out=knots[n:], where=nz)
+    # s_i crosses +w_i at S[0, i] / c_i (flat position i) and -w_i at
+    # S[1, i] / c_i (position n + i); each crossing moves coordinate i one
+    # region in the direction of c_i.  The stable sort breaks ties by
+    # position; a knot that overflows to inf only splits the last piece
+    knots = np.divide(S, c, out=np.zeros((2, n)), where=c != 0.0).ravel()
     keep = (knots > 0.0).nonzero()[0]
     order = keep[knots[keep].argsort(kind="stable")].tolist()
     R2 = R * R
@@ -196,14 +208,15 @@ def _l1_multiplier(w, a, c, L_f, R):
         if nu <= right:
             return max(nu, left)
         left = right
-        i = pos % n
-        # a +w crossing moves i between dead and above, a -w crossing between
-        # below and dead; c_i's sign says which way
+        ci = c.item(pos % n)
+        # a +w crossing moves coordinate i between dead and above, a -w
+        # crossing between below and dead; c_i's sign says which way
+        dP, dQ = T2.item(pos), ci * ci
         if pos < n:
-            dP, dQ = above2.item(i), -c2.item(i)
+            dQ = -dQ
         else:
-            dP, dQ = -below2.item(i), c2.item(i)
-        if c.item(i) < 0.0:
+            dP = -dP
+        if ci < 0.0:
             dP, dQ = -dP, -dQ
         # two-sums: hi + d exactly, its rounding error into lo
         s = P + dP

@@ -56,12 +56,15 @@ def stable_logsumexp(v, mu):
         raise ValueError("expected a non-empty 1-D vector")
     if not np.isfinite(v).all():
         raise ValueError("non-finite entries in log-sum-exp input")
-    mu = _checked_mu(mu)
-    top = float(v.max())
+    return _shifted_logsumexp(v, float(v.max()), _checked_mu(mu))
+
+
+def _shifted_logsumexp(v, top, mu):
+    """``stable_logsumexp`` of a checked finite vector ``v`` with ``top = max(v)``
+    and a checked ``mu``."""
     expo = np.exp((v - top) / mu)
-    total = float(expo.sum())
-    value = top + mu * math.log(total)
-    return value, expo / total
+    total = float(np.add.reduce(expo))
+    return top + mu * math.log(total), expo / total
 
 
 @dataclass(frozen=True)
@@ -124,11 +127,15 @@ class ConePoint:
 class _LogSumExpPoint(ConePoint):
     """Temperature log-sum-exp over a vector of values; the gradient is its softmax.
 
-    The last ``(mu, value, weights)`` is kept, so ``value`` and ``gradient``
-    at the same mu share one exp pass.
+    The values are checked once, here, and their maximum is both the
+    support value and the shift of every exp pass.  The last
+    ``(mu, value, weights)`` is kept, so ``value`` and ``gradient`` at the
+    same mu share one exp pass.
     """
 
     def __init__(self, vals, alpha4):
+        if not np.isfinite(vals).all():
+            raise ValueError("non-finite entries in log-sum-exp input")
         self.vals = vals
         self.alpha4 = alpha4
         self.support = float(vals.max())
@@ -136,7 +143,7 @@ class _LogSumExpPoint(ConePoint):
 
     def _logsumexp(self, mu):
         if mu != self._mu:
-            self._lse = stable_logsumexp(self.vals, mu)
+            self._lse = _shifted_logsumexp(self.vals, self.support, mu)
             self._mu = mu
         return self._lse
 

@@ -51,7 +51,7 @@ class L1Regularizer:
         self.weights = w
 
     def value(self, x):
-        return float((self.weights * np.abs(x)).sum())
+        return float(np.add.reduce(self.weights * np.abs(x)))
 
     def prox(self, z, t):
         z = np.asarray(z, dtype=float)
@@ -178,8 +178,9 @@ def poly_quartic_objective(Q, b, cubic, quartic) -> SmoothObjective:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        sep = 0.25 * (quartic * x**4).sum() + (cubic * np.abs(x) ** 3).sum() / 3.0
-        return float(sep + 0.5 * np.dot(x, Q @ x) + np.dot(b, x))
+        sep = (0.25 * np.add.reduce(quartic * x**4)
+               + np.add.reduce(cubic * np.abs(x) ** 3) / 3.0)
+        return float(sep + 0.5 * x.dot(Q @ x) + b.dot(x))
 
     def gradient(x):
         x = np.asarray(x, dtype=float)

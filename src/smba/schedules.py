@@ -20,6 +20,7 @@ must not lie below the kernel's smoothing floor.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -33,6 +34,18 @@ VARIANTS = ("power", "blockwise", "ramped_log")
 DEFAULT_N0 = 300
 DEFAULT_NU0 = 1.0 / (10 * DEFAULT_N0 + 1)
 DEFAULT_RAMP_LEN = 5000
+
+
+def check_numbers(obj, reals=(), integers=()):
+    """Raise ValueError naming the first field of ``obj`` in ``reals`` that is
+    not a real number, or in ``integers`` that is not an integer; a bool is
+    neither.  Run before any range check, which a string would break."""
+    for names, kind, text in ((reals, numbers.Real, "a real number"),
+                              (integers, numbers.Integral, "an integer")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown schedule variant {self.variant!r}")
+        mu0 = () if self.mu0 is None else ("mu0",)
+        check_numbers(self, reals=mu0 + ("r", "rbar", "sbar", "nu0"), integers=("n0", "ramp_len"))
         if self.mu0 is not None and not self.mu0 >= MU_FLOOR:
             raise ValueError(f"mu0 must be at least the smoothing floor {MU_FLOOR:.0e}")
         if self.variant == "power":

@@ -37,7 +37,7 @@ from .ball_prox import build_ball, solve_ball_prox
 from .cones import MU_FLOOR, ConePoint
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem, objective_value
-from .schedules import ScheduleSpec, mu_at, ramped_log_schedule
+from .schedules import ScheduleSpec, check_numbers, mu_at, ramped_log_schedule
 
 TRACE_COLUMNS = (
     "k", "psi", "g_mu", "sigma_B", "mu", "lambda", "Lf", "Lg",
@@ -69,6 +69,10 @@ class SolverConfig:
     schedule: ScheduleSpec = field(default_factory=lambda: ramped_log_schedule(0.9, 3.0))
 
     def __post_init__(self):
+        check_numbers(self, reals=("tau1", "tau2", "L_min", "L_max", "eps"),
+                      integers=("max_outer", "max_inner_j"))
+        if not isinstance(self.schedule, ScheduleSpec):
+            raise ValueError(f"schedule must be a schedule spec, got {self.schedule!r}")
         # written as "not (valid)" so that NaN fails every check
         if not (self.tau1 > 0 and self.tau2 > 0 and self.eps > 0):
             raise ValueError("tau1, tau2 and eps must be positive")

@@ -6,16 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import smba.solver
 from smba.ball_prox import (
+    PHI_TOL,
     BallConstraint,
+    SubproblemResult,
     _l1_multiplier,
     build_ball,
     prox_path_point,
     solve_ball_prox,
 )
-from smba.errors import InfeasibleStartError, UnsupportedFamilyError
+from smba.errors import InfeasibleStartError, NumericError, UnsupportedFamilyError
+from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.oracles import GridSpec, exact_ball_projection, grid_bruteforce
-from smba.problems import L1Regularizer, ZeroRegularizer
+from smba.problems import REGULARIZERS, L1Regularizer, ZeroRegularizer
+from smba.solver import SolverConfig, run
 
 
 def subproblem_objective(p1, x, x_k, q, L_f):
@@ -131,6 +136,49 @@ def reference_l1_multiplier(w, a, c, L_f, R):
             p, step = p - 1, -1
         else:
             return float(min(max(nu, ends[p]), ends[p + 1]))
+
+
+def reference_path_point(p1, x_k, q, L_f, ball, lam):
+    """``prox_path_point`` written out, so that a change to the shared
+    kernel of ``prox_path_point`` and ``solve_ball_prox`` shows."""
+    t = L_f + lam * ball.curvature
+    z = (L_f * x_k - q + lam * ball.curvature * ball.center) / t
+    return p1.prox(z, 1.0 / t)
+
+
+def reference_solve_ball_prox(p1, x_k, q, L_f, ball):
+    """The subproblem solved with two prox evaluations per l1 pass: the
+    start point ``x(0)``, its distance to the center in numpy, then
+    ``_l1_multiplier`` and the path point at its root.  ``solve_ball_prox``
+    must return the same bits."""
+    if not isinstance(p1, REGULARIZERS):
+        raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
+    x_k = np.asarray(x_k, dtype=float)
+    q = np.asarray(q, dtype=float)
+    R = ball.radius
+    margin = min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R), 0.5 * R)
+
+    x0 = reference_path_point(p1, x_k, q, L_f, ball, 0.0)
+    gap = x0 - ball.center
+    dist = math.sqrt(gap.dot(gap))
+    while margin < R:
+        radius = R - margin
+        if dist <= radius:
+            x, lam = x0, 0.0
+        elif isinstance(p1, L1Regularizer):
+            nu = _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, float(L_f), radius)
+            lam = nu / ball.curvature
+            x = reference_path_point(p1, x_k, q, L_f, ball, lam)
+        else:
+            # P1 = 0: x(nu) - center = L_f (x0 - center) / (L_f + nu)
+            nu = L_f * (dist / radius - 1.0)
+            lam = float(nu / ball.curvature)
+            x = ball.center + (radius / dist) * gap
+        x_gap = x - ball.center
+        if math.sqrt(x_gap.dot(x_gap)) < R:
+            return SubproblemResult(x=x, lam=lam)
+        margin = max(2.0 * margin, math.ulp(R))
+    raise NumericError("ball subproblem has no point strictly inside the ball at double precision")
 
 
 EPS = np.finfo(float).eps
@@ -391,6 +439,81 @@ class TestSolveBallProx:
         assert float(np.linalg.norm(res.x - xg)) <= 2e-3
         assert float(obj(res.x[None])[0]) <= vg + 1e-10
 
+    def test_l1_interior_point_keeps_zero_multiplier(self):
+        # x(0) = soft-threshold of (1.5, -0.1, -1) at 1/2: (1, 0, -0.5), with
+        # a coordinate above, one in and one below the dead zone, well inside
+        # the ball; the multiplier is exactly 0 and the point is x(0) itself
+        p1 = L1Regularizer(np.full(3, 1.0))
+        ball = BallConstraint(center=np.array([0.5, 0.25, -0.5]), radius=2.0, curvature=3.0)
+        x_k, q, L_f = np.array([1.0, 0.0, -1.0]), np.array([-1.0, 0.2, 0.0]), 2.0
+        assert _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, L_f, ball.radius) == 0.0
+        res = solve_ball_prox(p1, x_k, q, L_f, ball)
+        assert res.lam == 0.0
+        assert np.array_equal(res.x, prox_path_point(p1, x_k, q, L_f, ball, 0.0))
+        np.testing.assert_allclose(res.x, [1.0, 0.0, -0.5])
+
+    @given(st.integers(1, 120), st.floats(-8.0, 1.0), st.floats(-1.0, 1.0),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_l1_bitwise_equal_to_reference(self, n, log_ratio, log_start, on_sphere, seed):
+        # R from 1e-8 to 10 times ||c||; the path starts at about
+        # 10**log_start R from the center, inside the ball or outside it, or
+        # with on_sphere at the radius the multiplier is solved for; zero
+        # weights, zero and -0.0 center and x_k entries, and coordinates
+        # exactly on a threshold (a == +-w).  Inputs lie on dyadic grids as
+        # in test_l1_multiplier_sweep, so both start distances are within
+        # rounding of the exact one
+        rng = np.random.default_rng(seed)
+        grid = lambda v, step: np.round(v / step) * step
+        c = grid(rng.normal(0.0, 1.0, n), 2.0**-33)
+        c[rng.random(n) < 0.15] = 0.0
+        c[rng.random(n) < 0.15] = -0.0
+        assume(np.any(c != 0.0))
+        R = float(np.linalg.norm(c)) * 10.0**log_ratio
+        w = grid(np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 2.0, n)), 2.0**-36)
+        L_f = 2.0 ** int(rng.integers(-3, 4))
+        u = rng.normal(0.0, 1.0, n)
+        x0 = c + u * (R * 10.0**log_start / float(np.linalg.norm(u)))
+        a = grid(L_f * x0 + np.sign(x0) * w, 2.0**-36)
+        tie = rng.random(n) < 0.2
+        a[tie] = rng.choice([-1.0, 1.0], n)[tie] * w[tie]
+        # x_k = +-0 makes L_f x_k - q equal to a exactly
+        x_k = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        p1 = L1Regularizer(w)
+        curvature = float(10.0 ** rng.uniform(-2, 2))
+        margin = lambda R: min(PHI_TOL * (1.0 + R), 1e-10 / (curvature * R), 0.5 * R)
+        ball = BallConstraint(center=c, radius=R, curvature=curvature)
+        start = prox_path_point(p1, x_k, -a, L_f, ball, 0.0) - c
+        dist = math.sqrt(start.dot(start))
+        if on_sphere:
+            assume(dist > 0.0)
+            R = dist + margin(dist)
+            R = dist + margin(R)
+            ball = BallConstraint(center=c, radius=R, curvature=curvature)
+        got = solve_ball_prox(p1, x_k, -a, L_f, ball)
+        want = reference_solve_ball_prox(p1, x_k, -a, L_f, ball)
+        if abs(dist - (R - margin(R))) > 4 * math.ulp(R):
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.lam.hex() == want.lam.hex()
+        else:
+            # the numpy start distance and the multiplier's double-double
+            # sums may round to opposite sides of the radius.  Both points
+            # are then strictly inside and stationary, and the two
+            # multipliers agree within 1e-12 on their own scale
+            # L_f / curvature, or the distance is flat within rounding
+            # between them, so both are its roots: on a plateau, where every
+            # coordinate is in the dead zone or on the center, the whole
+            # plateau is a root and the multiplier may be its far end
+            for res in (got, want):
+                assert float(np.linalg.norm(res.x - c)) < R
+                assert stationarity_residual(p1, res.x, res.lam, x_k, -a, L_f, ball) <= \
+                    1e-8 * (1 + float(np.linalg.norm(a)))
+            lo, hi = sorted((got.lam, want.lam))
+            if hi - lo > 1e-12 * (hi + L_f / curvature):
+                far, near = (float(np.linalg.norm(prox_path_point(p1, x_k, -a, L_f, ball, lam) - c))
+                             for lam in (lo, hi))
+                assert far - near <= 8 * math.ulp(R)
+
     def test_kkt_contract_random(self, rng):
         for _ in range(200):
             p1, x_k, q, L_f, ball = random_instance(rng)
@@ -574,3 +697,16 @@ class TestSolveBallProx:
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):
             BallConstraint(center=np.zeros(2), radius=0.0, curvature=1.0)
+
+
+def test_solver_trace_bitwise_with_reference_subproblem(monkeypatch):
+    # a desk instance solved with solve_ball_prox and again with the
+    # reference: every trace column but elapsed_s keeps its bits
+    prob, cfg = nsdp_problem(generate_nsdp(20, 10, 1)), SolverConfig(eps=1e-7)
+    bits = lambda report: [tuple(repr(v) for v in row[:-1]) for row in report.trace]
+    fast = run(prob, cfg, np.zeros(20))
+    monkeypatch.setattr(smba.solver, "solve_ball_prox", reference_solve_ball_prox)
+    ref = run(prob, cfg, np.zeros(20))
+    assert len(ref.trace) > 300
+    assert bits(fast) == bits(ref)
+    assert fast.x.tobytes() == ref.x.tobytes()

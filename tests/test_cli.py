@@ -102,6 +102,34 @@ class TestGenSolve:
         assert capsys.readouterr().err.startswith("error: ")
         assert not report.exists()
 
+    @pytest.mark.parametrize("path, value", [
+        (("tau1",), "0.01"), (("tau2",), None), (("L_min",), [1e-8]), (("L_max",), True),
+        (("eps",), "1e-5"), (("max_outer",), 10.5), (("max_inner_j",), False),
+        (("schedule", "mu0"), "0.5"), (("schedule", "r"), "0.5"),
+        (("schedule", "rbar"), [0.9]), (("schedule", "sbar"), True),
+        (("schedule", "n0"), 2.5), (("schedule", "nu0"), "0.01"),
+        (("schedule", "ramp_len"), 5000.0), (("schedule",), "ramped_log"),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+    def test_wrong_type_config_exit_1(self, tmp_path, capsys, path, value):
+        # a value of the wrong type is named in one error line, before it can
+        # reach a range check, range() or the schedule's block arithmetic
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        doc = SolverConfig().to_dict()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        code = main(["solve", "--problem", str(inst_path), "--config", str(cfg_path),
+                     "--report", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path[-1]} must be ") and err.count("\n") == 1
+        assert not report.exists()
+
     def test_missing_problem_file_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--problem", str(tmp_path / "nope.json")])
         assert code == 1

@@ -599,9 +599,10 @@ class TestCallCounts:
         # one G call and one eigendecomposition per linesearch trial that
         # passes the descent test, plus the start point; one f gradient per
         # accepted step plus the start point; one exp pass per (point, mu)
-        # asked about
-        base = nsdp_problem(generate_nsdp(6, 4, 1))
-        counts = {"G": 0, "eigh": 0, "grad_f": 0, "exp": 0}
+        # asked about; one l1 prox per ball subproblem, one per trial (most
+        # of this instance's subproblems start outside the ball)
+        base = nsdp_problem(generate_nsdp(6, 4, 5))
+        counts = {"G": 0, "eigh": 0, "grad_f": 0, "exp": 0, "prox": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -615,7 +616,10 @@ class TestCallCounts:
             f=dataclasses.replace(base.f, gradient=counting("grad_f", base.f.gradient)),
         )
         prob.cone._eigh = counting("eigh", prob.cone._eigh)
-        monkeypatch.setattr(cones, "stable_logsumexp", counting("exp", cones.stable_logsumexp))
+        prob.p1.prox = counting("prox", prob.p1.prox)
+        # the log-sum-exp points call the kernel that stable_logsumexp shares
+        monkeypatch.setattr(cones, "_shifted_logsumexp",
+                            counting("exp", cones._shifted_logsumexp))
         report = run(prob, SolverConfig(eps=1e-6), np.zeros(6))
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations > 10
@@ -624,6 +628,7 @@ class TestCallCounts:
         assert sum(row.i_k for row in report.trace) > 0
         assert counts["eigh"] == counts["G"] == 1 + evaluated
         assert counts["grad_f"] == 1 + report.iterations
+        assert counts["prox"] == report.trials
         # the start point at mu = 0.9 / 2^l for l = 0..L (the initial search,
         # whose last mu is mu0), each evaluated trial at the step's mu, and
         # each accepted point but the last at the next mu
