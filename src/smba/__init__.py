@@ -19,7 +19,6 @@ from .cones import (
 )
 from .diagnostics import KKTCertificate, kkt_residuals, termination_metrics
 from .nsdp import NsdpInstance, generate_nsdp, load_instance, nsdp_problem, save_instance
-from .oracles import GridSpec, analytic_box_solution, exact_ball_projection, grid_bruteforce
 from .problems import (
     ConstraintMap,
     DCProblem,
@@ -28,8 +27,6 @@ from .problems import (
     ZeroConcave,
     ZeroRegularizer,
     box_problem,
-    composite_gradient,
-    composite_value,
     norm_ball_problem,
     objective_value,
     psd_affine_problem,
@@ -50,7 +47,6 @@ __all__ = [
     "ConeBaseOracle",
     "ConstraintMap",
     "DCProblem",
-    "GridSpec",
     "IterateState",
     "KKTCertificate",
     "L1Regularizer",
@@ -67,17 +63,12 @@ __all__ = [
     "SubproblemResult",
     "ZeroConcave",
     "ZeroRegularizer",
-    "analytic_box_solution",
     "bb_init",
     "blockwise_schedule",
     "box_problem",
     "build_ball",
-    "composite_gradient",
-    "composite_value",
-    "exact_ball_projection",
     "find_initial_mu",
     "generate_nsdp",
-    "grid_bruteforce",
     "kkt_residuals",
     "load_instance",
     "mu_at",

@@ -205,6 +205,8 @@ def _l1_multiplier(w, a, c, L_f, R):
         right = math.inf if pos is None else knots.item(pos)
         Qs = Q + Q_lo
         nu = math.sqrt((P + P_lo) / (R2 - Qs)) - L_f if Qs < R2 else math.inf
+        if Qs == R2 and P + P_lo == 0.0:
+            nu = left  # dead-zone terms alone at distance exactly R: a plateau of roots
         if nu <= right:
             return max(nu, left)
         left = right

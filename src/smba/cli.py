@@ -19,14 +19,13 @@ import dataclasses
 import json
 import os
 import sys
-from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .nsdp import generate_nsdp, load_instance, nsdp_problem, save_instance
 from .schedules import ramped_log_schedule
-from .solver import SolveReport, SolveStatus, SolverConfig, TRACE_COLUMNS, TraceRow, run
+from .solver import SolveReport, SolveStatus, SolverConfig, TRACE_COLUMNS, run
 
 
 def write_trace(report: SolveReport, path) -> None:
@@ -39,21 +38,6 @@ def write_trace(report: SolveReport, path) -> None:
             writer.writerow([
                 repr(v) if isinstance(v, float) else str(v) for v in row.as_tuple()
             ])
-
-
-_COLUMN_TYPES = tuple(get_type_hints(TraceRow).values())  # int or float per column
-
-
-def read_trace(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}")
-        for rec in reader:
-            rows.append(TraceRow._make(typ(float(v)) for typ, v in zip(_COLUMN_TYPES, rec)))
-    return rows
 
 
 def write_report(report: SolveReport, cfg: SolverConfig, path, problem_name="") -> None:

@@ -198,11 +198,23 @@ class ConeBaseOracle:
     Subclasses fix a compact base B of the polar cone and implement
     ``prepare``, which checks an argument and decomposes it once (one
     eigendecomposition for matrices); the value methods below are thin
-    wrappers over the evaluated point.
+    wrappers over the evaluated point.  Each family is built from its
+    dimension ``m >= 1`` and the shift slope ``alpha4``.  The certificate
+    defaults to that of a log-sum-exp over m values on a base of norm at
+    most 1 (the simplex or the spectraplex), with gap slope ``log(m)``.
     """
 
     family: str
     cert: SmoothingCert
+
+    def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
+        if m < 1:
+            raise ValueError(f"{self.family} dimension must be >= 1")
+        self.m = int(m)
+        self.cert = self._certificate(alpha4)
+
+    def _certificate(self, alpha4: float) -> SmoothingCert:
+        return SmoothingCert(0.0, 1.0, math.log(self.m) + alpha4, alpha4, 1.0)
 
     def prepare(self, y) -> ConePoint:
         raise NotImplementedError
@@ -226,12 +238,6 @@ class NonposOrthant(ConeBaseOracle):
 
     family = "nonpos_orthant"
 
-    def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
-        if m < 1:
-            raise ValueError("orthant dimension must be >= 1")
-        self.m = int(m)
-        self.cert = SmoothingCert(0.0, 1.0, math.log(m) + alpha4, alpha4, 1.0)
-
     def prepare(self, y):
         return _LogSumExpPoint(_checked(y, (self.m,)), self.cert.alpha4)
 
@@ -244,12 +250,6 @@ class NegSemidef(ConeBaseOracle):
     """Matrix constraint ``y`` negative semidefinite; base is the spectraplex."""
 
     family = "neg_semidef"
-
-    def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
-        if m < 1:
-            raise ValueError("matrix order must be >= 1")
-        self.m = int(m)
-        self.cert = SmoothingCert(0.0, 1.0, math.log(m) + alpha4, alpha4, 1.0)
 
     def _eigh(self, y):
         try:
@@ -286,11 +286,8 @@ class PCone(ConeBaseOracle):
 
     family = "p_cone"
 
-    def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
-        if m < 1:
-            raise ValueError("block dimension must be >= 1")
-        self.m = int(m)
-        self.cert = SmoothingCert(0.0, 1.0, 1.0 + alpha4, alpha4, math.sqrt(2.0))
+    def _certificate(self, alpha4: float) -> SmoothingCert:
+        return SmoothingCert(0.0, 1.0, 1.0 + alpha4, alpha4, math.sqrt(2.0))
 
     def prepare(self, y):
         return _PConePoint(_checked(y, (self.m + 1,)), self.cert.alpha4)

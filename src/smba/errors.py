@@ -11,7 +11,3 @@ class InfeasibleStartError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric procedure failed (bracketing cap, eigensolver, divergence)."""
-
-
-class OracleError(RuntimeError):
-    """A reference oracle could not produce a certificate (e.g. empty grid)."""

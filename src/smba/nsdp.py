@@ -55,6 +55,8 @@ class NsdpInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NsdpInstance":
+        if not isinstance(d, dict):
+            raise ValueError(f"problem file must hold a JSON object, got {d!r}")
         if d.get("family") != "nsdp":
             raise ValueError(f"unsupported problem family {d.get('family')!r}")
         n, m = int(d["n"]), int(d["m"])
@@ -65,6 +67,8 @@ class NsdpInstance:
         A = np.asarray(d["A"], dtype=float)
         if Q.shape != (n, n) or b.shape != (n,) or c.shape != (n,) or dd.shape != (n,):
             raise ValueError("inconsistent NSDP field shapes")
+        if not all(np.isfinite(v).all() for v in (Q, b, c, dd)):
+            raise ValueError("non-finite entries in NSDP fields Q, b, c or d")
         if A.shape != (n + 1, m, m):
             raise ValueError(f"expected {(n + 1, m, m)} constraint stack, got {A.shape}")
         return cls(n=n, m=m, seed=int(d.get("seed", -1)), Q=Q, b=b, c=c, d=dd, A=A,

@@ -46,8 +46,8 @@ class L1Regularizer:
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
-        if not (w >= 0).all():
-            raise ValueError("l1 weights must be nonnegative numbers")
+        if not ((w >= 0) & (w < math.inf)).all():
+            raise ValueError("l1 weights must be finite nonnegative numbers")
         self.weights = w
 
     def value(self, x):
@@ -82,25 +82,12 @@ class ZeroConcave:
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
-class LinearConcave:
-    """P2(x) = <v, x>."""
-
-    def __init__(self, v):
-        self.v = np.asarray(v, dtype=float)
-
-    def value(self, x):
-        return float(np.dot(self.v, x))
-
-    def subgradient(self, x):
-        return self.v.copy()
-
-
 class L1Concave:
     """P2(x) = weight * ||x||_1 with the tie at 0 broken toward 0."""
 
     def __init__(self, weight: float):
-        if not weight >= 0:
-            raise ValueError("weight must be a nonnegative number")
+        if not 0 <= weight < math.inf:
+            raise ValueError("weight must be a finite nonnegative number")
         self.weight = float(weight)
 
     def value(self, x):
@@ -136,16 +123,6 @@ class DCProblem:
             )
 
 
-def composite_value(prob: DCProblem, x, mu) -> float:
-    """Smoothed constraint value h_mu(G(x))."""
-    return prob.cone.msa_value(prob.g.value(x), mu)
-
-
-def composite_gradient(prob: DCProblem, x, mu) -> np.ndarray:
-    """Gradient of the smoothed constraint: DG(x)* applied to the kernel gradient."""
-    return prob.g.adjoint_apply(x, prob.cone.msa_gradient(prob.g.value(x), mu))
-
-
 def objective_value(prob: DCProblem, x) -> float:
     return prob.f.value(x) + prob.p1.value(x) - prob.p2.value(x)
 
@@ -153,15 +130,6 @@ def objective_value(prob: DCProblem, x) -> float:
 # ---------------------------------------------------------------------------
 # concrete instance families
 # ---------------------------------------------------------------------------
-
-
-def quadratic_objective(c) -> SmoothObjective:
-    """f(x) = 0.5 ||x - c||^2."""
-    c = np.asarray(c, dtype=float)
-    return SmoothObjective(
-        value=lambda x: 0.5 * float(np.dot(x - c, x - c)),
-        gradient=lambda x: np.asarray(x, dtype=float) - c,
-    )
 
 
 def poly_quartic_objective(Q, b, cubic, quartic) -> SmoothObjective:
@@ -258,53 +226,40 @@ def psd_affine_map(A) -> ConstraintMap:
     return ConstraintMap(value=value, adjoint_apply=adjoint_apply)
 
 
+def _toy_problem(c, l1_weight, g, cone, name) -> DCProblem:
+    """min 0.5||x - c||^2 + w||x||_1  s.t.  G(x) in K: the toy builders' shared body."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    return DCProblem(
+        f=SmoothObjective(
+            value=lambda x: 0.5 * float(np.dot(x - c, x - c)),
+            gradient=lambda x: np.asarray(x, dtype=float) - c,
+        ),
+        p1=L1Regularizer(np.full(n, float(l1_weight))) if l1_weight else ZeroRegularizer(),
+        p2=ZeroConcave(),
+        g=g,
+        cone=cone,
+        dim=n,
+        name=name,
+    )
+
+
 def box_problem(c, b, l1_weight=0.0, alpha4=DEFAULT_SHIFT) -> DCProblem:
     """min 0.5||x - c||^2 + w||x||_1  s.t.  x <= b (orthant family)."""
-    c = np.asarray(c, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = c.size
-    p1 = L1Regularizer(np.full(n, float(l1_weight))) if l1_weight else ZeroRegularizer()
-    return DCProblem(
-        f=quadratic_objective(c),
-        p1=p1,
-        p2=ZeroConcave(),
-        g=shift_map(b),
-        cone=NonposOrthant(n, alpha4=alpha4),
-        dim=n,
-        name="box",
-    )
+    cone = NonposOrthant(np.size(c), alpha4=alpha4)
+    return _toy_problem(c, l1_weight, shift_map(b), cone, "box")
 
 
 def norm_ball_problem(c, radius, l1_weight=0.0, alpha4=DEFAULT_SHIFT) -> DCProblem:
     """min 0.5||x - c||^2 + w||x||_1  s.t.  ||x|| <= radius (p-cone family)."""
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    p1 = L1Regularizer(np.full(n, float(l1_weight))) if l1_weight else ZeroRegularizer()
-    return DCProblem(
-        f=quadratic_objective(c),
-        p1=p1,
-        p2=ZeroConcave(),
-        g=pcone_lift_map(radius),
-        cone=PCone(n, alpha4=alpha4),
-        dim=n,
-        name="norm_ball",
-    )
+    cone = PCone(np.size(c), alpha4=alpha4)
+    return _toy_problem(c, l1_weight, pcone_lift_map(radius), cone, "norm_ball")
 
 
 def psd_affine_problem(c, A, l1_weight=0.0, alpha4=DEFAULT_SHIFT) -> DCProblem:
     """min 0.5||x - c||^2 + w||x||_1  s.t.  -A0 - sum x_i A_i negative semidefinite."""
-    c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
-    n = c.size
-    if A.shape[0] != n + 1:
+    if A.shape[0] != np.size(c) + 1:
         raise ValueError("need n + 1 constraint matrices")
-    p1 = L1Regularizer(np.full(n, float(l1_weight))) if l1_weight else ZeroRegularizer()
-    return DCProblem(
-        f=quadratic_objective(c),
-        p1=p1,
-        p2=ZeroConcave(),
-        g=psd_affine_map(A),
-        cone=NegSemidef(A.shape[1], alpha4=alpha4),
-        dim=n,
-        name="psd_affine",
-    )
+    cone = NegSemidef(A.shape[1], alpha4=alpha4)
+    return _toy_problem(c, l1_weight, psd_affine_map(A), cone, "psd_affine")

@@ -48,6 +48,16 @@ def check_numbers(obj, reals=(), integers=()):
                 raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
+def check_keys(cls, d, what):
+    """Raise ValueError unless ``d`` is a dict whose keys all name fields of
+    the dataclass ``cls``; ``what`` names the document in the message."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
 @dataclass(frozen=True)
 class ScheduleSpec:
     variant: str
@@ -89,9 +99,7 @@ class ScheduleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleSpec":
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown schedule keys: {', '.join(sorted(unknown))}")
+        check_keys(cls, d, "schedule")
         return cls(**d)
 
 

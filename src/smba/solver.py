@@ -37,7 +37,7 @@ from .ball_prox import build_ball, solve_ball_prox
 from .cones import MU_FLOOR, ConePoint
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem, objective_value
-from .schedules import ScheduleSpec, check_numbers, mu_at, ramped_log_schedule
+from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
 
 TRACE_COLUMNS = (
     "k", "psi", "g_mu", "sigma_B", "mu", "lambda", "Lf", "Lg",
@@ -82,18 +82,13 @@ class SolverConfig:
             raise ValueError("iteration caps are out of range")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["schedule"] = self.schedule.to_dict()
-        return d
+        return dataclasses.asdict(self)  # the schedule becomes a nested dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {', '.join(sorted(unknown))}")
-        d = dict(d)
-        if "schedule" in d and isinstance(d["schedule"], dict):
-            d["schedule"] = ScheduleSpec.from_dict(d["schedule"])
+        check_keys(cls, d, "solver config")
+        if isinstance(d.get("schedule"), dict):
+            d = {**d, "schedule": ScheduleSpec.from_dict(d["schedule"])}
         return cls(**d)
 
 

@@ -1,17 +1,28 @@
-"""Independent ground-truth generators used by the acceptance suite.
+"""References and builders that only the test suite uses.
 
-These deliberately avoid the solver's code paths: an analytic box solution,
-an exhaustive grid search over low-dimensional feasible sets, and the closed
-form projection onto a ball.
+The ground-truth generators deliberately avoid the solver's code paths: an
+analytic box solution, an exhaustive grid search over low-dimensional
+feasible sets, and the closed form projection onto a ball.  Beside them are
+the composite smoothed constraint, a linear concave term and the iterate
+state the linesearch starts from, written from the problem's public oracles,
+and a reader for the CLI's CSV traces.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import OracleError
+from smba.problems import DCProblem, objective_value
+from smba.solver import TRACE_COLUMNS, IterateState, TraceRow
+
+
+class OracleError(RuntimeError):
+    """A reference oracle could not produce a certificate (e.g. empty grid)."""
+
 
 _CHUNK = 1 << 18  # grid rows are evaluated in batches to bound memory
 
@@ -98,3 +109,54 @@ def exact_ball_projection(z, w, R) -> np.ndarray:
     if dist <= R:
         return z.copy()
     return w + (R / dist) * gap
+
+
+def composite_value(prob: DCProblem, x, mu) -> float:
+    """Smoothed constraint value h_mu(G(x))."""
+    return prob.cone.msa_value(prob.g.value(x), mu)
+
+
+def composite_gradient(prob: DCProblem, x, mu) -> np.ndarray:
+    """Gradient of the smoothed constraint: DG(x)* applied to the kernel gradient."""
+    return prob.g.adjoint_apply(x, prob.cone.msa_gradient(prob.g.value(x), mu))
+
+
+class LinearConcave:
+    """P2(x) = <v, x>."""
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=float)
+
+    def value(self, x):
+        return float(np.dot(self.v, x))
+
+    def subgradient(self, x):
+        return self.v.copy()
+
+
+def make_state(prob, x, mu, Lf0=1.0, Lg0=1.0, k=0):
+    x = np.asarray(x, dtype=float)
+    point = prob.cone.prepare(prob.g.value(x))
+    return IterateState(
+        x=x, k=k, mu=mu,
+        psi=objective_value(prob, x), gmu=point.value(mu),
+        grad_gmu=prob.g.adjoint_apply(x, point.gradient(mu)),
+        grad_f=prob.f.gradient(x),
+        xi=prob.p2.subgradient(x),
+        Lf0=Lf0, Lg0=Lg0,
+    )
+
+
+_COLUMN_TYPES = tuple(get_type_hints(TraceRow).values())  # int or float per column
+
+
+def read_trace(path):
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if tuple(header) != TRACE_COLUMNS:
+            raise ValueError(f"unexpected trace header in {path}")
+        for rec in reader:
+            rows.append(TraceRow._make(typ(float(v)) for typ, v in zip(_COLUMN_TYPES, rec)))
+    return rows

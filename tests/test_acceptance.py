@@ -17,13 +17,10 @@ import pytest
 from smba.ball_prox import BallConstraint, build_ball, solve_ball_prox
 from smba.cones import NegSemidef, NonposOrthant, PCone
 from smba.nsdp import generate_nsdp, nsdp_problem
-from smba.oracles import GridSpec, analytic_box_solution, exact_ball_projection, grid_bruteforce
 from smba.problems import (
     L1Regularizer,
     ZeroRegularizer,
     box_problem,
-    composite_gradient,
-    composite_value,
     norm_ball_problem,
     psd_affine_problem,
 )
@@ -37,7 +34,15 @@ from smba.schedules import (
     ramped_log_schedule,
 )
 from smba.solver import SolveStatus, SolverConfig, bb_init, inner_loop_step, run
-from test_solver import make_state
+from helpers import (
+    GridSpec,
+    analytic_box_solution,
+    composite_gradient,
+    composite_value,
+    exact_ball_projection,
+    grid_bruteforce,
+    make_state,
+)
 
 DESK_SEEDS = (1, 6, 10, 15, 16)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -18,9 +19,10 @@ from smba.ball_prox import (
 )
 from smba.errors import InfeasibleStartError, NumericError, UnsupportedFamilyError
 from smba.nsdp import generate_nsdp, nsdp_problem
-from smba.oracles import GridSpec, exact_ball_projection, grid_bruteforce
-from smba.problems import REGULARIZERS, L1Regularizer, ZeroRegularizer
+from smba.problems import REGULARIZERS, L1Concave, L1Regularizer, ZeroRegularizer, norm_ball_problem
 from smba.solver import SolverConfig, run
+
+from helpers import GridSpec, exact_ball_projection, grid_bruteforce
 
 
 def subproblem_objective(p1, x, x_k, q, L_f):
@@ -620,6 +622,24 @@ class TestSolveBallProx:
             at_zero += nu == 0.0
         assert at_zero > 30
 
+    @pytest.mark.parametrize("w, a, c, R, ball_radius, curvature", [
+        ([1.0, 1.0], [0.1, -0.2], [3.0, 4.0], 5.0, 5.000000000006, 1.0),
+        ([1.0], [0.5], [2.0], 2.0, 2.0000000000005, 100.0),
+    ], ids=["n2", "n1"])
+    def test_l1_multiplier_distance_plateau(self, w, a, c, R, ball_radius, curvature):
+        # every |a_i| < w_i, so x(nu) = 0 up to the first knot and its
+        # distance to c is exactly R there: the whole first piece is a root,
+        # and the smallest is 0
+        w, a, c = np.array(w), np.array(a), np.array(c)
+        nu = _l1_multiplier(w, a, c, 1.0, R)
+        assert nu == 0.0 and type(nu) is float
+        # a ball whose radius less the solver's margin is exactly R: x(0) is
+        # strictly inside it, so the multiplier is 0
+        ball = BallConstraint(center=c, radius=ball_radius, curvature=curvature)
+        res = solve_ball_prox(L1Regularizer(w), np.zeros(c.size), -a, 1.0, ball)
+        assert res.lam == 0.0
+        assert np.array_equal(res.x, np.zeros(c.size))
+
     @given(st.integers(1, 120), st.floats(-8.0, 1.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_l1_multiplier_sweep(self, n, log_ratio, seed):
@@ -699,14 +719,27 @@ class TestSolveBallProx:
             BallConstraint(center=np.zeros(2), radius=0.0, curvature=1.0)
 
 
-def test_solver_trace_bitwise_with_reference_subproblem(monkeypatch):
-    # a desk instance solved with solve_ball_prox and again with the
-    # reference: every trace column but elapsed_s keeps its bits
-    prob, cfg = nsdp_problem(generate_nsdp(20, 10, 1)), SolverConfig(eps=1e-7)
+def socp_dc_instance_1():
+    """The benchmark's ``socp-dc`` instance 1: a norm ball of half ``||c||``,
+    ``P1 = 0`` and ``P2 = 0.1 ||x||_1``."""
+    c = np.random.Generator(np.random.Philox(key=1)).standard_normal(200)
+    prob = norm_ball_problem(c, 0.5 * float(np.linalg.norm(c)))
+    return dataclasses.replace(prob, p2=L1Concave(0.1))
+
+
+@pytest.mark.parametrize("build, eps, min_rows", [
+    (lambda: nsdp_problem(generate_nsdp(20, 10, 1)), 1e-7, 300),
+    (socp_dc_instance_1, 1e-5, 20),
+], ids=["nsdp-desk", "socp-dc"])
+def test_solver_trace_bitwise_with_reference_subproblem(monkeypatch, build, eps, min_rows):
+    # an instance solved with solve_ball_prox and again with the reference:
+    # every trace column but elapsed_s keeps its bits.  The desk instance
+    # runs the l1 path, the socp-dc one the closed form for P1 = 0
+    prob, cfg = build(), SolverConfig(eps=eps)
     bits = lambda report: [tuple(repr(v) for v in row[:-1]) for row in report.trace]
-    fast = run(prob, cfg, np.zeros(20))
+    fast = run(prob, cfg, np.zeros(prob.dim))
     monkeypatch.setattr(smba.solver, "solve_ball_prox", reference_solve_ball_prox)
-    ref = run(prob, cfg, np.zeros(20))
-    assert len(ref.trace) > 300
+    ref = run(prob, cfg, np.zeros(prob.dim))
+    assert len(ref.trace) > min_rows
     assert bits(fast) == bits(ref)
     assert fast.x.tobytes() == ref.x.tobytes()

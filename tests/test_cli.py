@@ -1,13 +1,16 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from smba.cli import main, read_trace, write_trace
+from smba.cli import main, write_trace
 from smba.problems import box_problem
 from smba.schedules import power_schedule
 from smba.solver import SolverConfig, TRACE_COLUMNS, run
+
+from helpers import read_trace
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +143,45 @@ class TestGenSolve:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", "--problem", str(bad)]) == 1
+
+    @pytest.mark.parametrize("text", ["5", "[]"])
+    def test_non_object_problem_file_exit_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["solve", "--problem", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: problem file must hold a JSON object")
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1]"])
+    def test_non_object_config_file_exit_1(self, tmp_path, capsys, text):
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["solve", "--problem", str(inst_path), "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: solver config must be a JSON object")
+
+    @pytest.mark.parametrize("field, value", [
+        ("Q", math.nan), ("b", math.inf), ("c", -math.inf), ("d", math.nan),
+        ("l1_weight", math.inf),
+    ])
+    def test_non_finite_problem_file_exit_1(self, tmp_path, capsys, recwarn, field, value):
+        # rejected while loading, not left to end the solve as a numeric failure
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        doc = json.loads(inst_path.read_text())
+        if field == "Q":
+            doc["Q"][2][1] = value
+        elif field == "l1_weight":
+            doc["l1_weight"] = value
+        else:
+            doc[field][3] = value
+        inst_path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert main(["solve", "--problem", str(inst_path), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not report.exists()
 
     def test_gen_invalid_size_exit_1(self, tmp_path):
         assert main(["gen-nsdp", "--n", "0", "--m", "3", "--seed", "1",

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from smba.nsdp import NsdpInstance, generate_nsdp, load_instance, nsdp_problem, save_instance
-from smba.problems import composite_gradient, composite_value, objective_value
+from smba.problems import objective_value
 
 from conftest import directional_derivative
+from helpers import composite_gradient, composite_value
 
 
 class TestGeneration:

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smba.errors import OracleError
-from smba.oracles import GridSpec, analytic_box_solution, exact_ball_projection, grid_bruteforce
+from helpers import (
+    GridSpec,
+    OracleError,
+    analytic_box_solution,
+    exact_ball_projection,
+    grid_bruteforce,
+)
 
 
 class TestAnalyticBox:

@@ -15,12 +15,9 @@ from smba.problems import (
     DCProblem,
     L1Concave,
     L1Regularizer,
-    LinearConcave,
     ZeroConcave,
     ZeroRegularizer,
     box_problem,
-    composite_gradient,
-    composite_value,
     norm_ball_problem,
     objective_value,
     poly_quartic_objective,
@@ -31,6 +28,7 @@ from smba.problems import (
 from smba.solver import SolverConfig, run
 
 from conftest import directional_derivative
+from helpers import LinearConcave, composite_gradient, composite_value
 
 
 class TestRegularizers:
@@ -73,7 +71,7 @@ class TestRegularizers:
         with pytest.raises(ValueError):
             L1Regularizer([-0.1])
 
-    @pytest.mark.parametrize("weights", [[np.nan], [1.0, np.nan], [np.nan, -1.0]])
+    @pytest.mark.parametrize("weights", [[np.nan], [1.0, np.nan], [np.nan, -1.0], [1.0, np.inf]])
     def test_l1_nan_weight_rejected(self, weights):
         with pytest.raises(ValueError, match="nonnegative numbers"):
             L1Regularizer(weights)
@@ -94,7 +92,7 @@ class TestConcaveTerms:
                 g = p2.subgradient(x)
                 assert p2.value(z) >= p2.value(x) + float(np.dot(g, z - x)) - 1e-10
 
-    @pytest.mark.parametrize("weight", [np.nan, -0.5])
+    @pytest.mark.parametrize("weight", [np.nan, -0.5, np.inf])
     def test_l1_bad_weight_rejected(self, weight):
         with pytest.raises(ValueError, match="nonnegative number"):
             L1Concave(weight)

@@ -16,14 +16,12 @@ from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.problems import (
     L1Concave,
     box_problem,
-    composite_value,
     norm_ball_problem,
     objective_value,
     psd_affine_problem,
 )
 from smba.schedules import blockwise_schedule, mu_at, power_schedule, ramped_log_schedule
 from smba.solver import (
-    IterateState,
     SolveStatus,
     SolverConfig,
     bb_init,
@@ -32,21 +30,10 @@ from smba.solver import (
     run,
 )
 
+from helpers import composite_value, make_state
+
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def make_state(prob, x, mu, Lf0=1.0, Lg0=1.0, k=0):
-    x = np.asarray(x, dtype=float)
-    point = prob.cone.prepare(prob.g.value(x))
-    return IterateState(
-        x=x, k=k, mu=mu,
-        psi=objective_value(prob, x), gmu=point.value(mu),
-        grad_gmu=prob.g.adjoint_apply(x, point.gradient(mu)),
-        grad_f=prob.f.gradient(x),
-        xi=prob.p2.subgradient(x),
-        Lf0=Lf0, Lg0=Lg0,
-    )
 
 
 class TestFindInitialMu:
@@ -235,7 +222,7 @@ class TestRunToyProblems:
         # linear P2 shifts the quadratic center: argmin is min(c + v, b)
         import dataclasses
 
-        from smba.problems import LinearConcave
+        from helpers import LinearConcave
 
         base = box_problem(c=[0.5, -1.0], b=[1.0, 1.0])
         prob = dataclasses.replace(base, p2=LinearConcave([1.0, 0.5]))
