@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .cones import DEFAULT_SHIFT, NegSemidef
 from .problems import DCProblem, L1Regularizer, ZeroConcave, poly_quartic_objective, psd_affine_map
+from .schedules import check_numbers
 
 SPARSE_DENSITY = 0.2
 
@@ -59,7 +61,10 @@ class NsdpInstance:
             raise ValueError(f"problem file must hold a JSON object, got {d!r}")
         if d.get("family") != "nsdp":
             raise ValueError(f"unsupported problem family {d.get('family')!r}")
-        n, m = int(d["n"]), int(d["m"])
+        fields = SimpleNamespace(n=d["n"], m=d["m"], seed=d.get("seed", -1),
+                                 l1_weight=d.get("l1_weight", 1.0))
+        check_numbers(fields, reals=("l1_weight",), integers=("n", "m", "seed"))
+        n, m = int(fields.n), int(fields.m)
         Q = np.asarray(d["Q"], dtype=float)
         b = np.asarray(d["b"], dtype=float)
         c = np.asarray(d["c"], dtype=float)
@@ -71,8 +76,8 @@ class NsdpInstance:
             raise ValueError("non-finite entries in NSDP fields Q, b, c or d")
         if A.shape != (n + 1, m, m):
             raise ValueError(f"expected {(n + 1, m, m)} constraint stack, got {A.shape}")
-        return cls(n=n, m=m, seed=int(d.get("seed", -1)), Q=Q, b=b, c=c, d=dd, A=A,
-                   l1_weight=float(d.get("l1_weight", 1.0)))
+        return cls(n=n, m=m, seed=int(fields.seed), Q=Q, b=b, c=c, d=dd, A=A,
+                   l1_weight=float(fields.l1_weight))
 
 
 def _orthogonal(rng, k):

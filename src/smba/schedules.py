@@ -15,6 +15,11 @@ residuals vanish):
 ``r_j = 0.01 + min(1, j / ramp_len) * (rbar - 0.01)`` (and
 ``s_j = min(1, j / ramp_len) * sbar`` for the log factor).  A supplied mu0
 must not lie below the kernel's smoothing floor.
+
+Each value is ``mu0`` times factors that depend on the schedule's shape
+alone (every field but ``mu0``).  ``mu_at`` reads them from one table per
+process, built on first use for the last shape asked, so every run with that
+shape shares it whatever its ``mu0``.
 """
 
 from __future__ import annotations
@@ -124,51 +129,65 @@ def mu_values(spec: ScheduleSpec, ks) -> np.ndarray:
     ks = np.asarray(ks)
     if np.any(ks < 0):
         raise ValueError("iteration indices must be nonnegative")
+    a, b = _factors(spec, ks)
+    mu = spec.mu0 * a
+    return mu if b is None else mu * b
 
+
+def _factors(spec: ScheduleSpec, ks: np.ndarray):
+    """The mu0-free factors ``(a, b)`` of the schedule at indices ``ks``:
+    ``mu_values`` is ``mu0 * a``, or ``mu0 * a * b`` for ``ramped_log``
+    (``b`` is None otherwise), multiplied in that order."""
     if spec.variant == "power":
-        return spec.mu0 * (ks.astype(float) + 1.0) ** (-spec.r)
+        return (ks.astype(float) + 1.0) ** (-spec.r), None
 
     block = spec.n0 + 1
-    k1 = np.asarray(ks) % block
-    k2 = np.asarray(ks) // block
+    k1 = ks % block
+    k2 = ks // block
     kbar = k2 * block + spec.nu0 * k1
 
     if spec.variant == "blockwise":
-        return spec.mu0 * (kbar + 1.0) ** (-spec.rbar)
+        return (kbar + 1.0) ** (-spec.rbar), None
 
     # ramped_log: exponent rules are indexed by the fractional block index
     frac = np.minimum(1.0, kbar / spec.ramp_len)
     rk = 0.01 + frac * (spec.rbar - 0.01)
     sk = frac * spec.sbar
-    return spec.mu0 * (kbar + 1.0) ** (-rk) * np.log(kbar + 3.0) ** (-sk)
+    return (kbar + 1.0) ** (-rk), np.log(kbar + 3.0) ** (-sk)
 
 
-# mu_values over 0..size-1 for the last spec asked: a run asks about one
-# spec throughout, so one table, replaced by one twice as long when outgrown,
-# serves it; indices from _TABLE_MAX (a table of 8 MB) on are evaluated alone
+# _factors over 0..size-1 for the last shape asked, as one tuple (shape, a, b)
+# that a call reads once.  The shape is every field but mu0, so the runs of a
+# process share a table even though each makes its own spec; a table is
+# replaced by one twice as long when outgrown, and indices from _TABLE_MAX
+# (8 MB per factor) on are evaluated alone
 _TABLE_START = 1024
 _TABLE_MAX = 1 << 20
-_TABLE: Tuple[Optional[ScheduleSpec], np.ndarray] = (None, np.empty(0))
+_SHAPE_TABLE: Tuple[Optional[tuple], np.ndarray, Optional[np.ndarray]] = (None, np.empty(0), None)
 
 
 def mu_at(spec: ScheduleSpec, k: int) -> float:
     """Schedule value at iteration k; k = 0 returns mu0 for every variant.
 
-    Reads a memoized table of ``mu_values(spec, arange(size))``, the same
-    bits as evaluating index k alone.
+    Reads ``mu0 * a[k] (* b[k])`` from a memoized table of the schedule's
+    mu0-free factors, the same bits as evaluating index k alone.
     """
-    global _TABLE
+    global _SHAPE_TABLE
     k = int(k)
-    last, table = _TABLE
-    if spec is not last or not 0 <= k < table.size:
-        if not 0 <= k < _TABLE_MAX:
-            return float(mu_values(spec, np.asarray([k]))[0])
-        size = table.size if spec is last else _TABLE_START
+    mu0 = spec.mu0
+    if mu0 is None or not 0 <= k < _TABLE_MAX:
+        # evaluated alone; mu_values raises for a missing mu0 or a negative k
+        return float(mu_values(spec, np.asarray([k]))[0])
+    shape = (spec.variant, spec.r, spec.rbar, spec.sbar, spec.n0, spec.nu0, spec.ramp_len)
+    last, a, b = _SHAPE_TABLE
+    if shape != last or k >= a.size:
+        size = a.size if shape == last else _TABLE_START
         while size <= k:
             size *= 2
-        table = mu_values(spec, np.arange(size))
-        _TABLE = (spec, table)
-    return float(table[k])
+        a, b = _factors(spec, np.arange(size))
+        _SHAPE_TABLE = (shape, a, b)
+    mu = mu0 * a[k]
+    return float(mu if b is None else mu * b[k])
 
 
 def partial_sum(spec: ScheduleSpec, K: int) -> float:

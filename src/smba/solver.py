@@ -225,6 +225,20 @@ def _finite(name: str, value, k: int):
     return value
 
 
+def _check_x0(prob: DCProblem, x0) -> np.ndarray:
+    """``x0`` as a float vector; raises ValueError unless it is 1-D, of length
+    ``prob.dim`` and finite, before any oracle sees it."""
+    try:
+        x0 = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"x0 is not a vector of numbers: {exc}") from exc
+    if x0.shape != (prob.dim,):
+        raise ValueError(f"x0 must be a vector of length {prob.dim}, got shape {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 has non-finite entries")
+    return x0
+
+
 def _start_point(prob: DCProblem, x0) -> ConePoint:
     """The evaluated cone point of ``G(x0)``; raises unless x0 is strictly feasible."""
     point = prob.cone.prepare(prob.g.value(x0))
@@ -251,7 +265,7 @@ def find_initial_mu(prob: DCProblem, x0) -> float:
     The acceptance threshold is one tenth of the (negative) exact constraint
     value, so the starting smoothing error cannot wash out feasibility.
     """
-    return _initial_mu(_start_point(prob, np.asarray(x0, dtype=float)))
+    return _initial_mu(_start_point(prob, _check_x0(prob, x0)))
 
 
 def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
@@ -330,7 +344,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     """Execute the full method from a strictly feasible starting point; on every
     exit the report's point, objective, certificate and metrics are the last row's."""
     t0 = time.perf_counter()
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_x0(prob, x0)
 
     trace: List[TraceRow] = []
     x, psi, cert, term_step, term_slack = x0, objective_value(prob, x0), None, math.inf, math.inf

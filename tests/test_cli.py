@@ -183,6 +183,33 @@ class TestGenSolve:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not report.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", None), ("m", None), ("seed", None), ("l1_weight", None),
+        ("m", 2.7), ("seed", 2.7), ("n", 6.0), ("n", "6"), ("n", True), ("seed", False),
+        ("l1_weight", "0.5"), ("l1_weight", True),
+    ])
+    def test_mistyped_problem_field_exit_1(self, tmp_path, capsys, field, value):
+        # checked before int()/float(), which would raise TypeError or truncate
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        doc = json.loads(inst_path.read_text())
+        doc[field] = value
+        inst_path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert main(["solve", "--problem", str(inst_path), "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_integer_weight_and_missing_seed_accepted(self, tmp_path):
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        doc = json.loads(inst_path.read_text())
+        doc["l1_weight"] = 1
+        del doc["seed"]
+        inst_path.write_text(json.dumps(doc))
+        assert main(["solve", "--problem", str(inst_path), "--eps", "1e-4"]) == 0
+
     def test_gen_invalid_size_exit_1(self, tmp_path):
         assert main(["gen-nsdp", "--n", "0", "--m", "3", "--seed", "1",
                      "--out", str(tmp_path / "x.json")]) == 1

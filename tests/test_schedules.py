@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from smba import schedules
 from smba.cones import MU_FLOOR
+from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.schedules import (
     ScheduleSpec,
     blockwise_schedule,
@@ -17,6 +22,7 @@ from smba.schedules import (
     power_schedule,
     ramped_log_schedule,
 )
+from smba.solver import SolverConfig, run
 
 
 def sweep_specs(mu0=1.0):
@@ -104,10 +110,18 @@ def direct_mu(spec, k):
     return float(mu_values(spec, np.asarray([k]))[0])
 
 
+def shape_of(spec):
+    """The memo key of ``spec``: every field but mu0."""
+    return (spec.variant, spec.r, spec.rbar, spec.sbar, spec.n0, spec.nu0, spec.ramp_len)
+
+
+EMPTY_MEMO = (None, np.empty(0), None)
+
+
 class TestMuTable:
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(schedules, "_TABLE", (None, np.empty(0)))
+        monkeypatch.setattr(schedules, "_SHAPE_TABLE", EMPTY_MEMO)
 
     def test_bitwise_equal_to_direct_evaluation(self):
         for spec in one_spec_per_variant(0.45):
@@ -119,21 +133,84 @@ class TestMuTable:
         for spec in one_spec_per_variant(0.3):
             for k in (1023, 1024, 2047, 2048, 0, 4095, 4096, 1, 1023):
                 assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
-            last, table = schedules._TABLE
-            assert last is spec and table.dtype == np.float64 and table.size == 8192
+            last, a, b = schedules._SHAPE_TABLE
+            assert last == shape_of(spec) and a.dtype == np.float64 and a.size == 8192
+            if spec.variant == "ramped_log":
+                assert b.dtype == np.float64 and b.size == 8192
+            else:
+                assert b is None
 
     def test_alternating_specs(self):
-        # a spec is never read from another spec's table, equal or not
+        # specs of equal shape share a table whatever their mu0; a spec is
+        # never read from the table of another shape
         first, second = power_schedule(0.5, mu0=0.2), blockwise_schedule(0.9, mu0=0.2)
         for k in (5, 5, 2000, 7, 3000, 1):
             for spec in (first, second, power_schedule(0.5, mu0=0.2)):
                 assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
 
+    def test_interleaved_mu0_and_shapes(self):
+        # every read after the first lands on a table built for another mu0,
+        # and in the first sweep for another shape too
+        mu0s = (0.9, 0.45, 3.7, 1e-12)
+        ks = (0, 1, 300, 301, 1023, 1024, 5000, 2047, 7, 4096, 602)
+        for k in ks:
+            for mu0 in mu0s:
+                for spec in one_spec_per_variant(mu0):
+                    assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
+        for spec in one_spec_per_variant(1.0):
+            for k in ks:
+                for mu0 in mu0s:
+                    again = spec.with_mu0(mu0)
+                    assert mu_at(again, k) == direct_mu(again, k), (again, k)
+
     def test_index_past_table_cap_evaluated_alone(self):
         spec = power_schedule(0.5, mu0=1.0)
         k = 10 * schedules._TABLE_MAX
         assert mu_at(spec, k) == direct_mu(spec, k)
-        assert schedules._TABLE[0] is not spec
+        assert schedules._SHAPE_TABLE is EMPTY_MEMO
+
+    def test_back_to_back_runs_share_the_table(self, monkeypatch):
+        # two runs whose schedules differ only in mu0 give the same traces,
+        # bit for bit, as each run alone on an empty memo, and the second
+        # one builds no table
+        builds = []
+
+        def counted(spec, ks):
+            builds.append(len(ks))
+            return factors(spec, ks)
+
+        factors = schedules._factors
+        monkeypatch.setattr(schedules, "_factors", counted)
+        bits = lambda report: [tuple(repr(v) for v in row[:-1]) for row in report.trace]
+        cases = [(nsdp_problem(generate_nsdp(6, 4, seed)),
+                  SolverConfig(eps=1e-6, schedule=ramped_log_schedule(0.9, 3.0, mu0=mu0)))
+                 for seed, mu0 in ((1, 0.9), (4, 0.3))]
+
+        alone = []
+        for prob, cfg in cases:
+            monkeypatch.setattr(schedules, "_SHAPE_TABLE", EMPTY_MEMO)
+            alone.append(run(prob, cfg, np.zeros(6)))
+        monkeypatch.setattr(schedules, "_SHAPE_TABLE", EMPTY_MEMO)
+        del builds[:]
+        first = run(*cases[0], np.zeros(6))
+        assert builds == [schedules._TABLE_START]
+        second = run(*cases[1], np.zeros(6))
+        assert builds == [schedules._TABLE_START]
+
+        assert len(first.trace) > 10 and len(second.trace) > 10
+        assert bits(first) == bits(alone[0]) and bits(second) == bits(alone[1])
+
+
+def test_import_and_problem_build_leave_the_memo_empty():
+    # set-up (import, instance generation, problem build) evaluates no schedule
+    code = ("import smba\n"
+            "smba.nsdp_problem(smba.generate_nsdp(20, 10, 1))\n"
+            "shape, a, b = smba.schedules._SHAPE_TABLE\n"
+            "print(shape is None and a.size == 0 and b is None)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(schedules.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "True"
 
 
 class TestPartialSum:

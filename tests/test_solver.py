@@ -236,6 +236,23 @@ class TestRunToyProblems:
         with pytest.raises(InfeasibleStartError):
             run(prob, SolverConfig(), np.array([2.0, 0.0]))
 
+    @pytest.mark.parametrize("x0", [
+        np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.zeros((1, 2)), 0.0,
+        [0.0, math.nan], [math.inf, 0.0], ["a", 0.0], [[0.0], 0.0],
+    ], ids=["long", "short", "column", "row", "scalar", "nan", "inf", "text", "ragged"])
+    def test_bad_x0_rejected_before_any_oracle(self, x0):
+        def refuse(*args):
+            raise AssertionError("an oracle ran")
+
+        base = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
+        prob = dataclasses.replace(
+            base, f=dataclasses.replace(base.f, value=refuse, gradient=refuse),
+            g=dataclasses.replace(base.g, value=refuse, adjoint_apply=refuse))
+        with pytest.raises(ValueError, match="x0"):
+            run(prob, SolverConfig(), x0)
+        with pytest.raises(ValueError, match="x0"):
+            find_initial_mu(prob, x0)
+
     def test_supplied_mu0_skips_search(self):
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
         cfg = SolverConfig(eps=1e-6, max_outer=2000,
