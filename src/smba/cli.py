@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file {exc.filename}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

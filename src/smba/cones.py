@@ -83,19 +83,31 @@ class SmoothingCert:
     base_norm_bound: float
 
     def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha4 < 0:
-            raise ValueError("alpha1 and alpha4 must be nonnegative")
-        if self.alpha2 <= 0 or self.alpha3 <= 0 or self.base_norm_bound <= 0:
-            raise ValueError("alpha2, alpha3 and base_norm_bound must be positive")
+        # written as not (valid), so a NaN fails each test
+        if not (0.0 <= self.alpha1 < math.inf and 0.0 <= self.alpha3 < math.inf
+                and 0.0 <= self.alpha4 < math.inf):
+            raise ValueError("alpha1, alpha3 and alpha4 must be finite and nonnegative")
+        if not (0.0 < self.alpha2 < math.inf and 0.0 < self.base_norm_bound < math.inf):
+            raise ValueError("alpha2 and base_norm_bound must be finite and positive")
 
     def gradient_lipschitz(self, mu: float) -> float:
         return self.alpha1 + self.alpha2 / _checked_mu(mu)
 
 
-def _frobenius(y) -> float:
-    """``np.linalg.norm(y)`` for a real array: the same flattening and dot."""
-    flat = y.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+def symmetrized(y):
+    """A finite square matrix, or a stack of them, made exactly symmetric:
+    returned as it is when exactly symmetric, else as ``0.5 * (y + y')``, with
+    ``ValueError`` (naming the stack index) for a matrix whose asymmetry
+    ``||y - y'||_F`` exceeds ``SYMMETRY_TOL * (1 + ||y||_F)``."""
+    yt = np.swapaxes(y, -1, -2)
+    if (y == yt).all():
+        return y
+    skew = np.ravel(np.linalg.norm(y - yt, axis=(-2, -1)))
+    bad = (skew > SYMMETRY_TOL * (1.0 + np.ravel(np.linalg.norm(y, axis=(-2, -1))))).nonzero()[0]
+    if bad.size:
+        where = f" A[{bad[0]}]" if y.ndim == 3 else ""
+        raise ValueError(f"matrix{where} asymmetry {skew[bad[0]]:.3e} exceeds tolerance")
+    return 0.5 * (y + yt)
 
 
 def _checked(y, shape):
@@ -261,17 +273,11 @@ class NegSemidef(ConeBaseOracle):
         """Check ``y`` and decompose it once.
 
         An exactly symmetric ``y`` (such as ``G(x)`` from ``psd_affine_map``)
-        goes to ``eigh`` as it is: ``0.5 * (y + y')`` would return the same
-        bits.  Otherwise an asymmetry ``||y - y'||_F`` above
-        ``SYMMETRY_TOL * (1 + ||y||_F)`` raises ``ValueError``, and a smaller
-        one is symmetrized before the decomposition.
+        goes to ``eigh`` as it is; any other goes through ``symmetrized``.
         """
         y = _checked(y, (self.m, self.m))
         if not (y == y.T).all():
-            skew = _frobenius(y - y.T)
-            if skew > SYMMETRY_TOL * (1.0 + _frobenius(y)):
-                raise ValueError(f"matrix asymmetry {skew:.3e} exceeds tolerance")
-            y = 0.5 * (y + y.T)
+            y = symmetrized(y)
         vals, vecs = self._eigh(y)
         return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
 

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cones import DEFAULT_SHIFT, NegSemidef
+from .cones import NegSemidef
 from .problems import DCProblem, L1Regularizer, ZeroConcave, poly_quartic_objective, psd_affine_map
 from .schedules import check_numbers
 
@@ -98,7 +98,7 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def generate_nsdp(n: int, m: int, seed: int, l1_weight: float = 1.0) -> NsdpInstance:
+def generate_nsdp(n: int, m: int, seed: int) -> NsdpInstance:
     """Deterministic random instance; draw order is part of the contract."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -123,23 +123,22 @@ def generate_nsdp(n: int, m: int, seed: int, l1_weight: float = 1.0) -> NsdpInst
     a_support = (a != 0.0).astype(float)
     b = U @ (a_support * b_bar)
 
-    return NsdpInstance(n=n, m=m, seed=int(seed), Q=Q, b=b, c=c, d=d, A=A,
-                        l1_weight=float(l1_weight))
+    return NsdpInstance(n=n, m=m, seed=int(seed), Q=Q, b=b, c=c, d=d, A=A)
 
 
-def nsdp_problem(inst: NsdpInstance, alpha4: float = DEFAULT_SHIFT) -> DCProblem:
+def nsdp_problem(inst: NsdpInstance) -> DCProblem:
     """First-order oracles of the instance; the adjoint of the constraint map
     is n trace inner products with the A_i.
 
-    Every A_i must be symmetric (``psd_affine_map`` rejects a stack that is
-    not, within the cone's ``SYMMETRY_TOL``); the map stores the upper
-    triangles once and keeps no reference to ``inst.A``."""
+    The constraint map is ``psd_affine_map(inst.A)``, so the stack passes
+    ``smba.cones.symmetrized``; the map stores the upper triangles once and
+    keeps no reference to ``inst.A``."""
     return DCProblem(
         f=poly_quartic_objective(inst.Q, inst.b, inst.c, inst.d),
         p1=L1Regularizer(np.full(inst.n, inst.l1_weight)),
         p2=ZeroConcave(),
         g=psd_affine_map(inst.A),
-        cone=NegSemidef(inst.m, alpha4=alpha4),
+        cone=NegSemidef(inst.m),
         dim=inst.n,
         name=f"nsdp(n={inst.n},m={inst.m},seed={inst.seed})",
     )

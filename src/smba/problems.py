@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import SYMMETRY_TOL, ConeBaseOracle, DEFAULT_SHIFT, NegSemidef, NonposOrthant, PCone
+from .cones import ConeBaseOracle, NegSemidef, NonposOrthant, PCone, symmetrized
 from .errors import UnsupportedFamilyError
 
 
@@ -183,9 +183,9 @@ def pcone_lift_map(t: float) -> ConstraintMap:
 def psd_affine_map(A) -> ConstraintMap:
     """G(x) = -A[0] - sum_i x_i A[i+1] into the symmetric matrices.
 
-    Every ``A[i]`` must be symmetric: one whose asymmetry exceeds the cone's
-    ``SYMMETRY_TOL`` (measured as in ``NegSemidef.prepare``) is rejected, and
-    one within it is symmetrized.  The map stores the upper triangles once, as
+    The stack goes through ``smba.cones.symmetrized``: an exactly symmetric
+    one is kept as it is, one within ``SYMMETRY_TOL`` is symmetrized, and
+    another raises ``ValueError``.  The map stores the upper triangles once, as
     one contiguous ``(n, m(m+1)/2)`` array, and keeps no reference to ``A``.
     ``G(x)`` is gathered from its triangle, so it is exactly symmetric.  The
     adjoint, the vector of trace inner products ``-<A_i, u>``, folds
@@ -197,15 +197,9 @@ def psd_affine_map(A) -> ConstraintMap:
         raise ValueError("expected a stack of square matrices")
     if not np.isfinite(A).all():
         raise ValueError("non-finite entries in constraint matrices")
-    skew = np.linalg.norm(A - A.transpose(0, 2, 1), axis=(1, 2))
-    bad = (skew > SYMMETRY_TOL * (1.0 + np.linalg.norm(A, axis=(1, 2)))).nonzero()[0]
-    if bad.size:
-        raise ValueError(f"constraint matrix A[{bad[0]}] asymmetry {skew[bad[0]]:.3e} "
-                         "exceeds tolerance")
     m = A.shape[1]
     rows, cols = np.triu_indices(m)
-    # upper triangles, symmetrized (a symmetric matrix keeps its bits)
-    tri = 0.5 * (A[:, rows, cols] + A[:, cols, rows])
+    tri = symmetrized(A)[:, rows, cols]
     neg_t0, At = -tri[0], tri[1:]
     # where each matrix entry sits in the triangle; where each triangle entry
     # and its mirror sit in a flattened matrix; the fold's weights, negated,
@@ -226,7 +220,7 @@ def psd_affine_map(A) -> ConstraintMap:
     return ConstraintMap(value=value, adjoint_apply=adjoint_apply)
 
 
-def _toy_problem(c, l1_weight, g, cone, name) -> DCProblem:
+def _toy_problem(c, g, cone, name, l1_weight=0.0) -> DCProblem:
     """min 0.5||x - c||^2 + w||x||_1  s.t.  G(x) in K: the toy builders' shared body."""
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -244,22 +238,19 @@ def _toy_problem(c, l1_weight, g, cone, name) -> DCProblem:
     )
 
 
-def box_problem(c, b, l1_weight=0.0, alpha4=DEFAULT_SHIFT) -> DCProblem:
+def box_problem(c, b, l1_weight=0.0) -> DCProblem:
     """min 0.5||x - c||^2 + w||x||_1  s.t.  x <= b (orthant family)."""
-    cone = NonposOrthant(np.size(c), alpha4=alpha4)
-    return _toy_problem(c, l1_weight, shift_map(b), cone, "box")
+    return _toy_problem(c, shift_map(b), NonposOrthant(np.size(c)), "box", l1_weight)
 
 
-def norm_ball_problem(c, radius, l1_weight=0.0, alpha4=DEFAULT_SHIFT) -> DCProblem:
-    """min 0.5||x - c||^2 + w||x||_1  s.t.  ||x|| <= radius (p-cone family)."""
-    cone = PCone(np.size(c), alpha4=alpha4)
-    return _toy_problem(c, l1_weight, pcone_lift_map(radius), cone, "norm_ball")
+def norm_ball_problem(c, radius) -> DCProblem:
+    """min 0.5||x - c||^2  s.t.  ||x|| <= radius (p-cone family)."""
+    return _toy_problem(c, pcone_lift_map(radius), PCone(np.size(c)), "norm_ball")
 
 
-def psd_affine_problem(c, A, l1_weight=0.0, alpha4=DEFAULT_SHIFT) -> DCProblem:
-    """min 0.5||x - c||^2 + w||x||_1  s.t.  -A0 - sum x_i A_i negative semidefinite."""
+def psd_affine_problem(c, A) -> DCProblem:
+    """min 0.5||x - c||^2  s.t.  -A0 - sum x_i A_i negative semidefinite."""
     A = np.asarray(A, dtype=float)
     if A.shape[0] != np.size(c) + 1:
         raise ValueError("need n + 1 constraint matrices")
-    cone = NegSemidef(A.shape[1], alpha4=alpha4)
-    return _toy_problem(c, l1_weight, psd_affine_map(A), cone, "psd_affine")
+    return _toy_problem(c, psd_affine_map(A), NegSemidef(A.shape[1]), "psd_affine")

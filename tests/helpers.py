@@ -2,7 +2,8 @@
 
 The ground-truth generators deliberately avoid the solver's code paths: an
 analytic box solution, an exhaustive grid search over low-dimensional
-feasible sets, and the closed form projection onto a ball.  Beside them are
+feasible sets, the closed form projection onto a ball, and the closed-form
+optimum of the norm-ball problem with a concave l1 term.  Beside them are
 the composite smoothed constraint, a linear concave term and the iterate
 state the linesearch starts from, written from the problem's public oracles,
 and a reader for the CLI's CSV traces.
@@ -11,6 +12,7 @@ and a reader for the CLI's CSV traces.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -109,6 +111,21 @@ def exact_ball_projection(z, w, R) -> np.ndarray:
     if dist <= R:
         return z.copy()
     return w + (R / dist) * gap
+
+
+def socp_dc_optimum(c, R, w) -> np.ndarray:
+    """Minimizer of ``0.5||x - c||^2 - w||x||_1`` over ``||x|| <= R``.
+
+    With ``-w||x||_1 = min_s -w s.x`` over sign vectors ``s``, each ``s`` is a
+    projection of ``c + w s`` onto the ball, whose value decreases in
+    ``t = s.c`` as long as every ``||c + w s||`` exceeds ``R``; that holds
+    when ``||c|| - w sqrt(n) > R``, and then ``s = sign(c)`` is optimal, so
+    ``x* = R (c + w sign c) / ||c + w sign c||``.
+    """
+    c = np.asarray(c, dtype=float)
+    assert np.linalg.norm(c) - w * math.sqrt(c.size) > R, "closed form needs ||c|| - w sqrt(n) > R"
+    z = c + w * np.copysign(1.0, c)
+    return R * z / np.linalg.norm(z)
 
 
 def composite_value(prob: DCProblem, x, mu) -> float:

@@ -139,6 +139,22 @@ class TestGenSolve:
         err = capsys.readouterr().err
         assert "nope.json" in err
 
+    def test_gen_out_directory_exit_1(self, tmp_path, capsys):
+        code = main(["gen-nsdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--problem", "--trace"])
+    def test_solve_directory_path_exit_1(self, tmp_path, capsys, flag):
+        inst_path = tmp_path / "p.json"
+        main(["gen-nsdp", "--n", "3", "--m", "2", "--seed", "0", "--out", str(inst_path)])
+        capsys.readouterr()
+        paths = {"--problem": str(inst_path), flag: str(tmp_path)}
+        code = main(["solve", "--eps", "1e-3", *(item for pair in paths.items() for item in pair)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_problem_file_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -333,6 +349,14 @@ class TestBench:
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert sorted(int(r["seed"]) for r in rows) == [2, 4]
+
+    def test_out_existing_file_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["bench", "--n", "3", "--m", "2", "--seeds", "0", "--rbar", "0.9",
+                     "--sbar", "0", "--eps", "1e-3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("flag, text", [("--seeds", "5..1"), ("--seeds", ""),
                                             ("--seeds", ","), ("--rbar", ""),

@@ -252,6 +252,18 @@ class TestCertificates:
         with pytest.raises(ValueError):
             SmoothingCert(-1.0, 1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("family", [NonposOrthant, NegSemidef, PCone])
+    @pytest.mark.parametrize("alpha4", [math.nan, math.inf, -1.0])
+    def test_invalid_shift_rejected(self, family, alpha4):
+        with pytest.raises(ValueError, match="alpha4"):
+            family(3, alpha4=alpha4)
+
+    def test_one_value_log_sum_exp_without_shift(self):
+        # log-sum-exp over one value is exact: gap slope log(1) + 0 = 0
+        cert = NonposOrthant(1, alpha4=0.0).cert
+        assert cert.alpha3 == 0.0
+        assert NegSemidef(1, alpha4=0.0).cert.alpha3 == 0.0
+
 
 class TestPreparedPoint:
     MUS = (2.0, 0.3, 1e-3, 1e-9, MU_FLOOR)

@@ -9,6 +9,7 @@ from helpers import (
     analytic_box_solution,
     exact_ball_projection,
     grid_bruteforce,
+    socp_dc_optimum,
 )
 
 
@@ -54,6 +55,37 @@ class TestExactBallProjection:
         w = np.zeros_like(z)
         p = exact_ball_projection(z, w, R)
         assert float(np.linalg.norm(p - w)) <= R * (1 + 1e-12)
+
+
+class TestSocpDcOptimum:
+    W = 0.1
+
+    @staticmethod
+    def objective(x, c, w):
+        return 0.5 * ((x - c) ** 2).sum(axis=-1) - w * np.abs(x).sum(axis=-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_beats_dense_random_search(self, rng, n):
+        # samples fill the ball and its sphere, where the optimum lies
+        for _ in range(5):
+            c = rng.normal(0.0, 1.0, n)
+            c *= (1.0 + 2.0 * self.W * np.sqrt(n)) / np.linalg.norm(c)
+            R = 0.5 * float(np.linalg.norm(c))
+            x_star = socp_dc_optimum(c, R, self.W)
+            assert np.linalg.norm(x_star) <= R * (1.0 + 1e-15)
+            dirs = rng.normal(0.0, 1.0, (200_000, n))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            radii = R * rng.random((200_000, 1)) ** (1.0 / n)
+            samples = np.concatenate([dirs * radii, dirs * R])
+            best = self.objective(samples, c, self.W).min()
+            value = self.objective(x_star, c, self.W)
+            assert value <= best + 1e-12 * max(1.0, abs(value))
+            assert best - value <= 1e-2 * max(1.0, abs(value))
+
+    def test_precondition_asserted(self):
+        # ||c|| - w sqrt(n) = 1 - 0.2 is not above R = 0.9
+        with pytest.raises(AssertionError, match="closed form"):
+            socp_dc_optimum([0.6, 0.8, 0.0, 0.0], 0.9, self.W)
 
 
 class TestGridBruteforce:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smba.cones import NonposOrthant
+from smba.cones import NegSemidef, NonposOrthant
 from smba.errors import UnsupportedFamilyError
 from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.problems import (
@@ -133,13 +133,15 @@ class TestObjectives:
 
 class TestCompositeSmoothing:
     def test_orthant_composite_value_at_boundary(self):
-        prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0], alpha4=0.0)
+        prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[1.0, 1.0]),
+                                   cone=NonposOrthant(2, alpha4=0.0))
         assert composite_value(prob, np.array([1.0, 1.0]), 1.0) == pytest.approx(
             np.log(2.0), abs=1e-14
         )
 
     def test_orthant_composite_value_interior(self):
-        prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0], alpha4=0.0)
+        prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[1.0, 1.0]),
+                                   cone=NonposOrthant(2, alpha4=0.0))
         val = composite_value(prob, np.array([0.0, 0.0]), 0.1)
         assert val == pytest.approx(-1.0 + 0.1 * np.log(2.0), abs=1e-12)
 
@@ -147,7 +149,7 @@ class TestCompositeSmoothing:
         # constant map G(x) = -diag(2, 3): kernel evaluated at the matrix itself
         A = np.zeros((2, 2, 2))
         A[0] = np.diag([2.0, 3.0])
-        prob = psd_affine_problem(c=[0.0], A=A, alpha4=0.0)
+        prob = dataclasses.replace(psd_affine_problem(c=[0.0], A=A), cone=NegSemidef(2, alpha4=0.0))
         val = composite_value(prob, np.array([0.0]), 1.0)
         assert val == pytest.approx(np.log(np.exp(-2.0) + np.exp(-3.0)), abs=1e-12)
 

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from smba.solver import (
     run,
 )
 
-from helpers import composite_value, make_state
+from helpers import composite_value, make_state, socp_dc_optimum
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,11 +40,13 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 class TestFindInitialMu:
     def test_hand_derived_orthant(self):
         # constraint value -1 at x0; condition -1 + mu log 2 <= -0.1 holds at 0.9
-        prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0], alpha4=0.0)
+        prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[1.0, 1.0]),
+                                   cone=cones.NonposOrthant(2, alpha4=0.0))
         assert find_initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
 
     def test_deep_interior_accepts_immediately(self):
-        prob = box_problem(c=[0.0, 0.0], b=[10.0, 10.0], alpha4=0.0)
+        prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[10.0, 10.0]),
+                                   cone=cones.NonposOrthant(2, alpha4=0.0))
         assert find_initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
 
     def test_boundary_start_rejected(self):
@@ -197,6 +200,32 @@ class TestRunToyProblems:
         assert report.status is SolveStatus.CONVERGED
         assert float(np.linalg.norm(report.x - c / np.linalg.norm(c))) <= 1e-4
 
+    def test_socp_dc_panel_ends_near_closed_form(self, monkeypatch):
+        # the benchmark's socp-dc instances at benchmark seeds 0-23: each run
+        # ends feasible, not below the closed-form optimum beyond rounding,
+        # and at most 1.5e-5 above it (relative).  The worst gaps measured
+        # are 1.003e-5 (seed 4, instance 2) and 9.41e-6 (seed 10, instance
+        # 1), both stopped after 21 steps; the other 46 runs read 4.1e-7 to
+        # 4.5e-7.
+        spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        wl = workloads.WORKLOADS["socp-dc"]
+        for seed in range(24):
+            for s in wl.instance_seeds:
+                c = wl.generate(s)
+                if seed:
+                    c = wl.transform(c, workloads.transform_rng(seed, s))
+                R = workloads.SOCP_RADIUS_SHARE * float(np.linalg.norm(c))
+                prob = wl.build(c)
+                ref = objective_value(prob, socp_dc_optimum(c, R, workloads.SOCP_P2_WEIGHT))
+                report = run(prob, SolverConfig(eps=wl.eps), np.zeros(c.size))
+                assert report.status is SolveStatus.CONVERGED
+                assert np.linalg.norm(report.x) < R
+                gap = (report.objective - ref) / max(1.0, abs(ref))
+                assert -1e-12 <= gap <= 1.5e-5, (seed, s, gap)
+
     def test_psd_toy(self, rng):
         prob = psd_toy_problem()
         cfg = SolverConfig(eps=1e-7, max_outer=2000, schedule=power_schedule(0.9))
@@ -262,7 +291,8 @@ class TestRunToyProblems:
         assert report.status is SolveStatus.CONVERGED
 
     def test_supplied_mu0_too_large_rejected(self):
-        prob = box_problem(c=[2.0, -1.0], b=[0.1, 0.1], alpha4=0.0)
+        prob = dataclasses.replace(box_problem(c=[2.0, -1.0], b=[0.1, 0.1]),
+                                   cone=cones.NonposOrthant(2, alpha4=0.0))
         # smoothing gap log(2) * mu exceeds the margin 0.1 at mu = 1
         with pytest.raises(InfeasibleStartError):
             run(prob, SolverConfig(schedule=power_schedule(0.9, mu0=1.0)), np.zeros(2))
