@@ -3,12 +3,26 @@
 Each iteration majorizes the smoothed constraint at the current strictly
 feasible iterate, solves one ball-constrained prox subproblem, and accepts
 the trial point once it achieves a sufficient decrease and is feasible for
-the smoothed constraint; the two quadratic weights are found by doubling from
-warm starts.  The descent test comes first, so the constraint map and the
-cone decomposition are paid for only by trials that pass it.  The smoothing
-parameter then follows a prescheduled decreasing sequence, and the additive
-shift of the smoothing family guarantees the next iterate stays strictly
-feasible at the smaller parameter.
+the smoothed constraint.  The two quadratic weights ``Lf = 2^a Lf0`` and
+``Lg = 2^b Lg0`` are searched on doubling grids above warm starts.  The
+descent test comes first, so the constraint map and the cone decomposition
+are paid for only by trials that pass it.  The smoothing parameter then
+follows a prescheduled decreasing sequence, and the additive shift of the
+smoothing family guarantees the next iterate stays strictly feasible at the
+smaller parameter.
+
+A trial that fails the descent test has measured the curvature of ``f``
+along its own step, ``curv = f(x+) - f(x_k) - <grad f(x_k), dx>``, with no
+extra oracle call.  Its secant ``2 curv / ||dx||^2`` is at most the Lipschitz
+constant of ``grad f``, so ``a`` jumps to the largest grid point not above the
+secant, and at least by one (the interpolation step of Nocedal and Wright,
+*Numerical Optimization*, section 3.5, kept on the grid).  A curvature within
+``SECANT_GUARD`` of the rounding of ``f`` is noise and raises ``a`` by one.
+``b`` rises by as much as ``a``; a feasibility failure raises ``b`` alone, by
+one.  A jump never passes the Lipschitz constant, so the accepted ``Lf``
+keeps the bound plain doubling gives: below twice that constant, or the
+warm start.  The trace's ``i_k`` counts the trials that failed the
+descent test and ``j_k + 1`` all trials; ``max_inner_j`` caps ``j_k``.
 
 The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
 blocks of ``n0 + 1`` indices, while the stop test can only pass once the
@@ -36,7 +50,7 @@ from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
 from .cones import MU_FLOOR, ConePoint
 from .errors import InfeasibleStartError, NumericError
-from .problems import DCProblem, objective_value
+from .problems import DCProblem
 from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
 
 TRACE_COLUMNS = (
@@ -46,6 +60,7 @@ TRACE_COLUMNS = (
 
 DIVERGENCE_NORM = 1e8
 DESCENT_SLACK = 1e-12
+SECANT_GUARD = 1e-12  # curvature below this share of |f(x+)| + |f(x_k)| is rounding
 FEASIBILITY_SLACK = 1e-10
 
 
@@ -99,6 +114,7 @@ class IterateState:
     x: np.ndarray
     k: int
     mu: float
+    f: float
     psi: float
     gmu: float
     grad_gmu: np.ndarray
@@ -137,9 +153,12 @@ class SolveReport:
     and ``term_slack`` belong to the last trace row on every exit; with no
     rows they are x0, its objective, None and inf.  ``mu0`` is NaN when the
     initial smoothing search reached the floor.  ``advances`` counts the steps
-    after which the schedule jumped to the next block.  ``capped`` holds
-    ``(i, j)`` of a step that ran out of doublings and has no row: ``i`` of
-    its ``j`` trials failed the descent test."""
+    after which the schedule jumped to the next block.  A row's ``i_k`` counts
+    the trials that failed the descent test and ``j_k + 1`` all its trials;
+    ``Lf`` and ``Lg`` are the accepted trial's weights, which a curvature jump
+    can lift by more than one doubling per trial (see ``inner_loop_step``).
+    ``capped`` holds ``(i, j)`` of a step that ran out of trials and has no
+    row: ``i`` of its ``j`` trials failed the descent test."""
 
     status: SolveStatus
     iterations: int
@@ -189,8 +208,8 @@ class SolveReport:
 
 
 class InnerCapError(NumericError):
-    """The feasibility/descent loop exhausted its doubling budget: ``i`` of
-    its ``j`` trials failed the descent test."""
+    """The feasibility/descent loop exhausted its trial budget: ``i`` of its
+    ``j`` trials failed the descent test."""
 
     def __init__(self, mu, Lg, g_mu, i, j):
         self.mu = mu
@@ -204,7 +223,7 @@ class InnerCapError(NumericError):
 
 
 class InnerResult(NamedTuple):
-    """The accepted trial, with ``y = G(x)`` and its evaluated cone point."""
+    """The accepted trial, with ``f(x)``, ``y = G(x)`` and its evaluated cone point."""
 
     x: np.ndarray
     lam: float
@@ -213,6 +232,7 @@ class InnerResult(NamedTuple):
     i: int
     j: int
     gmu: float
+    f: float
     psi: float
     y: np.ndarray
     point: ConePoint
@@ -297,28 +317,46 @@ def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
     return Lf0, Lg0
 
 
+def _grid_exponent(value: float, base: float) -> int:
+    """The largest ``e`` with ``base * 2^e <= value``, for positive finite
+    ``value`` and ``base``; exact, with no logarithm and no overflow."""
+    mv, ev = math.frexp(value)
+    mb, eb = math.frexp(base)
+    return ev - eb - (mv < mb)
+
+
 def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> InnerResult:
-    """Doubling search over (i, j) for a trial that decreases the objective
+    """Search the doubling grids for a trial that decreases the objective
     enough and is feasible for the smoothed constraint.
 
     The cheap descent test runs first, so only a trial that passes it pays
-    for ``G(x)``, the cone decomposition and the smoothed value.  Descent
-    failures raise both weights, feasibility failures only the constraint
-    weight, so i <= j throughout.  A non-finite objective is tested for
-    feasibility too: an infeasible trial is rejected as a feasibility
-    failure, a feasible one raises NumericError.
+    for ``G(x)``, the cone decomposition and the smoothed value.  A descent
+    failure raises the objective exponent ``a`` to the largest grid point not
+    above its secant curvature ``2 (f(x+) - f(x_k) - <grad f(x_k), dx>) /
+    ||dx||^2``, and at least by one; by one when that curvature is within
+    ``SECANT_GUARD`` of the rounding of ``f``.  The constraint exponent ``b``
+    rises by as much.  A feasibility failure raises ``b`` alone, by one.  ``i``
+    counts the descent failures and ``j + 1`` the trials, so i <= j, and a
+    step whose ``j`` passes ``max_inner_j`` raises InnerCapError.  A weight
+    past the float range raises NumericError.  A non-finite objective is
+    tested for feasibility too: an infeasible trial is rejected as a
+    feasibility failure, a feasible one raises NumericError.
     """
     q = state.grad_f - state.xi
-    i = j = 0
+    i = j = a = b = 0
     gmu_cand = math.nan
     while True:
-        Lf = (2.0**i) * state.Lf0
-        Lg = (2.0**j) * state.Lg0
+        try:
+            Lf, Lg = math.ldexp(state.Lf0, a), math.ldexp(state.Lg0, b)
+        except OverflowError:
+            raise NumericError("linesearch weight overflowed") from None
         ball = build_ball(state.x, state.grad_gmu, state.gmu, Lg, state.mu)
         sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
         dx = sub.x - state.x
         step2 = float(dx.dot(dx))
-        psi_cand = objective_value(prob, sub.x)
+        # objective_value's sum, in its order, with f kept for the secant
+        f_cand = prob.f.value(sub.x)
+        psi_cand = f_cand + prob.p1.value(sub.x) - prob.p2.value(sub.x)
         decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
         finite = math.isfinite(psi_cand)
         if psi_cand <= state.psi - decrease or not finite:
@@ -332,9 +370,18 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
                 if not finite:
                     raise NumericError("objective value is not finite at a trial point")
                 return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
-                                   gmu=gmu_cand, psi=psi_cand, y=y, point=point)
+                                   gmu=gmu_cand, f=f_cand, psi=psi_cand, y=y, point=point)
+            b += 1
         else:
             i += 1
+            rise = 1
+            curv = f_cand - state.f - float(state.grad_f.dot(dx))
+            if step2 > 0.0 and curv > SECANT_GUARD * (abs(f_cand) + abs(state.f)):
+                secant = 2.0 * curv / step2
+                if secant < math.inf:
+                    rise = max(1, _grid_exponent(secant, state.Lf0) - a)
+            a += rise
+            b += rise
         j += 1
         if j > cfg.max_inner_j:
             raise InnerCapError(state.mu, Lg, gmu_cand, i, j)
@@ -347,7 +394,9 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     x0 = _check_x0(prob, x0)
 
     trace: List[TraceRow] = []
-    x, psi, cert, term_step, term_slack = x0, objective_value(prob, x0), None, math.inf, math.inf
+    f0 = prob.f.value(x0)
+    x, psi, cert, term_step, term_slack = (
+        x0, f0 + prob.p1.value(x0) - prob.p2.value(x0), None, math.inf, math.inf)
     status, reason, mu0 = SolveStatus.MAX_OUTER, "", math.nan
     advances, capped = 0, (0, 0)
 
@@ -369,7 +418,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         # a user oracle returning NaN or inf ends the run where its output is
         # made, before it reaches the subproblem or the cone kernel
         state = IterateState(
-            x=x0, k=0, mu=mu0,
+            x=x0, k=0, mu=mu0, f=f0,
             psi=_finite("objective value", psi, 0), gmu=gmu0,
             grad_f=_finite("f gradient", prob.f.gradient(x0), 0),
             grad_gmu=_finite("constraint adjoint",
@@ -439,6 +488,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             state.grad_gmu_prev = state.grad_gmu
             state.x = x_next
             state.mu = mu_next
+            state.f = inner.f
             state.psi = inner.psi
             state.gmu = gmu_next
             state.grad_gmu = _finite("constraint adjoint",

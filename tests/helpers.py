@@ -2,11 +2,12 @@
 
 The ground-truth generators deliberately avoid the solver's code paths: an
 analytic box solution, an exhaustive grid search over low-dimensional
-feasible sets, the closed form projection onto a ball, and the closed-form
-optimum of the norm-ball problem with a concave l1 term.  Beside them are
-the composite smoothed constraint, a linear concave term and the iterate
-state the linesearch starts from, written from the problem's public oracles,
-and a reader for the CLI's CSV traces.
+feasible sets, the closed form projection onto a ball, the closed-form
+optimum of the norm-ball problem with a concave l1 term, and a Lagrangian
+lower bound for convex NSDP.  Beside them are the composite smoothed
+constraint, a linear concave term and the iterate state the linesearch
+starts from, written from the problem's public oracles, and a reader for
+the CLI's CSV traces.
 """
 
 from __future__ import annotations
@@ -128,6 +129,42 @@ def socp_dc_optimum(c, R, w) -> np.ndarray:
     return R * z / np.linalg.norm(z)
 
 
+def nsdp_dual_bound(prob: DCProblem, v, max_iter=20000, tol=1e-10) -> float:
+    """Lagrangian lower bound ``<v, G(0)> + min_x [f + P1 + x . adj(v)]`` on
+    the optimum of a convex problem with ``P2 = 0``, an affine ``G`` and a
+    PSD multiplier ``v`` (as for NSDP, where ``<v, G(x)> <= 0`` when feasible).
+
+    The inner minimum is taken by FISTA with backtracking and a function-value
+    restart, until the gradient map falls below ``tol`` or after ``max_iter``
+    steps.  Its value at the last iterate bounds the minimum from above, so
+    the returned bound errs high by FISTA's residual, never by the solver's.
+    """
+    v = np.asarray(v, dtype=float)
+    x = y = np.zeros(prob.dim)
+    a = prob.g.adjoint_apply(x, v)
+    smooth = lambda x: prob.f.value(x) + float(a.dot(x))
+    phi = smooth(x) + prob.p1.value(x)
+    t, L = 1.0, 1.0
+    for _ in range(max_iter):
+        g, s = prob.f.gradient(y) + a, smooth(y)
+        L *= 0.5
+        while True:
+            L *= 2.0
+            z = prob.p1.prox(y - g / L, 1.0 / L)
+            d = z - y
+            if smooth(z) <= s + float(g.dot(d)) + 0.5 * L * float(d.dot(d)):
+                break
+        phi_z = smooth(z) + prob.p1.value(z)
+        if phi_z > phi:  # restart the momentum from the last iterate
+            y, t = x, 1.0
+            continue
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        x, y, phi, t = z, z + ((t - 1.0) / t_next) * (z - x), phi_z, t_next
+        if L * math.sqrt(d.dot(d)) <= tol:
+            break
+    return float(np.sum(v * prob.g.value(np.zeros(prob.dim)))) + phi
+
+
 def composite_value(prob: DCProblem, x, mu) -> float:
     """Smoothed constraint value h_mu(G(x))."""
     return prob.cone.msa_value(prob.g.value(x), mu)
@@ -155,7 +192,7 @@ def make_state(prob, x, mu, Lf0=1.0, Lg0=1.0, k=0):
     x = np.asarray(x, dtype=float)
     point = prob.cone.prepare(prob.g.value(x))
     return IterateState(
-        x=x, k=k, mu=mu,
+        x=x, k=k, mu=mu, f=prob.f.value(x),
         psi=objective_value(prob, x), gmu=point.value(mu),
         grad_gmu=prob.g.adjoint_apply(x, point.gradient(mu)),
         grad_f=prob.f.gradient(x),

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smba import SolverConfig, SolveStatus, generate_nsdp, nsdp_problem, run
+
 from helpers import (
     GridSpec,
     OracleError,
     analytic_box_solution,
     exact_ball_projection,
     grid_bruteforce,
+    nsdp_dual_bound,
     socp_dc_optimum,
 )
 
@@ -86,6 +89,28 @@ class TestSocpDcOptimum:
         # ||c|| - w sqrt(n) = 1 - 0.2 is not above R = 0.9
         with pytest.raises(AssertionError, match="closed form"):
             socp_dc_optimum([0.6, 0.8, 0.0, 0.0], 0.9, self.W)
+
+
+class TestNsdpDualBound:
+    def test_gap_nonnegative_and_shrinks_with_eps(self):
+        # desk instance 1: the gap psi - d(v) at the final multiplier bounds
+        # the suboptimality; it reads 3.9e-4 at eps 1e-5 and 4.3e-6 at 1e-7
+        prob = nsdp_problem(generate_nsdp(20, 10, 1))
+        gaps = []
+        for eps in (1e-5, 1e-7):
+            report = run(prob, SolverConfig(eps=eps), np.zeros(20))
+            assert report.status is SolveStatus.CONVERGED
+            bound = nsdp_dual_bound(prob, report.final_kkt.v)
+            gaps.append((report.objective - bound) / max(1.0, abs(report.objective)))
+        assert 0.0 <= gaps[1] < 0.1 * gaps[0]
+
+    def test_zero_multiplier_gives_unconstrained_minimum(self):
+        # v = 0 leaves min f + P1, which is at most its value at any point
+        prob = nsdp_problem(generate_nsdp(6, 4, 5))
+        bound = nsdp_dual_bound(prob, np.zeros((4, 4)))
+        x = np.random.default_rng(0).normal(0.0, 1.0, (200, 6))
+        assert bound <= min(prob.f.value(p) + prob.p1.value(p) for p in x)
+        assert bound <= 0.0  # f(0) + P1(0) = 0
 
 
 class TestGridBruteforce:
