@@ -4,12 +4,12 @@ Each iteration majorizes the smoothed constraint at the current strictly
 feasible iterate, solves one ball-constrained prox subproblem, and accepts
 the trial point once it achieves a sufficient decrease and is feasible for
 the smoothed constraint.  The two quadratic weights ``Lf = 2^a Lf0`` and
-``Lg = 2^b Lg0`` are searched on doubling grids above warm starts.  The
-descent test comes first, so the constraint map and the cone decomposition
-are paid for only by trials that pass it.  The smoothing parameter then
-follows a prescheduled decreasing sequence, and the additive shift of the
-smoothing family guarantees the next iterate stays strictly feasible at the
-smaller parameter.
+``Lg = 2^b Lg0`` are searched on doubling grids above warm starts taken from
+the last accepted step (``bb_init``).  The descent test comes first, so the
+constraint map and the cone decomposition are paid for only by trials that
+pass it.  The smoothing parameter then follows a prescheduled decreasing
+sequence, and the additive shift of the smoothing family guarantees the next
+iterate stays strictly feasible at the smaller parameter.
 
 A trial that fails the descent test has measured the curvature of ``f``
 along its own step, ``curv = f(x+) - f(x_k) - <grad f(x_k), dx>``, with no
@@ -18,11 +18,16 @@ constant of ``grad f``, so ``a`` jumps to the largest grid point not above the
 secant, and at least by one (the interpolation step of Nocedal and Wright,
 *Numerical Optimization*, section 3.5, kept on the grid).  A curvature within
 ``SECANT_GUARD`` of the rounding of ``f`` is noise and raises ``a`` by one.
-``b`` rises by as much as ``a``; a feasibility failure raises ``b`` alone, by
-one.  A jump never passes the Lipschitz constant, so the accepted ``Lf``
-keeps the bound plain doubling gives: below twice that constant, or the
-warm start.  The trace's ``i_k`` counts the trials that failed the
-descent test and ``j_k + 1`` all trials; ``max_inner_j`` caps ``j_k``.
+``b`` rises by as much as ``a``.  A trial rejected as infeasible has measured
+the constraint the same way, ``curv_g = g_mu(x+) - g_mu(x_k) - <grad g_mu(x_k),
+dx>``, and ``b`` alone rises to the smallest grid point at or above
+``2 mu curv_g / ||dx||^2``, and at least by one; by one when ``curv_g`` is not
+positive and finite or within ``SECANT_GUARD`` of the rounding of ``g_mu``.
+Each secant is at most the Lipschitz constant it estimates (of ``grad f``, or
+of ``mu grad g_mu`` on the step), so the accepted ``Lf`` and ``Lg`` keep the
+bound plain doubling gives: below twice that constant, or the warm start.
+The trace's ``i_k`` counts the trials that failed the descent test and
+``j_k + 1`` all trials; ``max_inner_j`` caps ``j_k``.
 
 The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
 blocks of ``n0 + 1`` indices, while the stop test can only pass once the
@@ -60,7 +65,7 @@ TRACE_COLUMNS = (
 
 DIVERGENCE_NORM = 1e8
 DESCENT_SLACK = 1e-12
-SECANT_GUARD = 1e-12  # curvature below this share of |f(x+)| + |f(x_k)| is rounding
+SECANT_GUARD = 1e-12  # curvature below this share of |f(x+)| + |f(x_k)| (or of g_mu) is rounding
 FEASIBILITY_SLACK = 1e-10
 
 
@@ -289,8 +294,13 @@ def find_initial_mu(prob: DCProblem, x0) -> float:
 
 
 def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
-    """Spectral warm starts for the two doubling constants, safeguarded into
-    [L_min, L_max]; degenerate steps fall back to halving the previous start."""
+    """Warm starts for the two doubling constants from the last accepted step
+    ``dx``: the spectral ratio ``|dx.df| / ||dx||^2`` for ``Lf0``, and for
+    ``Lg0`` the secant ratio ``||dg|| / ||dx||`` of ``dg``, the change of
+    ``mu grad g_mu``.  By Cauchy-Schwarz the latter lies between the two
+    spectral ratios of ``dg`` and never passes the Lipschitz constant of
+    ``mu grad g_mu`` on the step.  A ratio outside [L_min, L_max], or a step
+    below 1e-12, falls back to half the previous start, kept above L_min."""
     lo, hi = cfg.L_min, cfg.L_max
     clip = lambda v: min(max(v, lo), hi)
     if state.k == 0 or state.x_prev is None:
@@ -301,28 +311,33 @@ def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
     dg = state.mu * (state.grad_gmu - state.grad_gmu_prev)
 
     nx2 = float(np.dot(dx, dx))
-    Lf0 = max(lo, 0.5 * state.Lf0)
+    Lf0, Lg0 = max(lo, 0.5 * state.Lf0), max(lo, 0.5 * state.Lg0)
     if math.sqrt(nx2) > 1e-12:
-        ratio = abs(float(np.dot(dx, df))) / nx2
-        if math.isfinite(ratio) and lo <= ratio <= hi:
-            Lf0 = ratio
-
-    Lg0 = max(lo, 0.5 * state.Lg0)
-    cross = abs(float(np.dot(dx, dg)))
-    if math.sqrt(cross) > 1e-12:
-        ratio = float(np.dot(dg, dg)) / cross
-        if math.isfinite(ratio) and lo <= ratio <= hi:
-            Lg0 = ratio
-
+        inside = lambda r: math.isfinite(r) and lo <= r <= hi
+        ratio_f = abs(float(np.dot(dx, df))) / nx2
+        ratio_g = math.sqrt(float(np.dot(dg, dg)) / nx2)
+        Lf0 = ratio_f if inside(ratio_f) else Lf0
+        Lg0 = ratio_g if inside(ratio_g) else Lg0
     return Lf0, Lg0
 
 
-def _grid_exponent(value: float, base: float) -> int:
-    """The largest ``e`` with ``base * 2^e <= value``, for positive finite
-    ``value`` and ``base``; exact, with no logarithm and no overflow."""
-    mv, ev = math.frexp(value)
+def _secant_rise(curv: float, scale: float, step2: float, factor: float,
+                 base: float, e: int, above: bool) -> int:
+    """How far a failed trial lifts the exponent ``e`` of a weight
+    ``base * 2^e``: to the grid point next to the secant ``2 factor curv /
+    step2`` (the largest not above it, or with ``above`` the smallest at or
+    above it), and at least by one.  By one when the curvature is not
+    positive and finite, or within ``SECANT_GUARD`` of the rounding ``scale``
+    of the values it came from.  The grid point is exact, with no logarithm
+    and no overflow."""
+    if not (step2 > 0.0 and curv > SECANT_GUARD * scale):
+        return 1
+    secant = 2.0 * factor * curv / step2
+    if not secant < math.inf:
+        return 1
+    mv, ev = math.frexp(secant)
     mb, eb = math.frexp(base)
-    return ev - eb - (mv < mb)
+    return max(1, (ev - eb + (mv > mb) if above else ev - eb - (mv < mb)) - e)
 
 
 def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> InnerResult:
@@ -335,7 +350,11 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
     above its secant curvature ``2 (f(x+) - f(x_k) - <grad f(x_k), dx>) /
     ||dx||^2``, and at least by one; by one when that curvature is within
     ``SECANT_GUARD`` of the rounding of ``f``.  The constraint exponent ``b``
-    rises by as much.  A feasibility failure raises ``b`` alone, by one.  ``i``
+    rises by as much.  A feasibility failure raises ``b`` alone, to the
+    smallest grid point at or above ``2 mu (g_mu(x+) - g_mu(x_k) -
+    <grad g_mu(x_k), dx>) / ||dx||^2``, and at least by one; by one when that
+    curvature is not positive and finite or is within ``SECANT_GUARD`` of the
+    rounding of ``g_mu``.  ``i``
     counts the descent failures and ``j + 1`` the trials, so i <= j, and a
     step whose ``j`` passes ``max_inner_j`` raises InnerCapError.  A weight
     past the float range raises NumericError.  A non-finite objective is
@@ -371,15 +390,14 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
                     raise NumericError("objective value is not finite at a trial point")
                 return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
                                    gmu=gmu_cand, f=f_cand, psi=psi_cand, y=y, point=point)
-            b += 1
+            b += _secant_rise(gmu_cand - state.gmu - float(state.grad_gmu.dot(dx)),
+                              abs(gmu_cand) + abs(state.gmu), step2, state.mu,
+                              state.Lg0, b, above=True)
         else:
             i += 1
-            rise = 1
-            curv = f_cand - state.f - float(state.grad_f.dot(dx))
-            if step2 > 0.0 and curv > SECANT_GUARD * (abs(f_cand) + abs(state.f)):
-                secant = 2.0 * curv / step2
-                if secant < math.inf:
-                    rise = max(1, _grid_exponent(secant, state.Lf0) - a)
+            rise = _secant_rise(f_cand - state.f - float(state.grad_f.dot(dx)),
+                                abs(f_cand) + abs(state.f), step2, 1.0,
+                                state.Lf0, a, above=False)
             a += rise
             b += rise
         j += 1

@@ -728,13 +728,14 @@ def socp_dc_instance_1():
 
 
 @pytest.mark.parametrize("build, eps, min_rows", [
-    (lambda: nsdp_problem(generate_nsdp(20, 10, 1)), 1e-7, 300),
+    (lambda: nsdp_problem(generate_nsdp(20, 10, 6)), 1e-7, 300),
     (socp_dc_instance_1, 1e-5, 20),
 ], ids=["nsdp-desk", "socp-dc"])
 def test_solver_trace_bitwise_with_reference_subproblem(monkeypatch, build, eps, min_rows):
     # an instance solved with solve_ball_prox and again with the reference:
     # every trace column but elapsed_s keeps its bits.  The desk instance
-    # runs the l1 path, the socp-dc one the closed form for P1 = 0
+    # runs the l1 path past the first schedule block of 301 indices (desk
+    # instance 6: 405 steps), the socp-dc one the closed form for P1 = 0
     prob, cfg = build(), SolverConfig(eps=eps)
     bits = lambda report: [tuple(repr(v) for v in row[:-1]) for row in report.trace]
     fast = run(prob, cfg, np.zeros(prob.dim))

@@ -104,6 +104,17 @@ class TestNsdpDualBound:
             gaps.append((report.objective - bound) / max(1.0, abs(report.objective)))
         assert 0.0 <= gaps[1] < 0.1 * gaps[0]
 
+    def test_desk_instance_15_certificate(self):
+        # the desk panel's hardest instance at benchmark seed 0 ends with a
+        # KKT residual of 2.5e-4 and a relative gap of 1.5e-5; a search that
+        # keeps Lg too large stops it at rho = 0.71 and a gap of 1.8e-2
+        prob = nsdp_problem(generate_nsdp(20, 10, 15))
+        report = run(prob, SolverConfig(eps=1e-7), np.zeros(20))
+        assert report.status is SolveStatus.CONVERGED
+        assert report.final_kkt.rho <= 1e-3
+        bound = nsdp_dual_bound(prob, report.final_kkt.v)
+        assert 0.0 <= (report.objective - bound) / max(1.0, abs(report.objective)) <= 1e-4
+
     def test_zero_multiplier_gives_unconstrained_minimum(self):
         # v = 0 leaves min f + P1, which is at most its value at any point
         prob = nsdp_problem(generate_nsdp(6, 4, 5))

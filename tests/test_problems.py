@@ -299,7 +299,7 @@ class TestHalfSizeStack:
                    for c in copies]
         a = reports[0]
         assert a.status.value == "converged"
-        assert a.iterations == 85
+        assert a.iterations == 84
         # every column but the last, elapsed_s, compared bit for bit
         assert a.trace[0]._fields[-1] == "elapsed_s"
         bits = lambda report: np.array([row[:-1] for row in report.trace], dtype=float).tobytes()
