@@ -58,11 +58,13 @@ class SubproblemResult:
     lam: float
 
 
-def build_ball(x_k, grad_gmu, gmu_val, L_g, mu) -> BallConstraint:
+def build_ball(x_k, grad_gmu, grad_sq, gmu_val, L_g, mu) -> BallConstraint:
     """Ball of the quadratic majorant of the smoothed constraint at x_k.
 
-    Requires strict feasibility ``gmu_val < 0``, which makes the radius real
-    and positive.
+    ``x_k`` and ``grad_gmu`` are float vectors and ``grad_sq`` is
+    ``grad_gmu . grad_gmu``, which every ball of one step shares.  Requires
+    strict feasibility ``gmu_val < 0``, which makes the radius real and
+    positive.
     """
     if not (gmu_val < 0.0):
         raise InfeasibleStartError(
@@ -70,13 +72,9 @@ def build_ball(x_k, grad_gmu, gmu_val, L_g, mu) -> BallConstraint:
         )
     if L_g <= 0 or mu <= 0:
         raise ValueError("L_g and mu must be positive")
-    x_k = np.asarray(x_k, dtype=float)
-    grad_gmu = np.asarray(grad_gmu, dtype=float)
     scale = mu / L_g
     center = x_k - scale * grad_gmu
-    radius = scale * math.sqrt(
-        float(np.dot(grad_gmu, grad_gmu)) - 2.0 * (L_g / mu) * gmu_val
-    )
+    radius = scale * math.sqrt(grad_sq - 2.0 * (L_g / mu) * gmu_val)
     return BallConstraint(center=center, radius=radius, curvature=L_g / mu)
 
 
@@ -114,10 +112,11 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     when the prox gradient point ``x(0)`` lies within the radius, and the
     path point at 0 is then ``x(0)`` itself.  For ``P1 = 0`` the prox
     gradient point is formed once and the multiplier is closed-form.
+    ``x_k`` and ``q`` are float vectors.
     """
     if not isinstance(p1, REGULARIZERS):
         raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
-    a = L_f * np.asarray(x_k, dtype=float) - np.asarray(q, dtype=float)
+    a = L_f * x_k - q
     R = ball.radius
     margin = min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R), 0.5 * R)
 
@@ -181,8 +180,9 @@ def _l1_multiplier(w, a, c, L_f, R):
     T2 = S + L_f * c
     T2 *= T2  # alpha^2: above the dead zone in row 0, below it in row 1
     # region just right of nu = 0: above where S[0] < 0, below where
-    # S[1] > 0; a tie on a boundary moves in the direction of c
-    outside = np.where(S != 0.0, S, -c) * _SIGNS < 0.0
+    # S[1] > 0; a tie on a boundary (S == 0, rare) moves in the direction of c
+    ties = np.count_nonzero(S) < 2 * n
+    outside = (np.where(S != 0.0, S, -c) if ties else S) * _SIGNS < 0.0
     terms = T2[outside].tolist()
     P = math.fsum(terms)
     P_lo = math.fsum(terms + [-P])
@@ -195,8 +195,11 @@ def _l1_multiplier(w, a, c, L_f, R):
     # s_i crosses +w_i at S[0, i] / c_i (flat position i) and -w_i at
     # S[1, i] / c_i (position n + i); each crossing moves coordinate i one
     # region in the direction of c_i.  The stable sort breaks ties by
-    # position; a knot that overflows to inf only splits the last piece
-    knots = np.divide(S, c, out=np.zeros((2, n)), where=c != 0.0).ravel()
+    # position; a knot that overflows to inf only splits the last piece.  A
+    # coordinate on the center (c_i == 0, rare) never crosses: its knots are 0
+    on_center = np.count_nonzero(c) < n
+    knots = (np.divide(S, c, out=np.zeros((2, n)), where=c != 0.0) if on_center
+             else S / c).ravel()
     keep = (knots > 0.0).nonzero()[0]
     order = keep[knots[keep].argsort(kind="stable")].tolist()
     R2 = R * R

@@ -44,6 +44,13 @@ def _checked_mu(mu: float) -> float:
     return mu
 
 
+def all_finite(v) -> bool:
+    """Whether no entry of ``v`` is NaN or inf.  A finite sum of squares has
+    finite terms, so one ``vdot`` accepts nearly every input; a sum that
+    overflows falls back to the entrywise test."""
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
+
 def stable_logsumexp(v, mu):
     """Temperature log-sum-exp with its softmax weights.
 
@@ -54,7 +61,7 @@ def stable_logsumexp(v, mu):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a non-empty 1-D vector")
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise ValueError("non-finite entries in log-sum-exp input")
     return _shifted_logsumexp(v, float(v.max()), _checked_mu(mu))
 
@@ -114,7 +121,7 @@ def _checked(y, shape):
     y = np.asarray(y, dtype=float)
     if y.shape != shape:
         raise ValueError(f"expected shape {shape}, got {y.shape}")
-    if not np.isfinite(y).all():
+    if not all_finite(y):
         raise ValueError("non-finite entries in cone argument")
     return y
 
@@ -137,20 +144,18 @@ class ConePoint:
 
 
 class _LogSumExpPoint(ConePoint):
-    """Temperature log-sum-exp over a vector of values; the gradient is its softmax.
+    """Temperature log-sum-exp over a vector of finite values; the gradient is
+    its softmax.
 
-    The values are checked once, here, and their maximum is both the
-    support value and the shift of every exp pass.  The last
-    ``(mu, value, weights)`` is kept, so ``value`` and ``gradient`` at the
-    same mu share one exp pass.
+    ``support``, the maximum of the values, is both the support value and
+    the shift of every exp pass.  The last ``(mu, value, weights)`` is kept,
+    so ``value`` and ``gradient`` at the same mu share one exp pass.
     """
 
-    def __init__(self, vals, alpha4):
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite entries in log-sum-exp input")
+    def __init__(self, vals, support, alpha4):
         self.vals = vals
         self.alpha4 = alpha4
-        self.support = float(vals.max())
+        self.support = support
         self._mu = None
 
     def _logsumexp(self, mu):
@@ -172,7 +177,7 @@ class _SpectralPoint(_LogSumExpPoint):
     """Log-sum-exp over a spectrum (descending), gradient ``V diag(softmax) V'``."""
 
     def __init__(self, vals, vecs, alpha4):
-        super().__init__(vals, alpha4)
+        super().__init__(vals, float(vals[0]), alpha4)
         self.vecs = vecs
 
     def gradient(self, mu):
@@ -189,12 +194,14 @@ class _PConePoint(ConePoint):
     def __init__(self, y, alpha4):
         self.y = y
         self.alpha4 = alpha4
-        self.sq = float(np.dot(y[:-1], y[:-1]))
-        self.support = math.sqrt(self.sq) - float(y[-1])
+        head = y[:-1]
+        self.sq = float(head.dot(head))
+        self.top = y.item(-1)  # a Python float, so value() returns one too
+        self.support = math.sqrt(self.sq) - self.top
 
     def value(self, mu):
         mu = _checked_mu(mu)
-        return math.sqrt(self.sq + mu * mu) - self.y[-1] + self.alpha4 * mu
+        return math.sqrt(self.sq + mu * mu) - self.top + self.alpha4 * mu
 
     def gradient(self, mu):
         mu = _checked_mu(mu)
@@ -251,7 +258,8 @@ class NonposOrthant(ConeBaseOracle):
     family = "nonpos_orthant"
 
     def prepare(self, y):
-        return _LogSumExpPoint(_checked(y, (self.m,)), self.cert.alpha4)
+        y = _checked(y, (self.m,))
+        return _LogSumExpPoint(y, float(y.max()), self.cert.alpha4)
 
     def polar_residual(self, v):
         v = np.asarray(v, dtype=float)
@@ -274,11 +282,16 @@ class NegSemidef(ConeBaseOracle):
 
         An exactly symmetric ``y`` (such as ``G(x)`` from ``psd_affine_map``)
         goes to ``eigh`` as it is; any other goes through ``symmetrized``.
+        ``eigh`` can overflow on a finite ``y``, so the spectrum is checked
+        too.  It comes back in ascending order, so it is reversed to
+        descending, and its first entry is the support value.
         """
         y = _checked(y, (self.m, self.m))
-        if not (y == y.T).all():
+        if np.count_nonzero(y != y.T):
             y = symmetrized(y)
         vals, vecs = self._eigh(y)
+        if not all_finite(vals):
+            raise ValueError("non-finite entries in log-sum-exp input")
         return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
 
     def polar_residual(self, v):

@@ -20,7 +20,7 @@ from .problems import DCProblem
 
 def pairing(a, b) -> float:
     """Inner product of two constraint-space elements (trace product for matrices)."""
-    return float(np.vdot(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    return float(np.vdot(a, b))
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,14 @@ class KKTCertificate:
         }
 
 
-def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, y, point: ConePoint,
+def kkt_residuals(prob: DCProblem, x_next, step, lam, mu, y, point: ConePoint,
                   grad_f, xi) -> KKTCertificate:
     """Residual certificate at x_next with the multiplier ``lam * grad h_mu(y)``.
 
-    ``y = G(x_next)`` and ``point`` is its prepared cone point; ``grad_f`` is
-    the f gradient at x_next and ``xi`` the P2 subgradient taken at the
-    previous iterate x_prev, as the solver used them.
+    ``step`` is the length ``||x_next - x_k||`` of the step that reached
+    x_next; ``y = G(x_next)`` and ``point`` is its prepared cone point;
+    ``grad_f`` is the f gradient at x_next and ``xi`` the P2 subgradient
+    taken at the previous iterate x_k, as the solver used them.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -59,20 +60,16 @@ def kkt_residuals(prob: DCProblem, x_next, x_prev, lam, mu, y, point: ConePoint,
     v = lam * point.gradient(mu) if lam > 0.0 else np.zeros(np.shape(y))
     u = grad_f - xi + prob.g.adjoint_apply(x_next, v)
     rho = prob.p1.subdiff_distance(x_next, u)
-    comp = -pairing(v, y)
-    dx = x_next - x_prev
-    step = math.sqrt(dx.dot(dx))
-    return KKTCertificate(rho=rho, complementarity=comp, step=step, v=v)
+    return KKTCertificate(rho=rho, complementarity=-pairing(v, y), step=step, v=v)
 
 
-def termination_metrics(cert: KKTCertificate, x_next, lam, mu, tau1, tau2):
+def termination_metrics(cert: KKTCertificate, x_norm, lam, mu, tau1, tau2):
     """The two scaled stopping quantities checked after every accepted step.
 
     Returns ``(term_step, term_slack)``: the certificate's step length,
-    weighted and relative to ``max(1, ||x_next||)``, and its relative
-    complementarity slack.
+    weighted and relative to ``max(1, x_norm)`` with ``x_norm = ||x_next||``,
+    and its relative complementarity slack.
     """
-    x_next = np.asarray(x_next, dtype=float)
-    scale = max(1.0, math.sqrt(x_next.dot(x_next)))
+    scale = max(1.0, x_norm)
     term_step = math.sqrt(tau1 * mu + lam * tau2) / mu * cert.step / scale
     return term_step, cert.complementarity / scale

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cones import NegSemidef
+from .cones import NegSemidef, all_finite
 from .problems import DCProblem, L1Regularizer, ZeroConcave, poly_quartic_objective, psd_affine_map
 from .schedules import check_numbers
 
@@ -72,7 +72,7 @@ class NsdpInstance:
         A = np.asarray(d["A"], dtype=float)
         if Q.shape != (n, n) or b.shape != (n,) or c.shape != (n,) or dd.shape != (n,):
             raise ValueError("inconsistent NSDP field shapes")
-        if not all(np.isfinite(v).all() for v in (Q, b, c, dd)):
+        if not all(all_finite(v) for v in (Q, b, c, dd)):
             raise ValueError("non-finite entries in NSDP fields Q, b, c or d")
         if A.shape != (n + 1, m, m):
             raise ValueError(f"expected {(n + 1, m, m)} constraint stack, got {A.shape}")

@@ -4,7 +4,8 @@ A :class:`DCProblem` bundles first-order oracles only: value/gradient of the
 smooth part, the weighted prox of P1, one deterministic subgradient of P2,
 and the constraint map exposed through its value and adjoint-Jacobian apply
 (never a materialized Jacobian).  The smoothed constraint is the composition
-of the cone kernel with G.
+of the cone kernel with G.  The solver passes every oracle float arrays it
+built itself, so the oracles defined here take them as they are.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import ConeBaseOracle, NegSemidef, NonposOrthant, PCone, symmetrized
+from .cones import ConeBaseOracle, NegSemidef, NonposOrthant, PCone, all_finite, symmetrized
 from .errors import UnsupportedFamilyError
 
 
@@ -37,7 +38,6 @@ class ZeroRegularizer:
         return np.asarray(z, dtype=float).copy()
 
     def subdiff_distance(self, x, u):
-        u = np.asarray(u, dtype=float).ravel()
         return math.sqrt(u.dot(u))
 
 
@@ -54,14 +54,11 @@ class L1Regularizer:
         return float(np.add.reduce(self.weights * np.abs(x)))
 
     def prox(self, z, t):
-        z = np.asarray(z, dtype=float)
         thresh = float(t) * self.weights
         return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
     def subdiff_distance(self, x, u):
         """dist(0, u + dP1(x)) via interval projection per coordinate."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
         w = self.weights
         on = x != 0.0
         res = np.where(on, np.abs(u + w * np.sign(x)), np.maximum(np.abs(u) - w, 0.0))
@@ -79,7 +76,7 @@ class ZeroConcave:
         return 0.0
 
     def subgradient(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return np.zeros(np.shape(x))
 
 
 class L1Concave:
@@ -91,10 +88,10 @@ class L1Concave:
         self.weight = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.abs(x).sum())
+        return self.weight * float(np.add.reduce(np.abs(x)))
 
     def subgradient(self, x):
-        return self.weight * np.sign(np.asarray(x, dtype=float))
+        return self.weight * np.sign(x)
 
 
 @dataclass(frozen=True)
@@ -145,13 +142,12 @@ def poly_quartic_objective(Q, b, cubic, quartic) -> SmoothObjective:
     quartic = np.asarray(quartic, dtype=float)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        sep = (0.25 * np.add.reduce(quartic * x**4)
-               + np.add.reduce(cubic * np.abs(x) ** 3) / 3.0)
-        return float(sep + 0.5 * x.dot(Q @ x) + b.dot(x))
+        # each reduction becomes a Python float once; the sum keeps its order
+        sep = (0.25 * float(np.add.reduce(quartic * x**4))
+               + float(np.add.reduce(cubic * np.abs(x) ** 3)) / 3.0)
+        return sep + 0.5 * float(x.dot(Q @ x)) + float(b.dot(x))
 
     def gradient(x):
-        x = np.asarray(x, dtype=float)
         return quartic * x**3 + cubic * x * np.abs(x) + Q @ x + b
 
     return SmoothObjective(value=value, gradient=gradient)
@@ -161,8 +157,8 @@ def shift_map(b) -> ConstraintMap:
     """Affine map G(x) = x - b (identity Jacobian)."""
     b = np.asarray(b, dtype=float)
     return ConstraintMap(
-        value=lambda x: np.asarray(x, dtype=float) - b,
-        adjoint_apply=lambda x, u: np.asarray(u, dtype=float).copy(),
+        value=lambda x: x - b,
+        adjoint_apply=lambda x, u: np.array(u, dtype=float),
     )
 
 
@@ -170,13 +166,9 @@ def pcone_lift_map(t: float) -> ConstraintMap:
     """G(x) = (x, t): embeds x into the norm cone with a fixed last coordinate."""
     t = float(t)
 
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([x, [t]])
-
     return ConstraintMap(
-        value=value,
-        adjoint_apply=lambda x, u: np.asarray(u, dtype=float)[:-1].copy(),
+        value=lambda x: np.concatenate([x, [t]]),
+        adjoint_apply=lambda x, u: u[:-1].copy(),
     )
 
 
@@ -195,7 +187,7 @@ def psd_affine_map(A) -> ConstraintMap:
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("expected a stack of square matrices")
-    if not np.isfinite(A).all():
+    if not all_finite(A):
         raise ValueError("non-finite entries in constraint matrices")
     m = A.shape[1]
     rows, cols = np.triu_indices(m)
@@ -210,11 +202,9 @@ def psd_affine_map(A) -> ConstraintMap:
     neg_weight = np.where(rows == cols, -0.5, -1.0)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
         return (neg_t0 - x @ At).take(where)
 
     def adjoint_apply(x, u):
-        u = np.asarray(u, dtype=float)
         return At @ ((u.take(upper) + u.take(lower)) * neg_weight)
 
     return ConstraintMap(value=value, adjoint_apply=adjoint_apply)
@@ -224,11 +214,13 @@ def _toy_problem(c, g, cone, name, l1_weight=0.0) -> DCProblem:
     """min 0.5||x - c||^2 + w||x||_1  s.t.  G(x) in K: the toy builders' shared body."""
     c = np.asarray(c, dtype=float)
     n = c.size
+
+    def value(x):
+        d = x - c
+        return 0.5 * float(d.dot(d))
+
     return DCProblem(
-        f=SmoothObjective(
-            value=lambda x: 0.5 * float(np.dot(x - c, x - c)),
-            gradient=lambda x: np.asarray(x, dtype=float) - c,
-        ),
+        f=SmoothObjective(value=value, gradient=lambda x: x - c),
         p1=L1Regularizer(np.full(n, float(l1_weight))) if l1_weight else ZeroRegularizer(),
         p2=ZeroConcave(),
         g=g,

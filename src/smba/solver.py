@@ -29,6 +29,18 @@ bound plain doubling gives: below twice that constant, or the warm start.
 The trace's ``i_k`` counts the trials that failed the descent test and
 ``j_k + 1`` all trials; ``max_inner_j`` caps ``j_k``.
 
+Each quantity of a step is formed once.  A trial evaluates f, P1 and P2 at
+its point, and, if it passes the descent test, ``G``, the cone point and
+``g_mu``; ``||grad g_mu(x_k)||^2`` is shared by every trial's ball.  The
+accepted trial carries its step ``dx`` and ``||dx||^2`` from the descent
+test to the certificate's step length and the next ``bb_init``, and its f
+value, ``G`` value and cone point to the certificate, the exact feasibility
+check and the next step's smoothed value and gradient.  ``||x_{k+1}||``
+serves the stop test and the divergence guard.  An accepted step adds one
+f gradient, one P2 subgradient and two adjoint applies (the certificate's
+and the next step's), and each oracle output is scanned for NaN and inf
+once.
+
 The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
 blocks of ``n0 + 1`` indices, while the stop test can only pass once the
 slack falls with mu.  So when an accepted step meets the step test but not
@@ -53,7 +65,7 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import MU_FLOOR, ConePoint
+from .cones import MU_FLOOR, ConePoint, all_finite
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
 from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
@@ -127,7 +139,8 @@ class IterateState:
     xi: np.ndarray
     Lf0: float = 1.0
     Lg0: float = 1.0
-    x_prev: Optional[np.ndarray] = None
+    dx: Optional[np.ndarray] = None  # the last accepted step x - x_prev
+    dx2: float = 0.0  # its squared norm
     grad_f_prev: Optional[np.ndarray] = None
     grad_gmu_prev: Optional[np.ndarray] = None
 
@@ -228,9 +241,12 @@ class InnerCapError(NumericError):
 
 
 class InnerResult(NamedTuple):
-    """The accepted trial, with ``f(x)``, ``y = G(x)`` and its evaluated cone point."""
+    """The accepted trial, with its step ``dx = x - x_k`` and ``step2 =
+    ||dx||^2``, ``f(x)``, ``y = G(x)`` and its evaluated cone point."""
 
     x: np.ndarray
+    dx: np.ndarray
+    step2: float
     lam: float
     Lf: float
     Lg: float
@@ -245,7 +261,7 @@ class InnerResult(NamedTuple):
 
 def _finite(name: str, value, k: int):
     """``value`` unchanged; raises NumericError if any entry is NaN or inf."""
-    if not np.isfinite(value).all():
+    if not all_finite(value):
         raise NumericError(f"{name} is not finite at step {k}")
     return value
 
@@ -259,7 +275,7 @@ def _check_x0(prob: DCProblem, x0) -> np.ndarray:
         raise ValueError(f"x0 is not a vector of numbers: {exc}") from exc
     if x0.shape != (prob.dim,):
         raise ValueError(f"x0 must be a vector of length {prob.dim}, got shape {x0.shape}")
-    if not np.isfinite(x0).all():
+    if not all_finite(x0):
         raise ValueError("x0 has non-finite entries")
     return x0
 
@@ -300,22 +316,22 @@ def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
     ``mu grad g_mu``.  By Cauchy-Schwarz the latter lies between the two
     spectral ratios of ``dg`` and never passes the Lipschitz constant of
     ``mu grad g_mu`` on the step.  A ratio outside [L_min, L_max], or a step
-    below 1e-12, falls back to half the previous start, kept above L_min."""
+    below 1e-12, falls back to half the previous start, kept above L_min.
+    ``dx`` and ``||dx||^2`` are ``state.dx`` and ``state.dx2``, as the
+    accepted trial formed them."""
     lo, hi = cfg.L_min, cfg.L_max
     clip = lambda v: min(max(v, lo), hi)
-    if state.k == 0 or state.x_prev is None:
+    if state.k == 0 or state.dx is None:
         return clip(1.0), clip(1.0)
 
-    dx = state.x - state.x_prev
-    df = state.grad_f - state.grad_f_prev
-    dg = state.mu * (state.grad_gmu - state.grad_gmu_prev)
-
-    nx2 = float(np.dot(dx, dx))
+    dx, nx2 = state.dx, state.dx2
     Lf0, Lg0 = max(lo, 0.5 * state.Lf0), max(lo, 0.5 * state.Lg0)
     if math.sqrt(nx2) > 1e-12:
+        df = state.grad_f - state.grad_f_prev
+        dg = state.mu * (state.grad_gmu - state.grad_gmu_prev)
         inside = lambda r: math.isfinite(r) and lo <= r <= hi
-        ratio_f = abs(float(np.dot(dx, df))) / nx2
-        ratio_g = math.sqrt(float(np.dot(dg, dg)) / nx2)
+        ratio_f = abs(float(dx.dot(df))) / nx2
+        ratio_g = math.sqrt(float(dg.dot(dg)) / nx2)
         Lf0 = ratio_f if inside(ratio_f) else Lf0
         Lg0 = ratio_g if inside(ratio_g) else Lg0
     return Lf0, Lg0
@@ -362,6 +378,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
     feasibility failure, a feasible one raises NumericError.
     """
     q = state.grad_f - state.xi
+    grad_sq = float(state.grad_gmu.dot(state.grad_gmu))  # every trial's ball uses it
     i = j = a = b = 0
     gmu_cand = math.nan
     while True:
@@ -369,7 +386,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
             Lf, Lg = math.ldexp(state.Lf0, a), math.ldexp(state.Lg0, b)
         except OverflowError:
             raise NumericError("linesearch weight overflowed") from None
-        ball = build_ball(state.x, state.grad_gmu, state.gmu, Lg, state.mu)
+        ball = build_ball(state.x, state.grad_gmu, grad_sq, state.gmu, Lg, state.mu)
         sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
         dx = sub.x - state.x
         step2 = float(dx.dot(dx))
@@ -388,8 +405,9 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
             if gmu_cand <= 0.0:
                 if not finite:
                     raise NumericError("objective value is not finite at a trial point")
-                return InnerResult(x=sub.x, lam=sub.lam, Lf=Lf, Lg=Lg, i=i, j=j,
-                                   gmu=gmu_cand, f=f_cand, psi=psi_cand, y=y, point=point)
+                return InnerResult(x=sub.x, dx=dx, step2=step2, lam=sub.lam, Lf=Lf, Lg=Lg,
+                                   i=i, j=j, gmu=gmu_cand, f=f_cand, psi=psi_cand, y=y,
+                                   point=point)
             b += _secant_rise(gmu_cand - state.gmu - float(state.grad_gmu.dot(dx)),
                               abs(gmu_cand) + abs(state.gmu), step2, state.mu,
                               state.Lg0, b, above=True)
@@ -449,15 +467,18 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             state.Lf0, state.Lg0 = bb_init(state, prob, cfg)
             inner = inner_loop_step(state, prob, cfg)
 
-            # the accepted trial's G value and cone point serve the certificate,
-            # the exact feasibility check and the next step's smoothing
+            # the accepted trial's step, G value and cone point serve the
+            # certificate, the exact feasibility check, the next warm starts
+            # and the next step's smoothing
             x_next, point = inner.x, inner.point
             grad_f_next = _finite("f gradient", prob.f.gradient(x_next), k)
             kkt = diagnostics.kkt_residuals(
-                prob, x_next, state.x, inner.lam, state.mu, inner.y, point, grad_f_next, state.xi,
+                prob, x_next, math.sqrt(inner.step2), inner.lam, state.mu, inner.y, point,
+                grad_f_next, state.xi,
             )
+            x_norm = math.sqrt(x_next.dot(x_next))
             step, slack = diagnostics.termination_metrics(
-                kkt, x_next, inner.lam, state.mu, cfg.tau1, cfg.tau2
+                kkt, x_norm, inner.lam, state.mu, cfg.tau1, cfg.tau2
             )
             sigma_next = point.support
 
@@ -477,7 +498,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             ))
             x, psi, cert, term_step, term_slack = x_next, inner.psi, kkt, step, slack
 
-            if math.sqrt(x_next.dot(x_next)) > DIVERGENCE_NORM:
+            if x_norm > DIVERGENCE_NORM:
                 raise NumericError("iterate norm diverged")
             if step <= cfg.eps and slack <= cfg.eps:
                 status = SolveStatus.CONVERGED
@@ -501,7 +522,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             if not gmu_next < 0:
                 raise NumericError("strict feasibility chain broken")
 
-            state.x_prev = state.x
+            state.dx, state.dx2 = inner.dx, inner.step2
             state.grad_f_prev = state.grad_f
             state.grad_gmu_prev = state.grad_gmu
             state.x = x_next

@@ -142,9 +142,13 @@ def replay_with_ledger(prob, cfg, x0, steps):
 
         drop = (cfg.tau1 * state.mu + cfg.tau2 * res.lam) / (2.0 * state.mu)
         step2 = float(np.dot(res.x - state.x, res.x - state.x))
+        # the step the trial carries out to the certificate and bb_init is exact
+        np.testing.assert_array_equal(res.dx, res.x - state.x)
+        assert res.step2 == step2
         assert res.psi + drop * step2 <= state.psi + 1e-10 * (1.0 + abs(state.psi))
 
-        ball = build_ball(state.x, state.grad_gmu, state.gmu, res.Lg, state.mu)
+        ball = build_ball(state.x, state.grad_gmu, state.grad_gmu.dot(state.grad_gmu),
+                          state.gmu, res.Lg, state.mu)
         assert abs(res.lam * ball.constraint_value(res.x)) <= 1e-8 * (1.0 + res.lam)
         assert res.i <= res.j <= cfg.max_inner_j
 
@@ -153,7 +157,7 @@ def replay_with_ledger(prob, cfg, x0, steps):
 
         prev = state
         nxt = make_state(prob, res.x, mu_next, k=k + 1)
-        nxt.x_prev = prev.x
+        nxt.dx, nxt.dx2 = res.dx, res.step2
         nxt.grad_f_prev = prev.grad_f
         nxt.grad_gmu_prev = prev.grad_gmu
         nxt.Lf0, nxt.Lg0 = prev.Lf0, prev.Lg0

@@ -345,27 +345,27 @@ def wide_l1_instance(rng, duplicate):
 
 class TestBuildBall:
     def test_worked_example(self):
-        ball = build_ball(np.zeros(2), np.array([1.0, 0.0]), -0.5, 1.0, 1.0)
+        ball = build_ball(np.zeros(2), np.array([1.0, 0.0]), 1.0, -0.5, 1.0, 1.0)
         np.testing.assert_allclose(ball.center, [-1.0, 0.0])
         assert ball.radius == pytest.approx(math.sqrt(2.0))
         assert ball.curvature == 1.0
 
     def test_zero_gradient(self):
-        ball = build_ball(np.array([0.3, -0.2]), np.zeros(2), -0.5, 1.0, 1.0)
+        ball = build_ball(np.array([0.3, -0.2]), np.zeros(2), 0.0, -0.5, 1.0, 1.0)
         np.testing.assert_allclose(ball.center, [0.3, -0.2])
         assert ball.radius == pytest.approx(1.0)
 
     def test_vanishing_constraint_limit(self):
         # as the constraint value tends to zero the ball shrinks to touch x_k
         grad = np.array([2.0, 0.0])
-        ball = build_ball(np.zeros(2), grad, -1e-14, 1.0, 1.0)
+        ball = build_ball(np.zeros(2), grad, grad.dot(grad), -1e-14, 1.0, 1.0)
         assert ball.radius == pytest.approx(np.linalg.norm(grad), rel=1e-10)
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleStartError):
-            build_ball(np.zeros(2), np.ones(2), 0.0, 1.0, 1.0)
+            build_ball(np.zeros(2), np.ones(2), 2.0, 0.0, 1.0, 1.0)
         with pytest.raises(InfeasibleStartError):
-            build_ball(np.zeros(2), np.ones(2), 0.3, 1.0, 1.0)
+            build_ball(np.zeros(2), np.ones(2), 2.0, 0.3, 1.0, 1.0)
 
     def test_x_k_always_feasible(self, rng):
         # the current iterate lies inside its own ball
@@ -376,7 +376,7 @@ class TestBuildBall:
             L_g = float(rng.uniform(0.1, 10))
             mu = float(10.0 ** rng.uniform(-6, 0.5))
             x_k = rng.normal(0, 2, n)
-            ball = build_ball(x_k, grad, gmu, L_g, mu)
+            ball = build_ball(x_k, grad, grad.dot(grad), gmu, L_g, mu)
             assert float(np.linalg.norm(x_k - ball.center)) <= ball.radius
 
 

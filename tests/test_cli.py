@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smba.cli import main, write_trace
-from smba.problems import box_problem
+from smba.problems import box_problem, norm_ball_problem, psd_affine_problem
 from smba.schedules import power_schedule
 from smba.solver import SolverConfig, TRACE_COLUMNS, run
 
@@ -31,12 +31,24 @@ class TestTraceIO:
         assert len(rows) >= 2
 
     def test_roundtrip_exact(self, toy_report, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace(toy_report, path)
-        again = read_trace(path)
-        assert len(again) == len(toy_report.trace)
-        for a, b in zip(again, toy_report.trace):
-            assert a.as_tuple() == b.as_tuple()
+        # one problem per cone family; every field must be a Python int or
+        # float, whose repr the reader parses back exactly
+        A = np.zeros((3, 2, 2))
+        A[0] = 2.0 * np.eye(2)
+        A[1], A[2] = np.diag([-1.0, 0.0]), np.diag([0.0, -1.0])
+        cfg = SolverConfig(eps=1e-7, max_outer=2000, schedule=power_schedule(0.9))
+        reports = [toy_report,
+                   run(norm_ball_problem([2.0, -1.0, 0.5], 1.0), cfg, np.zeros(3)),
+                   run(psd_affine_problem([3.0, 1.0], A), cfg, np.zeros(2))]
+        for i, report in enumerate(reports):
+            assert report.trace
+            assert all(type(v) in (int, float) for row in report.trace for v in row)
+            path = tmp_path / f"trace{i}.csv"
+            write_trace(report, path)
+            again = read_trace(path)
+            assert len(again) == len(report.trace)
+            for a, b in zip(again, report.trace):
+                assert a.as_tuple() == b.as_tuple()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"

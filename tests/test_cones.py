@@ -13,6 +13,7 @@ from smba.cones import (
     SYMMETRY_TOL,
     PCone,
     SmoothingCert,
+    all_finite,
     stable_logsumexp,
 )
 from smba.nsdp import generate_nsdp, nsdp_problem
@@ -59,6 +60,39 @@ class TestSupportValue:
         y[0, 1] = 1e-3
         with pytest.raises(ValueError):
             NegSemidef(2).support_value(y)
+
+
+# finite entries whose sum of squares overflows (and, for the first, whose
+# plain sum does): a fast check must fall back to the entrywise test on them
+HUGE_FINITE = ([1e308, 1e308], [1e200, -1e200])
+
+
+class TestFiniteGuards:
+    @given(st.lists(st.sampled_from([0.0, -1.5, 1e-300, 1e154, 1e200, -1e308, 1e308,
+                                     math.inf, -math.inf, math.nan]), min_size=0, max_size=6))
+    def test_all_finite_is_the_entrywise_test(self, entries):
+        v = np.array(entries, dtype=float)
+        assert all_finite(v) == bool(np.isfinite(v).all())
+        assert all_finite(np.diag(v)) == bool(np.isfinite(v).all())
+
+    @pytest.mark.parametrize("entries", HUGE_FINITE)
+    def test_cone_argument_check_accepts_overflowing_sums(self, entries):
+        assert NonposOrthant(2).prepare(entries).support == max(entries)
+        with np.errstate(over="ignore"):  # ||y[:1]||^2 overflows, as it may
+            assert PCone(1).prepare(entries).support == math.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            NonposOrthant(2).prepare([entries[0], math.nan])
+
+    def test_spectrum_check_accepts_overflowing_sums(self):
+        # the argument and its spectrum (1e308, 1e308) both overflow a sum
+        point = NegSemidef(2).prepare(np.diag([1e308, 1e308]))
+        assert point.support == 1e308
+
+    def test_spectrum_check_rejects_overflowed_eigenvalue(self):
+        # finite entries, but the top eigenvalue 2e308 overflows in eigh
+        y = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(ValueError, match="non-finite"):
+            NegSemidef(2).prepare(y)
 
 
 class TestStableLogsumexp:

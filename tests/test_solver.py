@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -82,6 +83,12 @@ class TestFindInitialMu:
             assert composite_value(prob, np.zeros(3), mu0) < 0
 
 
+def set_step(state, x_prev):
+    """Give ``state`` the warm-start memory of a step from ``x_prev``."""
+    state.dx = state.x - x_prev
+    state.dx2 = float(state.dx.dot(state.dx))
+
+
 class TestBBInit:
     def test_first_iteration_defaults_to_one(self):
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
@@ -92,8 +99,9 @@ class TestBBInit:
         # f = 0.5 ||x - c||^2 has unit Hessian, so the f-ratio is exactly 1
         prob = box_problem(c=[3.0, 3.0], b=[10.0, 10.0])
         state = make_state(prob, np.array([0.5, 0.2]), 0.9, k=1)
-        state.x_prev = np.array([0.0, 0.0])
-        state.grad_f_prev = prob.f.gradient(state.x_prev)
+        x_prev = np.array([0.0, 0.0])
+        set_step(state, x_prev)
+        state.grad_f_prev = prob.f.gradient(x_prev)
         state.grad_gmu_prev = state.grad_gmu.copy()
         Lf0, _ = bb_init(state, prob, SolverConfig())
         assert Lf0 == pytest.approx(1.0, rel=1e-12)
@@ -101,7 +109,7 @@ class TestBBInit:
     def test_degenerate_step_halves_previous(self):
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
         state = make_state(prob, np.zeros(2), 0.9, Lf0=2.0, Lg0=4.0, k=3)
-        state.x_prev = state.x.copy()
+        set_step(state, state.x.copy())
         state.grad_f_prev = state.grad_f.copy()
         state.grad_gmu_prev = state.grad_gmu.copy()
         Lf0, Lg0 = bb_init(state, prob, SolverConfig())
@@ -117,10 +125,11 @@ class TestBBInit:
             mu = 10.0 ** rng.uniform(-3, 0)
             state = make_state(prob, rng.normal(0, 1, 3), mu, Lg0=7.0, k=2)
             state.grad_gmu = rng.normal(0, 1, 3)
-            state.x_prev = rng.normal(0, 1, 3)
-            state.grad_f_prev = prob.f.gradient(state.x_prev)
+            x_prev = rng.normal(0, 1, 3)
+            set_step(state, x_prev)
+            state.grad_f_prev = prob.f.gradient(x_prev)
             state.grad_gmu_prev = rng.normal(0, 1, 3)
-            dx = state.x - state.x_prev
+            dx = state.x - x_prev
             dg = mu * (state.grad_gmu - state.grad_gmu_prev)
             _, Lg0 = bb_init(state, prob, SolverConfig())
             assert Lg0 == pytest.approx(np.linalg.norm(dg) / np.linalg.norm(dx), rel=1e-14)
@@ -133,12 +142,11 @@ class TestBBInit:
         for _ in range(50):
             state = make_state(prob, rng.uniform(-1, 1, 2), 0.5,
                                Lf0=10.0 ** rng.uniform(-8, 8), k=2)
-            state.x_prev = rng.uniform(-1, 1, 2)
-            state.grad_f_prev = prob.f.gradient(state.x_prev)
-            y_prev = prob.g.value(state.x_prev)
-            state.grad_gmu_prev = prob.g.adjoint_apply(
-                state.x_prev, prob.cone.msa_gradient(y_prev, 0.6)
-            )
+            x_prev = rng.uniform(-1, 1, 2)
+            set_step(state, x_prev)
+            state.grad_f_prev = prob.f.gradient(x_prev)
+            y_prev = prob.g.value(x_prev)
+            state.grad_gmu_prev = prob.g.adjoint_apply(x_prev, prob.cone.msa_gradient(y_prev, 0.6))
             Lf0, Lg0 = bb_init(state, prob, cfg)
             assert cfg.L_min <= Lf0 <= cfg.L_max
             assert cfg.L_min <= Lg0 <= cfg.L_max
@@ -644,10 +652,11 @@ def asymmetric(y):
 
 
 def with_fault(prob, oracle, start, fault):
-    """``prob`` whose ``oracle`` ("g.value", "f.gradient", ...) passes its
-    output through ``fault`` from its ``start``-th call on."""
+    """``prob`` whose ``oracle`` ("g.value", "f.gradient", "p2.subgradient",
+    ...) passes its output through ``fault`` from its ``start``-th call on."""
     part, method = oracle.split(".")
-    fn = getattr(getattr(prob, part), method)
+    owner = getattr(prob, part)
+    fn = getattr(owner, method)
     calls = []
 
     def faulty(*args):
@@ -655,8 +664,12 @@ def with_fault(prob, oracle, start, fault):
         out = fn(*args)
         return fault(out) if len(calls) >= start else out
 
-    return dataclasses.replace(prob, **{
-        part: dataclasses.replace(getattr(prob, part), **{method: faulty})})
+    if dataclasses.is_dataclass(owner):
+        owner = dataclasses.replace(owner, **{method: faulty})
+    else:  # a regularizer: a copy whose method is shadowed
+        owner = copy.copy(owner)
+        setattr(owner, method, faulty)
+    return dataclasses.replace(prob, **{part: owner})
 
 
 # eps is out of reach, so only a fault ends a run before max_outer
@@ -828,7 +841,8 @@ class TestRunFailureModes:
         with pytest.raises(KeyError, match="oracle failure"):
             run(prob, FAULT_CFG, np.zeros(2))
 
-    @given(st.sampled_from(["g.value", "g.adjoint_apply", "f.value", "f.gradient", "asymmetric G"]),
+    @given(st.sampled_from(["g.value", "g.adjoint_apply", "f.value", "f.gradient",
+                            "p2.subgradient", "asymmetric G"]),
            st.integers(2, 30), st.sampled_from([math.nan, math.inf, -math.inf]))
     @settings(max_examples=120, deadline=None)
     def test_persistent_fault_always_reports(self, oracle, start, bad):
@@ -842,8 +856,11 @@ class TestRunFailureModes:
         report = run(prob, FAULT_CFG, np.zeros(2))
         assert report.status is not SolveStatus.CONVERGED
         assert report.reason
-        if oracle == "f.value":
-            assert "objective" in report.reason
+        # the guard where the bad output is made names it
+        named = {"f.value": "objective", "f.gradient": "f gradient",
+                 "p2.subgradient": "P2 subgradient"}
+        if oracle in named:
+            assert named[oracle] in report.reason
         assert report.iterations == len(report.trace)
         assert all(row.sigma_B <= 0.0 and math.isfinite(row.rho) for row in report.trace)
         # the report describes the last recorded row, and its JSON is strict
@@ -857,15 +874,30 @@ class TestRunFailureModes:
         json.dumps(report.to_dict(), allow_nan=False)
 
 
+class TestFiniteGuard:
+    @pytest.mark.parametrize("entries", [[1e308, 1e308], [1e200, -1e200]])
+    def test_accepts_finite_entries_whose_sums_overflow(self, entries):
+        v = np.array(entries)
+        assert smba.solver._finite("f gradient", v, 3) is v
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_any_nonfinite_entry(self, bad):
+        with pytest.raises(NumericError, match="^f gradient is not finite at step 3$"):
+            smba.solver._finite("f gradient", np.array([1.0, bad, 1e308]), 3)
+
+
 class TestCallCounts:
     def test_each_point_evaluated_once(self, monkeypatch):
         # one G call and one eigendecomposition per linesearch trial that
-        # passes the descent test, plus the start point; one f gradient per
-        # accepted step plus the start point; one exp pass per (point, mu)
-        # asked about; one l1 prox per ball subproblem, one per trial (most
-        # of this instance's subproblems start outside the ball)
+        # passes the descent test, plus the start point; one f value per
+        # trial and one f gradient per accepted step, plus the start point;
+        # two adjoints per accepted step (its certificate and the next
+        # step's smoothing gradient) but none for a next step after the
+        # last, plus the start point; one exp pass per (point, mu) asked
+        # about; one l1 prox per ball subproblem, one per trial (most of
+        # this instance's subproblems start outside the ball)
         base = nsdp_problem(generate_nsdp(6, 4, 5))
-        counts = {"G": 0, "eigh": 0, "grad_f": 0, "exp": 0, "prox": 0}
+        counts = {"G": 0, "G_adj": 0, "eigh": 0, "f": 0, "grad_f": 0, "exp": 0, "prox": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -875,8 +907,10 @@ class TestCallCounts:
 
         prob = dataclasses.replace(
             base,
-            g=dataclasses.replace(base.g, value=counting("G", base.g.value)),
-            f=dataclasses.replace(base.f, gradient=counting("grad_f", base.f.gradient)),
+            g=dataclasses.replace(base.g, value=counting("G", base.g.value),
+                                  adjoint_apply=counting("G_adj", base.g.adjoint_apply)),
+            f=dataclasses.replace(base.f, value=counting("f", base.f.value),
+                                  gradient=counting("grad_f", base.f.gradient)),
         )
         prob.cone._eigh = counting("eigh", prob.cone._eigh)
         prob.p1.prox = counting("prox", prob.p1.prox)
@@ -891,12 +925,21 @@ class TestCallCounts:
         assert sum(row.i_k for row in report.trace) > 0
         assert counts["eigh"] == counts["G"] == 1 + evaluated
         assert counts["grad_f"] == 1 + report.iterations
+        assert counts["f"] == 1 + report.trials
+        assert counts["G_adj"] == 2 * report.iterations  # converged: no next step
         assert counts["prox"] == report.trials
         # the start point at mu = 0.9 / 2^l for l = 0..L (the initial search,
         # whose last mu is mu0), each evaluated trial at the step's mu, and
         # each accepted point but the last at the next mu
         searched = 1 + round(math.log2(0.9 / report.mu0))
         assert counts["exp"] == searched + evaluated + report.iterations - 1
+        # a run cut by max_outer forms the next step's smoothing gradient
+        # after its last row too
+        counts.update(f=0, G_adj=0)
+        capped = run(prob, SolverConfig(eps=1e-16, max_outer=7), np.zeros(6))
+        assert capped.status is SolveStatus.MAX_OUTER
+        assert counts["G_adj"] == 1 + 2 * capped.iterations
+        assert counts["f"] == 1 + capped.trials
 
     def test_descent_failure_skips_constraint_and_cone(self):
         # a small objective weight overshoots the minimizer, and at a small mu
@@ -922,6 +965,75 @@ class TestCallCounts:
         assert res.i >= 2
         assert counts["f"] == res.j + 1  # one objective value per trial
         assert counts["G"] == counts["prepare"] == res.j + 1 - res.i
+
+
+def read_only(fn):
+    """``fn`` returning a read-only copy of each array it returns."""
+    def wrapped(*args):
+        out = fn(*args)
+        if isinstance(out, np.ndarray):
+            out = out.copy()
+            out.flags.writeable = False
+        return out
+    return wrapped
+
+
+def with_read_only_outputs(prob):
+    """``prob`` whose every oracle, and the gradient of every cone point it
+    prepares, returns read-only copies; the l1 weights are read-only too."""
+    def shadowed(obj, names):
+        obj = copy.copy(obj)
+        for name in names:
+            setattr(obj, name, read_only(getattr(obj, name)))
+        return obj
+
+    p1 = shadowed(prob.p1, ("value", "prox", "subdiff_distance"))
+    if hasattr(p1, "weights"):
+        p1.weights = p1.weights.copy()
+        p1.weights.flags.writeable = False
+    prepare = prob.cone.prepare
+
+    def prepare_read_only(y):
+        point = prepare(y)
+        point.gradient = read_only(point.gradient)
+        return point
+
+    cone = copy.copy(prob.cone)
+    cone.prepare = prepare_read_only
+    return dataclasses.replace(
+        prob,
+        f=dataclasses.replace(prob.f, value=read_only(prob.f.value),
+                              gradient=read_only(prob.f.gradient)),
+        g=dataclasses.replace(prob.g, value=read_only(prob.g.value),
+                              adjoint_apply=read_only(prob.g.adjoint_apply)),
+        p1=p1,
+        p2=shadowed(prob.p2, ("value", "subgradient")),
+        cone=cone,
+    )
+
+
+def socp_dc_shaped(n=200, seed=1):
+    """The ``socp-dc`` benchmark's shape: a norm ball of half the radius of
+    ``||c||`` around the origin, with ``P2 = 0.1 ||x||_1``."""
+    c = np.random.default_rng(seed).normal(size=n)
+    return dataclasses.replace(norm_ball_problem(c, 0.5 * float(np.linalg.norm(c))),
+                               p2=L1Concave(0.1))
+
+
+class TestNoAliasing:
+    @pytest.mark.parametrize("prob, eps", [
+        (nsdp_problem(generate_nsdp(20, 10, 2)), 1e-7),
+        (socp_dc_shaped(), 1e-5),
+    ], ids=["nsdp", "socp-dc"])
+    def test_read_only_oracle_outputs_leave_trace_unchanged(self, prob, eps):
+        # a step that reused an oracle's output by writing into it would
+        # fail on a read-only copy, or change the trace
+        cfg = SolverConfig(eps=eps)
+        plain = run(prob, cfg, np.zeros(prob.dim))
+        guarded = run(with_read_only_outputs(prob), cfg, np.zeros(prob.dim))
+        assert plain.status is guarded.status is SolveStatus.CONVERGED
+        assert plain.iterations > 20
+        assert [row[:-1] for row in guarded.trace] == [row[:-1] for row in plain.trace]
 
 
 class TestTracedNames:
