@@ -3,37 +3,49 @@
 Each iteration majorizes the smoothed constraint at the current strictly
 feasible iterate, solves one ball-constrained prox subproblem, and accepts
 the trial point once it achieves a sufficient decrease and is feasible for
-the smoothed constraint.  The two quadratic weights ``Lf = 2^a Lf0`` and
-``Lg = 2^b Lg0`` are searched on doubling grids above warm starts taken from
-the last accepted step (``bb_init``).  The descent test comes first, so the
-constraint map and the cone decomposition are paid for only by trials that
-pass it.  The smoothing parameter then follows a prescheduled decreasing
-sequence, and the additive shift of the smoothing family guarantees the next
-iterate stays strictly feasible at the smaller parameter.
+the smoothed constraint.  The smoothing parameter then follows a
+prescheduled decreasing sequence, and the additive shift of the smoothing
+family guarantees the next iterate stays strictly feasible at the smaller
+parameter.
 
-A trial that fails the descent test has measured the curvature of ``f``
-along its own step, ``curv = f(x+) - f(x_k) - <grad f(x_k), dx>``, with no
-extra oracle call.  Its secant ``2 curv / ||dx||^2`` is at most the Lipschitz
-constant of ``grad f``, so ``a`` jumps to the largest grid point not above the
-secant, and at least by one (the interpolation step of Nocedal and Wright,
-*Numerical Optimization*, section 3.5, kept on the grid).  A curvature within
-``SECANT_GUARD`` of the rounding of ``f`` is noise and raises ``a`` by one.
-``b`` rises by as much as ``a``.  A trial rejected as infeasible has measured
-the constraint the same way, ``curv_g = g_mu(x+) - g_mu(x_k) - <grad g_mu(x_k),
-dx>``, and ``b`` alone rises to the smallest grid point at or above
-``2 mu curv_g / ||dx||^2``, and at least by one; by one when ``curv_g`` is not
-positive and finite or within ``SECANT_GUARD`` of the rounding of ``g_mu``.
-Each secant is at most the Lipschitz constant it estimates (of ``grad f``, or
-of ``mu grad g_mu`` on the step), so the accepted ``Lf`` and ``Lg`` keep the
-bound plain doubling gives: below twice that constant, or the warm start.
-The trace's ``i_k`` counts the trials that failed the descent test and
-``j_k + 1`` all trials; ``max_inner_j`` caps ``j_k``.
+The linesearch.  The two quadratic weights ``Lf = 2^a Lf0`` and ``Lg =
+2^b Lg0`` are searched on doubling grids above warm starts taken from the
+last accepted step (``bb_init``).  The descent test comes first, so the
+constraint map and the cone decomposition are paid for only by trials that
+pass it.  A trial that fails the descent test has measured the curvature of
+``f`` along its own step, ``curv = f(x+) - f(x_k) - <grad f(x_k), dx>``,
+with no extra oracle call.  Its secant ``2 curv / ||dx||^2`` is at most the
+Lipschitz constant of ``grad f``, so ``a`` jumps to the largest grid point
+not above the secant, and at least by one (the interpolation step of
+Nocedal and Wright, *Numerical Optimization*, section 3.5, kept on the
+grid).  A curvature within ``SECANT_GUARD`` of the rounding of ``f`` is
+noise and raises ``a`` by one.  ``b`` rises by as much as ``a``.  A trial
+rejected as infeasible has measured the constraint the same way, ``curv_g =
+g_mu(x+) - g_mu(x_k) - <grad g_mu(x_k), dx>``, and ``b`` alone rises to the
+smallest grid point at or above ``2 mu curv_g / ||dx||^2``, and at least by
+one; by one when ``curv_g`` is not positive and finite or within
+``SECANT_GUARD`` of the rounding of ``g_mu``.  Each secant is at most the
+Lipschitz constant it estimates (of ``grad f``, or of ``mu grad g_mu`` on
+the step), so the accepted ``Lf`` and ``Lg`` keep the bound plain doubling
+gives: below twice that constant, or the warm start.  A non-finite
+objective is tested for feasibility too: an infeasible trial is rejected as
+a feasibility failure, a feasible one ends the run.  The trace's ``i_k``
+counts the trials that failed the descent test and ``j_k + 1`` all trials;
+``max_inner_j`` caps ``j_k``.
+
+The hand-off.  One step hands the next a frozen ``IterateState``: the
+accepted point, the next step's mu, the point's f, psi and smoothed value
+at that mu, the gradients of f and g_mu there, the P2 subgradient, and the next step's
+warm starts.  One builder forms it at x0 and at every accepted point; it
+checks that the smoothed value is negative, and the warm starts come from
+the accepted step's own ``dx``, ``||dx||^2`` and gradient changes, with the
+clipped 1.0 at x0.
 
 Each quantity of a step is formed once.  A trial evaluates f, P1 and P2 at
 its point, and, if it passes the descent test, ``G``, the cone point and
 ``g_mu``; ``||grad g_mu(x_k)||^2`` is shared by every trial's ball.  The
 accepted trial carries its step ``dx`` and ``||dx||^2`` from the descent
-test to the certificate's step length and the next ``bb_init``, and its f
+test to the certificate's step length and the next warm starts, and its f
 value, ``G`` value and cone point to the certificate, the exact feasibility
 check and the next step's smoothed value and gradient.  ``||x_{k+1}||``
 serves the stop test and the divergence guard.  An accepted step adds one
@@ -69,11 +81,6 @@ from .cones import MU_FLOOR, ConePoint, all_finite
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
 from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
-
-TRACE_COLUMNS = (
-    "k", "psi", "g_mu", "sigma_B", "mu", "lambda", "Lf", "Lg",
-    "i_k", "j_k", "term_step", "term_slack", "rho", "elapsed_s",
-)
 
 DIVERGENCE_NORM = 1e8
 DESCENT_SLACK = 1e-12
@@ -124,12 +131,13 @@ class SolverConfig:
         return cls(**d)
 
 
-@dataclass
-class IterateState:
-    """Mutable working state of one run (one accepted iterate plus warm-start memory)."""
+class IterateState(NamedTuple):
+    """What a step starts from (module docstring, the hand-off): the point
+    ``x``, the step's ``mu``, ``f(x)``, ``psi(x)``, ``gmu = g_mu(x)``, the
+    gradients of ``g_mu`` and f at ``x``, the P2 subgradient ``xi``, and the
+    warm starts ``Lf0`` and ``Lg0``."""
 
     x: np.ndarray
-    k: int
     mu: float
     f: float
     psi: float
@@ -137,12 +145,8 @@ class IterateState:
     grad_gmu: np.ndarray
     grad_f: np.ndarray
     xi: np.ndarray
-    Lf0: float = 1.0
-    Lg0: float = 1.0
-    dx: Optional[np.ndarray] = None  # the last accepted step x - x_prev
-    dx2: float = 0.0  # its squared norm
-    grad_f_prev: Optional[np.ndarray] = None
-    grad_gmu_prev: Optional[np.ndarray] = None
+    Lf0: float
+    Lg0: float
 
 
 class TraceRow(NamedTuple):
@@ -151,7 +155,7 @@ class TraceRow(NamedTuple):
     g_mu: float
     sigma_B: float
     mu: float
-    lam: float
+    lam: float  # the column "lambda"
     Lf: float
     Lg: float
     i_k: int
@@ -165,32 +169,41 @@ class TraceRow(NamedTuple):
         return tuple(self)
 
 
+TRACE_COLUMNS = tuple("lambda" if name == "lam" else name for name in TraceRow._fields)
+
+
 @dataclass
 class SolveReport:
     """Outcome of ``run``.  ``x``, ``objective``, ``final_kkt``, ``term_step``
     and ``term_slack`` belong to the last trace row on every exit; with no
     rows they are x0, its objective, None and inf.  ``mu0`` is NaN when the
     initial smoothing search reached the floor.  ``advances`` counts the steps
-    after which the schedule jumped to the next block.  A row's ``i_k`` counts
-    the trials that failed the descent test and ``j_k + 1`` all its trials;
-    ``Lf`` and ``Lg`` are the accepted trial's weights, which a curvature jump
-    can lift by more than one doubling per trial (see ``inner_loop_step``).
-    ``capped`` holds ``(i, j)`` of a step that ran out of trials and has no
-    row: ``i`` of its ``j`` trials failed the descent test."""
+    after which the schedule jumped to the next block.  ``capped`` holds
+    ``(i, j)`` of a step that ran out of trials and has no row: ``i`` of its
+    ``j`` trials failed the descent test."""
 
     status: SolveStatus
-    iterations: int
     trace: List[TraceRow]
     final_kkt: Optional[diagnostics.KKTCertificate]
     wall_time: float
     objective: float
     x: np.ndarray
     mu0: float
-    term_step: float = math.inf
-    term_slack: float = math.inf
     reason: str = ""
     advances: int = 0
     capped: Tuple[int, int] = (0, 0)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def term_step(self) -> float:
+        return self.trace[-1].term_step if self.trace else math.inf
+
+    @property
+    def term_slack(self) -> float:
+        return self.trace[-1].term_slack if self.trace else math.inf
 
     @property
     def trials(self) -> int:
@@ -266,6 +279,16 @@ def _finite(name: str, value, k: int):
     return value
 
 
+def _cone_point(prob: DCProblem, y, where: str) -> ConePoint:
+    """The evaluated cone point of ``y = G(x)``; raises NumericError naming
+    the constraint map and ``where`` if the cone rejects ``y`` (a NaN or inf
+    entry, a wrong shape, or asymmetry)."""
+    try:
+        return prob.cone.prepare(y)
+    except ValueError as exc:
+        raise NumericError(f"constraint map output rejected at {where}: {exc}") from exc
+
+
 def _check_x0(prob: DCProblem, x0) -> np.ndarray:
     """``x0`` as a float vector; raises ValueError unless it is 1-D, of length
     ``prob.dim`` and finite, before any oracle sees it."""
@@ -282,7 +305,7 @@ def _check_x0(prob: DCProblem, x0) -> np.ndarray:
 
 def _start_point(prob: DCProblem, x0) -> ConePoint:
     """The evaluated cone point of ``G(x0)``; raises unless x0 is strictly feasible."""
-    point = prob.cone.prepare(prob.g.value(x0))
+    point = _cone_point(prob, prob.g.value(x0), "x0")
     if not point.support < 0:
         raise InfeasibleStartError(
             f"starting point is not strictly feasible (support value {point.support:.3e})"
@@ -309,43 +332,58 @@ def find_initial_mu(prob: DCProblem, x0) -> float:
     return _initial_mu(_start_point(prob, _check_x0(prob, x0)))
 
 
-def bb_init(state: IterateState, prob: DCProblem, cfg: SolverConfig):
-    """Warm starts for the two doubling constants from the last accepted step
-    ``dx``: the spectral ratio ``|dx.df| / ||dx||^2`` for ``Lf0``, and for
-    ``Lg0`` the secant ratio ``||dg|| / ||dx||`` of ``dg``, the change of
-    ``mu grad g_mu``.  By Cauchy-Schwarz the latter lies between the two
-    spectral ratios of ``dg`` and never passes the Lipschitz constant of
-    ``mu grad g_mu`` on the step.  A ratio outside [L_min, L_max], or a step
-    below 1e-12, falls back to half the previous start, kept above L_min.
-    ``dx`` and ``||dx||^2`` are ``state.dx`` and ``state.dx2``, as the
-    accepted trial formed them."""
+def bb_init(dx, dx2, df, dg, Lf0, Lg0, cfg: SolverConfig):
+    """Warm starts for the step after an accepted step ``dx`` with ``dx2 =
+    ||dx||^2``, along which the f gradient changed by ``df`` and ``mu grad
+    g_mu`` by ``dg``, and which searched from ``Lf0`` and ``Lg0``.  They are
+    the spectral ratio ``|dx.df| / ||dx||^2`` and the secant ratio ``||dg|| /
+    ||dx||``, which by Cauchy-Schwarz lies between the two spectral ratios of
+    ``dg`` and never passes the Lipschitz constant of ``mu grad g_mu`` on the
+    step.  A ratio outside [L_min, L_max], or a step below 1e-12, falls back
+    to half that step's start, kept above L_min."""
     lo, hi = cfg.L_min, cfg.L_max
-    clip = lambda v: min(max(v, lo), hi)
-    if state.k == 0 or state.dx is None:
-        return clip(1.0), clip(1.0)
-
-    dx, nx2 = state.dx, state.dx2
-    Lf0, Lg0 = max(lo, 0.5 * state.Lf0), max(lo, 0.5 * state.Lg0)
-    if math.sqrt(nx2) > 1e-12:
-        df = state.grad_f - state.grad_f_prev
-        dg = state.mu * (state.grad_gmu - state.grad_gmu_prev)
+    Lf0, Lg0 = max(lo, 0.5 * Lf0), max(lo, 0.5 * Lg0)
+    if math.sqrt(dx2) > 1e-12:
         inside = lambda r: math.isfinite(r) and lo <= r <= hi
-        ratio_f = abs(float(dx.dot(df))) / nx2
-        ratio_g = math.sqrt(float(dg.dot(dg)) / nx2)
+        ratio_f = abs(float(dx.dot(df))) / dx2
+        ratio_g = math.sqrt(float(dg.dot(dg)) / dx2)
         Lf0 = ratio_f if inside(ratio_f) else Lf0
         Lg0 = ratio_g if inside(ratio_g) else Lg0
     return Lf0, Lg0
 
 
+def _state(prob: DCProblem, cfg: SolverConfig, k: int, x, mu: float, f: float, psi: float,
+           grad_f, point: ConePoint, prev: Optional[IterateState] = None,
+           step: Optional[InnerResult] = None) -> IterateState:
+    """The state of step ``k`` at ``x`` and ``mu``: x0 when ``prev`` is None,
+    else the point that ``step`` reached from ``prev``.  Checks that the
+    smoothed value is negative, then forms the smoothing gradient by the
+    adjoint and the P2 subgradient, each guarded against NaN and inf, and
+    the warm starts."""
+    gmu = point.value(mu)
+    if not gmu < 0:
+        if prev is None:
+            raise InfeasibleStartError(
+                f"smoothed constraint is not negative at x0 for mu0={mu:.3e} (value {gmu:.3e})")
+        raise NumericError("strict feasibility chain broken")
+    grad_gmu = _finite("constraint adjoint", prob.g.adjoint_apply(x, point.gradient(mu)), k)
+    xi = _finite("P2 subgradient", prob.p2.subgradient(x), k)
+    if prev is None:
+        Lf0 = Lg0 = min(max(1.0, cfg.L_min), cfg.L_max)
+    else:
+        Lf0, Lg0 = bb_init(step.dx, step.step2, grad_f - prev.grad_f,
+                           mu * (grad_gmu - prev.grad_gmu), prev.Lf0, prev.Lg0, cfg)
+    return IterateState(x, mu, f, psi, gmu, grad_gmu, grad_f, xi, Lf0, Lg0)
+
+
 def _secant_rise(curv: float, scale: float, step2: float, factor: float,
                  base: float, e: int, above: bool) -> int:
-    """How far a failed trial lifts the exponent ``e`` of a weight
-    ``base * 2^e``: to the grid point next to the secant ``2 factor curv /
-    step2`` (the largest not above it, or with ``above`` the smallest at or
-    above it), and at least by one.  By one when the curvature is not
-    positive and finite, or within ``SECANT_GUARD`` of the rounding ``scale``
-    of the values it came from.  The grid point is exact, with no logarithm
-    and no overflow."""
+    """How far a failed trial lifts the exponent ``e`` of a weight ``base *
+    2^e`` whose secant is ``2 factor curv / step2``: to the grid point next
+    to it (the largest not above it, or with ``above`` the smallest at or
+    above it), and at least by one; by one when ``curv`` is not positive and
+    finite or within ``SECANT_GUARD`` of ``scale``.  The grid point is exact,
+    with no logarithm and no overflow."""
     if not (step2 > 0.0 and curv > SECANT_GUARD * scale):
         return 1
     secant = 2.0 * factor * curv / step2
@@ -357,26 +395,11 @@ def _secant_rise(curv: float, scale: float, step2: float, factor: float,
 
 
 def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> InnerResult:
-    """Search the doubling grids for a trial that decreases the objective
-    enough and is feasible for the smoothed constraint.
-
-    The cheap descent test runs first, so only a trial that passes it pays
-    for ``G(x)``, the cone decomposition and the smoothed value.  A descent
-    failure raises the objective exponent ``a`` to the largest grid point not
-    above its secant curvature ``2 (f(x+) - f(x_k) - <grad f(x_k), dx>) /
-    ||dx||^2``, and at least by one; by one when that curvature is within
-    ``SECANT_GUARD`` of the rounding of ``f``.  The constraint exponent ``b``
-    rises by as much.  A feasibility failure raises ``b`` alone, to the
-    smallest grid point at or above ``2 mu (g_mu(x+) - g_mu(x_k) -
-    <grad g_mu(x_k), dx>) / ||dx||^2``, and at least by one; by one when that
-    curvature is not positive and finite or is within ``SECANT_GUARD`` of the
-    rounding of ``g_mu``.  ``i``
-    counts the descent failures and ``j + 1`` the trials, so i <= j, and a
-    step whose ``j`` passes ``max_inner_j`` raises InnerCapError.  A weight
-    past the float range raises NumericError.  A non-finite objective is
-    tested for feasibility too: an infeasible trial is rejected as a
-    feasibility failure, a feasible one raises NumericError.
-    """
+    """The first trial from ``state`` that the linesearch (module docstring)
+    accepts.  ``i`` counts its descent failures and ``j + 1`` its trials, so
+    i <= j.  Raises InnerCapError once ``j`` passes ``max_inner_j``, and
+    NumericError for a weight past the float range, a ``G`` value the cone
+    rejects, or a non-finite objective at a feasible trial."""
     q = state.grad_f - state.xi
     grad_sq = float(state.grad_gmu.dot(state.grad_gmu))  # every trial's ball uses it
     i = j = a = b = 0
@@ -397,10 +420,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         finite = math.isfinite(psi_cand)
         if psi_cand <= state.psi - decrease or not finite:
             y = prob.g.value(sub.x)
-            try:
-                point = prob.cone.prepare(y)
-            except ValueError as exc:
-                raise NumericError(f"constraint map output rejected at a trial point: {exc}") from exc
+            point = _cone_point(prob, y, "a trial point")
             gmu_cand = point.value(state.mu)
             if gmu_cand <= 0.0:
                 if not finite:
@@ -431,40 +451,26 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
 
     trace: List[TraceRow] = []
     f0 = prob.f.value(x0)
-    x, psi, cert, term_step, term_slack = (
-        x0, f0 + prob.p1.value(x0) - prob.p2.value(x0), None, math.inf, math.inf)
+    x, psi, cert = x0, f0 + prob.p1.value(x0) - prob.p2.value(x0), None
     status, reason, mu0 = SolveStatus.MAX_OUTER, "", math.nan
     advances, capped = 0, (0, 0)
 
     try:
-        # an infeasible start is an input error and raises; an initial smoothing
-        # search that reaches the floor ends the run with no rows
+        # an infeasible start, or a supplied mu0 too large for it, is an input
+        # error and raises.  A user oracle returning NaN or inf, a G(x0) the
+        # cone rejects included, ends the run where its output is made, before
+        # it reaches the subproblem or the cone kernel; so does an initial
+        # smoothing search that reaches the floor.  Either ends with no rows
         point0 = _start_point(prob, x0)
         mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
         schedule = cfg.schedule.with_mu0(mu0)
         # the schedule index s runs apart from the step count k: it jumps to
         # the next block start when the iterate stalls (module docstring)
         s, block = 0, None if schedule.variant == "power" else schedule.n0 + 1
-        gmu0 = point0.value(mu0)
-        if not gmu0 < 0:
-            raise InfeasibleStartError(
-                f"smoothed constraint is not negative at x0 for mu0={mu0:.3e} (value {gmu0:.3e})"
-            )
-
-        # a user oracle returning NaN or inf ends the run where its output is
-        # made, before it reaches the subproblem or the cone kernel
-        state = IterateState(
-            x=x0, k=0, mu=mu0, f=f0,
-            psi=_finite("objective value", psi, 0), gmu=gmu0,
-            grad_f=_finite("f gradient", prob.f.gradient(x0), 0),
-            grad_gmu=_finite("constraint adjoint",
-                             prob.g.adjoint_apply(x0, point0.gradient(mu0)), 0),
-            xi=_finite("P2 subgradient", prob.p2.subgradient(x0), 0),
-        )
+        state = _state(prob, cfg, 0, x0, mu0, f0, _finite("objective value", psi, 0),
+                       _finite("f gradient", prob.f.gradient(x0), 0), point0)
 
         for k in range(cfg.max_outer):
-            state.k = k
-            state.Lf0, state.Lg0 = bb_init(state, prob, cfg)
             inner = inner_loop_step(state, prob, cfg)
 
             # the accepted trial's step, G value and cone point serve the
@@ -496,7 +502,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
                 term_step=step, term_slack=slack, rho=kkt.rho,
                 elapsed_s=time.perf_counter() - t0,
             ))
-            x, psi, cert, term_step, term_slack = x_next, inner.psi, kkt, step, slack
+            x, psi, cert = x_next, inner.psi, kkt
 
             if x_norm > DIVERGENCE_NORM:
                 raise NumericError("iterate norm diverged")
@@ -518,39 +524,14 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
                 reason = (f"smoothing schedule falls below the floor {MU_FLOOR:.0e} "
                           f"at step {k + 1} (schedule index {s})")
                 break
-            gmu_next = point.value(mu_next)
-            if not gmu_next < 0:
-                raise NumericError("strict feasibility chain broken")
-
-            state.dx, state.dx2 = inner.dx, inner.step2
-            state.grad_f_prev = state.grad_f
-            state.grad_gmu_prev = state.grad_gmu
-            state.x = x_next
-            state.mu = mu_next
-            state.f = inner.f
-            state.psi = inner.psi
-            state.gmu = gmu_next
-            state.grad_gmu = _finite("constraint adjoint",
-                                     prob.g.adjoint_apply(x_next, point.gradient(mu_next)), k + 1)
-            state.grad_f = grad_f_next
-            state.xi = _finite("P2 subgradient", prob.p2.subgradient(x_next), k + 1)
+            state = _state(prob, cfg, k + 1, x_next, mu_next, inner.f, inner.psi, grad_f_next,
+                           point, state, inner)
     except InnerCapError as exc:
         status, reason, capped = SolveStatus.INNER_CAP_EXCEEDED, str(exc), (exc.i, exc.j)
     except NumericError as exc:
         status, reason = SolveStatus.NUMERIC_FAILURE, str(exc)
 
     return SolveReport(
-        status=status,
-        iterations=len(trace),
-        trace=trace,
-        final_kkt=cert,
-        wall_time=time.perf_counter() - t0,
-        objective=psi,
-        x=x,
-        mu0=mu0,
-        term_step=term_step,
-        term_slack=term_slack,
-        reason=reason,
-        advances=advances,
-        capped=capped,
+        status=status, trace=trace, final_kkt=cert, wall_time=time.perf_counter() - t0,
+        objective=psi, x=x, mu0=mu0, reason=reason, advances=advances, capped=capped,
     )

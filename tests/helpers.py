@@ -188,11 +188,12 @@ class LinearConcave:
         return self.v.copy()
 
 
-def make_state(prob, x, mu, Lf0=1.0, Lg0=1.0, k=0):
+def make_state(prob, x, mu, Lf0=1.0, Lg0=1.0):
+    """The linesearch's starting state at ``x`` and ``mu`` with the given warm starts."""
     x = np.asarray(x, dtype=float)
     point = prob.cone.prepare(prob.g.value(x))
     return IterateState(
-        x=x, k=k, mu=mu, f=prob.f.value(x),
+        x=x, mu=mu, f=prob.f.value(x),
         psi=objective_value(prob, x), gmu=point.value(mu),
         grad_gmu=prob.g.adjoint_apply(x, point.gradient(mu)),
         grad_f=prob.f.gradient(x),

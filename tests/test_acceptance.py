@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from smba.ball_prox import BallConstraint, build_ball, solve_ball_prox
-from smba.cones import NegSemidef, NonposOrthant, PCone
+from smba.cones import NegSemidef
 from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.problems import (
     L1Regularizer,
@@ -34,6 +34,7 @@ from smba.schedules import (
     ramped_log_schedule,
 )
 from smba.solver import SolveStatus, SolverConfig, bb_init, inner_loop_step, run
+from conftest import family_cases
 from helpers import (
     GridSpec,
     analytic_box_solution,
@@ -63,20 +64,6 @@ def criterion(num, label, budget=None):
             print(f"ACCEPTANCE {num:02d} {label}: PASS ({elapsed:.1f}s)")
         return wrapper
     return deco
-
-
-def family_samplers(rng):
-    def orthant(r=rng):
-        return r.normal(0, 3, 5)
-
-    def psd(r=rng):
-        y = r.normal(0, 3, (4, 4))
-        return 0.5 * (y + y.T)
-
-    def pcone(r=rng):
-        return r.normal(0, 3, 6)
-
-    return [(NonposOrthant(5), orthant), (NegSemidef(4), psd), (PCone(5), pcone)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +119,8 @@ def replay_with_ledger(prob, cfg, x0, steps):
     schedule = cfg.schedule.with_mu0(
         cfg.schedule.mu0 if cfg.schedule.mu0 is not None else find_initial_mu(prob, x0)
     )
-    x = np.asarray(x0, dtype=float)
-    state = make_state(prob, x, mu_at(schedule, 0))
-    prev = None
+    state = make_state(prob, x0, mu_at(schedule, 0))
     for k in range(steps):
-        state.k = k
-        state.Lf0, state.Lg0 = bb_init(state, prob, cfg)
         res = inner_loop_step(state, prob, cfg)
 
         drop = (cfg.tau1 * state.mu + cfg.tau2 * res.lam) / (2.0 * state.mu)
@@ -155,13 +138,10 @@ def replay_with_ledger(prob, cfg, x0, steps):
         mu_next = mu_at(schedule, k + 1)
         assert composite_value(prob, res.x, mu_next) < 0.0
 
-        prev = state
-        nxt = make_state(prob, res.x, mu_next, k=k + 1)
-        nxt.dx, nxt.dx2 = res.dx, res.step2
-        nxt.grad_f_prev = prev.grad_f
-        nxt.grad_gmu_prev = prev.grad_gmu
-        nxt.Lf0, nxt.Lg0 = prev.Lf0, prev.Lg0
-        state = nxt
+        nxt = make_state(prob, res.x, mu_next)
+        Lf0, Lg0 = bb_init(res.dx, res.step2, nxt.grad_f - state.grad_f,
+                           mu_next * (nxt.grad_gmu - state.grad_gmu), state.Lf0, state.Lg0, cfg)
+        state = nxt._replace(Lf0=Lf0, Lg0=Lg0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +152,10 @@ def replay_with_ledger(prob, cfg, x0, steps):
 @criterion(1, "smoothing sandwich and shift", budget=5.0)
 def test_criterion_1_sandwich_and_shift():
     rng = np.random.default_rng(101)
-    for oracle, sample in family_samplers(rng):
+    for oracle, sample in family_cases():
         a3, a4 = oracle.cert.alpha3, oracle.cert.alpha4
         for _ in range(1000):
-            y = sample()
+            y = sample(rng)
             mu1 = 10.0 ** rng.uniform(-6, 1)
             sig = oracle.support_value(y)
             val1 = oracle.msa_value(y, mu1)
@@ -190,9 +170,9 @@ def test_criterion_1_sandwich_and_shift():
 def test_criterion_2_gradient_fidelity():
     rng = np.random.default_rng(202)
     h = 1e-6
-    for oracle, sample in family_samplers(rng):
+    for oracle, sample in family_cases():
         for _ in range(200):
-            y, d = sample(), sample()
+            y, d = sample(rng), sample(rng)
             mu = 10.0 ** rng.uniform(-3, 1)
             grad = oracle.msa_gradient(y, mu)
             fd = (oracle.msa_value(y + h * d, mu) - oracle.msa_value(y - h * d, mu)) / (2 * h)

@@ -36,7 +36,7 @@ from smba.solver import (
     run,
 )
 
-from helpers import composite_value, make_state, socp_dc_optimum
+from helpers import composite_gradient, composite_value, make_state, socp_dc_optimum
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -83,55 +83,41 @@ class TestFindInitialMu:
             assert composite_value(prob, np.zeros(3), mu0) < 0
 
 
-def set_step(state, x_prev):
-    """Give ``state`` the warm-start memory of a step from ``x_prev``."""
-    state.dx = state.x - x_prev
-    state.dx2 = float(state.dx.dot(state.dx))
-
-
 class TestBBInit:
     def test_first_iteration_defaults_to_one(self):
+        # from x0 = c the first trial is accepted, so the first row's weights
+        # are the first step's warm starts: 1.0 clipped to [L_min, L_max]
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
-        state = make_state(prob, np.zeros(2), 0.9)
-        assert bb_init(state, prob, SolverConfig()) == (1.0, 1.0)
+        for lo, hi, want in ((1e-8, 1e8, 1.0), (4.0, 8.0, 4.0), (1e-8, 0.25, 0.25)):
+            report = run(prob, SolverConfig(L_min=lo, L_max=hi), np.zeros(2))
+            row = report.trace[0]
+            assert (row.i_k, row.j_k) == (0, 0)
+            assert (row.Lf, row.Lg) == (want, want)
 
     def test_identity_quadratic_recovers_unit_curvature(self):
         # f = 0.5 ||x - c||^2 has unit Hessian, so the f-ratio is exactly 1
         prob = box_problem(c=[3.0, 3.0], b=[10.0, 10.0])
-        state = make_state(prob, np.array([0.5, 0.2]), 0.9, k=1)
-        x_prev = np.array([0.0, 0.0])
-        set_step(state, x_prev)
-        state.grad_f_prev = prob.f.gradient(x_prev)
-        state.grad_gmu_prev = state.grad_gmu.copy()
-        Lf0, _ = bb_init(state, prob, SolverConfig())
+        x, x_prev = np.array([0.5, 0.2]), np.zeros(2)
+        dx = x - x_prev
+        df = prob.f.gradient(x) - prob.f.gradient(x_prev)
+        Lf0, _ = bb_init(dx, float(dx.dot(dx)), df, np.zeros(2), 1.0, 1.0, SolverConfig())
         assert Lf0 == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_step_halves_previous(self):
-        prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
-        state = make_state(prob, np.zeros(2), 0.9, Lf0=2.0, Lg0=4.0, k=3)
-        set_step(state, state.x.copy())
-        state.grad_f_prev = state.grad_f.copy()
-        state.grad_gmu_prev = state.grad_gmu.copy()
-        Lf0, Lg0 = bb_init(state, prob, SolverConfig())
+        zero = np.zeros(2)
+        Lf0, Lg0 = bb_init(zero, 0.0, zero, zero, 2.0, 4.0, SolverConfig())
         assert Lf0 == pytest.approx(1.0)
         assert Lg0 == pytest.approx(2.0)
 
     def test_constraint_warm_start_is_secant_norm_ratio(self, rng):
-        # Lg0 = ||dg|| / ||dx|| with dg = mu (grad_gmu - grad_gmu_prev); by
+        # Lg0 = ||dg|| / ||dx|| with dg the change of mu grad g_mu; by
         # Cauchy-Schwarz it lies between |dx.dg| / ||dx||^2 and
         # ||dg||^2 / |dx.dg|, the two spectral ratios
-        prob = box_problem(c=[0.0, 0.0, 0.0], b=[5.0, 5.0, 5.0])
         for _ in range(50):
             mu = 10.0 ** rng.uniform(-3, 0)
-            state = make_state(prob, rng.normal(0, 1, 3), mu, Lg0=7.0, k=2)
-            state.grad_gmu = rng.normal(0, 1, 3)
-            x_prev = rng.normal(0, 1, 3)
-            set_step(state, x_prev)
-            state.grad_f_prev = prob.f.gradient(x_prev)
-            state.grad_gmu_prev = rng.normal(0, 1, 3)
-            dx = state.x - x_prev
-            dg = mu * (state.grad_gmu - state.grad_gmu_prev)
-            _, Lg0 = bb_init(state, prob, SolverConfig())
+            dx = rng.normal(0, 1, 3)
+            dg = mu * (rng.normal(0, 1, 3) - rng.normal(0, 1, 3))
+            _, Lg0 = bb_init(dx, float(dx.dot(dx)), dx, dg, 1.0, 7.0, SolverConfig())
             assert Lg0 == pytest.approx(np.linalg.norm(dg) / np.linalg.norm(dx), rel=1e-14)
             cross = abs(float(dx.dot(dg)))
             assert cross / dx.dot(dx) * (1 - 1e-14) <= Lg0 <= dg.dot(dg) / cross * (1 + 1e-14)
@@ -140,14 +126,11 @@ class TestBBInit:
         prob = box_problem(c=[0.0, 0.0], b=[5.0, 5.0])
         cfg = SolverConfig()
         for _ in range(50):
-            state = make_state(prob, rng.uniform(-1, 1, 2), 0.5,
-                               Lf0=10.0 ** rng.uniform(-8, 8), k=2)
-            x_prev = rng.uniform(-1, 1, 2)
-            set_step(state, x_prev)
-            state.grad_f_prev = prob.f.gradient(x_prev)
-            y_prev = prob.g.value(x_prev)
-            state.grad_gmu_prev = prob.g.adjoint_apply(x_prev, prob.cone.msa_gradient(y_prev, 0.6))
-            Lf0, Lg0 = bb_init(state, prob, cfg)
+            x, x_prev = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+            dx = x - x_prev
+            df = prob.f.gradient(x) - prob.f.gradient(x_prev)
+            dg = 0.5 * (composite_gradient(prob, x, 0.5) - composite_gradient(prob, x_prev, 0.6))
+            Lf0, Lg0 = bb_init(dx, float(dx.dot(dx)), df, dg, 10.0 ** rng.uniform(-8, 8), 1.0, cfg)
             assert cfg.L_min <= Lf0 <= cfg.L_max
             assert cfg.L_min <= Lg0 <= cfg.L_max
 
@@ -279,7 +262,7 @@ class TestSecantJump:
         res = inner_loop_step(state, prob, SolverConfig())
         assert (res.i, res.j) == (1, 1)
         assert res.Lf == res.Lg == math.ldexp(1e-8, 1024)
-        state.Lg0 = 1e8
+        state = state._replace(Lg0=1e8)
         with pytest.raises(NumericError, match="^linesearch weight overflowed$"):
             inner_loop_step(state, prob, SolverConfig())
 
@@ -581,7 +564,7 @@ class TestRunInvariants:
         x = np.zeros(2)
         for k in range(10):
             mu = mu_at(schedule, k)
-            state = make_state(prob, x, mu, k=k)
+            state = make_state(prob, x, mu)
             res = inner_loop_step(state, prob, SolverConfig())
             assert res.gmu <= 0.0
             mu_next = mu_at(schedule, k + 1)
@@ -827,11 +810,21 @@ class TestRunFailureModes:
         assert (report.status, report.iterations) == (SolveStatus.MAX_OUTER, FAULT_CFG.max_outer)
         assert all(math.isfinite(row.psi) and row.sigma_B <= 0.0 for row in report.trace)
 
-    def test_rejected_start_output_raises(self):
-        prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "g.value", 1,
-                          lambda y: np.full_like(y, np.nan))
-        with pytest.raises(ValueError, match="non-finite"):
-            run(prob, FAULT_CFG, np.zeros(2))
+    def test_rejected_start_output_becomes_status(self):
+        # a G(x0) the cone rejects (a NaN, an inf or an asymmetric entry)
+        # ends the run as a rejected trial output does, with no rows
+        box = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
+        for prob, fault in [
+            (box, lambda y: np.array([np.nan, 0.0])),
+            (box, lambda y: np.full_like(y, np.inf)),
+            (psd_toy_problem(), asymmetric),
+        ]:
+            report = run(with_fault(prob, "g.value", 1, fault), FAULT_CFG, np.zeros(2))
+            assert report.status is SolveStatus.NUMERIC_FAILURE
+            assert report.reason.startswith("constraint map output rejected at x0: ")
+            assert report.iterations == len(report.trace) == 0
+            assert report.final_kkt is None
+            json.dumps(report.to_dict(), allow_nan=False)
 
     def test_raising_oracle_propagates(self):
         def fault(y):

@@ -1,0 +1,75 @@
+"""Print one bit-exact fingerprint line per benchmark solve.
+
+Usage::
+
+    python tools/trace_digests.py [--src DIR] [--seeds N]
+
+Solves every instance of the three ``perfbench`` workloads (``nsdp-desk``,
+``nsdp-large``, ``socp-dc``) at seeds ``0..N-1``, each from the origin with
+the workload's ``eps`` and one BLAS thread.  The panels come from
+``perfbench/workloads.py`` beside this script; ``smba`` is imported from
+``DIR`` (default: this checkout's ``src``), so the same panels can be
+solved by another source tree, such as a checkout of the parent commit.
+Each line reads::
+
+    <workload> seed=<s> instance=<i> <status> steps=<n> objective=<hex> trace=<sha256>
+
+where the objective is written by ``float.hex`` and the sha256 runs over
+``float.hex`` of every trace column except ``elapsed_s``, row by row.  Two
+trees whose outputs are identical give bit-identical traces.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+# BLAS threads change traces; pin them before numpy is loaded
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(trace) -> str:
+    """sha256 over ``float.hex`` of every column but ``elapsed_s``, row by row."""
+    h = hashlib.sha256()
+    for row in trace:
+        values = row._asdict()
+        del values["elapsed_s"]
+        h.update((",".join(float(v).hex() for v in values.values()) + "\n").encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory that holds the smba package to import")
+    parser.add_argument("--seeds", type=int, default=4, help="solve seeds 0..N-1")
+    args = parser.parse_args(argv)
+
+    sys.dont_write_bytecode = True  # leave no cache beside either tree
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+    import smba
+    import workloads
+    print(f"smba imported from {Path(smba.__file__).parent}", file=sys.stderr)
+
+    for name, workload in workloads.WORKLOADS.items():
+        cfg = smba.SolverConfig(eps=workload.eps)
+        for seed in range(args.seeds):
+            panel, _ = workloads.build_panel(workload, seed)
+            for inst in panel:
+                report = smba.run(inst.problem, cfg, np.zeros(inst.problem.dim))
+                print(f"{name} seed={seed} instance={inst.seed} {report.status.value} "
+                      f"steps={len(report.trace)} objective={float(report.objective).hex()} "
+                      f"trace={digest(report.trace)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
