@@ -51,24 +51,11 @@ def all_finite(v) -> bool:
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
-def stable_logsumexp(v, mu):
-    """Temperature log-sum-exp with its softmax weights.
-
-    Returns ``(max(v) + mu * log(sum_i exp((v_i - max(v)) / mu)), w)`` where
-    ``w`` is the corresponding softmax.  The max shift keeps every exponent
-    nonpositive, so the evaluation cannot overflow even for mu near 1e-12.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-D vector")
-    if not all_finite(v):
-        raise ValueError("non-finite entries in log-sum-exp input")
-    return _shifted_logsumexp(v, float(v.max()), _checked_mu(mu))
-
-
 def _shifted_logsumexp(v, top, mu):
-    """``stable_logsumexp`` of a checked finite vector ``v`` with ``top = max(v)``
-    and a checked ``mu``."""
+    """Temperature log-sum-exp ``top + mu * log(sum_i exp((v_i - top) / mu))``
+    of a checked finite vector ``v`` with ``top = max(v)`` and a checked
+    ``mu``, with its softmax weights.  The shift keeps every exponent
+    nonpositive, so the evaluation cannot overflow even for mu near 1e-12."""
     expo = np.exp((v - top) / mu)
     total = float(np.add.reduce(expo))
     return top + mu * math.log(total), expo / total
@@ -216,11 +203,12 @@ class ConeBaseOracle:
 
     Subclasses fix a compact base B of the polar cone and implement
     ``prepare``, which checks an argument and decomposes it once (one
-    eigendecomposition for matrices); the value methods below are thin
-    wrappers over the evaluated point.  Each family is built from its
-    dimension ``m >= 1`` and the shift slope ``alpha4``.  The certificate
-    defaults to that of a log-sum-exp over m values on a base of norm at
-    most 1 (the simplex or the spectraplex), with gap slope ``log(m)``.
+    eigendecomposition for matrices) into the point that holds the support
+    value and evaluates the smoothed kernel at any mu.  Each family is built
+    from its dimension ``m >= 1`` and the shift slope ``alpha4``.  The
+    certificate defaults to that of a log-sum-exp over m values on a base of
+    norm at most 1 (the simplex or the spectraplex), with gap slope
+    ``log(m)``.
     """
 
     family: str
@@ -240,12 +228,6 @@ class ConeBaseOracle:
 
     def support_value(self, y) -> float:
         return self.prepare(y).support
-
-    def msa_value(self, y, mu) -> float:
-        return self.prepare(y).value(mu)
-
-    def msa_gradient(self, y, mu):
-        return self.prepare(y).gradient(mu)
 
     def polar_residual(self, v) -> float:
         """How far v is from the polar cone (0 means membership)."""
@@ -295,8 +277,8 @@ class NegSemidef(ConeBaseOracle):
         return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
 
     def polar_residual(self, v):
-        v = np.asarray(v, dtype=float)
-        vals = self._eigh(0.5 * (v + v.T))[0]
+        # a v asymmetric past SYMMETRY_TOL raises, as in prepare
+        vals = self._eigh(symmetrized(np.asarray(v, dtype=float)))[0]
         return max(0.0, -float(vals[0]))
 
 

@@ -15,12 +15,8 @@ from typing import Tuple
 import numpy as np
 
 from .cones import ConePoint
+from .errors import NumericError
 from .problems import DCProblem
-
-
-def pairing(a, b) -> float:
-    """Inner product of two constraint-space elements (trace product for matrices)."""
-    return float(np.vdot(a, b))
 
 
 @dataclass(frozen=True)
@@ -51,16 +47,22 @@ def kkt_residuals(prob: DCProblem, x_next, step, lam, mu, y, point: ConePoint,
     ``step`` is the length ``||x_next - x_k||`` of the step that reached
     x_next; ``y = G(x_next)`` and ``point`` is its prepared cone point;
     ``grad_f`` is the f gradient at x_next and ``xi`` the P2 subgradient
-    taken at the previous iterate x_k, as the solver used them.
+    taken at the previous iterate x_k, as the solver used them.  Raises
+    NumericError unless the adjoint's output is an array shaped like x_next.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     v = lam * point.gradient(mu) if lam > 0.0 else np.zeros(np.shape(y))
-    u = grad_f - xi + prob.g.adjoint_apply(x_next, v)
+    w = prob.g.adjoint_apply(x_next, v)
+    shape = getattr(w, "shape", None)
+    if shape != x_next.shape:
+        raise NumericError(f"constraint adjoint has shape {shape} at the certificate, "
+                           f"expected {x_next.shape}")
+    u = grad_f - xi + w
     rho = prob.p1.subdiff_distance(x_next, u)
-    return KKTCertificate(rho=rho, complementarity=-pairing(v, y), step=step, v=v)
+    return KKTCertificate(rho=rho, complementarity=-float(np.vdot(v, y)), step=step, v=v)
 
 
 def termination_metrics(cert: KKTCertificate, x_norm, lam, mu, tau1, tau2):

@@ -49,9 +49,11 @@ test to the certificate's step length and the next warm starts, and its f
 value, ``G`` value and cone point to the certificate, the exact feasibility
 check and the next step's smoothed value and gradient.  ``||x_{k+1}||``
 serves the stop test and the divergence guard.  An accepted step adds one
-f gradient, one P2 subgradient and two adjoint applies (the certificate's
-and the next step's), and each oracle output is scanned for NaN and inf
-once.
+f gradient and the certificate's adjoint apply; only when another step will
+run does it add that step's P2 subgradient and second adjoint apply, so a
+run forms no state after its last row.  Each oracle output is scanned for
+NaN and inf once, and the f gradient, the P2 subgradient and both adjoint
+outputs are checked for the shape ``(n,)``.
 
 The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
 blocks of ``n0 + 1`` indices, while the stop test can only pass once the
@@ -83,7 +85,6 @@ from .problems import DCProblem
 from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
 
 DIVERGENCE_NORM = 1e8
-DESCENT_SLACK = 1e-12
 SECANT_GUARD = 1e-12  # curvature below this share of |f(x+)| + |f(x_k)| (or of g_mu) is rounding
 FEASIBILITY_SLACK = 1e-10
 
@@ -272,8 +273,13 @@ class InnerResult(NamedTuple):
     point: ConePoint
 
 
-def _finite(name: str, value, k: int):
-    """``value`` unchanged; raises NumericError if any entry is NaN or inf."""
+def _finite(name: str, value, k: int, n: Optional[int] = None):
+    """``value`` unchanged; raises NumericError if any entry is NaN or inf,
+    or, given ``n``, unless it is an array of shape ``(n,)`` (the step uses
+    array methods, so a list fails too)."""
+    shape = getattr(value, "shape", None)
+    if n is not None and shape != (n,):
+        raise NumericError(f"{name} has shape {shape} at step {k}, expected ({n},)")
     if not all_finite(value):
         raise NumericError(f"{name} is not finite at step {k}")
     return value
@@ -314,6 +320,12 @@ def _start_point(prob: DCProblem, x0) -> ConePoint:
 
 
 def _initial_mu(point: ConePoint) -> float:
+    """Smallest 0.9 * 2^(-l) making the smoothed constraint clearly negative
+    at the start point, whose evaluated cone point is ``point``.
+
+    The acceptance threshold is one tenth of the (negative) exact constraint
+    value, so the starting smoothing error cannot wash out feasibility.
+    """
     target = 0.1 * point.support
     mu = 0.9
     while mu >= MU_FLOOR:
@@ -321,15 +333,6 @@ def _initial_mu(point: ConePoint) -> float:
             return mu
         mu *= 0.5
     raise NumericError(f"initial smoothing search reached the floor {MU_FLOOR:.0e}")
-
-
-def find_initial_mu(prob: DCProblem, x0) -> float:
-    """Smallest 0.9 * 2^(-l) making the smoothed constraint clearly negative at x0.
-
-    The acceptance threshold is one tenth of the (negative) exact constraint
-    value, so the starting smoothing error cannot wash out feasibility.
-    """
-    return _initial_mu(_start_point(prob, _check_x0(prob, x0)))
 
 
 def bb_init(dx, dx2, df, dg, Lf0, Lg0, cfg: SolverConfig):
@@ -358,16 +361,17 @@ def _state(prob: DCProblem, cfg: SolverConfig, k: int, x, mu: float, f: float, p
     """The state of step ``k`` at ``x`` and ``mu``: x0 when ``prev`` is None,
     else the point that ``step`` reached from ``prev``.  Checks that the
     smoothed value is negative, then forms the smoothing gradient by the
-    adjoint and the P2 subgradient, each guarded against NaN and inf, and
-    the warm starts."""
+    adjoint and the P2 subgradient, each guarded against NaN, inf and a
+    shape other than ``(prob.dim,)``, and the warm starts."""
     gmu = point.value(mu)
     if not gmu < 0:
         if prev is None:
             raise InfeasibleStartError(
                 f"smoothed constraint is not negative at x0 for mu0={mu:.3e} (value {gmu:.3e})")
         raise NumericError("strict feasibility chain broken")
-    grad_gmu = _finite("constraint adjoint", prob.g.adjoint_apply(x, point.gradient(mu)), k)
-    xi = _finite("P2 subgradient", prob.p2.subgradient(x), k)
+    grad_gmu = _finite("constraint adjoint", prob.g.adjoint_apply(x, point.gradient(mu)), k,
+                       prob.dim)
+    xi = _finite("P2 subgradient", prob.p2.subgradient(x), k, prob.dim)
     if prev is None:
         Lf0 = Lg0 = min(max(1.0, cfg.L_min), cfg.L_max)
     else:
@@ -457,10 +461,11 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
 
     try:
         # an infeasible start, or a supplied mu0 too large for it, is an input
-        # error and raises.  A user oracle returning NaN or inf, a G(x0) the
-        # cone rejects included, ends the run where its output is made, before
-        # it reaches the subproblem or the cone kernel; so does an initial
-        # smoothing search that reaches the floor.  Either ends with no rows
+        # error and raises.  A user oracle returning NaN, inf or a misshapen
+        # vector, a G(x0) the cone rejects included, ends the run where its
+        # output is made, before it reaches the subproblem or the cone kernel;
+        # so does an initial smoothing search that reaches the floor.  Either
+        # ends with no rows
         point0 = _start_point(prob, x0)
         mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
         schedule = cfg.schedule.with_mu0(mu0)
@@ -468,7 +473,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         # the next block start when the iterate stalls (module docstring)
         s, block = 0, None if schedule.variant == "power" else schedule.n0 + 1
         state = _state(prob, cfg, 0, x0, mu0, f0, _finite("objective value", psi, 0),
-                       _finite("f gradient", prob.f.gradient(x0), 0), point0)
+                       _finite("f gradient", prob.f.gradient(x0), 0, prob.dim), point0)
 
         for k in range(cfg.max_outer):
             inner = inner_loop_step(state, prob, cfg)
@@ -477,7 +482,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             # certificate, the exact feasibility check, the next warm starts
             # and the next step's smoothing
             x_next, point = inner.x, inner.point
-            grad_f_next = _finite("f gradient", prob.f.gradient(x_next), k)
+            grad_f_next = _finite("f gradient", prob.f.gradient(x_next), k, prob.dim)
             kkt = diagnostics.kkt_residuals(
                 prob, x_next, math.sqrt(inner.step2), inner.lam, state.mu, inner.y, point,
                 grad_f_next, state.xi,
@@ -491,8 +496,6 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             # invariants of every accepted step
             if not math.isfinite(kkt.rho):
                 raise NumericError(f"KKT residual is not finite at step {k}")
-            if inner.psi > state.psi + DESCENT_SLACK * (1.0 + abs(state.psi)):
-                raise NumericError("objective increased")
             if sigma_next > FEASIBILITY_SLACK * (1.0 + abs(state.gmu)):
                 raise NumericError("exact feasibility lost")
 
@@ -524,8 +527,9 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
                 reason = (f"smoothing schedule falls below the floor {MU_FLOOR:.0e} "
                           f"at step {k + 1} (schedule index {s})")
                 break
-            state = _state(prob, cfg, k + 1, x_next, mu_next, inner.f, inner.psi, grad_f_next,
-                           point, state, inner)
+            if k + 1 < cfg.max_outer:  # no state past the last step
+                state = _state(prob, cfg, k + 1, x_next, mu_next, inner.f, inner.psi,
+                               grad_f_next, point, state, inner)
     except InnerCapError as exc:
         status, reason, capped = SolveStatus.INNER_CAP_EXCEEDED, str(exc), (exc.i, exc.j)
     except NumericError as exc:

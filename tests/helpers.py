@@ -167,12 +167,12 @@ def nsdp_dual_bound(prob: DCProblem, v, max_iter=20000, tol=1e-10) -> float:
 
 def composite_value(prob: DCProblem, x, mu) -> float:
     """Smoothed constraint value h_mu(G(x))."""
-    return prob.cone.msa_value(prob.g.value(x), mu)
+    return prob.cone.prepare(prob.g.value(x)).value(mu)
 
 
 def composite_gradient(prob: DCProblem, x, mu) -> np.ndarray:
     """Gradient of the smoothed constraint: DG(x)* applied to the kernel gradient."""
-    return prob.g.adjoint_apply(x, prob.cone.msa_gradient(prob.g.value(x), mu))
+    return prob.g.adjoint_apply(x, prob.cone.prepare(prob.g.value(x)).gradient(mu))
 
 
 class LinearConcave:

@@ -7,6 +7,7 @@ block, where the two compared schedules are still numerically identical and
 the trend comparison is vacuous.
 """
 
+import dataclasses
 import functools
 import math
 import time
@@ -114,11 +115,8 @@ def trace_invariants(cfg, report):
 def replay_with_ledger(prob, cfg, x0, steps):
     """Mirror the outer loop step by step, asserting the exact descent
     ledger, the strict feasibility chain, and subproblem complementarity."""
-    from smba.solver import find_initial_mu
-
-    schedule = cfg.schedule.with_mu0(
-        cfg.schedule.mu0 if cfg.schedule.mu0 is not None else find_initial_mu(prob, x0)
-    )
+    # a supplied mu0 or the initial search's, as the solver reports it
+    schedule = cfg.schedule.with_mu0(run(prob, dataclasses.replace(cfg, max_outer=1), x0).mu0)
     state = make_state(prob, x0, mu_at(schedule, 0))
     for k in range(steps):
         res = inner_loop_step(state, prob, cfg)
@@ -158,11 +156,11 @@ def test_criterion_1_sandwich_and_shift():
             y = sample(rng)
             mu1 = 10.0 ** rng.uniform(-6, 1)
             sig = oracle.support_value(y)
-            val1 = oracle.msa_value(y, mu1)
+            val1 = oracle.prepare(y).value(mu1)
             slack = 1e-12 * (1.0 + abs(sig))
             assert sig - slack <= val1 <= sig + a3 * mu1 + slack
             mu0 = mu1 * rng.uniform(1.5, 16.0)
-            val0 = oracle.msa_value(y, mu0)
+            val0 = oracle.prepare(y).value(mu0)
             assert val1 <= val0 - a4 * (mu0 - mu1) + 1e-12
 
 
@@ -174,8 +172,9 @@ def test_criterion_2_gradient_fidelity():
         for _ in range(200):
             y, d = sample(rng), sample(rng)
             mu = 10.0 ** rng.uniform(-3, 1)
-            grad = oracle.msa_gradient(y, mu)
-            fd = (oracle.msa_value(y + h * d, mu) - oracle.msa_value(y - h * d, mu)) / (2 * h)
+            grad = oracle.prepare(y).gradient(mu)
+            up, down = oracle.prepare(y + h * d), oracle.prepare(y - h * d)
+            fd = (up.value(mu) - down.value(mu)) / (2 * h)
             exact = float(np.vdot(grad, d))
             assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
             if isinstance(oracle, NegSemidef):

@@ -23,7 +23,6 @@ TOP_LEVEL = {
 INTERNALS = [
     ("smba.solver", "bb_init"),
     ("smba.solver", "IterateState"),
-    ("smba.solver", "find_initial_mu"),
     ("smba.ball_prox", "build_ball"),
     ("smba.ball_prox", "BallConstraint"),
     ("smba.ball_prox", "SubproblemResult"),
@@ -35,9 +34,19 @@ INTERNALS = [
     ("smba.schedules", "mu_at"),
     ("smba.schedules", "mu_values"),
     ("smba.schedules", "partial_sum"),
-    ("smba.cones", "stable_logsumexp"),
     ("smba.cones", "SmoothingCert"),
     ("smba.cones", "ConeBaseOracle"),
+]
+
+# second ways into a kernel (the cone point from prepare(y), the mu0 that
+# run reports, np.vdot), and the slack of a guard that could not fire
+REMOVED = [
+    ("smba.cones", "stable_logsumexp"),
+    ("smba.cones", "ConeBaseOracle.msa_value"),
+    ("smba.cones", "ConeBaseOracle.msa_gradient"),
+    ("smba.solver", "find_initial_mu"),
+    ("smba.solver", "DESCENT_SLACK"),
+    ("smba.diagnostics", "pairing"),
 ]
 
 
@@ -52,3 +61,12 @@ def test_top_level_names():
 def test_internal_imports_from_its_module(module, name):
     assert hasattr(importlib.import_module(module), name)
     assert name not in smba.__all__
+
+
+@pytest.mark.parametrize("module, path", REMOVED, ids=[path for _, path in REMOVED])
+def test_removed_entry_point_stays_removed(module, path):
+    *owners, name = path.split(".")
+    obj = importlib.import_module(module)
+    for owner in owners:
+        obj = getattr(obj, owner)
+    assert not hasattr(obj, name)

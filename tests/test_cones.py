@@ -14,7 +14,6 @@ from smba.cones import (
     PCone,
     SmoothingCert,
     all_finite,
-    stable_logsumexp,
 )
 from smba.nsdp import generate_nsdp, nsdp_problem
 
@@ -95,14 +94,21 @@ class TestFiniteGuards:
             NegSemidef(2).prepare(y)
 
 
+def logsumexp(v, mu):
+    """A bare temperature log-sum-exp of ``v`` with its softmax weights: the
+    point of an orthant without shift."""
+    point = NonposOrthant(len(v), alpha4=0.0).prepare(v)
+    return point.value(mu), point.gradient(mu)
+
+
 class TestStableLogsumexp:
     def test_symmetric(self):
-        value, weights = stable_logsumexp(np.zeros(4), 1.0)
+        value, weights = logsumexp(np.zeros(4), 1.0)
         assert value == pytest.approx(math.log(4.0), abs=1e-15)
         np.testing.assert_allclose(weights, 0.25, atol=1e-15)
 
     def test_singleton(self):
-        value, weights = stable_logsumexp(np.array([1.0]), 0.37)
+        value, weights = logsumexp(np.array([1.0]), 0.37)
         assert value == 1.0
         assert weights[0] == 1.0
 
@@ -110,7 +116,7 @@ class TestStableLogsumexp:
         # oracle: 50-digit arithmetic of the unshifted definition
         v = np.array([700.0, 0.0])
         mu = 1.0
-        value, weights = stable_logsumexp(v, mu)
+        value, weights = logsumexp(v, mu)
         with mpmath.workdps(50):
             ref = mu * mpmath.log(mpmath.e**700 + mpmath.e**0)
             w0 = mpmath.e**700 / (mpmath.e**700 + 1)
@@ -119,13 +125,13 @@ class TestStableLogsumexp:
         assert weights[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_tiny_mu_no_overflow(self):
-        value, weights = stable_logsumexp(np.array([5.0, -3.0, 1.0]), 1e-12)
+        value, weights = logsumexp(np.array([5.0, -3.0, 1.0]), 1e-12)
         assert value == pytest.approx(5.0, rel=1e-15)
         assert weights[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            stable_logsumexp(np.array([]), 1.0)
+            logsumexp(np.array([]), 1.0)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
@@ -134,7 +140,7 @@ class TestStableLogsumexp:
     @settings(max_examples=200, deadline=None)
     def test_properties(self, vals, mu):
         v = np.asarray(vals)
-        value, weights = stable_logsumexp(v, mu)
+        value, weights = logsumexp(v, mu)
         assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
         assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
         assert value >= np.max(v)
@@ -144,49 +150,37 @@ class TestStableLogsumexp:
 class TestMsaValue:
     def test_orthant_symmetric(self):
         oracle = NonposOrthant(2, alpha4=0.0)
-        assert oracle.msa_value([0.0, 0.0], 1.0) == pytest.approx(math.log(2.0), abs=1e-14)
+        assert oracle.prepare([0.0, 0.0]).value(1.0) == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_psd_diag(self):
         oracle = NegSemidef(2, alpha4=0.0)
-        assert oracle.msa_value(np.zeros((2, 2)), 0.5) == pytest.approx(
+        assert oracle.prepare(np.zeros((2, 2))).value(0.5) == pytest.approx(
             0.5 * math.log(2.0), abs=1e-14
         )
 
     def test_shifted_evaluation_extreme(self):
         # high-precision oracle for the dominant-entry case
         oracle = NonposOrthant(2, alpha4=0.0)
-        val = oracle.msa_value([10.0, 0.0], 0.1)
+        val = oracle.prepare([10.0, 0.0]).value(0.1)
         with mpmath.workdps(60):
             ref = float(0.1 * mpmath.log(mpmath.e ** (10 / 0.1) + 1))
         assert val == pytest.approx(ref, rel=1e-14)
         assert 10.0 <= val <= 10.0 + 0.1 * math.log(2.0)
 
     def test_alpha4_shift_added(self):
-        base = NonposOrthant(2, alpha4=0.0).msa_value([0.3, -0.7], 0.25)
-        shifted = NonposOrthant(2, alpha4=1e-5).msa_value([0.3, -0.7], 0.25)
+        base = NonposOrthant(2, alpha4=0.0).prepare([0.3, -0.7]).value(0.25)
+        shifted = NonposOrthant(2, alpha4=1e-5).prepare([0.3, -0.7]).value(0.25)
         assert shifted == pytest.approx(base + 1e-5 * 0.25, abs=1e-16)
 
     def test_mu_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            NonposOrthant(2).msa_value([0.0, 0.0], 0.0)
+            NonposOrthant(2).prepare([0.0, 0.0]).value(0.0)
         with pytest.raises(ValueError):
-            NonposOrthant(2).msa_value([0.0, 0.0], -1.0)
+            NonposOrthant(2).prepare([0.0, 0.0]).value(-1.0)
 
     def test_mu_below_floor_rejected(self):
         with pytest.raises(ValueError, match="smoothing parameter"):
-            NonposOrthant(2).msa_value([0.0, 0.0], 1e-15)
-
-    def test_sandwich_1000_random(self, rng):
-        for oracle, sample in family_cases():
-            a3 = oracle.cert.alpha3
-            for _ in range(1000):
-                y = sample(rng)
-                mu = 10.0 ** rng.uniform(-6, 1)
-                sig = oracle.support_value(y)
-                val = oracle.msa_value(y, mu)
-                slack = 1e-12 * (1.0 + abs(sig))
-                assert val >= sig - slack
-                assert val <= sig + a3 * mu + slack
+            NonposOrthant(2).prepare([0.0, 0.0]).value(1e-15)
 
     def test_alpha4_monotone_decrease(self, rng):
         # shifted family strictly gains at least alpha4 * (mu0 - mu1)
@@ -195,8 +189,8 @@ class TestMsaValue:
                 y = sample(rng)
                 mu1 = 10.0 ** rng.uniform(-6, 0)
                 mu0 = mu1 * rng.uniform(1.5, 20.0)
-                v0 = oracle.msa_value(y, mu0)
-                v1 = oracle.msa_value(y, mu1)
+                v0 = oracle.prepare(y).value(mu0)
+                v1 = oracle.prepare(y).value(mu1)
                 assert v1 <= v0 - 1e-5 * (mu0 - mu1) + 1e-12
 
     def test_spectral_consistency(self, rng):
@@ -205,22 +199,22 @@ class TestMsaValue:
             y = random_symmetric(rng, 4)
             q, _ = np.linalg.qr(rng.normal(0, 1, (4, 4)))
             mu = 10.0 ** rng.uniform(-4, 1)
-            a = oracle.msa_value(y, mu)
-            b = oracle.msa_value(q @ y @ q.T, mu)
+            a = oracle.prepare(y).value(mu)
+            b = oracle.prepare(q @ y @ q.T).value(mu)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 class TestMsaGradient:
     def test_orthant_symmetric(self):
-        grad = NonposOrthant(2).msa_gradient([0.0, 0.0], 1.0)
+        grad = NonposOrthant(2).prepare([0.0, 0.0]).gradient(1.0)
         np.testing.assert_allclose(grad, [0.5, 0.5], atol=1e-15)
 
     def test_psd_dominant_eigenvalue(self):
-        grad = NegSemidef(2).msa_gradient(np.diag([1.0, 0.0]), 0.01)
+        grad = NegSemidef(2).prepare(np.diag([1.0, 0.0])).gradient(0.01)
         np.testing.assert_allclose(grad, np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_pcone_zero_block(self):
-        grad = PCone(2).msa_gradient([0.0, 0.0, 5.0], 1.0)
+        grad = PCone(2).prepare([0.0, 0.0, 5.0]).gradient(1.0)
         np.testing.assert_allclose(grad, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_finite_differences_200_per_family(self, rng):
@@ -229,8 +223,8 @@ class TestMsaGradient:
                 y = sample(rng)
                 mu = 10.0 ** rng.uniform(-3, 1)
                 d = sample(rng)
-                grad = oracle.msa_gradient(y, mu)
-                fd = directional_derivative(lambda z: oracle.msa_value(z, mu), y, d)
+                grad = oracle.prepare(y).gradient(mu)
+                fd = directional_derivative(lambda z: oracle.prepare(z).value(mu), y, d)
                 exact = float(np.vdot(grad, d))
                 assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
 
@@ -239,7 +233,7 @@ class TestMsaGradient:
             for _ in range(200):
                 y = sample(rng)
                 mu = 10.0 ** rng.uniform(-6, 1)
-                u = oracle.msa_gradient(y, mu)
+                u = oracle.prepare(y).gradient(mu)
                 if isinstance(oracle, NonposOrthant):
                     assert np.all(u >= 0.0)
                     assert abs(float(np.sum(u)) - 1.0) <= 1e-12
@@ -256,8 +250,8 @@ class TestMsaGradient:
                 y, z = sample(rng), sample(rng)
                 mu = 10.0 ** rng.uniform(-3, 1)
                 bound = oracle.cert.gradient_lipschitz(mu)
-                gy = oracle.msa_gradient(y, mu)
-                gz = oracle.msa_gradient(z, mu)
+                gy = oracle.prepare(y).gradient(mu)
+                gz = oracle.prepare(z).gradient(mu)
                 lhs = float(np.linalg.norm(np.asarray(gy) - np.asarray(gz)))
                 assert lhs <= bound * float(np.linalg.norm(np.asarray(y) - np.asarray(z))) * (
                     1 + 1e-8
@@ -299,12 +293,32 @@ class TestCertificates:
         assert NegSemidef(1, alpha4=0.0).cert.alpha3 == 0.0
 
 
+class TestPolarResidual:
+    def test_psd_residual_reads_the_smallest_eigenvalue(self, rng):
+        # an exactly symmetric v is decomposed as it is
+        oracle = NegSemidef(4)
+        for _ in range(10):
+            v = random_symmetric(rng, 4)
+            assert oracle.polar_residual(v) == max(0.0, -float(np.linalg.eigh(v)[0][0]))
+        assert oracle.polar_residual(np.eye(4)) == 0.0
+
+    @pytest.mark.parametrize("factor", [1.01, 2.0, 1e6])
+    def test_psd_asymmetry_above_tolerance_rejected(self, rng, factor):
+        # the symmetry rule of prepare: no silent average past SYMMETRY_TOL
+        v = random_symmetric(rng, 10)
+        bump = factor * SYMMETRY_TOL * (1.0 + np.linalg.norm(v)) / math.sqrt(2.0)
+        v[0, 1] += 0.5 * bump
+        v[1, 0] -= 0.5 * bump
+        with pytest.raises(ValueError, match="asymmetry"):
+            NegSemidef(10).polar_residual(v)
+
+
 class TestPreparedPoint:
     MUS = (2.0, 0.3, 1e-3, 1e-9, MU_FLOOR)
 
     def test_one_point_serves_every_mu(self, rng):
-        # one prepared point answers bitwise like a fresh one and like the
-        # per-call wrappers, whatever mu it was asked about before
+        # one prepared point answers bitwise like a fresh one, whatever mu
+        # it was asked about before
         for oracle, sample in family_cases():
             for _ in range(5):
                 y = sample(rng)
@@ -315,8 +329,6 @@ class TestPreparedPoint:
                     fresh = oracle.prepare(y)
                     assert value == fresh.value(mu)
                     np.testing.assert_array_equal(grad, fresh.gradient(mu))
-                    assert value == oracle.msa_value(y, mu)
-                    np.testing.assert_array_equal(grad, oracle.msa_gradient(y, mu))
 
     def test_below_floor_rejected(self):
         # every entry point of every family rejects a mu below the floor, as
@@ -356,12 +368,12 @@ class TestPreparedPoint:
             points = orthant.prepare(vec), psd.prepare(mat)
             for ask, mu in order:
                 if ask == "v":
-                    assert points[0].value(mu) == stable_logsumexp(vec, mu)[0] + alpha4 * mu
-                    assert points[1].value(mu) == stable_logsumexp(vals, mu)[0] + alpha4 * mu
+                    assert points[0].value(mu) == logsumexp(vec, mu)[0] + alpha4 * mu
+                    assert points[1].value(mu) == logsumexp(vals, mu)[0] + alpha4 * mu
                 else:
                     np.testing.assert_array_equal(points[0].gradient(mu),
-                                                  stable_logsumexp(vec, mu)[1])
-                    root = vecs * np.sqrt(stable_logsumexp(vals, mu)[1])
+                                                  logsumexp(vec, mu)[1])
+                    root = vecs * np.sqrt(logsumexp(vals, mu)[1])
                     np.testing.assert_array_equal(points[1].gradient(mu), root @ root.T)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 60])
@@ -414,4 +426,4 @@ class TestPreparedPoint:
         y = rng.normal(0.0, 3.0, 5)
         point = NonposOrthant(5).prepare(y)
         point.gradient(0.3)[:] = 7.0
-        np.testing.assert_array_equal(point.gradient(0.3), stable_logsumexp(y, 0.3)[1])
+        np.testing.assert_array_equal(point.gradient(0.3), logsumexp(y, 0.3)[1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smba.diagnostics import KKTCertificate, kkt_residuals, pairing, termination_metrics
+from smba.diagnostics import KKTCertificate, kkt_residuals, termination_metrics
 from smba.problems import (
     ConstraintMap,
     DCProblem,
@@ -43,7 +43,7 @@ def certify(prob, x_next, x_prev, lam, mu):
 def reference_residuals(prob, x_next, x_prev, lam, mu):
     """(rho, complementarity, step) recomputed from scratch through the per-call oracles."""
     g = prob.g.value(x_next)
-    v = lam * prob.cone.msa_gradient(g, mu) if lam > 0.0 else np.zeros_like(g)
+    v = lam * prob.cone.prepare(g).gradient(mu) if lam > 0.0 else np.zeros_like(g)
     u = (prob.f.gradient(x_next) - prob.p2.subgradient(x_prev)
          + prob.g.adjoint_apply(x_next, v))
     return (prob.p1.subdiff_distance(x_next, u), -float(np.vdot(g, v)),
@@ -153,7 +153,13 @@ class TestTerminationMetrics:
             assert slack >= 0.0
             assert oracle.polar_residual(cert.v) == 0.0
 
-    def test_pairing_is_trace_inner_product(self):
-        a = np.array([[1.0, 2.0], [2.0, 3.0]])
-        b = np.array([[0.5, -1.0], [-1.0, 2.0]])
-        assert pairing(a, b) == pytest.approx(float(np.trace(a.T @ b)))
+    def test_pairing_is_trace_inner_product(self, rng):
+        # for a matrix constraint the complementarity pairs the multiplier
+        # with G(x) by the trace product
+        prob = nsdp_problem(generate_nsdp(6, 4, 5))
+        for _ in range(5):
+            x = rng.normal(0.0, 1.0, 6)
+            cert = certify(prob, x, np.zeros(6), float(rng.uniform(0.1, 3.0)), 0.3)
+            y = prob.g.value(x)
+            assert cert.complementarity == pytest.approx(-float(np.trace(cert.v.T @ y)),
+                                                         rel=1e-12, abs=1e-14)

@@ -31,7 +31,6 @@ from smba.solver import (
     SolveStatus,
     SolverConfig,
     bb_init,
-    find_initial_mu,
     inner_loop_step,
     run,
 )
@@ -52,34 +51,42 @@ def workloads(monkeypatch):
     return module
 
 
+def initial_mu(prob, x0):
+    """The mu0 that the initial smoothing search gives ``run`` from ``x0``."""
+    return run(prob, SolverConfig(max_outer=1), x0).mu0
+
+
 class TestFindInitialMu:
+    """The initial smoothing search, read off the mu0 that ``run`` reports."""
+
     def test_hand_derived_orthant(self):
         # constraint value -1 at x0; condition -1 + mu log 2 <= -0.1 holds at 0.9
         prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[1.0, 1.0]),
                                    cone=cones.NonposOrthant(2, alpha4=0.0))
-        assert find_initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
+        assert initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
 
     def test_deep_interior_accepts_immediately(self):
         prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[10.0, 10.0]),
                                    cone=cones.NonposOrthant(2, alpha4=0.0))
-        assert find_initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
+        assert initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
 
     def test_boundary_start_rejected(self):
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 0.0])
         with pytest.raises(InfeasibleStartError):
-            find_initial_mu(prob, np.zeros(2))
+            initial_mu(prob, np.zeros(2))
 
     def test_search_stops_at_floor(self):
         # a margin of 1e-14 needs mu far below the 1e-12 floor
         prob = box_problem(c=[0.0, 0.0], b=[1e-14, 1e-14])
-        with pytest.raises(NumericError, match="floor"):
-            find_initial_mu(prob, np.zeros(2))
+        report = run(prob, SolverConfig(max_outer=1), np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert "floor" in report.reason and math.isnan(report.mu0)
 
     def test_smoothed_value_negative_at_returned_mu(self, rng):
         for _ in range(20):
             b = rng.uniform(0.05, 3.0, 3)
             prob = box_problem(c=rng.normal(0, 1, 3), b=b)
-            mu0 = find_initial_mu(prob, np.zeros(3))
+            mu0 = initial_mu(prob, np.zeros(3))
             assert composite_value(prob, np.zeros(3), mu0) < 0
 
 
@@ -499,8 +506,6 @@ class TestRunToyProblems:
             g=dataclasses.replace(base.g, value=refuse, adjoint_apply=refuse))
         with pytest.raises(ValueError, match="x0"):
             run(prob, SolverConfig(), x0)
-        with pytest.raises(ValueError, match="x0"):
-            find_initial_mu(prob, x0)
 
     def test_supplied_mu0_skips_search(self):
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
@@ -560,7 +565,7 @@ class TestRunInvariants:
         from smba.schedules import mu_at
 
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0], l1_weight=0.3)
-        schedule = power_schedule(0.9).with_mu0(find_initial_mu(prob, np.zeros(2)))
+        schedule = power_schedule(0.9).with_mu0(initial_mu(prob, np.zeros(2)))
         x = np.zeros(2)
         for k in range(10):
             mu = mu_at(schedule, k)
@@ -734,6 +739,35 @@ class TestRunFailureModes:
         assert report.status is SolveStatus.MAX_OUTER
         assert report.iterations == 5
 
+    def test_no_state_after_the_last_row(self):
+        # a run capped at 7 steps asks for the P2 subgradient 7 times: at x0
+        # and at each accepted point but the last; a fault from the 8th call
+        # on is never seen
+        prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "p2.subgradient", 8,
+                          lambda out: np.full(np.shape(out), np.nan))
+        report = run(prob, dataclasses.replace(FAULT_CFG, max_outer=7), np.zeros(2))
+        assert (report.status, report.iterations) == (SolveStatus.MAX_OUTER, 7), report.reason
+
+    @pytest.mark.parametrize("shape", [
+        lambda out: out[:1], lambda out: out[:, None], lambda out: np.append(out, 0.0),
+        lambda out: out.tolist(),
+    ], ids=["short", "column", "long", "list"])
+    @pytest.mark.parametrize("oracle, name", [
+        ("f.gradient", "f gradient"), ("g.adjoint_apply", "constraint adjoint"),
+        ("p2.subgradient", "P2 subgradient"),
+    ])
+    def test_misshapen_vector_output_becomes_status(self, oracle, name, shape):
+        # from the first call (x0), the second (the first step's certificate
+        # for the adjoint) or the fifth on, a wrong shape ends the run named
+        # where it is made, before it broadcasts or raises
+        for start in (1, 2, 5):
+            prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), oracle, start, shape)
+            report = run(prob, FAULT_CFG, np.zeros(2))
+            assert report.status is SolveStatus.NUMERIC_FAILURE
+            assert report.reason.startswith(f"{name} has shape "), report.reason
+            assert all(math.isfinite(row.rho) for row in report.trace)
+            json.dumps(report.to_dict(), allow_nan=False)
+
     @pytest.mark.parametrize("prob, fault", [
         (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.nan)),
         (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.inf)),
@@ -884,11 +918,11 @@ class TestCallCounts:
         # one G call and one eigendecomposition per linesearch trial that
         # passes the descent test, plus the start point; one f value per
         # trial and one f gradient per accepted step, plus the start point;
-        # two adjoints per accepted step (its certificate and the next
-        # step's smoothing gradient) but none for a next step after the
-        # last, plus the start point; one exp pass per (point, mu) asked
-        # about; one l1 prox per ball subproblem, one per trial (most of
-        # this instance's subproblems start outside the ball)
+        # one adjoint per step for its smoothing gradient and one per accepted
+        # step for its certificate, with no state after the last row; one exp
+        # pass per (point, mu) asked about; one l1 prox per ball subproblem,
+        # one per trial (most of this instance's subproblems start outside
+        # the ball)
         base = nsdp_problem(generate_nsdp(6, 4, 5))
         counts = {"G": 0, "G_adj": 0, "eigh": 0, "f": 0, "grad_f": 0, "exp": 0, "prox": 0}
 
@@ -907,7 +941,7 @@ class TestCallCounts:
         )
         prob.cone._eigh = counting("eigh", prob.cone._eigh)
         prob.p1.prox = counting("prox", prob.p1.prox)
-        # the log-sum-exp points call the kernel that stable_logsumexp shares
+        # every log-sum-exp point calls this one kernel
         monkeypatch.setattr(cones, "_shifted_logsumexp",
                             counting("exp", cones._shifted_logsumexp))
         report = run(prob, SolverConfig(eps=1e-6), np.zeros(6))
@@ -919,20 +953,21 @@ class TestCallCounts:
         assert counts["eigh"] == counts["G"] == 1 + evaluated
         assert counts["grad_f"] == 1 + report.iterations
         assert counts["f"] == 1 + report.trials
-        assert counts["G_adj"] == 2 * report.iterations  # converged: no next step
+        assert counts["G_adj"] == 2 * report.iterations
         assert counts["prox"] == report.trials
         # the start point at mu = 0.9 / 2^l for l = 0..L (the initial search,
         # whose last mu is mu0), each evaluated trial at the step's mu, and
         # each accepted point but the last at the next mu
         searched = 1 + round(math.log2(0.9 / report.mu0))
         assert counts["exp"] == searched + evaluated + report.iterations - 1
-        # a run cut by max_outer forms the next step's smoothing gradient
-        # after its last row too
-        counts.update(f=0, G_adj=0)
+        # a run cut by max_outer forms no state after its last row either
+        counts.update(f=0, G_adj=0, exp=0)
         capped = run(prob, SolverConfig(eps=1e-16, max_outer=7), np.zeros(6))
         assert capped.status is SolveStatus.MAX_OUTER
-        assert counts["G_adj"] == 1 + 2 * capped.iterations
+        assert counts["G_adj"] == 2 * capped.iterations
         assert counts["f"] == 1 + capped.trials
+        evaluated = sum(row.j_k + 1 - row.i_k for row in capped.trace)
+        assert counts["exp"] == searched + evaluated + capped.iterations - 1
 
     def test_descent_failure_skips_constraint_and_cone(self):
         # a small objective weight overshoots the minimizer, and at a small mu

@@ -1,6 +1,6 @@
 """The bit-identity check in ``tools/trace_digests.py``."""
 
-import importlib.util
+import dataclasses
 import math
 import subprocess
 import sys
@@ -10,34 +10,34 @@ import numpy as np
 
 from smba import SolverConfig, box_problem, power_schedule, run
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "trace_digests.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "trace_digests.py"
 
 
-def load_tool(monkeypatch):
-    # the tool pins the BLAS thread variables on import; monkeypatch
-    # restores them after the test
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    spec = importlib.util.spec_from_file_location("trace_digests", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+def trace_digest(monkeypatch):
+    """``perfbench/harness.py``'s ``trace_digest``, the one the tool prints."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import harness
+    return harness.trace_digest
 
 
 def test_digest_reads_every_column_but_elapsed(monkeypatch):
-    digest = load_tool(monkeypatch).digest
+    digest = trace_digest(monkeypatch)
     cfg = SolverConfig(eps=1e-7, schedule=power_schedule(0.9))
-    trace = run(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), cfg, np.zeros(2)).trace
+    report = run(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), cfg, np.zeros(2))
+    trace = report.trace
     assert len(trace) > 2
-    base = digest(trace)
-    assert digest([row._replace(elapsed_s=row.elapsed_s + 1.0) for row in trace]) == base
+    with_trace = lambda rows: dataclasses.replace(report, trace=rows)
+    base = digest(report)
+    later = [row._replace(elapsed_s=row.elapsed_s + 1.0) for row in trace]
+    assert digest(with_trace(later)) == base
     # one ulp (or one count) in any other column of one row shows
     for name, value in trace[1]._asdict().items():
         if name == "elapsed_s":
             continue
         moved = math.nextafter(value, math.inf) if isinstance(value, float) else value + 1
         bumped = [trace[0], trace[1]._replace(**{name: moved}), *trace[2:]]
-        assert digest(bumped) != base, name
+        assert digest(with_trace(bumped)) != base, name
 
 
 def test_prints_one_line_per_solve():
@@ -46,3 +46,12 @@ def test_prints_one_line_per_solve():
     assert [line.split()[0] for line in out] == (
         ["nsdp-desk"] * 5 + ["nsdp-large"] * 2 + ["socp-dc"] * 2)
     assert all(line.split()[3] == "converged" for line in out)
+
+
+def test_refuses_a_src_without_smba(tmp_path):
+    # a mistyped --src must not fall back to an installed smba
+    done = subprocess.run([sys.executable, str(TOOL), "--src", str(tmp_path), "--seeds", "1"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "no smba package" in done.stderr

@@ -14,15 +14,17 @@ Each line reads::
 
     <workload> seed=<s> instance=<i> <status> steps=<n> objective=<hex> trace=<sha256>
 
-where the objective is written by ``float.hex`` and the sha256 runs over
-``float.hex`` of every trace column except ``elapsed_s``, row by row.  Two
-trees whose outputs are identical give bit-identical traces.
+where the objective is written by ``float.hex`` and the trace digest is
+``perfbench/harness.py``'s ``trace_digest``, the one ``perfbench/run.py``
+prints: a sha256 over every trace column except ``elapsed_s``, row by row.
+Two trees whose outputs are identical give bit-identical traces.  The tool
+exits with status 2, printing nothing, unless ``DIR/smba/__init__.py``
+exists and is the module imported.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -36,16 +38,6 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def digest(trace) -> str:
-    """sha256 over ``float.hex`` of every column but ``elapsed_s``, row by row."""
-    h = hashlib.sha256()
-    for row in trace:
-        values = row._asdict()
-        del values["elapsed_s"]
-        h.update((",".join(float(v).hex() for v in values.values()) + "\n").encode())
-    return h.hexdigest()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -54,10 +46,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.dont_write_bytecode = True  # leave no cache beside either tree
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+    src = Path(args.src).resolve()
+    init = src / "smba" / "__init__.py"
+    if not init.is_file():
+        print(f"no smba package in {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import smba
+    if Path(smba.__file__).resolve() != init:
+        print(f"smba was imported from {smba.__file__}, not {init}", file=sys.stderr)
+        return 2
+    import harness  # the trace digest that perfbench/run.py prints
     import workloads
-    print(f"smba imported from {Path(smba.__file__).parent}", file=sys.stderr)
+    print(f"smba imported from {init.parent}", file=sys.stderr)
 
     for name, workload in workloads.WORKLOADS.items():
         cfg = smba.SolverConfig(eps=workload.eps)
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
                 report = smba.run(inst.problem, cfg, np.zeros(inst.problem.dim))
                 print(f"{name} seed={seed} instance={inst.seed} {report.status.value} "
                       f"steps={len(report.trace)} objective={float(report.objective).hex()} "
-                      f"trace={digest(report.trace)}", flush=True)
+                      f"trace={harness.trace_digest(report)}", flush=True)
     return 0
 
 
