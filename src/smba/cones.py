@@ -13,7 +13,9 @@ Three cone families are provided.  For each one the membership test
 
 ``prepare(y)`` checks an argument and decomposes it once (one
 eigendecomposition for matrices); the returned point gives the support value
-and the smoothed value and gradient at any mu.
+and the smoothed value and gradient at any mu.  ``checked_array`` is the one
+test that an input is a finite float array of a given shape, and
+``symmetrized`` the one symmetry rule.
 
 Each smoothed kernel h_mu majorizes the support value with a uniform gap
 ``alpha3 * mu`` and carries a gradient-Lipschitz certificate
@@ -88,13 +90,28 @@ class SmoothingCert:
         return self.alpha1 + self.alpha2 / _checked_mu(mu)
 
 
+def checked_array(v, shape, what="cone argument"):
+    """``v`` as a float array; raises ValueError, naming ``what``, unless it
+    is an array of numbers of exactly ``shape`` with finite entries."""
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} is not an array of numbers: {exc}") from exc
+    if v.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {v.shape}")
+    if not all_finite(v):
+        raise ValueError(f"non-finite entries in {what}")
+    return v
+
+
 def symmetrized(y):
     """A finite square matrix, or a stack of them, made exactly symmetric:
     returned as it is when exactly symmetric, else as ``0.5 * (y + y')``, with
     ``ValueError`` (naming the stack index) for a matrix whose asymmetry
-    ``||y - y'||_F`` exceeds ``SYMMETRY_TOL * (1 + ||y||_F)``."""
-    yt = np.swapaxes(y, -1, -2)
-    if (y == yt).all():
+    ``||y - y'||_F`` exceeds ``SYMMETRY_TOL * (1 + ||y||_F)``.  For an exactly
+    symmetric ``y``, ``0.5 * (y + y)`` is ``y`` bit for bit."""
+    yt = y.swapaxes(-1, -2)
+    if not np.count_nonzero(y != yt):
         return y
     skew = np.ravel(np.linalg.norm(y - yt, axis=(-2, -1)))
     bad = (skew > SYMMETRY_TOL * (1.0 + np.ravel(np.linalg.norm(y, axis=(-2, -1))))).nonzero()[0]
@@ -102,15 +119,6 @@ def symmetrized(y):
         where = f" A[{bad[0]}]" if y.ndim == 3 else ""
         raise ValueError(f"matrix{where} asymmetry {skew[bad[0]]:.3e} exceeds tolerance")
     return 0.5 * (y + yt)
-
-
-def _checked(y, shape):
-    y = np.asarray(y, dtype=float)
-    if y.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {y.shape}")
-    if not all_finite(y):
-        raise ValueError("non-finite entries in cone argument")
-    return y
 
 
 class ConePoint:
@@ -230,7 +238,8 @@ class ConeBaseOracle:
         return self.prepare(y).support
 
     def polar_residual(self, v) -> float:
-        """How far v is from the polar cone (0 means membership)."""
+        """How far v is from the polar cone (0 means membership); ``v`` passes
+        ``checked_array`` at the cone's shape."""
         raise NotImplementedError
 
 
@@ -240,12 +249,11 @@ class NonposOrthant(ConeBaseOracle):
     family = "nonpos_orthant"
 
     def prepare(self, y):
-        y = _checked(y, (self.m,))
+        y = checked_array(y, (self.m,))
         return _LogSumExpPoint(y, float(y.max()), self.cert.alpha4)
 
     def polar_residual(self, v):
-        v = np.asarray(v, dtype=float)
-        return max(0.0, -float(np.min(v)))
+        return max(0.0, -float(checked_array(v, (self.m,), "multiplier").min()))
 
 
 class NegSemidef(ConeBaseOracle):
@@ -262,23 +270,20 @@ class NegSemidef(ConeBaseOracle):
     def prepare(self, y):
         """Check ``y`` and decompose it once.
 
-        An exactly symmetric ``y`` (such as ``G(x)`` from ``psd_affine_map``)
-        goes to ``eigh`` as it is; any other goes through ``symmetrized``.
+        ``y`` goes through ``symmetrized``, so an exactly symmetric one (such
+        as ``G(x)`` from ``psd_affine_map``) reaches ``eigh`` as it is.
         ``eigh`` can overflow on a finite ``y``, so the spectrum is checked
         too.  It comes back in ascending order, so it is reversed to
         descending, and its first entry is the support value.
         """
-        y = _checked(y, (self.m, self.m))
-        if np.count_nonzero(y != y.T):
-            y = symmetrized(y)
-        vals, vecs = self._eigh(y)
+        vals, vecs = self._eigh(symmetrized(checked_array(y, (self.m, self.m))))
         if not all_finite(vals):
             raise ValueError("non-finite entries in log-sum-exp input")
         return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
 
     def polar_residual(self, v):
         # a v asymmetric past SYMMETRY_TOL raises, as in prepare
-        vals = self._eigh(symmetrized(np.asarray(v, dtype=float)))[0]
+        vals = self._eigh(symmetrized(checked_array(v, (self.m, self.m), "multiplier")))[0]
         return max(0.0, -float(vals[0]))
 
 
@@ -291,8 +296,8 @@ class PCone(ConeBaseOracle):
         return SmoothingCert(0.0, 1.0, 1.0 + alpha4, alpha4, math.sqrt(2.0))
 
     def prepare(self, y):
-        return _PConePoint(_checked(y, (self.m + 1,)), self.cert.alpha4)
+        return _PConePoint(checked_array(y, (self.m + 1,)), self.cert.alpha4)
 
     def polar_residual(self, v):
-        v = np.asarray(v, dtype=float)
+        v = checked_array(v, (self.m + 1,), "multiplier")
         return max(0.0, float(np.linalg.norm(v[:-1]) + v[-1]))

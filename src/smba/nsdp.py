@@ -22,9 +22,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cones import NegSemidef, all_finite
+from .cones import NegSemidef, checked_array, symmetrized
 from .problems import DCProblem, L1Regularizer, ZeroConcave, poly_quartic_objective, psd_affine_map
-from .schedules import check_numbers
+from .schedules import check_keys, check_numbers
 
 SPARSE_DENSITY = 0.2
 
@@ -61,23 +61,14 @@ class NsdpInstance:
             raise ValueError(f"problem file must hold a JSON object, got {d!r}")
         if d.get("family") != "nsdp":
             raise ValueError(f"unsupported problem family {d.get('family')!r}")
+        check_keys(cls, {key: v for key, v in d.items() if key != "family"}, "problem file")
         fields = SimpleNamespace(n=d["n"], m=d["m"], seed=d.get("seed", -1),
                                  l1_weight=d.get("l1_weight", 1.0))
         check_numbers(fields, reals=("l1_weight",), integers=("n", "m", "seed"))
         n, m = int(fields.n), int(fields.m)
-        Q = np.asarray(d["Q"], dtype=float)
-        b = np.asarray(d["b"], dtype=float)
-        c = np.asarray(d["c"], dtype=float)
-        dd = np.asarray(d["d"], dtype=float)
-        A = np.asarray(d["A"], dtype=float)
-        if Q.shape != (n, n) or b.shape != (n,) or c.shape != (n,) or dd.shape != (n,):
-            raise ValueError("inconsistent NSDP field shapes")
-        if not all(all_finite(v) for v in (Q, b, c, dd)):
-            raise ValueError("non-finite entries in NSDP fields Q, b, c or d")
-        if A.shape != (n + 1, m, m):
-            raise ValueError(f"expected {(n + 1, m, m)} constraint stack, got {A.shape}")
-        return cls(n=n, m=m, seed=int(fields.seed), Q=Q, b=b, c=c, d=dd, A=A,
-                   l1_weight=float(fields.l1_weight))
+        arrays = {key: checked_array(d[key], shape, key) for key, shape in
+                  (("Q", (n, n)), ("b", (n,)), ("c", (n,)), ("d", (n,)), ("A", (n + 1, m, m)))}
+        return cls(n=n, m=m, seed=int(fields.seed), l1_weight=float(fields.l1_weight), **arrays)
 
 
 def _orthogonal(rng, k):
@@ -92,10 +83,6 @@ def _sparse_positive(rng, k):
     mask = rng.random(k) < SPARSE_DENSITY
     vals = rng.uniform(0.0, 100.0, k)
     return np.where(mask, vals, 0.0)
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
 
 
 def generate_nsdp(n: int, m: int, seed: int) -> NsdpInstance:
@@ -113,13 +100,13 @@ def generate_nsdp(n: int, m: int, seed: int) -> NsdpInstance:
     A = np.empty((n + 1, m, m))
     U0 = _orthogonal(rng, m)
     a0 = rng.uniform(10.0, 100.0, m)
-    A[0] = _sym((U0 * a0) @ U0.T)
+    A[0] = symmetrized((U0 * a0) @ U0.T)
     for i in range(1, n + 1):
         Ui = _orthogonal(rng, m)
         ai = _sparse_positive(rng, m)
-        A[i] = _sym((Ui * ai) @ Ui.T)
+        A[i] = symmetrized((Ui * ai) @ Ui.T)
 
-    Q = _sym((U * a) @ U.T)
+    Q = symmetrized((U * a) @ U.T)
     a_support = (a != 0.0).astype(float)
     b = U @ (a_support * b_bar)
 

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import ConeBaseOracle, NegSemidef, NonposOrthant, PCone, all_finite, symmetrized
+from .cones import (ConeBaseOracle, NegSemidef, NonposOrthant, PCone, all_finite, checked_array,
+                    symmetrized)
 from .errors import UnsupportedFamilyError
 
 
@@ -118,6 +119,9 @@ class DCProblem:
                 f"P1 must be one of {', '.join(r.__name__ for r in REGULARIZERS)}, "
                 f"got {type(self.p1).__name__}"
             )
+        if isinstance(self.p1, L1Regularizer) and self.p1.weights.shape != (self.dim,):
+            raise ValueError(
+                f"l1 weights must have shape ({self.dim},), got {self.p1.weights.shape}")
 
 
 def objective_value(prob: DCProblem, x) -> float:
@@ -231,8 +235,11 @@ def _toy_problem(c, g, cone, name, l1_weight=0.0) -> DCProblem:
 
 
 def box_problem(c, b, l1_weight=0.0) -> DCProblem:
-    """min 0.5||x - c||^2 + w||x||_1  s.t.  x <= b (orthant family)."""
-    return _toy_problem(c, shift_map(b), NonposOrthant(np.size(c)), "box", l1_weight)
+    """min 0.5||x - c||^2 + w||x||_1  s.t.  x <= b (orthant family); ``b``
+    passes ``checked_array`` at the shape of ``c``."""
+    n = np.size(c)
+    return _toy_problem(c, shift_map(checked_array(b, (n,), "b")), NonposOrthant(n), "box",
+                        l1_weight)
 
 
 def norm_ball_problem(c, radius) -> DCProblem:

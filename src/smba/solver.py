@@ -52,8 +52,9 @@ serves the stop test and the divergence guard.  An accepted step adds one
 f gradient and the certificate's adjoint apply; only when another step will
 run does it add that step's P2 subgradient and second adjoint apply, so a
 run forms no state after its last row.  Each oracle output is scanned for
-NaN and inf once, and the f gradient, the P2 subgradient and both adjoint
-outputs are checked for the shape ``(n,)``.
+NaN and inf once; the f gradient, the P2 subgradient and both adjoint
+outputs are checked for the shape ``(n,)``, and the f and P2 values become
+Python floats, or end the run unless they are real scalars.
 
 The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
 blocks of ``n0 + 1`` indices, while the stop test can only pass once the
@@ -71,6 +72,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import reprlib
 import time
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
@@ -79,7 +81,7 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import MU_FLOOR, ConePoint, all_finite
+from .cones import MU_FLOOR, ConePoint, all_finite, checked_array
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
 from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
@@ -177,11 +179,12 @@ TRACE_COLUMNS = tuple("lambda" if name == "lam" else name for name in TraceRow._
 class SolveReport:
     """Outcome of ``run``.  ``x``, ``objective``, ``final_kkt``, ``term_step``
     and ``term_slack`` belong to the last trace row on every exit; with no
-    rows they are x0, its objective, None and inf.  ``mu0`` is NaN when the
-    initial smoothing search reached the floor.  ``advances`` counts the steps
-    after which the schedule jumped to the next block.  ``capped`` holds
-    ``(i, j)`` of a step that ran out of trials and has no row: ``i`` of its
-    ``j`` trials failed the descent test."""
+    rows they are x0, its objective (NaN unless a real scalar), None and
+    inf.  ``mu0`` is NaN when the initial smoothing search reached the
+    floor.  ``advances`` counts the steps after which the schedule jumped to
+    the next block.  ``capped`` holds ``(i, j)`` of a step that ran out of
+    trials and has no row: ``i`` of its ``j`` trials failed the descent
+    test."""
 
     status: SolveStatus
     trace: List[TraceRow]
@@ -295,18 +298,21 @@ def _cone_point(prob: DCProblem, y, where: str) -> ConePoint:
         raise NumericError(f"constraint map output rejected at {where}: {exc}") from exc
 
 
-def _check_x0(prob: DCProblem, x0) -> np.ndarray:
-    """``x0`` as a float vector; raises ValueError unless it is 1-D, of length
-    ``prob.dim`` and finite, before any oracle sees it."""
+def _scalar(name: str, value, where: str) -> float:
+    """``value`` as a Python float; raises NumericError naming ``name`` and
+    ``where`` unless it is a real scalar."""
     try:
-        x0 = np.asarray(x0, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"x0 is not a vector of numbers: {exc}") from exc
-    if x0.shape != (prob.dim,):
-        raise ValueError(f"x0 must be a vector of length {prob.dim}, got shape {x0.shape}")
-    if not all_finite(x0):
-        raise ValueError("x0 has non-finite entries")
-    return x0
+        return float(value)
+    except (TypeError, ValueError):
+        raise NumericError(
+            f"{name} is not a real scalar at {where}: {reprlib.repr(value)}") from None
+
+
+def _objective(prob: DCProblem, x, where: str) -> Tuple[float, float]:
+    """``(f(x), psi(x))`` as Python floats, psi summed in ``objective_value``'s
+    order; the f value and the P2 value pass ``_scalar``."""
+    f = _scalar("f value", prob.f.value(x), where)
+    return f, f + prob.p1.value(x) - _scalar("P2 value", prob.p2.value(x), where)
 
 
 def _start_point(prob: DCProblem, x0) -> ConePoint:
@@ -417,9 +423,7 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
         dx = sub.x - state.x
         step2 = float(dx.dot(dx))
-        # objective_value's sum, in its order, with f kept for the secant
-        f_cand = prob.f.value(sub.x)
-        psi_cand = f_cand + prob.p1.value(sub.x) - prob.p2.value(sub.x)
+        f_cand, psi_cand = _objective(prob, sub.x, "a trial point")  # f kept for the secant
         decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
         finite = math.isfinite(psi_cand)
         if psi_cand <= state.psi - decrease or not finite:
@@ -451,21 +455,21 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
     """Execute the full method from a strictly feasible starting point; on every
     exit the report's point, objective, certificate and metrics are the last row's."""
     t0 = time.perf_counter()
-    x0 = _check_x0(prob, x0)
+    x0 = checked_array(x0, (prob.dim,), "x0")
 
     trace: List[TraceRow] = []
-    f0 = prob.f.value(x0)
-    x, psi, cert = x0, f0 + prob.p1.value(x0) - prob.p2.value(x0), None
+    x, psi, cert = x0, math.nan, None
     status, reason, mu0 = SolveStatus.MAX_OUTER, "", math.nan
     advances, capped = 0, (0, 0)
 
     try:
         # an infeasible start, or a supplied mu0 too large for it, is an input
-        # error and raises.  A user oracle returning NaN, inf or a misshapen
-        # vector, a G(x0) the cone rejects included, ends the run where its
-        # output is made, before it reaches the subproblem or the cone kernel;
-        # so does an initial smoothing search that reaches the floor.  Either
-        # ends with no rows
+        # error and raises.  A user oracle returning NaN, inf, a misshapen
+        # vector or a non-scalar objective part, a G(x0) the cone rejects
+        # included, ends the run where its output is made, before it reaches
+        # the subproblem or the cone kernel; so does an initial smoothing
+        # search that reaches the floor.  Either ends with no rows
+        f0, psi = _objective(prob, x0, "x0")
         point0 = _start_point(prob, x0)
         mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
         schedule = cfg.schedule.with_mu0(mu0)

@@ -36,10 +36,13 @@ INTERNALS = [
     ("smba.schedules", "partial_sum"),
     ("smba.cones", "SmoothingCert"),
     ("smba.cones", "ConeBaseOracle"),
+    ("smba.cones", "checked_array"),
 ]
 
 # second ways into a kernel (the cone point from prepare(y), the mu0 that
-# run reports, np.vdot), and the slack of a guard that could not fire
+# run reports, np.vdot), the slack of a guard that could not fire, and
+# copies of the array check (checked_array) and the symmetry rule
+# (symmetrized)
 REMOVED = [
     ("smba.cones", "stable_logsumexp"),
     ("smba.cones", "ConeBaseOracle.msa_value"),
@@ -47,6 +50,9 @@ REMOVED = [
     ("smba.solver", "find_initial_mu"),
     ("smba.solver", "DESCENT_SLACK"),
     ("smba.diagnostics", "pairing"),
+    ("smba.cones", "_checked"),
+    ("smba.solver", "_check_x0"),
+    ("smba.nsdp", "_sym"),
 ]
 
 

@@ -366,6 +366,9 @@ class TestBuildBall:
             build_ball(np.zeros(2), np.ones(2), 2.0, 0.0, 1.0, 1.0)
         with pytest.raises(InfeasibleStartError):
             build_ball(np.zeros(2), np.ones(2), 2.0, 0.3, 1.0, 1.0)
+        for L_g, mu in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5)):
+            with pytest.raises(ValueError, match="L_g and mu must be positive"):
+                build_ball(np.zeros(2), np.ones(2), 2.0, -1.0, L_g, mu)
 
     def test_x_k_always_feasible(self, rng):
         # the current iterate lies inside its own ball
@@ -717,6 +720,9 @@ class TestSolveBallProx:
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):
             BallConstraint(center=np.zeros(2), radius=0.0, curvature=1.0)
+        for curvature in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="curvature weight must be positive"):
+                BallConstraint(center=np.zeros(2), radius=1.0, curvature=curvature)
 
 
 def socp_dc_instance_1():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -31,15 +32,21 @@ class TestTraceIO:
         assert len(rows) >= 2
 
     def test_roundtrip_exact(self, toy_report, tmp_path):
-        # one problem per cone family; every field must be a Python int or
-        # float, whose repr the reader parses back exactly
+        # one problem per cone family, and one whose f returns np.float64;
+        # every field must be a Python int or float, whose repr the reader
+        # parses back exactly
         A = np.zeros((3, 2, 2))
         A[0] = 2.0 * np.eye(2)
         A[1], A[2] = np.diag([-1.0, 0.0]), np.diag([0.0, -1.0])
         cfg = SolverConfig(eps=1e-7, max_outer=2000, schedule=power_schedule(0.9))
+        box = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
+        c = np.array([2.0, -1.0])
+        numpy_f = dataclasses.replace(box, f=dataclasses.replace(
+            box.f, value=lambda x: 0.5 * np.dot(x - c, x - c)))
         reports = [toy_report,
                    run(norm_ball_problem([2.0, -1.0, 0.5], 1.0), cfg, np.zeros(3)),
-                   run(psd_affine_problem([3.0, 1.0], A), cfg, np.zeros(2))]
+                   run(psd_affine_problem([3.0, 1.0], A), cfg, np.zeros(2)),
+                   run(numpy_f, cfg, np.zeros(2))]
         for i, report in enumerate(reports):
             assert report.trace
             assert all(type(v) in (int, float) for row in report.trace for v in row)
@@ -190,7 +197,7 @@ class TestGenSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("Q", math.nan), ("b", math.inf), ("c", -math.inf), ("d", math.nan),
-        ("l1_weight", math.inf),
+        ("l1_weight", math.inf), ("A", math.nan),
     ])
     def test_non_finite_problem_file_exit_1(self, tmp_path, capsys, recwarn, field, value):
         # rejected while loading, not left to end the solve as a numeric failure
@@ -199,6 +206,8 @@ class TestGenSolve:
         doc = json.loads(inst_path.read_text())
         if field == "Q":
             doc["Q"][2][1] = value
+        elif field == "A":
+            doc["A"][2][1][0] = value
         elif field == "l1_weight":
             doc["l1_weight"] = value
         else:

@@ -182,17 +182,6 @@ class TestMsaValue:
         with pytest.raises(ValueError, match="smoothing parameter"):
             NonposOrthant(2).prepare([0.0, 0.0]).value(1e-15)
 
-    def test_alpha4_monotone_decrease(self, rng):
-        # shifted family strictly gains at least alpha4 * (mu0 - mu1)
-        for oracle, sample in family_cases(alpha4=1e-5):
-            for _ in range(200):
-                y = sample(rng)
-                mu1 = 10.0 ** rng.uniform(-6, 0)
-                mu0 = mu1 * rng.uniform(1.5, 20.0)
-                v0 = oracle.prepare(y).value(mu0)
-                v1 = oracle.prepare(y).value(mu1)
-                assert v1 <= v0 - 1e-5 * (mu0 - mu1) + 1e-12
-
     def test_spectral_consistency(self, rng):
         oracle = NegSemidef(4)
         for _ in range(50):
@@ -311,6 +300,34 @@ class TestPolarResidual:
         v[1, 0] -= 0.5 * bump
         with pytest.raises(ValueError, match="asymmetry"):
             NegSemidef(10).polar_residual(v)
+
+    def test_pcone_residual_reads_the_norm_excess(self):
+        oracle = PCone(2)
+        assert oracle.polar_residual([3.0, 4.0, -5.0]) == 0.0
+        assert oracle.polar_residual([3.0, 4.0, -2.0]) == 3.0
+        assert oracle.polar_residual([0.0, 0.0, 1.0]) == 1.0
+
+    @pytest.mark.parametrize("oracle, bad", [
+        (NonposOrthant(2), [math.nan, 1.0]), (NonposOrthant(2), [0.0, -math.inf]),
+        (PCone(2), [math.nan, 0.0, 0.0]), (PCone(2), [0.0, 0.0, math.inf]),
+        (NegSemidef(2), [[math.nan, 0.0], [0.0, 1.0]]),
+        (NegSemidef(2), [[0.0, math.inf], [math.inf, 0.0]]),
+    ], ids=["orthant-nan", "orthant-inf", "pcone-nan", "pcone-inf", "psd-nan", "psd-inf"])
+    def test_nonfinite_multiplier_rejected(self, oracle, bad):
+        # a NaN or inf entry is not read as membership of the polar cone
+        with pytest.raises(ValueError, match="non-finite entries in multiplier"):
+            oracle.polar_residual(bad)
+
+    @pytest.mark.parametrize("oracle, bad", [
+        (NonposOrthant(2), [-1.0]), (NonposOrthant(2), -np.ones((2, 1))),
+        (PCone(2), [1.0]), (PCone(2), [0.0, 0.0]), (PCone(2), np.zeros(4)),
+        (NegSemidef(2), np.eye(3)), (NegSemidef(2), np.zeros(4)),
+        (NegSemidef(2), object()),
+    ], ids=["orthant-short", "orthant-column", "pcone-one", "pcone-short", "pcone-long",
+            "psd-large", "psd-vector", "psd-object"])
+    def test_misshapen_multiplier_rejected(self, oracle, bad):
+        with pytest.raises(ValueError, match="multiplier"):
+            oracle.polar_residual(bad)
 
 
 class TestPreparedPoint:

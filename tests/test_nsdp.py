@@ -90,6 +90,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             NsdpInstance.from_dict(doc)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("A", [[[0.0]]], r"A: expected shape \(4, 2, 2\)"),
+        ("c", [1.0, "x", 0.0], "c is not an array of numbers"),
+        ("Q", [[0.0] * 3] * 2, r"Q: expected shape \(3, 3\)"),
+        ("l1_wieght", 0.5, "unknown problem file keys: l1_wieght"),
+    ], ids=["A-shape", "c-text", "Q-shape", "unknown-key"])
+    def test_bad_field_rejected_at_load(self, key, value, match):
+        # each field is named, and a misspelt key does not leave a field at
+        # its default
+        doc = generate_nsdp(3, 2, 0).to_dict()
+        doc[key] = value
+        with pytest.raises(ValueError, match=match):
+            NsdpInstance.from_dict(doc)
+
+    def test_nonfinite_constraint_stack_rejected_at_load(self):
+        # not left to the constraint map
+        doc = generate_nsdp(3, 2, 0).to_dict()
+        doc["A"][2][1][0] = float("nan")
+        with pytest.raises(ValueError, match="non-finite entries in A"):
+            NsdpInstance.from_dict(doc)
+
 
 @pytest.fixture(scope="module")
 def prob():

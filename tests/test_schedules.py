@@ -65,6 +65,8 @@ class TestMuAt:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             mu_at(power_schedule(0.5, mu0=1.0), -1)
+        with pytest.raises(ValueError, match="K must be nonnegative"):
+            partial_sum(power_schedule(0.5, mu0=1.0), -1)
 
     @pytest.mark.parametrize("field", ["mu0", "r", "rbar", "sbar", "n0", "nu0", "ramp_len"])
     def test_nan_rejected(self, field):
@@ -83,6 +85,10 @@ class TestMuAt:
             ScheduleSpec(variant="blockwise", rbar=0.9, nu0=0.0, mu0=1.0)
         with pytest.raises(ValueError):
             ScheduleSpec(variant="nope", mu0=1.0)
+        with pytest.raises(ValueError, match="n0 must be nonnegative"):
+            ScheduleSpec(variant="blockwise", rbar=0.9, n0=-1, mu0=1.0)
+        with pytest.raises(ValueError, match="ramp_len must be >= 1"):
+            ScheduleSpec(variant="ramped_log", rbar=0.9, ramp_len=0, mu0=1.0)
         with pytest.raises(ValueError, match="floor"):
             power_schedule(0.5, mu0=0.5 * MU_FLOOR)
 

@@ -433,6 +433,9 @@ class TestRunToyProblems:
                 assert np.linalg.norm(report.x) < R
                 gap = (report.objective - ref) / max(1.0, abs(ref))
                 assert -1e-12 <= gap <= 1e-6, (seed, s, gap)
+                # criterion 10's multiplier check, on the norm cone
+                v = report.final_kkt.v
+                assert prob.cone.polar_residual(v) <= 1e-10 * (1.0 + float(np.linalg.norm(v)))
 
     @pytest.mark.parametrize("name, seeds", [("nsdp-large", range(16)), ("nsdp-desk", range(4))],
                              ids=["nsdp-large", "nsdp-desk"])
@@ -494,8 +497,8 @@ class TestRunToyProblems:
 
     @pytest.mark.parametrize("x0", [
         np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.zeros((1, 2)), 0.0,
-        [0.0, math.nan], [math.inf, 0.0], ["a", 0.0], [[0.0], 0.0],
-    ], ids=["long", "short", "column", "row", "scalar", "nan", "inf", "text", "ragged"])
+        [0.0, math.nan], [math.inf, 0.0], ["a", 0.0], [[0.0], 0.0], object(),
+    ], ids=["long", "short", "column", "row", "scalar", "nan", "inf", "text", "ragged", "object"])
     def test_bad_x0_rejected_before_any_oracle(self, x0):
         def refuse(*args):
             raise AssertionError("an oracle ran")
@@ -768,6 +771,23 @@ class TestRunFailureModes:
             assert all(math.isfinite(row.rho) for row in report.trace)
             json.dumps(report.to_dict(), allow_nan=False)
 
+    @pytest.mark.parametrize("oracle, name, fault", [
+        ("f.value", "f value", lambda value: np.full(1, value)),
+        ("f.value", "f value", lambda value: np.full(2, value)),
+        ("p2.value", "P2 value", lambda value: np.full(1, value)),
+        ("p2.value", "P2 value", lambda value: None),
+    ], ids=["f-one", "f-two", "p2-one", "p2-none"])
+    def test_nonscalar_objective_part_becomes_status(self, oracle, name, fault):
+        # from the first call (x0) or the fourth on (a linesearch trial), an
+        # f or P2 value that is not a real scalar ends the run named
+        for start, where in ((1, "x0"), (4, "a trial point")):
+            prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), oracle, start, fault)
+            report = run(prob, FAULT_CFG, np.zeros(2))
+            assert report.status is SolveStatus.NUMERIC_FAILURE
+            assert report.reason.startswith(f"{name} is not a real scalar at {where}: ")
+            assert (report.iterations > 0) == (start > 1)
+            json.dumps(report.to_dict(), allow_nan=False)
+
     @pytest.mark.parametrize("prob, fault", [
         (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.nan)),
         (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.inf)),
@@ -852,6 +872,8 @@ class TestRunFailureModes:
             (box, lambda y: np.array([np.nan, 0.0])),
             (box, lambda y: np.full_like(y, np.inf)),
             (psd_toy_problem(), asymmetric),
+            (box, lambda y: object()),
+            (box, lambda y: {"y": y}),
         ]:
             report = run(with_fault(prob, "g.value", 1, fault), FAULT_CFG, np.zeros(2))
             assert report.status is SolveStatus.NUMERIC_FAILURE
@@ -1117,3 +1139,6 @@ class TestConfig:
             SolverConfig(L_min=1.0, L_max=0.5)
         with pytest.raises(ValueError):
             SolverConfig(eps=-1.0)
+        for caps in ({"max_outer": 0}, {"max_inner_j": -1}):
+            with pytest.raises(ValueError, match="iteration caps"):
+                SolverConfig(**caps)

@@ -1,4 +1,5 @@
-"""The bit-identity check in ``tools/trace_digests.py``."""
+"""The bit-identity check in ``tools/trace_digests.py`` and the line counter
+``tools/code_lines.py``."""
 
 import dataclasses
 import math
@@ -12,6 +13,7 @@ from smba import SolverConfig, box_problem, power_schedule, run
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "trace_digests.py"
+COUNTER = ROOT / "tools" / "code_lines.py"
 
 
 def trace_digest(monkeypatch):
@@ -55,3 +57,33 @@ def test_refuses_a_src_without_smba(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert "no smba package" in done.stderr
+
+
+SAMPLE = '''"""Module docstring,
+two lines."""
+
+# a comment
+def f(x):  # code with a comment counts
+    """Function docstring."""
+    text = """a string
+that is not a docstring"""
+    return (x +
+
+            1)
+
+
+class C:
+    """Class docstring."""
+    y = 2
+'''
+
+
+def test_counts_code_lines_without_docstrings_comments_or_blanks(tmp_path):
+    (tmp_path / "b.py").write_text(SAMPLE)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    out = subprocess.run([sys.executable, str(COUNTER), str(tmp_path)], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    # b.py: the def, both lines of the string, the two lines of the return
+    # that hold a token, the class and y = 2
+    assert out == ["a.py 1", "b.py 7", "total 8"]
