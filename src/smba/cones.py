@@ -30,12 +30,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericError
+from numpy.linalg import _umath_linalg
 
 MU_FLOOR = 1e-12
 SYMMETRY_TOL = 1e-10
 DEFAULT_SHIFT = 1e-5
+
+# The gufunc that numpy's ``eigh`` wrapper calls for a float64 matrix with
+# UPLO="L", bound once.  The wrapper's errstate context and type and shape
+# checks cost about 2 us a call, near a third of LAPACK's own time on a
+# 10x10 matrix.  Every ``y`` that reaches ``NegSemidef._eigh`` is already a
+# checked, exactly symmetric float64 array, so the result is the wrapper's
+# bit for bit.  Where the wrapper raised on a LAPACK failure, the gufunc
+# returns a NaN spectrum.
+_EIGH_LO = _umath_linalg.eigh_lo
 
 
 def _checked_mu(mu: float) -> float:
@@ -262,27 +270,29 @@ class NegSemidef(ConeBaseOracle):
     family = "neg_semidef"
 
     def _eigh(self, y):
-        try:
-            return np.linalg.eigh(y)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericError("symmetric eigendecomposition failed") from exc
+        """Ascending spectrum and eigenvectors of a checked, exactly symmetric
+        ``y``, in one LAPACK call; raises ValueError unless the spectrum is
+        finite, which covers an overflow on a finite ``y`` and a LAPACK
+        failure alike."""
+        vals, vecs = _EIGH_LO(y, signature="d->dd")
+        if not all_finite(vals):
+            raise ValueError("non-finite spectrum: the eigendecomposition overflowed or failed")
+        return vals, vecs
 
     def prepare(self, y):
         """Check ``y`` and decompose it once.
 
         ``y`` goes through ``symmetrized``, so an exactly symmetric one (such
-        as ``G(x)`` from ``psd_affine_map``) reaches ``eigh`` as it is.
-        ``eigh`` can overflow on a finite ``y``, so the spectrum is checked
-        too.  It comes back in ascending order, so it is reversed to
-        descending, and its first entry is the support value.
+        as ``G(x)`` from ``psd_affine_map``) reaches ``_eigh`` as it is, and
+        ``_eigh`` checks the spectrum.  It comes back in ascending order, so
+        it is reversed to descending, and its first entry is the support value.
         """
         vals, vecs = self._eigh(symmetrized(checked_array(y, (self.m, self.m))))
-        if not all_finite(vals):
-            raise ValueError("non-finite entries in log-sum-exp input")
         return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
 
     def polar_residual(self, v):
-        # a v asymmetric past SYMMETRY_TOL raises, as in prepare
+        # a v asymmetric past SYMMETRY_TOL, or with a non-finite spectrum,
+        # raises, as in prepare
         vals = self._eigh(symmetrized(checked_array(v, (self.m, self.m), "multiplier")))[0]
         return max(0.0, -float(vals[0]))
 

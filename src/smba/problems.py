@@ -215,9 +215,9 @@ def psd_affine_map(A) -> ConstraintMap:
 
 
 def _toy_problem(c, g, cone, name, l1_weight=0.0) -> DCProblem:
-    """min 0.5||x - c||^2 + w||x||_1  s.t.  G(x) in K: the toy builders' shared body."""
-    c = np.asarray(c, dtype=float)
-    n = c.size
+    """min 0.5||x - c||^2 + w||x||_1  s.t.  G(x) in K: the toy builders' shared
+    body; ``c`` passes ``checked_array`` as a vector."""
+    c = checked_array(c, (np.size(c),), "c")
 
     def value(x):
         d = x - c
@@ -225,11 +225,11 @@ def _toy_problem(c, g, cone, name, l1_weight=0.0) -> DCProblem:
 
     return DCProblem(
         f=SmoothObjective(value=value, gradient=lambda x: x - c),
-        p1=L1Regularizer(np.full(n, float(l1_weight))) if l1_weight else ZeroRegularizer(),
+        p1=L1Regularizer(np.full(c.size, float(l1_weight))) if l1_weight else ZeroRegularizer(),
         p2=ZeroConcave(),
         g=g,
         cone=cone,
-        dim=n,
+        dim=c.size,
         name=name,
     )
 
@@ -243,7 +243,10 @@ def box_problem(c, b, l1_weight=0.0) -> DCProblem:
 
 
 def norm_ball_problem(c, radius) -> DCProblem:
-    """min 0.5||x - c||^2  s.t.  ||x|| <= radius (p-cone family)."""
+    """min 0.5||x - c||^2  s.t.  ||x|| <= radius (p-cone family); ``radius``
+    must be finite."""
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     return _toy_problem(c, pcone_lift_map(radius), PCone(np.size(c)), "norm_ball")
 
 

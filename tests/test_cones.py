@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smba import cones
 from smba.cones import (
     MU_FLOOR,
     NegSemidef,
@@ -88,10 +89,53 @@ class TestFiniteGuards:
         assert point.support == 1e308
 
     def test_spectrum_check_rejects_overflowed_eigenvalue(self):
-        # finite entries, but the top eigenvalue 2e308 overflows in eigh
-        y = np.array([[1e308, -1e308], [-1e308, 1e308]])
-        with pytest.raises(ValueError, match="non-finite"):
-            NegSemidef(2).prepare(y)
+        # finite entries, but the eigenvalue 2e308 (or -2e308) overflows in
+        # eigh; the polar residual read the bottom one as inf, and the top
+        # one, beside a 0.0 bottom, as membership
+        for sign in (1.0, -1.0):
+            y = sign * np.array([[1e308, -1e308], [-1e308, 1e308]])
+            for evaluate in (NegSemidef(2).prepare, NegSemidef(2).polar_residual):
+                with pytest.raises(ValueError, match="non-finite spectrum"):
+                    evaluate(y)
+
+
+def nan_spectrum(y, signature):
+    """What the eigh gufunc returns when LAPACK fails: NaN everywhere."""
+    m = len(y)
+    return np.full(m, np.nan), np.full((m, m), np.nan)
+
+
+class TestEigh:
+    def cases(self):
+        rng = np.random.default_rng(7)
+        for m in range(1, 61):
+            yield random_symmetric(rng, m)
+        # repeated eigenvalues
+        yield np.eye(6)
+        yield np.diag([3.0, -1.0, 3.0, 0.0, -1.0, 3.0])
+        yield np.zeros((4, 4))
+        # G(x) of a desk (n=20, m=10) and a large (n=100, m=60) instance
+        for n, m in ((20, 10), (100, 60)):
+            prob = nsdp_problem(generate_nsdp(n, m, 1))
+            yield prob.g.value(rng.normal(0.0, 0.1, n))
+
+    def test_bits_match_numpy_eigh(self):
+        # the bound gufunc is numpy's own eigh, bit for bit, on the checked,
+        # exactly symmetric arrays that reach it
+        oracle = NegSemidef(1)
+        for y in self.cases():
+            vals, vecs = oracle._eigh(y)
+            ref_vals, ref_vecs = np.linalg.eigh(y)
+            assert np.array_equal(vals, ref_vals), y.shape
+            assert np.array_equal(vecs, ref_vecs), y.shape
+
+    @pytest.mark.parametrize("method", ["prepare", "polar_residual"])
+    def test_failed_decomposition_rejected(self, monkeypatch, method):
+        # a LAPACK failure comes back as a NaN spectrum; read as it is, the
+        # polar residual max(0, -nan) would be 0.0, membership
+        monkeypatch.setattr(cones, "_EIGH_LO", nan_spectrum)
+        with pytest.raises(ValueError, match="non-finite spectrum"):
+            getattr(NegSemidef(3), method)(-np.eye(3))
 
 
 def logsumexp(v, mu):

@@ -381,3 +381,24 @@ class TestProblemWiring:
     def test_misshapen_box_bound_rejected(self, b, match):
         with pytest.raises(ValueError, match=match):
             box_problem(c=[1.0, 2.0], b=b)
+
+    @pytest.mark.parametrize("c, match", [
+        ([[2.0, -1.0]], r"c: expected shape \(2,\), got \(1, 2\)"),
+        ([[2.0], [-1.0]], r"c: expected shape \(2,\), got \(2, 1\)"),
+        ([2.0, np.nan], "non-finite entries in c"), ([2.0, "a"], "c is not an array of numbers"),
+    ], ids=["row", "column", "nan", "text"])
+    @pytest.mark.parametrize("build", [
+        lambda c: box_problem(c, [1.0, 1.0]),
+        lambda c: norm_ball_problem(c, 1.0),
+        lambda c: psd_affine_problem(c, np.stack([-np.eye(2), np.zeros((2, 2)), np.eye(2)])),
+    ], ids=["box", "norm_ball", "psd_affine"])
+    def test_misshapen_center_rejected(self, build, c, match):
+        # at build time: a 2-D c escaped run as a bare broadcast error
+        with pytest.raises(ValueError, match=match):
+            build(c)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_radius_rejected(self, radius):
+        # at build time: a run blamed the constraint map for it
+        with pytest.raises(ValueError, match="radius must be finite"):
+            norm_ball_problem([1.0, 2.0], radius)

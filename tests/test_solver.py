@@ -801,6 +801,27 @@ class TestRunFailureModes:
         assert "constraint map" in report.reason
         assert report.iterations == len(report.trace) > 0
 
+    @pytest.mark.parametrize("start, where", [(1, "x0"), (4, "a trial point")])
+    def test_failed_decomposition_becomes_status(self, monkeypatch, start, where):
+        # LAPACK fails from the start-th decomposition on, which the eigh
+        # gufunc reports as a NaN spectrum and vectors
+        real, calls = cones._EIGH_LO, []
+
+        def failing(y, signature):
+            calls.append(1)
+            vals, vecs = real(y, signature=signature)
+            if len(calls) < start:
+                return vals, vecs
+            return np.full_like(vals, np.nan), np.full_like(vecs, np.nan)
+
+        monkeypatch.setattr(cones, "_EIGH_LO", failing)
+        report = run(psd_toy_problem(), FAULT_CFG, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason.startswith(
+            f"constraint map output rejected at {where}: non-finite spectrum"), report.reason
+        assert (report.iterations > 0) == (start > 1)
+        json.dumps(report.to_dict(), allow_nan=False)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_objective_becomes_status(self, bad):
         # f turns bad from its 4th call, a linesearch trial of the third step

@@ -1,7 +1,9 @@
-"""The bit-identity check in ``tools/trace_digests.py`` and the line counter
-``tools/code_lines.py``."""
+"""The bit-identity check in ``tools/trace_digests.py``, the line counter
+``tools/code_lines.py`` and the pair runner ``tools/bench_pairs.py``."""
 
 import dataclasses
+import importlib.util
+import json
 import math
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from smba import SolverConfig, box_problem, power_schedule, run
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "trace_digests.py"
 COUNTER = ROOT / "tools" / "code_lines.py"
+PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 
 def trace_digest(monkeypatch):
@@ -87,3 +90,62 @@ def test_counts_code_lines_without_docstrings_comments_or_blanks(tmp_path):
     # b.py: the def, both lines of the string, the two lines of the return
     # that hold a token, the class and y = 2
     assert out == ["a.py 1", "b.py 7", "total 8"]
+
+
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(solve_s, p50, walls):
+    """The lines ``perfbench/run.py --trace 0`` prints that the runner reads."""
+    return "\n".join([
+        "workload nsdp-desk: seed 0, instances 1,6,10,15,16, eps 1e-07",
+        f"{len(walls)} passes of 0.370, 0.371 s at reference speed "
+        f"({', '.join(walls)} s wall); step latency over 1691 steps per pass; "
+        "set-up over 7 fresh interpreters; fail_frac 0.0 (0/10)",
+        f"solve_s = {solve_s!r} s",
+        json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "solve_s": {"value": solve_s, "unit": "s"},
+            "iter_ms_p50": {"value": p50, "unit": "ms"}}}),
+    ])
+
+
+def test_pair_summary_from_canned_output():
+    tool = bench_pairs()
+    run = tool.parse_run(canned_run(0.40, 0.20, ["0.130", "0.125", "0.140"]))
+    assert run == {"solve_s": (0.40, "s"), "iter_ms_p50": (0.20, "ms"),
+                   "wall_median_s": (0.130, "s")}
+    parent = [canned_run(0.40, 0.20, ["0.13"]), canned_run(0.38, 0.19, ["0.12"]),
+              canned_run(0.39, 0.19, ["0.12"])]
+    change = [canned_run(0.36, 0.18, ["0.11"]), canned_run(0.39, 0.18, ["0.12"]),
+              canned_run(0.37, 0.18, ["0.10"])]
+    pairs = [(tool.parse_run(p), tool.parse_run(c)) for p, c in zip(parent, change)]
+    assert tool.summary(pairs) == [
+        "medians over 3 pairs, parent -> change",
+        "  solve_s 0.39 -> 0.37 s (-5.1%; parent IQR 0.01; change lower in 2/3)",
+        "  iter_ms_p50 0.19 -> 0.18 ms (-5.3%; parent IQR 0.005; change lower in 3/3)",
+        "  wall_median_s 0.12 -> 0.11 s (-8.3%; parent IQR 0.005; change lower in 2/3)",
+    ]
+
+
+def test_pair_runner_refuses_a_parent_without_perfbench(tmp_path):
+    done = subprocess.run([sys.executable, str(PAIRS), "--parent", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "no perfbench/run.py" in done.stderr
+
+
+def test_pair_runner_stops_at_a_failed_run(tmp_path):
+    # the parent runs first in the first pair; its failed checks end the tool
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('FAILED instance 1: objective')\nsys.exit(1)\n")
+    done = subprocess.run([sys.executable, str(PAIRS), "--parent", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "FAILED instance 1" in done.stderr

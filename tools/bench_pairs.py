@@ -1,0 +1,118 @@
+"""Compare a parent tree with this checkout in alternating benchmark pairs.
+
+Usage::
+
+    python tools/bench_pairs.py --parent DIR [--workload W] [--pairs N]
+                                [--seed S] [--seconds T]
+
+Runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` from
+``DIR`` (such as a checkout of the parent commit) and from this checkout,
+one after the other, ``N`` times; the side that runs first alternates, the
+parent first in odd pairs.  Each run starts in its own tree's root, so it
+times that tree's ``src``.
+
+For each pair it prints the end-to-end metrics of the last JSON line of
+each run, and the median of the raw wall times of its passes (the
+``... s wall`` list), which ``perfbench`` rescales by calibration samples
+taken around each solve.  It then prints, for each metric, the medians
+over the pairs, parent -> change, the change in percent, the spread
+between the quartiles of the parent's runs, and in how many pairs the
+change read lower.
+
+The tool only runs ``perfbench`` and writes no file of its own.  It exits
+with status 2, printing nothing, unless ``DIR/perfbench/run.py`` exists,
+and with status 1 as soon as a run fails its checks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WALL = re.compile(r"\(([^()]*) s wall\)")
+
+
+def parse_run(stdout: str) -> dict:
+    """``{metric: (value, unit)}`` from one run's output: the metrics of its
+    last line, a JSON object, and ``wall_median_s``, the median of its raw
+    pass wall times."""
+    lines = stdout.strip().splitlines()
+    metrics = {name: (m["value"], m["unit"])
+               for name, m in json.loads(lines[-1])["metrics"].items()}
+    walls = [float(w) for line in lines for match in WALL.findall(line)
+             for w in match.split(",")]
+    metrics["wall_median_s"] = (statistics.median(walls), "s")
+    return metrics
+
+
+def quartile_spread(values) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summary(pairs) -> list:
+    """The summary lines of ``pairs``, a list of ``(parent, change)`` metric
+    dicts as ``parse_run`` returns them."""
+    lines = [f"medians over {len(pairs)} pairs, parent -> change"]
+    for name, (_, unit) in pairs[0][0].items():
+        parent = [p[name][0] for p, _ in pairs]
+        change = [c[name][0] for _, c in pairs]
+        lower = sum(c < p for p, c in zip(parent, change))
+        p50, c50 = statistics.median(parent), statistics.median(change)
+        rel = f"{100.0 * (c50 / p50 - 1.0):+.1f}%" if p50 else "n/a"
+        lines.append(f"  {name} {p50:.6g} -> {c50:.6g} {unit} ({rel}; parent IQR "
+                     f"{quartile_spread(parent):.3g}; change lower in {lower}/{len(pairs)})")
+    return lines
+
+
+def run_side(tree: Path, args) -> dict:
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"run in {tree} exited {done.returncode}:\n{done.stdout[-2000:]}"
+              f"{done.stderr[-2000:]}", file=sys.stderr)
+        raise SystemExit(1)
+    return parse_run(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="root of the tree to compare against")
+    parser.add_argument("--workload", default="nsdp-desk")
+    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=5.0)
+    args = parser.parse_args(argv)
+    parent = Path(args.parent).resolve()
+    if not (parent / "perfbench" / "run.py").is_file():
+        print(f"no perfbench/run.py in {parent}", file=sys.stderr)
+        return 2
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    pairs = []
+    for k in range(args.pairs):
+        order = [("parent", parent), ("change", ROOT)]
+        if k % 2:
+            order.reverse()
+        result = {side: run_side(tree, args) for side, tree in order}
+        pairs.append((result["parent"], result["change"]))
+        print(f"pair {k + 1} ({order[0][0]} first)")
+        for name, (value, unit) in result["parent"].items():
+            print(f"  {name} {value:.6g} -> {result['change'][name][0]:.6g} {unit}")
+        sys.stdout.flush()
+    print("\n".join(summary(pairs)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
