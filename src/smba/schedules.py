@@ -17,17 +17,19 @@ residuals vanish):
 must not lie below the kernel's smoothing floor.
 
 Each value is ``mu0`` times factors that depend on the schedule's shape
-alone (every field but ``mu0``).  ``mu_at`` reads them from one table per
-process, built on first use for the last shape asked, so every run with that
-shape shares it whatever its ``mu0``.
+alone (every field but ``mu0``).  ``mu_at`` reads them from a bounded cache
+of fixed chunks keyed by the shape, so every run with that shape shares them
+whatever its ``mu0``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,13 +45,14 @@ DEFAULT_RAMP_LEN = 5000
 
 def check_numbers(obj, reals=(), integers=()):
     """Raise ValueError naming the first field of ``obj`` in ``reals`` that is
-    not a real number, or in ``integers`` that is not an integer; a bool is
-    neither.  Run before any range check, which a string would break."""
-    for names, kind, text in ((reals, numbers.Real, "a real number"),
+    not a finite real number, or in ``integers`` that is not an integer; a
+    bool is neither.  Run before any range check, which a string would break
+    and which NaN or +inf (JSON's ``NaN`` and ``Infinity``) could pass."""
+    for names, kind, text in ((reals, numbers.Real, "a finite real number"),
                               (integers, numbers.Integral, "an integer")):
         for name in names:
             value = getattr(obj, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) < np.inf:
                 raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
@@ -156,38 +159,36 @@ def _factors(spec: ScheduleSpec, ks: np.ndarray):
     return (kbar + 1.0) ** (-rk), np.log(kbar + 3.0) ** (-sk)
 
 
-# _factors over 0..size-1 for the last shape asked, as one tuple (shape, a, b)
-# that a call reads once.  The shape is every field but mu0, so the runs of a
-# process share a table even though each makes its own spec; a table is
-# replaced by one twice as long when outgrown, and indices from _TABLE_MAX
-# (8 MB per factor) on are evaluated alone
-_TABLE_START = 1024
-_TABLE_MAX = 1 << 20
-_SHAPE_TABLE: Tuple[Optional[tuple], np.ndarray, Optional[np.ndarray]] = (None, np.empty(0), None)
+# every field but mu0: the shape that _factors reads, one tuple per spec
+_SHAPE_FIELDS = tuple(f.name for f in dataclasses.fields(ScheduleSpec) if f.name != "mu0")
+_shape = operator.attrgetter(*_SHAPE_FIELDS)
+_CHUNK = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _chunk(shape: tuple, c: int):
+    """``_factors`` of the schedule of ``shape`` at indices ``c * _CHUNK``
+    to ``(c + 1) * _CHUNK - 1``, as lists of Python floats, which index and
+    multiply faster than numpy scalars with the same bits; at most 64 chunks
+    (4 MiB) are held."""
+    spec = ScheduleSpec(**dict(zip(_SHAPE_FIELDS, shape)))
+    a, b = _factors(spec, np.arange(c * _CHUNK, (c + 1) * _CHUNK))
+    return a.tolist(), None if b is None else b.tolist()
 
 
 def mu_at(spec: ScheduleSpec, k: int) -> float:
     """Schedule value at iteration k; k = 0 returns mu0 for every variant.
 
-    Reads ``mu0 * a[k] (* b[k])`` from a memoized table of the schedule's
-    mu0-free factors, the same bits as evaluating index k alone.
+    Reads ``mu0 * a[k] (* b[k])`` from the cached chunk of the schedule's
+    mu0-free factors that holds index k, the same bits as ``mu_values``.
     """
-    global _SHAPE_TABLE
     k = int(k)
-    mu0 = spec.mu0
-    if mu0 is None or not 0 <= k < _TABLE_MAX:
-        # evaluated alone; mu_values raises for a missing mu0 or a negative k
-        return float(mu_values(spec, np.asarray([k]))[0])
-    shape = (spec.variant, spec.r, spec.rbar, spec.sbar, spec.n0, spec.nu0, spec.ramp_len)
-    last, a, b = _SHAPE_TABLE
-    if shape != last or k >= a.size:
-        size = a.size if shape == last else _TABLE_START
-        while size <= k:
-            size *= 2
-        a, b = _factors(spec, np.arange(size))
-        _SHAPE_TABLE = (shape, a, b)
-    mu = mu0 * a[k]
-    return float(mu if b is None else mu * b[k])
+    if spec.mu0 is None or k < 0:
+        mu_values(spec, k)  # raises: no mu0 set, or a negative index
+    c, i = divmod(k, _CHUNK)
+    a, b = _chunk(_shape(spec), c)
+    mu = float(spec.mu0) * a[i]
+    return mu if b is None else mu * b[i]
 
 
 def partial_sum(spec: ScheduleSpec, K: int) -> float:
@@ -200,6 +201,7 @@ def partial_sum(spec: ScheduleSpec, K: int) -> float:
 
 
 def partial_sum_lower_bound(spec: ScheduleSpec, K: int) -> float:
-    """Guaranteed lower bound mu0 * K^(1 - rbar) / 2^(2 rbar + 1) on S_K."""
+    """Guaranteed lower bound mu0 * K^(1 - rbar) / 2^(2 rbar + 1) on S_K.
+    ``mu0`` is read as ``mu_at(spec, 0)``, which raises without one."""
     rbar = spec.r if spec.variant == "power" else spec.rbar
-    return spec.mu0 / 2 ** (2 * rbar + 1) * K ** (1 - rbar)
+    return mu_at(spec, 0) / 2 ** (2 * rbar + 1) * K ** (1 - rbar)

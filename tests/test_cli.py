@@ -104,25 +104,41 @@ class TestGenSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exact_l1_path" in err
 
-    @pytest.mark.parametrize("path", [("eps",), ("tau2",), ("schedule", "sbar")],
-                             ids=lambda path: ".".join(path))
-    def test_nan_config_exit_1(self, tmp_path, capsys, path):
+    def solve_with_config_value(self, tmp_path, path, value, text):
+        """Exit code of ``smba solve`` with the default config's field at
+        ``path`` set to ``value``, which JSON writes as ``text``; asserts
+        that no report is written."""
         inst_path = tmp_path / "p.json"
         main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
         doc = SolverConfig().to_dict()
         target = doc
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = float("nan")
+        target[path[-1]] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
-        assert "NaN" in cfg_path.read_text()
+        assert text in cfg_path.read_text()
         report = tmp_path / "r.json"
         code = main(["solve", "--problem", str(inst_path), "--config", str(cfg_path),
                      "--report", str(report)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
         assert not report.exists()
+        return code
+
+    @pytest.mark.parametrize("path", [("eps",), ("tau2",), ("schedule", "sbar")],
+                             ids=lambda path: ".".join(path))
+    def test_nan_config_exit_1(self, tmp_path, capsys, path):
+        assert self.solve_with_config_value(tmp_path, path, math.nan, "NaN") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("path", [("eps",), ("tau1",), ("tau2",), ("L_min",), ("L_max",),
+                                      ("schedule", "mu0"), ("schedule", "sbar")],
+                             ids=lambda path: ".".join(path))
+    def test_infinite_config_exit_1(self, tmp_path, capsys, path):
+        # JSON's Infinity: {"eps": Infinity} converged after one step and
+        # exited 0; the error names the field
+        assert self.solve_with_config_value(tmp_path, path, math.inf, "Infinity") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path[-1]} must be a finite real number, got inf\n"
 
     @pytest.mark.parametrize("path, value", [
         (("tau1",), "0.01"), (("tau2",), None), (("L_min",), [1e-8]), (("L_max",), True),

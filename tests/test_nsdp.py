@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -95,7 +96,8 @@ class TestSerialization:
         ("c", [1.0, "x", 0.0], "c is not an array of numbers"),
         ("Q", [[0.0] * 3] * 2, r"Q: expected shape \(3, 3\)"),
         ("l1_wieght", 0.5, "unknown problem file keys: l1_wieght"),
-    ], ids=["A-shape", "c-text", "Q-shape", "unknown-key"])
+        ("l1_weight", math.inf, "l1_weight must be a finite real number, got inf"),
+    ], ids=["A-shape", "c-text", "Q-shape", "unknown-key", "l1-weight-inf"])
     def test_bad_field_rejected_at_load(self, key, value, match):
         # each field is named, and a misspelt key does not leave a field at
         # its default

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from smba.schedules import (
     mu_at,
     mu_values,
     partial_sum,
+    partial_sum_lower_bound,
     power_schedule,
     ramped_log_schedule,
 )
@@ -74,6 +77,15 @@ class TestMuAt:
         with pytest.raises(ValueError):
             ScheduleSpec(**{"variant": variant, "mu0": 1.0, field: math.nan})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu0", "r", "rbar", "sbar", "nu0"])
+    def test_infinite_rejected(self, field, value):
+        # JSON's Infinity passes every lower-bound check; +inf mu0 and sbar
+        # were built, and sbar = inf read NaN at index 0
+        variant = "power" if field == "r" else "ramped_log"
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number, got "):
+            ScheduleSpec(**{"variant": variant, "mu0": 1.0, field: value})
+
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
             ScheduleSpec(variant="power", r=1.0, mu0=1.0)
@@ -111,51 +123,65 @@ def one_spec_per_variant(mu0):
 
 
 def direct_mu(spec, k):
-    """Index k evaluated alone: the reference for mu_at's table."""
+    """Index k evaluated alone: the reference for mu_at's chunks."""
     return float(mu_values(spec, np.asarray([k]))[0])
 
 
-def shape_of(spec):
-    """The memo key of ``spec``: every field but mu0."""
-    return (spec.variant, spec.r, spec.rbar, spec.sbar, spec.n0, spec.nu0, spec.ramp_len)
-
-
-EMPTY_MEMO = (None, np.empty(0), None)
+def cached_chunks():
+    return schedules._chunk.cache_info().currsize
 
 
 class TestMuTable:
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(schedules, "_SHAPE_TABLE", EMPTY_MEMO)
+    def empty_cache(self):
+        schedules._chunk.cache_clear()
+        yield
+        schedules._chunk.cache_clear()
 
     def test_bitwise_equal_to_direct_evaluation(self):
         for spec in one_spec_per_variant(0.45):
             assert all(mu_at(spec, k) == direct_mu(spec, k) for k in range(6001)), spec
 
-    def test_growth_boundaries(self):
-        # asked in this order, each table outgrows the previous one exactly
-        # at a power of two; indices below it must still read the same bits
+    @pytest.mark.parametrize("mu0", [np.float32(0.3), 1, Fraction(1, 3), np.float64(0.7)],
+                             ids=["float32", "int", "fraction", "float64"])
+    def test_mu0_of_any_real_type(self, mu0):
+        # a Python float, with the bits of mu_values, which multiplies in
+        # doubles (a float32 mu0 times a Python float would stay float32)
+        for spec in one_spec_per_variant(mu0):
+            for k in (0, 5, 3000):
+                value = mu_at(spec, k)
+                assert type(value) is float and value == direct_mu(spec, k), (spec, k)
+
+    def test_chunk_boundaries(self):
+        # the last index of a chunk and the first of the next read the same
+        # bits as indices evaluated alone, and each chunk is built once
         for spec in one_spec_per_variant(0.3):
+            schedules._chunk.cache_clear()
             for k in (1023, 1024, 2047, 2048, 0, 4095, 4096, 1, 1023):
                 assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
-            last, a, b = schedules._SHAPE_TABLE
-            assert last == shape_of(spec) and a.dtype == np.float64 and a.size == 8192
-            if spec.variant == "ramped_log":
-                assert b.dtype == np.float64 and b.size == 8192
-            else:
-                assert b is None
+            info = schedules._chunk.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (5, 4, 5)
+            for c in range(5):
+                a, b = schedules._chunk(schedules._shape(spec), c)
+                assert len(a) == schedules._CHUNK == 1024 and {type(v) for v in a} == {float}
+                if spec.variant == "ramped_log":
+                    assert len(b) == 1024 and {type(v) for v in b} == {float}
+                else:
+                    assert b is None
+            assert schedules._chunk.cache_info().misses == 5
 
     def test_alternating_specs(self):
-        # specs of equal shape share a table whatever their mu0; a spec is
-        # never read from the table of another shape
+        # specs of equal shape share chunks whatever their mu0; a spec is
+        # never read from the chunk of another shape
         first, second = power_schedule(0.5, mu0=0.2), blockwise_schedule(0.9, mu0=0.2)
         for k in (5, 5, 2000, 7, 3000, 1):
             for spec in (first, second, power_schedule(0.5, mu0=0.2)):
                 assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
+        assert cached_chunks() == 6  # chunks 0, 1 and 2 of two shapes
 
     def test_interleaved_mu0_and_shapes(self):
-        # every read after the first lands on a table built for another mu0,
-        # and in the first sweep for another shape too
+        # every read after the first lands on a chunk built for another mu0,
+        # and in the first sweep the previous read was of another shape
         mu0s = (0.9, 0.45, 3.7, 1e-12)
         ks = (0, 1, 300, 301, 1023, 1024, 5000, 2047, 7, 4096, 602)
         for k in ks:
@@ -168,20 +194,50 @@ class TestMuTable:
                     again = spec.with_mu0(mu0)
                     assert mu_at(again, k) == direct_mu(again, k), (again, k)
 
-    def test_index_past_table_cap_evaluated_alone(self):
+    def test_far_index_read_from_its_own_chunk(self):
+        # no cap: an index of any size is read from the one chunk holding it
         spec = power_schedule(0.5, mu0=1.0)
-        k = 10 * schedules._TABLE_MAX
-        assert mu_at(spec, k) == direct_mu(spec, k)
-        assert schedules._SHAPE_TABLE is EMPTY_MEMO
+        for k in (2**20 - 1, 2**20, 2**20 + 1, 10 * 2**20, 123456789):
+            schedules._chunk.cache_clear()
+            assert mu_at(spec, k) == direct_mu(spec, k), k
+            assert cached_chunks() == 1
+            schedules._chunk(schedules._shape(spec), k // 1024)
+            assert schedules._chunk.cache_info().hits == 1
+
+    def test_specs_differing_in_one_field_never_share_a_chunk(self):
+        # the key holds every field but mu0, however many the spec has
+        base = ramped_log_schedule(0.9, 3.0, mu0=0.5)
+        other = {"variant": "blockwise", "r": 0.25, "rbar": 0.6, "sbar": 1.0, "n0": 10,
+                 "nu0": 0.5, "ramp_len": 100}
+        names = {f.name for f in dataclasses.fields(ScheduleSpec)}
+        assert set(other) == names - {"mu0"}
+        for name, value in other.items():
+            changed = dataclasses.replace(base, **{name: value})
+            schedules._chunk.cache_clear()
+            for spec in (base, changed, base, changed):
+                for k in (0, 700, 1023):
+                    assert mu_at(spec, k) == direct_mu(spec, k), (name, spec, k)
+            assert cached_chunks() == 2, name
+        # and mu0 alone shares one
+        schedules._chunk.cache_clear()
+        for mu0 in (0.5, 0.9, 1e-12):
+            assert mu_at(base.with_mu0(mu0), 9) == direct_mu(base.with_mu0(mu0), 9)
+        assert cached_chunks() == 1
+
+    def test_cache_has_a_constant_bound(self):
+        spec = power_schedule(0.5, mu0=1.0)
+        for c in range(200):
+            assert mu_at(spec, c * 1024 + 3) == direct_mu(spec, c * 1024 + 3)
+        assert schedules._chunk.cache_info().maxsize == cached_chunks() == 64
 
     def test_back_to_back_runs_share_the_table(self, monkeypatch):
         # two runs whose schedules differ only in mu0 give the same traces,
-        # bit for bit, as each run alone on an empty memo, and the second
-        # one builds no table
+        # bit for bit, as each run alone on an empty cache, and the second
+        # one builds no chunk
         builds = []
 
         def counted(spec, ks):
-            builds.append(len(ks))
+            builds.append((ks[0], len(ks)))
             return factors(spec, ks)
 
         factors = schedules._factors
@@ -193,14 +249,14 @@ class TestMuTable:
 
         alone = []
         for prob, cfg in cases:
-            monkeypatch.setattr(schedules, "_SHAPE_TABLE", EMPTY_MEMO)
+            schedules._chunk.cache_clear()
             alone.append(run(prob, cfg, np.zeros(6)))
-        monkeypatch.setattr(schedules, "_SHAPE_TABLE", EMPTY_MEMO)
+        schedules._chunk.cache_clear()
         del builds[:]
         first = run(*cases[0], np.zeros(6))
-        assert builds == [schedules._TABLE_START]
+        assert builds == [(0, 1024)]
         second = run(*cases[1], np.zeros(6))
-        assert builds == [schedules._TABLE_START]
+        assert builds == [(0, 1024)]
 
         assert len(first.trace) > 10 and len(second.trace) > 10
         assert bits(first) == bits(alone[0]) and bits(second) == bits(alone[1])
@@ -210,8 +266,7 @@ def test_import_and_problem_build_leave_the_memo_empty():
     # set-up (import, instance generation, problem build) evaluates no schedule
     code = ("import smba\n"
             "smba.nsdp_problem(smba.generate_nsdp(20, 10, 1))\n"
-            "shape, a, b = smba.schedules._SHAPE_TABLE\n"
-            "print(shape is None and a.size == 0 and b is None)\n")
+            "print(smba.schedules._chunk.cache_info().currsize == 0)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(schedules.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
@@ -227,6 +282,16 @@ class TestPartialSum:
         want = 3**-0.5 + 4**-0.5 + 5**-0.5
         assert partial_sum(spec, 4) == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(1.5245639, abs=1e-6)
+
+    def test_lower_bound(self):
+        for spec in sweep_specs(mu0=0.37):
+            rbar = spec.r if spec.variant == "power" else spec.rbar
+            for K in (1, 10, 5000):
+                want = 0.37 / 2 ** (2 * rbar + 1) * K ** (1 - rbar)
+                assert partial_sum_lower_bound(spec, K) == want
+        # the missing-mu0 error of mu_values, not a TypeError
+        with pytest.raises(ValueError, match="schedule has no mu0 set"):
+            partial_sum_lower_bound(ramped_log_schedule(0.9, 3.0), 10)
 
     def test_blockwise_envelope(self):
         # with a constant exponent the blockwise values stay inside the

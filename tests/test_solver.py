@@ -35,7 +35,13 @@ from smba.solver import (
     run,
 )
 
-from helpers import composite_gradient, composite_value, make_state, socp_dc_optimum
+from helpers import (
+    analytic_box_solution,
+    composite_gradient,
+    composite_value,
+    make_state,
+    socp_dc_optimum,
+)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -1038,6 +1044,78 @@ class TestCallCounts:
         assert counts["G"] == counts["prepare"] == res.j + 1 - res.i
 
 
+def recorded_run(prob, eps):
+    """``run`` from the origin at ``eps`` and every accepted iterate x_k:
+    the f gradient is evaluated once per accepted point, x0 included
+    (``TestCallCounts``)."""
+    xs = []
+
+    def gradient(x):
+        xs.append(np.array(x, copy=True))
+        return prob.f.gradient(x)
+
+    traced = dataclasses.replace(prob, f=dataclasses.replace(prob.f, gradient=gradient))
+    return run(traced, SolverConfig(eps=eps), np.zeros(prob.dim)), xs
+
+
+# eps levels and, per case, the bound C on ||x - x*|| / eps.  Measured
+# largest final ratios: desk instance 1 231, instance 15 884, box toy 101,
+# so each C holds a margin of at least 3.4
+SEQUENCE_EPS = (1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
+SEQUENCE_CASES = {"desk-1": 1000.0, "desk-15": 3000.0, "box": 500.0}
+
+
+@pytest.fixture(scope="module")
+def sequences():
+    """Per case, ``x*`` and the recorded run at each eps of SEQUENCE_EPS."""
+    out = {}
+    for name in SEQUENCE_CASES:
+        if name == "box":
+            prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
+            xstar = analytic_box_solution([2.0, -1.0], [1.0, 1.0])
+        else:
+            prob = nsdp_problem(generate_nsdp(20, 10, int(name.split("-")[1])))
+            tight = run(prob, SolverConfig(eps=1e-10), np.zeros(prob.dim))
+            assert tight.status is SolveStatus.CONVERGED
+            xstar = tight.x
+        out[name] = xstar, [recorded_run(prob, eps) for eps in SEQUENCE_EPS]
+    return out
+
+
+class TestWholeSequenceConverges:
+    """The paper's convex-setting claim, on the convex NSDP family and the
+    box toy: the whole sequence of iterates converges.  No rate is
+    asserted; the paper's local rate needs a Hölderian growth condition."""
+
+    @pytest.mark.parametrize("name", list(SEQUENCE_CASES))
+    def test_final_distance_falls_with_eps(self, sequences, name):
+        xstar, runs = sequences[name]
+        dist = []
+        for eps, (report, xs) in zip(SEQUENCE_EPS, runs):
+            assert report.status is SolveStatus.CONVERGED
+            # the recording is the run's sequence, ending at its output
+            assert len(xs) == report.iterations + 1 and np.array_equal(xs[-1], report.x)
+            dist.append(float(np.linalg.norm(report.x - xstar)))
+            assert dist[-1] <= SEQUENCE_CASES[name] * eps, (eps, dist)
+        if name == "box":
+            # its 1e-5 and 1e-6 runs stop after 15 and 21 steps at 9.3e-5 and
+            # 1.0e-4, so the box falls over every two decades of eps
+            assert all(later < first for first, later in zip(dist, dist[2:])), dist
+            assert all(later < first for first, later in zip(dist[1:], dist[2:])), dist
+        else:
+            assert all(later < first for first, later in zip(dist, dist[1:])), dist
+
+    @pytest.mark.parametrize("name", list(SEQUENCE_CASES))
+    def test_recorded_tail_reaches_the_eps_level(self, sequences, name):
+        # not only the last point: the last ten iterates of the 1e-9 run
+        # (536, 2,723 and 635 steps long) lie within C eps of x*.  Measured
+        # tail ratios: desk instance 1 21.7, instance 15 426, box 15.2
+        xstar, runs = sequences[name]
+        _, xs = runs[-1]
+        tail = max(float(np.linalg.norm(x - xstar)) for x in xs[-10:])
+        assert tail <= SEQUENCE_CASES[name] * SEQUENCE_EPS[-1], tail
+
+
 def read_only(fn):
     """``fn`` returning a read-only copy of each array it returns."""
     def wrapped(*args):
@@ -1152,6 +1230,20 @@ class TestConfig:
             SolverConfig(**{key: math.nan})
         with pytest.raises(ValueError):
             SolverConfig.from_dict({**SolverConfig().to_dict(), key: math.nan})
+
+    @pytest.mark.parametrize("fields", [
+        {"tau1": math.inf}, {"tau2": math.inf}, {"eps": math.inf}, {"L_max": math.inf},
+        {"L_min": math.inf, "L_max": math.inf}, {"L_min": -math.inf},
+    ], ids=["tau1", "tau2", "eps", "L_max", "L_min-L_max", "L_min-neg"])
+    def test_infinite_rejected(self, fields):
+        # each passed its lower-bound check: eps = inf converged after one
+        # step, tau = inf ended inner_cap_exceeded, and L_min = L_max = inf
+        # let a ball-prox ValueError escape run
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got "):
+            SolverConfig(**fields)
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            SolverConfig.from_dict({**SolverConfig().to_dict(), **fields})
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -46,11 +46,20 @@ def test_digest_reads_every_column_but_elapsed(monkeypatch):
 
 
 def test_prints_one_line_per_solve():
+    # the three workloads under the default schedule, then the desk panel
+    # under each schedule variant
     out = subprocess.run([sys.executable, str(TOOL), "--seeds", "1"], capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert [line.split()[0] for line in out] == (
-        ["nsdp-desk"] * 5 + ["nsdp-large"] * 2 + ["socp-dc"] * 2)
-    assert all(line.split()[3] == "converged" for line in out)
+    default = "schedule=ramped_log(0.9,3.0)"
+    assert [(line.split()[0], line.split()[-1]) for line in out] == (
+        [("nsdp-desk", default)] * 5 + [("nsdp-large", default)] * 2
+        + [("socp-dc", default)] * 2 + [("nsdp-desk", "schedule=power(0.5)")] * 5
+        + [("nsdp-desk", "schedule=blockwise(0.9)")] * 5
+        + [("nsdp-desk", "schedule=ramped_log(0.6,3.0)")] * 5)
+    # desk instance 15 runs power(0.5) to max_outer, through chunks 0-4
+    capped = [line.split()[2] for line in out if line.split()[3] != "converged"]
+    assert capped == ["instance=15"]
+    assert "max_outer steps=5000 " in out[12]
 
 
 def test_refuses_a_src_without_smba(tmp_path):
@@ -127,8 +136,27 @@ def test_pair_summary_from_canned_output():
         "medians over 3 pairs, parent -> change",
         "  solve_s 0.39 -> 0.37 s (-5.1%; parent IQR 0.01; change lower in 2/3)",
         "  iter_ms_p50 0.19 -> 0.18 ms (-5.3%; parent IQR 0.005; change lower in 3/3)",
-        "  wall_median_s 0.12 -> 0.11 s (-8.3%; parent IQR 0.005; change lower in 2/3)",
+        "  wall_median_s 0.12 -> 0.11 s (-8.3%; parent IQR 0.005; change lower in 2/3; "
+        "resolution ±0.42%)",
     ]
+
+
+def test_pair_summary_marks_an_unresolved_wall():
+    # pass walls printed to 3 decimals resolve a desk pass (0.130 s) to
+    # 0.38%, and a socp-dc pass (0.002 s) only to 25%
+    tool = bench_pairs()
+
+    def last_line(walls):
+        pairs = [(tool.parse_run(canned_run(0.37, 0.18, [p])),
+                  tool.parse_run(canned_run(0.36, 0.17, [c]))) for p, c in walls]
+        return tool.summary(pairs)[-1]
+
+    assert last_line([("0.130", "0.129"), ("0.131", "0.129"), ("0.130", "0.128")]) == (
+        "  wall_median_s 0.13 -> 0.129 s (-0.8%; parent IQR 0.0005; change lower in 3/3; "
+        "resolution ±0.38%)")
+    assert last_line([("0.002", "0.002"), ("0.001", "0.002"), ("0.002", "0.002")]) == (
+        "  wall_median_s 0.002 -> 0.002 s (+0.0%; parent IQR 0.0005; change lower in 0/3; "
+        "resolution ±25%, unresolved)")
 
 
 def test_pair_runner_refuses_a_parent_without_perfbench(tmp_path):

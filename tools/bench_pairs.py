@@ -17,7 +17,11 @@ each run, and the median of the raw wall times of its passes (the
 taken around each solve.  It then prints, for each metric, the medians
 over the pairs, parent -> change, the change in percent, the spread
 between the quartiles of the parent's runs, and in how many pairs the
-change read lower.
+change read lower.  ``perfbench`` prints each pass wall to 3 decimals, so
+``wall_median_s`` also shows its resolution, 0.0005 s as a percent of the
+parent's median, and reads ``unresolved`` when that exceeds 1% (a
+``socp-dc`` pass takes 1-2 ms, so its walls read 0.002 -> 0.002 whatever
+changed).
 
 The tool only runs ``perfbench`` and writes no file of its own.  It exits
 with status 2, printing nothing, unless ``DIR/perfbench/run.py`` exists,
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -36,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WALL = re.compile(r"\(([^()]*) s wall\)")
+WALL_HALF_STEP = 0.0005  # the pass walls are printed to 3 decimals
 
 
 def parse_run(stdout: str) -> dict:
@@ -68,8 +74,12 @@ def summary(pairs) -> list:
         lower = sum(c < p for p, c in zip(parent, change))
         p50, c50 = statistics.median(parent), statistics.median(change)
         rel = f"{100.0 * (c50 / p50 - 1.0):+.1f}%" if p50 else "n/a"
+        note = ""
+        if name == "wall_median_s":
+            resolution = 100.0 * WALL_HALF_STEP / p50 if p50 else math.inf
+            note = f"; resolution ±{resolution:.2g}%" + (", unresolved" if resolution > 1 else "")
         lines.append(f"  {name} {p50:.6g} -> {c50:.6g} {unit} ({rel}; parent IQR "
-                     f"{quartile_spread(parent):.3g}; change lower in {lower}/{len(pairs)})")
+                     f"{quartile_spread(parent):.3g}; change lower in {lower}/{len(pairs)}{note})")
     return lines
 
 

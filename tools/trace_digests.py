@@ -6,13 +6,16 @@ Usage::
 
 Solves every instance of the three ``perfbench`` workloads (``nsdp-desk``,
 ``nsdp-large``, ``socp-dc``) at seeds ``0..N-1``, each from the origin with
-the workload's ``eps`` and one BLAS thread.  The panels come from
-``perfbench/workloads.py`` beside this script; ``smba`` is imported from
-``DIR`` (default: this checkout's ``src``), so the same panels can be
-solved by another source tree, such as a checkout of the parent commit.
-Each line reads::
+the workload's ``eps``, the default schedule and one BLAS thread.  Then it
+solves the desk panel at each seed again at ``eps = 1e-5`` under each of
+``power(0.5)``, ``blockwise(0.9)`` and ``ramped_log(0.6,3.0)`` (one of the
+shapes ``smba bench`` sweeps), so every schedule variant is covered.  The
+panels come from ``perfbench/workloads.py`` beside this script; ``smba`` is
+imported from ``DIR`` (default: this checkout's ``src``), so the same panels
+can be solved by another source tree, such as a checkout of the parent
+commit.  Each line reads::
 
-    <workload> seed=<s> instance=<i> <status> steps=<n> objective=<hex> trace=<sha256>
+    <workload> seed=<s> instance=<i> <status> steps=<n> objective=<hex> trace=<sha256> schedule=<name>
 
 where the objective is written by ``float.hex`` and the trace digest is
 ``perfbench/harness.py``'s ``trace_digest``, the one ``perfbench/run.py``
@@ -60,16 +63,27 @@ def main(argv=None) -> int:
     import workloads
     print(f"smba imported from {init.parent}", file=sys.stderr)
 
-    for name, workload in workloads.WORKLOADS.items():
-        cfg = smba.SolverConfig(eps=workload.eps)
+    solves = [(w, smba.SolverConfig(eps=w.eps)) for w in workloads.WORKLOADS.values()]
+    solves += [(workloads.WORKLOADS["nsdp-desk"], smba.SolverConfig(eps=1e-5, schedule=s))
+               for s in (smba.power_schedule(0.5), smba.blockwise_schedule(0.9),
+                         smba.ramped_log_schedule(0.6, 3.0))]
+    for workload, cfg in solves:
         for seed in range(args.seeds):
             panel, _ = workloads.build_panel(workload, seed)
             for inst in panel:
                 report = smba.run(inst.problem, cfg, np.zeros(inst.problem.dim))
-                print(f"{name} seed={seed} instance={inst.seed} {report.status.value} "
+                print(f"{workload.name} seed={seed} instance={inst.seed} {report.status.value} "
                       f"steps={len(report.trace)} objective={float(report.objective).hex()} "
-                      f"trace={harness.trace_digest(report)}", flush=True)
+                      f"trace={harness.trace_digest(report)} "
+                      f"schedule={schedule_name(cfg.schedule)}", flush=True)
     return 0
+
+
+def schedule_name(spec) -> str:
+    """``power(r)``, ``blockwise(rbar)`` or ``ramped_log(rbar,sbar)``."""
+    params = {"power": (spec.r,), "blockwise": (spec.rbar,),
+              "ramped_log": (spec.rbar, spec.sbar)}[spec.variant]
+    return f"{spec.variant}({','.join(map(repr, params))})"
 
 
 if __name__ == "__main__":
