@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleStartError, NumericError, UnsupportedFamilyError
-from .problems import REGULARIZERS, L1Regularizer
+from .errors import InfeasibleStartError, NumericError
+from .problems import L1Regularizer
 
 PHI_TOL = 1e-12
 
@@ -45,11 +45,6 @@ class BallConstraint:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
         if not (self.curvature > 0):
             raise ValueError("curvature weight must be positive")
-
-    def constraint_value(self, x) -> float:
-        gap = np.asarray(x, dtype=float) - self.center
-        d = math.sqrt(gap.dot(gap))
-        return 0.5 * self.curvature * (d * d - self.radius**2)
 
 
 @dataclass(frozen=True)
@@ -79,19 +74,12 @@ def build_ball(x_k, grad_gmu, grad_sq, gmu_val, L_g, mu) -> BallConstraint:
 
 
 def _path_point(p1, a, L_f, ball: BallConstraint, lam: float) -> np.ndarray:
-    """``prox_path_point`` from ``a = L_f x_k - q``; at ``lam = 0`` the prox
-    gradient point."""
+    """The unique minimizer of the subproblem Lagrangian at a multiplier
+    ``lam >= 0``, from ``a = L_f x_k - q``; at ``lam = 0`` the prox gradient
+    point."""
     s = lam * ball.curvature
     t = L_f + s
     return p1.prox((a + s * ball.center) / t, 1.0 / t)
-
-
-def prox_path_point(p1, x_k, q, L_f, ball: BallConstraint, lam: float) -> np.ndarray:
-    """Unique minimizer of the subproblem Lagrangian at multiplier ``lam``."""
-    if lam < 0:
-        raise ValueError("multiplier must be nonnegative")
-    a = L_f * np.asarray(x_k, dtype=float) - np.asarray(q, dtype=float)
-    return _path_point(p1, a, L_f, ball, lam)
 
 
 def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
@@ -112,10 +100,9 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     when the prox gradient point ``x(0)`` lies within the radius, and the
     path point at 0 is then ``x(0)`` itself.  For ``P1 = 0`` the prox
     gradient point is formed once and the multiplier is closed-form.
-    ``x_k`` and ``q`` are float vectors.
+    ``x_k`` and ``q`` are float vectors, and ``p1`` is a ``ZeroRegularizer``
+    or an ``L1Regularizer``, as ``DCProblem`` requires.
     """
-    if not isinstance(p1, REGULARIZERS):
-        raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
     a = L_f * x_k - q
     R = ball.radius
     margin = min(PHI_TOL * (1.0 + R), 1e-10 / (ball.curvature * R), 0.5 * R)
@@ -149,6 +136,19 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
+def _double_sum(terms):
+    """``math.fsum`` of the nonnegative floats ``terms`` and its remainder, as
+    a double-double ``(hi, lo)``; raises NumericError when the sum passes
+    the float range, as terms formed from huge oracle outputs can."""
+    try:
+        hi = math.fsum(terms)
+    except OverflowError:  # finite terms whose exact partial sums overflow
+        hi = math.inf
+    if not hi < math.inf:
+        raise NumericError("l1 subproblem terms overflow the float range")
+    return hi, math.fsum(terms + [-hi])
+
+
 def _l1_multiplier(w, a, c, L_f, R):
     """Smallest ``nu = lam * curvature >= 0`` with ``||x(nu) - c|| <= R`` on the l1 path.
 
@@ -169,11 +169,11 @@ def _l1_multiplier(w, a, c, L_f, R):
     the +w threshold and row 1 for the -w one, and sorted once; one pass
     over the sorted breakpoints in Python floats stops at the root's piece,
     which is nearly always among the first few.  P and Q are carried as
-    double-doubles (``hi + lo``): the start sums by ``math.fsum`` and its
-    remainder, each breakpoint's delta by a two-sum.  A delta removes the
-    very double that the start sum or an earlier delta added, so the sums
-    stay accurate where they cancel, as when R is small next to ``||c||``
-    and Q falls by many orders of magnitude before the root's piece.
+    double-doubles (``hi + lo``): the start sums by ``_double_sum``, each
+    breakpoint's delta by a two-sum.  A delta removes the very double that
+    the start sum or an earlier delta added, so the sums stay accurate where
+    they cancel, as when R is small next to ``||c||`` and Q falls by many
+    orders of magnitude before the root's piece.
     """
     n = a.size
     S = _SIGNS * w - a  # w - s and -w - s at nu = 0
@@ -183,15 +183,11 @@ def _l1_multiplier(w, a, c, L_f, R):
     # S[1] > 0; a tie on a boundary (S == 0, rare) moves in the direction of c
     ties = np.count_nonzero(S) < 2 * n
     outside = (np.where(S != 0.0, S, -c) if ties else S) * _SIGNS < 0.0
-    terms = T2[outside].tolist()
-    P = math.fsum(terms)
-    P_lo = math.fsum(terms + [-P])
+    P, P_lo = _double_sum(T2[outside].tolist())
     # no coordinate is both above and below, so the dead zone is where the
     # two rows agree
     dead = c[outside[0] == outside[1]]
-    terms = (dead * dead).tolist()
-    Q = math.fsum(terms)
-    Q_lo = math.fsum(terms + [-Q])
+    Q, Q_lo = _double_sum((dead * dead).tolist())
     # s_i crosses +w_i at S[0, i] / c_i (flat position i) and -w_i at
     # S[1, i] / c_i (position n + i); each crossing moves coordinate i one
     # region in the direction of c_i.  The stable sort breaks ties by

@@ -14,20 +14,24 @@ Three cone families are provided.  For each one the membership test
 ``prepare(y)`` checks an argument and decomposes it once (one
 eigendecomposition for matrices); the returned point gives the support value
 and the smoothed value and gradient at any mu.  ``checked_array`` is the one
-test that an input is a finite float array of a given shape, and
-``symmetrized`` the one symmetry rule.
+test that an input is a finite real array of a given shape, ``real_dtype``
+its dtype rule, and ``symmetrized`` the one symmetry rule.
 
-Each smoothed kernel h_mu majorizes the support value with a uniform gap
-``alpha3 * mu`` and carries a gradient-Lipschitz certificate
-``alpha1 + alpha2 / mu``.  An additive shift ``alpha4 * mu`` makes the
-family strictly decreasing in mu, which the solver relies on to keep
-iterates strictly feasible while mu shrinks.
+Each smoothed kernel h_mu majorizes the support value with a gap of at most
+``alpha3 * mu``, and its gradient is ``alpha1 + alpha2 / mu`` Lipschitz.  An
+additive shift ``alpha4 * mu`` makes the family strictly decreasing in mu,
+which the solver relies on to keep iterates strictly feasible while mu
+shrinks; ``alpha4`` is the one constant the solver reads, an attribute of
+each cone.  The orthant and the NSD cone smooth by a log-sum-exp over m
+values on a base of norm at most 1: ``alpha3 = log(m) + alpha4``,
+``alpha1 = 0`` and ``alpha2 = 1``.  The second-order cone's base has norm at
+most ``sqrt(2)``, with ``alpha3 = 1 + alpha4``, ``alpha1 = 0`` and
+``alpha2 = 1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -71,40 +75,27 @@ def _shifted_logsumexp(v, top, mu):
     return top + mu * math.log(total), expo / total
 
 
-@dataclass(frozen=True)
-class SmoothingCert:
-    """Certificate of a majorizing smoothing family.
-
-    ``alpha3`` is the reported gap slope and already includes the additive
-    shift slope ``alpha4``; ``base_norm_bound`` is sup of the norm over the
-    base set.
-    """
-
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    alpha4: float
-    base_norm_bound: float
-
-    def __post_init__(self):
-        # written as not (valid), so a NaN fails each test
-        if not (0.0 <= self.alpha1 < math.inf and 0.0 <= self.alpha3 < math.inf
-                and 0.0 <= self.alpha4 < math.inf):
-            raise ValueError("alpha1, alpha3 and alpha4 must be finite and nonnegative")
-        if not (0.0 < self.alpha2 < math.inf and 0.0 < self.base_norm_bound < math.inf):
-            raise ValueError("alpha2 and base_norm_bound must be finite and positive")
-
-    def gradient_lipschitz(self, mu: float) -> float:
-        return self.alpha1 + self.alpha2 / _checked_mu(mu)
+def real_dtype(v) -> bool:
+    """Whether ``v`` has a numpy integer or floating dtype.  A bool, complex,
+    object or text array does not, and neither does a value with no dtype."""
+    try:
+        return v.dtype.kind in "iuf"
+    except AttributeError:
+        return False
 
 
 def checked_array(v, shape, what="cone argument"):
-    """``v`` as a float array; raises ValueError, naming ``what``, unless it
-    is an array of numbers of exactly ``shape`` with finite entries."""
+    """``v`` as a float array, a float64 array as it is; raises ValueError,
+    naming ``what``, unless it is an array of real numbers (``real_dtype``;
+    a complex one is not read as its real part) of exactly ``shape`` with
+    finite entries."""
     try:
-        v = np.asarray(v, dtype=float)
+        v = np.asarray(v)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} is not an array of numbers: {exc}") from exc
+    if not real_dtype(v):
+        raise ValueError(f"{what} is not an array of numbers: dtype {v.dtype} is not real")
+    v = v.astype(float, copy=False)
     if v.shape != shape:
         raise ValueError(f"{what}: expected shape {shape}, got {v.shape}")
     if not all_finite(v):
@@ -221,34 +212,26 @@ class ConeBaseOracle:
     ``prepare``, which checks an argument and decomposes it once (one
     eigendecomposition for matrices) into the point that holds the support
     value and evaluates the smoothed kernel at any mu.  Each family is built
-    from its dimension ``m >= 1`` and the shift slope ``alpha4``.  The
-    certificate defaults to that of a log-sum-exp over m values on a base of
-    norm at most 1 (the simplex or the spectraplex), with gap slope
-    ``log(m)``.
+    from its dimension ``m >= 1`` and the shift slope ``alpha4`` (module
+    docstring), a finite nonnegative number.
     """
 
     family: str
-    cert: SmoothingCert
 
     def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
         if m < 1:
             raise ValueError(f"{self.family} dimension must be >= 1")
+        # written as not (valid), so a NaN fails
+        if not 0.0 <= alpha4 < math.inf:
+            raise ValueError(f"alpha4 must be finite and nonnegative, got {alpha4!r}")
         self.m = int(m)
-        self.cert = self._certificate(alpha4)
-
-    def _certificate(self, alpha4: float) -> SmoothingCert:
-        return SmoothingCert(0.0, 1.0, math.log(self.m) + alpha4, alpha4, 1.0)
+        self.alpha4 = alpha4
 
     def prepare(self, y) -> ConePoint:
         raise NotImplementedError
 
     def support_value(self, y) -> float:
         return self.prepare(y).support
-
-    def polar_residual(self, v) -> float:
-        """How far v is from the polar cone (0 means membership); ``v`` passes
-        ``checked_array`` at the cone's shape."""
-        raise NotImplementedError
 
 
 class NonposOrthant(ConeBaseOracle):
@@ -258,10 +241,7 @@ class NonposOrthant(ConeBaseOracle):
 
     def prepare(self, y):
         y = checked_array(y, (self.m,))
-        return _LogSumExpPoint(y, float(y.max()), self.cert.alpha4)
-
-    def polar_residual(self, v):
-        return max(0.0, -float(checked_array(v, (self.m,), "multiplier").min()))
+        return _LogSumExpPoint(y, float(y.max()), self.alpha4)
 
 
 class NegSemidef(ConeBaseOracle):
@@ -288,13 +268,7 @@ class NegSemidef(ConeBaseOracle):
         it is reversed to descending, and its first entry is the support value.
         """
         vals, vecs = self._eigh(symmetrized(checked_array(y, (self.m, self.m))))
-        return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.cert.alpha4)
-
-    def polar_residual(self, v):
-        # a v asymmetric past SYMMETRY_TOL, or with a non-finite spectrum,
-        # raises, as in prepare
-        vals = self._eigh(symmetrized(checked_array(v, (self.m, self.m), "multiplier")))[0]
-        return max(0.0, -float(vals[0]))
+        return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.alpha4)
 
 
 class PCone(ConeBaseOracle):
@@ -302,12 +276,5 @@ class PCone(ConeBaseOracle):
 
     family = "p_cone"
 
-    def _certificate(self, alpha4: float) -> SmoothingCert:
-        return SmoothingCert(0.0, 1.0, 1.0 + alpha4, alpha4, math.sqrt(2.0))
-
     def prepare(self, y):
-        return _PConePoint(checked_array(y, (self.m + 1,)), self.cert.alpha4)
-
-    def polar_residual(self, v):
-        v = checked_array(v, (self.m + 1,), "multiplier")
-        return max(0.0, float(np.linalg.norm(v[:-1]) + v[-1]))
+        return _PConePoint(checked_array(y, (self.m + 1,)), self.alpha4)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .cones import ConePoint
+from .cones import ConePoint, real_dtype
 from .errors import NumericError
 from .problems import DCProblem
 
@@ -26,16 +25,11 @@ class KKTCertificate:
     step: float
     v: np.ndarray
 
-    @property
-    def eps_triple(self) -> Tuple[float, float, float]:
-        return (self.rho, self.complementarity, self.step)
-
     def to_dict(self) -> dict:
         return {
             "rho": self.rho,
             "complementarity": self.complementarity,
             "step": self.step,
-            "eps_triple": list(self.eps_triple),
             "v": np.asarray(self.v).tolist(),
         }
 
@@ -47,19 +41,20 @@ def kkt_residuals(prob: DCProblem, x_next, step, lam, mu, y, point: ConePoint,
     ``step`` is the length ``||x_next - x_k||`` of the step that reached
     x_next; ``y = G(x_next)`` and ``point`` is its prepared cone point;
     ``grad_f`` is the f gradient at x_next and ``xi`` the P2 subgradient
-    taken at the previous iterate x_k, as the solver used them.  Raises
-    NumericError unless the adjoint's output is an array shaped like x_next.
+    taken at the previous iterate x_k, as the solver used them; ``mu`` is
+    at least the smoothing floor and ``lam >= 0``, as ``run`` passes them.
+    Raises NumericError unless the adjoint's output is a real array
+    (``real_dtype``) shaped like x_next.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     v = lam * point.gradient(mu) if lam > 0.0 else np.zeros(np.shape(y))
     w = prob.g.adjoint_apply(x_next, v)
     shape = getattr(w, "shape", None)
     if shape != x_next.shape:
         raise NumericError(f"constraint adjoint has shape {shape} at the certificate, "
                            f"expected {x_next.shape}")
+    if not real_dtype(w):
+        raise NumericError(f"constraint adjoint has dtype {getattr(w, 'dtype', None)} at the "
+                           "certificate, expected real numbers")
     u = grad_f - xi + w
     rho = prob.p1.subdiff_distance(x_next, u)
     return KKTCertificate(rho=rho, complementarity=-float(np.vdot(v, y)), step=step, v=v)

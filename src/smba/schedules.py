@@ -1,4 +1,4 @@
-"""Prescheduled smoothing-parameter sequences and their partial sums.
+"""Prescheduled smoothing-parameter sequences.
 
 Three variants are available, all strictly decreasing to zero with divergent
 half-window partial sums (the condition under which the outer loop's
@@ -125,22 +125,10 @@ def ramped_log_schedule(rbar, sbar, n0=DEFAULT_N0, nu0=DEFAULT_NU0,
                         ramp_len=ramp_len, mu0=mu0)
 
 
-def mu_values(spec: ScheduleSpec, ks) -> np.ndarray:
-    """Vectorized evaluation of the schedule at iteration indices ``ks``."""
-    if spec.mu0 is None:
-        raise ValueError("schedule has no mu0 set; call with_mu0 first")
-    ks = np.asarray(ks)
-    if np.any(ks < 0):
-        raise ValueError("iteration indices must be nonnegative")
-    a, b = _factors(spec, ks)
-    mu = spec.mu0 * a
-    return mu if b is None else mu * b
-
-
 def _factors(spec: ScheduleSpec, ks: np.ndarray):
-    """The mu0-free factors ``(a, b)`` of the schedule at indices ``ks``:
-    ``mu_values`` is ``mu0 * a``, or ``mu0 * a * b`` for ``ramped_log``
-    (``b`` is None otherwise), multiplied in that order."""
+    """The mu0-free factors ``(a, b)`` of the schedule at indices ``ks``: the
+    schedule is ``mu0 * a``, or ``mu0 * a * b`` for ``ramped_log`` (``b`` is
+    None otherwise), multiplied in that order."""
     if spec.variant == "power":
         return (ks.astype(float) + 1.0) ** (-spec.r), None
 
@@ -180,28 +168,15 @@ def mu_at(spec: ScheduleSpec, k: int) -> float:
     """Schedule value at iteration k; k = 0 returns mu0 for every variant.
 
     Reads ``mu0 * a[k] (* b[k])`` from the cached chunk of the schedule's
-    mu0-free factors that holds index k, the same bits as ``mu_values``.
+    mu0-free factors that holds index k.
     """
     k = int(k)
-    if spec.mu0 is None or k < 0:
-        mu_values(spec, k)  # raises: no mu0 set, or a negative index
+    if spec.mu0 is None:
+        raise ValueError("schedule has no mu0 set; call with_mu0 first")
+    if k < 0:
+        raise ValueError("iteration indices must be nonnegative")
     c, i = divmod(k, _CHUNK)
     a, b = _chunk(_shape(spec), c)
     mu = float(spec.mu0) * a[i]
     return mu if b is None else mu * b[i]
 
-
-def partial_sum(spec: ScheduleSpec, K: int) -> float:
-    """Half-window sum S_K = sum of mu_k for k in [ceil(K/2), K]."""
-    K = int(K)
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    ks = np.arange((K + 1) // 2, K + 1)
-    return float(np.sum(mu_values(spec, ks)))
-
-
-def partial_sum_lower_bound(spec: ScheduleSpec, K: int) -> float:
-    """Guaranteed lower bound mu0 * K^(1 - rbar) / 2^(2 rbar + 1) on S_K.
-    ``mu0`` is read as ``mu_at(spec, 0)``, which raises without one."""
-    rbar = spec.r if spec.variant == "power" else spec.rbar
-    return mu_at(spec, 0) / 2 ** (2 * rbar + 1) * K ** (1 - rbar)

@@ -53,8 +53,9 @@ f gradient and the certificate's adjoint apply; only when another step will
 run does it add that step's P2 subgradient and second adjoint apply, so a
 run forms no state after its last row.  Each oracle output is scanned for
 NaN and inf once; the f gradient, the P2 subgradient and both adjoint
-outputs are checked for the shape ``(n,)``, and the f and P2 values become
-Python floats, or end the run unless they are real scalars.
+outputs are checked for the shape ``(n,)`` and a real dtype, and the f and
+P2 values become Python floats, or end the run unless they are real
+scalars.
 
 The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
 blocks of ``n0 + 1`` indices, while the stop test can only pass once the
@@ -81,7 +82,7 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import MU_FLOOR, ConePoint, all_finite, checked_array
+from .cones import MU_FLOOR, ConePoint, all_finite, checked_array, real_dtype
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
 from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
@@ -279,10 +280,14 @@ class InnerResult(NamedTuple):
 def _finite(name: str, value, k: int, n: Optional[int] = None):
     """``value`` unchanged; raises NumericError if any entry is NaN or inf,
     or, given ``n``, unless it is an array of shape ``(n,)`` (the step uses
-    array methods, so a list fails too)."""
-    shape = getattr(value, "shape", None)
-    if n is not None and shape != (n,):
-        raise NumericError(f"{name} has shape {shape} at step {k}, expected ({n},)")
+    array methods, so a list fails too) with a ``real_dtype``."""
+    if n is not None:
+        shape = getattr(value, "shape", None)
+        if shape != (n,):
+            raise NumericError(f"{name} has shape {shape} at step {k}, expected ({n},)")
+        if not real_dtype(value):
+            raise NumericError(f"{name} has dtype {getattr(value, 'dtype', None)} at step {k}, "
+                               "expected real numbers")
     if not all_finite(value):
         raise NumericError(f"{name} is not finite at step {k}")
     return value

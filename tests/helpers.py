@@ -7,7 +7,10 @@ optimum of the norm-ball problem with a concave l1 term, and a Lagrangian
 lower bound for convex NSDP.  Beside them are the composite smoothed
 constraint, a linear concave term and the iterate state the linesearch
 starts from, written from the problem's public oracles, and a reader for
-the CLI's CSV traces.
+the CLI's CSV traces.  The rest are read off the solver's own kernels: the
+schedule at many indices and its half-window sums, the subproblem's path
+point and constraint value, the polar residual of a multiplier, and the
+constants of each cone's smoothing.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
+from smba.ball_prox import BallConstraint, _path_point
+from smba.cones import NegSemidef, NonposOrthant, checked_array, symmetrized
 from smba.problems import DCProblem, objective_value
+from smba.schedules import ScheduleSpec, _factors, mu_at
 from smba.solver import TRACE_COLUMNS, IterateState, TraceRow
 
 
@@ -215,3 +221,86 @@ def read_trace(path):
         for rec in reader:
             rows.append(TraceRow._make(typ(float(v)) for typ, v in zip(_COLUMN_TYPES, rec)))
     return rows
+
+
+def mu_values(spec: ScheduleSpec, ks) -> np.ndarray:
+    """The schedule at the indices ``ks`` in one numpy pass: the bitwise
+    reference for ``mu_at``, which reads the same factors in chunks."""
+    a, b = _factors(spec, np.asarray(ks))
+    mu = spec.mu0 * a
+    return mu if b is None else mu * b
+
+
+def partial_sum(spec: ScheduleSpec, K: int) -> float:
+    """Half-window sum S_K = sum of mu_k for k in [ceil(K/2), K]."""
+    K = int(K)
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    return float(np.sum(mu_values(spec, np.arange((K + 1) // 2, K + 1))))
+
+
+def partial_sum_lower_bound(spec: ScheduleSpec, K: int) -> float:
+    """Guaranteed lower bound mu0 * K^(1 - rbar) / 2^(2 rbar + 1) on S_K.
+    ``mu0`` is read as ``mu_at(spec, 0)``, which raises without one."""
+    rbar = spec.r if spec.variant == "power" else spec.rbar
+    return mu_at(spec, 0) / 2 ** (2 * rbar + 1) * K ** (1 - rbar)
+
+
+def prox_path_point(p1, x_k, q, L_f, ball: BallConstraint, lam: float) -> np.ndarray:
+    """Unique minimizer of the subproblem Lagrangian at multiplier ``lam``,
+    by the solver's own kernel."""
+    if lam < 0:
+        raise ValueError("multiplier must be nonnegative")
+    a = L_f * np.asarray(x_k, dtype=float) - np.asarray(q, dtype=float)
+    return _path_point(p1, a, L_f, ball, lam)
+
+
+def constraint_value(ball: BallConstraint, x) -> float:
+    """The ball's constraint function ``(curvature / 2) (||x - center||^2 - radius^2)``."""
+    gap = np.asarray(x, dtype=float) - ball.center
+    d = math.sqrt(gap.dot(gap))
+    return 0.5 * ball.curvature * (d * d - ball.radius**2)
+
+
+def polar_residual(cone, v) -> float:
+    """How far ``v`` is from the polar cone of ``cone`` (0 means membership).
+    ``v`` passes ``checked_array`` at the cone's shape, so a NaN or inf
+    entry raises; a matrix goes through ``symmetrized`` and the cone's
+    ``_eigh``, so an asymmetric one or a non-finite spectrum raises too."""
+    if isinstance(cone, NonposOrthant):
+        return max(0.0, -float(checked_array(v, (cone.m,), "multiplier").min()))
+    if isinstance(cone, NegSemidef):
+        vals = cone._eigh(symmetrized(checked_array(v, (cone.m, cone.m), "multiplier")))[0]
+        return max(0.0, -float(vals[0]))
+    v = checked_array(v, (cone.m + 1,), "multiplier")
+    return max(0.0, float(np.linalg.norm(v[:-1]) + v[-1]))
+
+
+class Smoothing(NamedTuple):
+    """The constants of a cone's smoothing that ``smba.cones`` states: gap
+    slope ``alpha3`` (shift included), gradient Lipschitz constant
+    ``alpha1 + alpha2 / mu``, shift slope ``alpha4`` and the norm bound of
+    the polar cone's base."""
+
+    alpha1: float
+    alpha2: float
+    alpha3: float
+    alpha4: float
+    base_norm_bound: float
+
+    def gradient_lipschitz(self, mu: float) -> float:
+        return self.alpha1 + self.alpha2 / mu
+
+
+# per cone family: the gap slope before the shift as a function of m,
+# alpha1, alpha2 and the base's norm bound
+SMOOTHING_TABLE = {
+    "nonpos_orthant": (math.log, 0.0, 1.0, 1.0),
+    "neg_semidef": (math.log, 0.0, 1.0, 1.0),
+    "p_cone": (lambda m: 1.0, 0.0, 1.0, math.sqrt(2.0)),
+}
+
+
+def smoothing(cone) -> Smoothing:
+    gap, alpha1, alpha2, base = SMOOTHING_TABLE[cone.family]
+    return Smoothing(alpha1, alpha2, gap(cone.m) + cone.alpha4, cone.alpha4, base)

@@ -2,14 +2,20 @@
 
 The top level holds what a user builds and runs a problem with; each solver
 internal imports from its own module.  A change that re-grows the top level,
-or deletes an internal instead of leaving it in its module, fails here.
+or deletes an internal instead of leaving it in its module, fails here.  So
+does a function, method or class in ``src/smba`` that nothing but the tests
+names: the package ships only what ``run``, the CLI and the benchmark call.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import smba
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TOP_LEVEL = {
     "ConstraintMap", "DCProblem", "L1Regularizer", "NegSemidef", "NonposOrthant",
@@ -27,22 +33,19 @@ INTERNALS = [
     ("smba.ball_prox", "BallConstraint"),
     ("smba.ball_prox", "SubproblemResult"),
     ("smba.ball_prox", "solve_ball_prox"),
-    ("smba.ball_prox", "prox_path_point"),
     ("smba.diagnostics", "kkt_residuals"),
     ("smba.diagnostics", "termination_metrics"),
     ("smba.diagnostics", "KKTCertificate"),
     ("smba.schedules", "mu_at"),
-    ("smba.schedules", "mu_values"),
-    ("smba.schedules", "partial_sum"),
-    ("smba.cones", "SmoothingCert"),
     ("smba.cones", "ConeBaseOracle"),
     ("smba.cones", "checked_array"),
 ]
 
 # second ways into a kernel (the cone point from prepare(y), the mu0 that
-# run reports, np.vdot), the slack of a guard that could not fire, and
-# copies of the array check (checked_array) and the symmetry rule
-# (symmetrized)
+# run reports, np.vdot), the slack of a guard that could not fire, copies
+# of the array check (checked_array) and the symmetry rule (symmetrized),
+# and what only the tests called, now in tests/helpers.py or read off
+# _path_point and _factors
 REMOVED = [
     ("smba.cones", "stable_logsumexp"),
     ("smba.cones", "ConeBaseOracle.msa_value"),
@@ -53,6 +56,14 @@ REMOVED = [
     ("smba.cones", "_checked"),
     ("smba.solver", "_check_x0"),
     ("smba.nsdp", "_sym"),
+    ("smba.ball_prox", "prox_path_point"),
+    ("smba.ball_prox", "BallConstraint.constraint_value"),
+    ("smba.schedules", "mu_values"),
+    ("smba.schedules", "partial_sum"),
+    ("smba.schedules", "partial_sum_lower_bound"),
+    ("smba.cones", "SmoothingCert"),
+    ("smba.cones", "ConeBaseOracle.polar_residual"),
+    ("smba.diagnostics", "KKTCertificate.eps_triple"),
 ]
 
 
@@ -76,3 +87,40 @@ def test_removed_entry_point_stays_removed(module, path):
     for owner in owners:
         obj = getattr(obj, owner)
     assert not hasattr(obj, name)
+
+
+def _docstrings(tree):
+    """The string nodes that are docstrings of a module, class or function."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # a name counts where code reads it: a variable, an attribute, an import,
+    # or an identifier in a string (setattr and getattr take those); comments
+    # and docstrings do not.  A definition's own name is not a read of it.
+    # Dunder methods are called by Python itself
+    named, defined = set(), []
+    for folder in ("src/smba", "perfbench", "tools"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            tree = ast.parse(path.read_text())
+            docstrings = _docstrings(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.rpartition(".")[2])
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.isidentifier() and id(node) not in docstrings):
+                    named.add(node.value)
+                elif (folder == "src/smba" and isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                      and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    defined.append(f"{path.name}:{node.lineno} {node.name}")
+    unnamed = [d for d in defined if d.rpartition(" ")[2] not in named]
+    assert not unnamed, f"defined in src/smba but named only by the tests: {unnamed}"

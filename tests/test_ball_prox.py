@@ -14,15 +14,14 @@ from smba.ball_prox import (
     SubproblemResult,
     _l1_multiplier,
     build_ball,
-    prox_path_point,
     solve_ball_prox,
 )
-from smba.errors import InfeasibleStartError, NumericError, UnsupportedFamilyError
+from smba.errors import InfeasibleStartError, NumericError
 from smba.nsdp import generate_nsdp, nsdp_problem
-from smba.problems import REGULARIZERS, L1Concave, L1Regularizer, ZeroRegularizer, norm_ball_problem
+from smba.problems import L1Concave, L1Regularizer, ZeroRegularizer, norm_ball_problem
 from smba.solver import SolverConfig, run
 
-from helpers import GridSpec, exact_ball_projection, grid_bruteforce
+from helpers import GridSpec, exact_ball_projection, grid_bruteforce, prox_path_point
 
 
 def subproblem_objective(p1, x, x_k, q, L_f):
@@ -141,8 +140,8 @@ def reference_l1_multiplier(w, a, c, L_f, R):
 
 
 def reference_path_point(p1, x_k, q, L_f, ball, lam):
-    """``prox_path_point`` written out, so that a change to the shared
-    kernel of ``prox_path_point`` and ``solve_ball_prox`` shows."""
+    """``prox_path_point`` written out, so that a change to ``_path_point``,
+    the kernel that it shares with ``solve_ball_prox``, shows."""
     t = L_f + lam * ball.curvature
     z = (L_f * x_k - q + lam * ball.curvature * ball.center) / t
     return p1.prox(z, 1.0 / t)
@@ -153,8 +152,6 @@ def reference_solve_ball_prox(p1, x_k, q, L_f, ball):
     start point ``x(0)``, its distance to the center in numpy, then
     ``_l1_multiplier`` and the path point at its root.  ``solve_ball_prox``
     must return the same bits."""
-    if not isinstance(p1, REGULARIZERS):
-        raise UnsupportedFamilyError(f"no ball-prox solver for P1 of type {type(p1).__name__}")
     x_k = np.asarray(x_k, dtype=float)
     q = np.asarray(q, dtype=float)
     R = ball.radius
@@ -707,15 +704,6 @@ class TestSolveBallProx:
         res = solve_ball_prox(p1, x_k, rng.normal(0, 1, n), 2.7e11, ball)
         assert float(np.linalg.norm(res.x - center)) < R
         assert res.lam > 0.0 and math.isfinite(res.lam)
-
-    def test_unsupported_regularizer_rejected(self):
-        class Huber:
-            def prox(self, z, t):
-                return z
-
-        ball = BallConstraint(center=np.zeros(2), radius=1.0, curvature=1.0)
-        with pytest.raises(UnsupportedFamilyError):
-            solve_ball_prox(Huber(), np.zeros(2), np.ones(2), 1.0, ball)
 
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):

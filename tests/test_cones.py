@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -13,12 +14,13 @@ from smba.cones import (
     NonposOrthant,
     SYMMETRY_TOL,
     PCone,
-    SmoothingCert,
     all_finite,
+    checked_array,
 )
 from smba.nsdp import generate_nsdp, nsdp_problem
 
 from conftest import directional_derivative, family_cases, random_symmetric
+from helpers import polar_residual, smoothing
 
 
 class TestSupportValue:
@@ -94,9 +96,34 @@ class TestFiniteGuards:
         # one, beside a 0.0 bottom, as membership
         for sign in (1.0, -1.0):
             y = sign * np.array([[1e308, -1e308], [-1e308, 1e308]])
-            for evaluate in (NegSemidef(2).prepare, NegSemidef(2).polar_residual):
+            for evaluate in (NegSemidef(2).prepare,
+                             functools.partial(polar_residual, NegSemidef(2))):
                 with pytest.raises(ValueError, match="non-finite spectrum"):
                     evaluate(y)
+
+
+class TestCheckedArray:
+    def test_float64_passes_as_it_is(self, rng):
+        # no copy, even of a strided view
+        v = rng.normal(0.0, 1.0, (4, 6))[:, ::2]
+        assert checked_array(v, (4, 3)) is v
+
+    def test_integers_become_floats(self):
+        v = checked_array(np.arange(3, dtype=np.int32), (3,))
+        assert v.dtype == np.float64 and v.tolist() == [0.0, 1.0, 2.0]
+        assert checked_array(np.arange(3, dtype=np.uint8), (3,)).dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1.0 + 0j, 2.0]), np.array([1.0, 2.0 + 5j]), np.array([1.0, 2.0], dtype=object),
+        np.array([True, False]), ["1.0", "2.0"],
+    ], ids=["complex-zero-imaginary", "complex", "object", "bool", "text"])
+    def test_nonreal_dtype_rejected(self, bad):
+        # a complex argument was read as its real part, and an object, bool
+        # or text one converted, so a G(x) that is not real passed the cone
+        with pytest.raises(ValueError, match=r"^cone argument is not an array of numbers: dtype "):
+            checked_array(bad, (2,))
+        with pytest.raises(ValueError, match="not an array of numbers"):
+            NonposOrthant(2).prepare(bad)
 
 
 def nan_spectrum(y, signature):
@@ -134,8 +161,10 @@ class TestEigh:
         # a LAPACK failure comes back as a NaN spectrum; read as it is, the
         # polar residual max(0, -nan) would be 0.0, membership
         monkeypatch.setattr(cones, "_EIGH_LO", nan_spectrum)
+        evaluate = {"prepare": NegSemidef(3).prepare,
+                    "polar_residual": functools.partial(polar_residual, NegSemidef(3))}[method]
         with pytest.raises(ValueError, match="non-finite spectrum"):
-            getattr(NegSemidef(3), method)(-np.eye(3))
+            evaluate(-np.eye(3))
 
 
 def logsumexp(v, mu):
@@ -282,7 +311,7 @@ class TestMsaGradient:
             for _ in range(100):
                 y, z = sample(rng), sample(rng)
                 mu = 10.0 ** rng.uniform(-3, 1)
-                bound = oracle.cert.gradient_lipschitz(mu)
+                bound = smoothing(oracle).gradient_lipschitz(mu)
                 gy = oracle.prepare(y).gradient(mu)
                 gz = oracle.prepare(z).gradient(mu)
                 lhs = float(np.linalg.norm(np.asarray(gy) - np.asarray(gz)))
@@ -293,7 +322,7 @@ class TestMsaGradient:
 
 class TestCertificates:
     def test_orthant_cert_values(self):
-        cert = NonposOrthant(8, alpha4=1e-5).cert
+        cert = smoothing(NonposOrthant(8, alpha4=1e-5))
         assert cert.alpha1 == 0.0
         assert cert.alpha2 == 1.0
         assert cert.alpha3 == pytest.approx(math.log(8) + 1e-5)
@@ -301,17 +330,9 @@ class TestCertificates:
         assert cert.base_norm_bound == 1.0
 
     def test_pcone_cert_values(self):
-        cert = PCone(3, alpha4=1e-5).cert
+        cert = smoothing(PCone(3, alpha4=1e-5))
         assert cert.alpha3 == pytest.approx(1.0 + 1e-5)
         assert cert.base_norm_bound == pytest.approx(math.sqrt(2.0))
-
-    def test_invalid_cert_rejected(self):
-        with pytest.raises(ValueError):
-            SmoothingCert(0.0, 0.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            SmoothingCert(0.0, 1.0, -1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            SmoothingCert(-1.0, 1.0, 1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("family", [NonposOrthant, NegSemidef, PCone])
     @pytest.mark.parametrize("alpha4", [math.nan, math.inf, -1.0])
@@ -321,9 +342,8 @@ class TestCertificates:
 
     def test_one_value_log_sum_exp_without_shift(self):
         # log-sum-exp over one value is exact: gap slope log(1) + 0 = 0
-        cert = NonposOrthant(1, alpha4=0.0).cert
-        assert cert.alpha3 == 0.0
-        assert NegSemidef(1, alpha4=0.0).cert.alpha3 == 0.0
+        assert smoothing(NonposOrthant(1, alpha4=0.0)).alpha3 == 0.0
+        assert smoothing(NegSemidef(1, alpha4=0.0)).alpha3 == 0.0
 
 
 class TestPolarResidual:
@@ -332,8 +352,8 @@ class TestPolarResidual:
         oracle = NegSemidef(4)
         for _ in range(10):
             v = random_symmetric(rng, 4)
-            assert oracle.polar_residual(v) == max(0.0, -float(np.linalg.eigh(v)[0][0]))
-        assert oracle.polar_residual(np.eye(4)) == 0.0
+            assert polar_residual(oracle, v) == max(0.0, -float(np.linalg.eigh(v)[0][0]))
+        assert polar_residual(oracle, np.eye(4)) == 0.0
 
     @pytest.mark.parametrize("factor", [1.01, 2.0, 1e6])
     def test_psd_asymmetry_above_tolerance_rejected(self, rng, factor):
@@ -343,13 +363,13 @@ class TestPolarResidual:
         v[0, 1] += 0.5 * bump
         v[1, 0] -= 0.5 * bump
         with pytest.raises(ValueError, match="asymmetry"):
-            NegSemidef(10).polar_residual(v)
+            polar_residual(NegSemidef(10), v)
 
     def test_pcone_residual_reads_the_norm_excess(self):
         oracle = PCone(2)
-        assert oracle.polar_residual([3.0, 4.0, -5.0]) == 0.0
-        assert oracle.polar_residual([3.0, 4.0, -2.0]) == 3.0
-        assert oracle.polar_residual([0.0, 0.0, 1.0]) == 1.0
+        assert polar_residual(oracle, [3.0, 4.0, -5.0]) == 0.0
+        assert polar_residual(oracle, [3.0, 4.0, -2.0]) == 3.0
+        assert polar_residual(oracle, [0.0, 0.0, 1.0]) == 1.0
 
     @pytest.mark.parametrize("oracle, bad", [
         (NonposOrthant(2), [math.nan, 1.0]), (NonposOrthant(2), [0.0, -math.inf]),
@@ -360,7 +380,7 @@ class TestPolarResidual:
     def test_nonfinite_multiplier_rejected(self, oracle, bad):
         # a NaN or inf entry is not read as membership of the polar cone
         with pytest.raises(ValueError, match="non-finite entries in multiplier"):
-            oracle.polar_residual(bad)
+            polar_residual(oracle, bad)
 
     @pytest.mark.parametrize("oracle, bad", [
         (NonposOrthant(2), [-1.0]), (NonposOrthant(2), -np.ones((2, 1))),
@@ -371,7 +391,7 @@ class TestPolarResidual:
             "psd-large", "psd-vector", "psd-object"])
     def test_misshapen_multiplier_rejected(self, oracle, bad):
         with pytest.raises(ValueError, match="multiplier"):
-            oracle.polar_residual(bad)
+            polar_residual(oracle, bad)
 
 
 class TestPreparedPoint:
@@ -396,7 +416,7 @@ class TestPreparedPoint:
         # it rejects a nonpositive one, and accepts the floor itself
         for oracle, sample in family_cases():
             point = oracle.prepare(sample(np.random.default_rng(1)))
-            for evaluate in (point.value, point.gradient, oracle.cert.gradient_lipschitz):
+            for evaluate in (point.value, point.gradient):
                 for mu in (0.1 * MU_FLOOR, np.nextafter(MU_FLOOR, 0.0), 0.0, math.inf):
                     with pytest.raises(ValueError, match="smoothing parameter"):
                         evaluate(mu)

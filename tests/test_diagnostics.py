@@ -16,6 +16,8 @@ from smba.problems import (
 from smba.cones import NonposOrthant
 from smba.nsdp import generate_nsdp, nsdp_problem
 
+from helpers import polar_residual
+
 
 def constant_gradient_problem(u, l1_weight=1.0):
     """1-D problem whose f-gradient is the constant u (P2 = 0, lam = 0 path)."""
@@ -68,8 +70,8 @@ class TestKKTResiduals:
         np.testing.assert_array_equal(cert.v, np.zeros(2))
         assert cert.complementarity == 0.0
         assert cert.step == 0.0
-        assert cert.eps_triple == (cert.rho, 0.0, 0.0)
-        assert cert.to_dict()["eps_triple"] == [cert.rho, 0.0, 0.0]
+        assert cert.to_dict() == {"rho": cert.rho, "complementarity": 0.0, "step": 0.0,
+                                  "v": [0.0, 0.0]}
 
     def test_step_is_distance_between_iterates(self):
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
@@ -88,7 +90,7 @@ class TestKKTResiduals:
         vals = np.linalg.eigvalsh(cert.v)
         assert np.all(vals >= -1e-12)
         assert float(np.sum(vals)) == pytest.approx(lam, abs=1e-10 * (1 + lam))
-        assert prob.cone.polar_residual(cert.v) <= 1e-10
+        assert polar_residual(prob.cone, cert.v) <= 1e-10
 
     def test_complementarity_sign_when_feasible(self, rng):
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
@@ -96,14 +98,6 @@ class TestKKTResiduals:
             x = rng.uniform(-2, 0.9, 2)  # strictly feasible: x < b
             cert = certify(prob, x, x, float(rng.uniform(0, 3)), 0.2)
             assert cert.complementarity >= -1e-10
-
-    def test_invalid_args(self):
-        prob = box_problem(c=[0.0], b=[1.0])
-        with pytest.raises(ValueError):
-            certify(prob, np.zeros(1), np.zeros(1), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            certify(prob, np.zeros(1), np.zeros(1), -1.0, 1.0)
-
 
     def test_matches_reference(self, rng):
         # the certificate built from the prepared point equals the one
@@ -120,7 +114,8 @@ class TestKKTResiduals:
                 x_prev = rng.uniform(-0.5, 0.5, prob.dim) * 1e-2
                 x_next = x_prev + rng.normal(0.0, 1e-2, prob.dim)
                 cert = certify(prob, x_next, x_prev, lam, 0.3)
-                assert cert.eps_triple == reference_residuals(prob, x_next, x_prev, lam, 0.3)
+                assert (cert.rho, cert.complementarity, cert.step) == reference_residuals(
+                    prob, x_next, x_prev, lam, 0.3)
 
 
 def certificate(complementarity, step):
@@ -151,7 +146,7 @@ class TestTerminationMetrics:
             cert = certify(prob, x, np.zeros(3), float(rng.uniform(0, 3)), 0.5)
             _, slack = termination_metrics(cert, np.linalg.norm(x), 1.0, 0.5, 0.01, 0.01)
             assert slack >= 0.0
-            assert oracle.polar_residual(cert.v) == 0.0
+            assert polar_residual(oracle, cert.v) == 0.0
 
     def test_pairing_is_trace_inner_product(self, rng):
         # for a matrix constraint the complementarity pairs the multiplier

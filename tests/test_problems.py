@@ -28,7 +28,7 @@ from smba.problems import (
 from smba.solver import SolverConfig, run
 
 from conftest import directional_derivative
-from helpers import LinearConcave, composite_gradient, composite_value
+from helpers import LinearConcave, composite_gradient, composite_value, smoothing
 
 
 class TestRegularizers:
@@ -165,7 +165,7 @@ class TestCompositeSmoothing:
 
     def test_composite_sandwich(self, rng):
         prob = box_problem(c=[0.0, 0.0], b=rng.normal(0, 1, 2))
-        a3 = prob.cone.cert.alpha3
+        a3 = smoothing(prob.cone).alpha3
         for _ in range(100):
             x = rng.normal(0, 2, 2)
             mu = 10.0 ** rng.uniform(-5, 1)
@@ -199,7 +199,7 @@ class TestCompositeSmoothing:
         for mu in 10.0 ** np.linspace(-6, 1, 15):
             g = composite_gradient(prob, x, mu)
             assert np.all(np.isfinite(g))
-            assert float(np.linalg.norm(g)) <= prob.cone.cert.base_norm_bound + 1e-12
+            assert float(np.linalg.norm(g)) <= smoothing(prob.cone).base_norm_bound + 1e-12
 
 
 class TestAdjointConsistency:

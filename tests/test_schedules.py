@@ -18,13 +18,12 @@ from smba.schedules import (
     ScheduleSpec,
     blockwise_schedule,
     mu_at,
-    mu_values,
-    partial_sum,
-    partial_sum_lower_bound,
     power_schedule,
     ramped_log_schedule,
 )
 from smba.solver import SolverConfig, run
+
+from helpers import mu_values, partial_sum, partial_sum_lower_bound
 
 
 def sweep_specs(mu0=1.0):

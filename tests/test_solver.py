@@ -40,6 +40,7 @@ from helpers import (
     composite_gradient,
     composite_value,
     make_state,
+    polar_residual,
     socp_dc_optimum,
 )
 
@@ -441,7 +442,7 @@ class TestRunToyProblems:
                 assert -1e-12 <= gap <= 1e-6, (seed, s, gap)
                 # criterion 10's multiplier check, on the norm cone
                 v = report.final_kkt.v
-                assert prob.cone.polar_residual(v) <= 1e-10 * (1.0 + float(np.linalg.norm(v)))
+                assert polar_residual(prob.cone, v) <= 1e-10 * (1.0 + float(np.linalg.norm(v)))
 
     @pytest.mark.parametrize("name, seeds", [("nsdp-large", range(16)), ("nsdp-desk", range(4))],
                              ids=["nsdp-large", "nsdp-desk"])
@@ -908,6 +909,60 @@ class TestRunFailureModes:
             assert report.iterations == len(report.trace) == 0
             assert report.final_kkt is None
             json.dumps(report.to_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("kind", [complex, object])
+    @pytest.mark.parametrize("oracle, name", [
+        ("f.gradient", "f gradient"), ("g.adjoint_apply", "constraint adjoint"),
+        ("p2.subgradient", "P2 subgradient"),
+    ])
+    def test_nonreal_vector_output_becomes_status(self, oracle, name, kind):
+        # a complex or object vector of the right shape escaped run as a
+        # TypeError; from the first call (x0), the second (the first step's
+        # certificate for the adjoint) or the fifth on, the first such output
+        # ends the run, named where it is made
+        for start in (1, 2, 5):
+            seen = []
+
+            def fault(out):
+                seen.append(1)
+                return out.astype(kind)
+
+            prob = with_fault(nsdp_problem(generate_nsdp(8, 4, 1)), oracle, start, fault)
+            report = run(prob, FAULT_CFG, np.zeros(8))
+            assert report.status is SolveStatus.NUMERIC_FAILURE
+            assert report.reason.startswith(f"{name} has dtype {np.dtype(kind)} at "), report.reason
+            assert len(seen) == 1
+            assert all(math.isfinite(row.rho) for row in report.trace)
+            json.dumps(report.to_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("start, where", [(1, "x0"), (4, "a trial point")])
+    def test_complex_constraint_map_output_becomes_status(self, start, where):
+        # G(x) + 5j was read as its real part, and the run reported converged
+        prob = with_fault(nsdp_problem(generate_nsdp(8, 4, 1)), "g.value", start,
+                          lambda y: y + 5j)
+        report = run(prob, SolverConfig(eps=1e-6), np.zeros(8))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason.startswith(
+            f"constraint map output rejected at {where}: cone argument is not an array of "
+            "numbers: dtype complex128"), report.reason
+        assert (report.iterations > 0) == (start > 1)
+
+    @pytest.mark.parametrize("oracle, start, huge", [
+        ("f.gradient", 1, 1e308), ("f.gradient", 1, 1e154), ("g.adjoint_apply", 1, 1e308),
+        ("g.adjoint_apply", 3, 1e200),
+    ])
+    def test_overflowing_subproblem_terms_become_status(self, oracle, start, huge):
+        # finite but huge vectors overflow the l1 multiplier's sums of
+        # squares: to inf (1e308, 1e200), which made math.fsum raise
+        # ValueError, or past the float range in math.fsum's exact partial
+        # sums (1e154), which raised OverflowError, out of run
+        prob = with_fault(nsdp_problem(generate_nsdp(8, 4, 1)), oracle, start,
+                          lambda out: np.full_like(out, huge))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run(prob, SolverConfig(eps=1e-6), np.zeros(8))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason == "l1 subproblem terms overflow the float range"
+        assert (report.iterations > 0) == (start > 2)
 
     def test_raising_oracle_propagates(self):
         def fault(y):
