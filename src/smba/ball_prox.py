@@ -208,6 +208,8 @@ def _l1_multiplier(w, a, c, L_f, R):
             nu = left  # dead-zone terms alone at distance exactly R: a plateau of roots
         if nu <= right:
             return max(nu, left)
+        if pos is None:  # a NaN root: P or Q was lost to an overflow
+            raise NumericError("l1 subproblem terms overflow the float range")
         left = right
         ci = c.item(pos % n)
         # a +w crossing moves coordinate i between dead and above, a -w

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConePoint, real_dtype
-from .errors import NumericError
 from .problems import DCProblem
 
 
@@ -34,28 +32,21 @@ class KKTCertificate:
         }
 
 
-def kkt_residuals(prob: DCProblem, x_next, step, lam, mu, y, point: ConePoint,
-                  grad_f, xi) -> KKTCertificate:
-    """Residual certificate at x_next with the multiplier ``lam * grad h_mu(y)``.
+def kkt_residuals(prob: DCProblem, x_next, step, lam, y, grad_h, grad_gmu, grad_f,
+                  xi) -> KKTCertificate:
+    """Residual certificate at x_next with the multiplier ``v = lam * grad_h``.
 
     ``step`` is the length ``||x_next - x_k||`` of the step that reached
-    x_next; ``y = G(x_next)`` and ``point`` is its prepared cone point;
-    ``grad_f`` is the f gradient at x_next and ``xi`` the P2 subgradient
-    taken at the previous iterate x_k, as the solver used them; ``mu`` is
-    at least the smoothing floor and ``lam >= 0``, as ``run`` passes them.
-    Raises NumericError unless the adjoint's output is a real array
-    (``real_dtype``) shaped like x_next.
+    x_next; ``y = G(x_next)``; ``grad_h = grad h_mu(y)`` is the smoothing
+    gradient there, a point of the polar cone's base, and ``grad_gmu`` its
+    checked adjoint apply at x_next, at the mu that ``run`` hands the next
+    step; ``grad_f`` is the f gradient at x_next and ``xi`` the P2
+    subgradient taken at the previous iterate x_k, as the solver used them;
+    ``lam >= 0``, as ``run`` passes it.  ``v`` is exactly zero when ``lam``
+    is zero.  No oracle is called.
     """
-    v = lam * point.gradient(mu) if lam > 0.0 else np.zeros(np.shape(y))
-    w = prob.g.adjoint_apply(x_next, v)
-    shape = getattr(w, "shape", None)
-    if shape != x_next.shape:
-        raise NumericError(f"constraint adjoint has shape {shape} at the certificate, "
-                           f"expected {x_next.shape}")
-    if not real_dtype(w):
-        raise NumericError(f"constraint adjoint has dtype {getattr(w, 'dtype', None)} at the "
-                           "certificate, expected real numbers")
-    u = grad_f - xi + w
+    v = lam * grad_h if lam > 0.0 else np.zeros(np.shape(y))
+    u = grad_f - xi + lam * grad_gmu
     rho = prob.p1.subdiff_distance(x_next, u)
     return KKTCertificate(rho=rho, complementarity=-float(np.vdot(v, y)), step=step, v=v)
 

@@ -35,11 +35,11 @@ counts the trials that failed the descent test and ``j_k + 1`` all trials;
 
 The hand-off.  One step hands the next a frozen ``IterateState``: the
 accepted point, the next step's mu, the point's f, psi and smoothed value
-at that mu, the gradients of f and g_mu there, the P2 subgradient, and the next step's
-warm starts.  One builder forms it at x0 and at every accepted point; it
-checks that the smoothed value is negative, and the warm starts come from
-the accepted step's own ``dx``, ``||dx||^2`` and gradient changes, with the
-clipped 1.0 at x0.
+at that mu, the gradients of f and g_mu there, the P2 subgradient, and the
+next step's warm starts.  One builder forms it at x0 and at every accepted
+point; it checks that the smoothed value is negative, and the warm starts
+come from the accepted step's own ``dx``, ``||dx||^2`` and gradient
+changes, with the clipped 1.0 at x0.
 
 Each quantity of a step is formed once.  A trial evaluates f, P1 and P2 at
 its point, and, if it passes the descent test, ``G``, the cone point and
@@ -48,24 +48,31 @@ accepted trial carries its step ``dx`` and ``||dx||^2`` from the descent
 test to the certificate's step length and the next warm starts, and its f
 value, ``G`` value and cone point to the certificate, the exact feasibility
 check and the next step's smoothed value and gradient.  ``||x_{k+1}||``
-serves the stop test and the divergence guard.  An accepted step adds one
-f gradient and the certificate's adjoint apply; only when another step will
-run does it add that step's P2 subgradient and second adjoint apply, so a
-run forms no state after its last row.  Each oracle output is scanned for
-NaN and inf once; the f gradient, the P2 subgradient and both adjoint
-outputs are checked for the shape ``(n,)`` and a real dtype, and the f and
-P2 values become Python floats, or end the run unless they are real
-scalars.
+serves the stop test and the divergence guard.  An accepted point gets one
+f gradient, one smoothing gradient ``grad h_mu'(G(x_{k+1}))`` and one
+adjoint apply of it, at the next schedule value mu' (at the floor, where no
+step follows, the step's own mu).  The certificate's multiplier is
+``lam_k`` times that smoothing gradient, and the next step reads the same
+adjoint output as its ``grad g_mu'``; only a stall advance, which moves mu'
+on, forms them again at the new mu.  Only when another step will run does
+the point also get that step's P2 subgradient, so a run forms no state
+after its last row.  Each oracle output is scanned for NaN and inf once; the
+f gradient, the P2 subgradient and the adjoint output are checked for the
+shape ``(n,)``, a real dtype and a squared norm that does not overflow, and
+the f and P2 values become Python floats, or end the run unless they are
+real scalars.
 
-The ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
-blocks of ``n0 + 1`` indices, while the stop test can only pass once the
-slack falls with mu.  So when an accepted step meets the step test but not
-the slack test, the iterate has stalled at the current mu, and the schedule
-index advances to the start of the next block instead of by one.  The mu
-used is then a subsequence of the prescheduled one: still strictly
-decreasing to zero, with every iterate strictly feasible.  The paper's
-complexity bound is stated for the prescheduled sequence itself.
-``power`` schedules have no blocks and are followed index by index.
+The stop test can only pass once the slack falls with mu, and the
+``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
+blocks of ``n0 + 1`` indices, while ``power`` lowers it ever more slowly.
+So when an accepted step meets the step test but not the slack test, the
+iterate has stalled at the current mu, and the schedule index advances
+further than by one: to the start of the next block, or for ``power``
+``mu0 (k+1)^-r`` to ``ceil((s + 1) 2^(1/r)) - 1``, the first index at which
+mu has halved.  The mu used is then a subsequence of the prescheduled one:
+still strictly decreasing to zero, with every iterate strictly feasible,
+for every variant.  The paper's complexity bound is stated for the
+prescheduled sequence itself.
 """
 
 from __future__ import annotations
@@ -182,10 +189,10 @@ class SolveReport:
     and ``term_slack`` belong to the last trace row on every exit; with no
     rows they are x0, its objective (NaN unless a real scalar), None and
     inf.  ``mu0`` is NaN when the initial smoothing search reached the
-    floor.  ``advances`` counts the steps after which the schedule jumped to
-    the next block.  ``capped`` holds ``(i, j)`` of a step that ran out of
-    trials and has no row: ``i`` of its ``j`` trials failed the descent
-    test."""
+    floor.  ``advances`` counts the stalled steps after which the schedule
+    index jumped ahead (module docstring).  ``capped`` holds ``(i, j)`` of a
+    step that ran out of trials and has no row: ``i`` of its ``j`` trials
+    failed the descent test."""
 
     status: SolveStatus
     trace: List[TraceRow]
@@ -278,18 +285,26 @@ class InnerResult(NamedTuple):
 
 
 def _finite(name: str, value, k: int, n: Optional[int] = None):
-    """``value`` unchanged; raises NumericError if any entry is NaN or inf,
-    or, given ``n``, unless it is an array of shape ``(n,)`` (the step uses
-    array methods, so a list fails too) with a ``real_dtype``."""
-    if n is not None:
-        shape = getattr(value, "shape", None)
-        if shape != (n,):
-            raise NumericError(f"{name} has shape {shape} at step {k}, expected ({n},)")
-        if not real_dtype(value):
-            raise NumericError(f"{name} has dtype {getattr(value, 'dtype', None)} at step {k}, "
-                               "expected real numbers")
-    if not all_finite(value):
-        raise NumericError(f"{name} is not finite at step {k}")
+    """``value`` unchanged; raises NumericError if any entry is NaN or inf.
+    Given ``n``, it also raises unless ``value`` is an array of shape
+    ``(n,)`` (the step uses array methods, so a list fails too) with a
+    ``real_dtype`` and a finite squared norm: a vector whose entries are
+    finite but whose squared norm overflows is too large for the step's
+    sums, and is named here rather than where it overflows."""
+    if n is None:
+        if not all_finite(value):
+            raise NumericError(f"{name} is not finite at step {k}")
+        return value
+    shape = getattr(value, "shape", None)
+    if shape != (n,):
+        raise NumericError(f"{name} has shape {shape} at step {k}, expected ({n},)")
+    if not real_dtype(value):
+        raise NumericError(f"{name} has dtype {getattr(value, 'dtype', None)} at step {k}, "
+                           "expected real numbers")
+    if not math.isfinite(np.vdot(value, value)):  # vdot overflows silently
+        if not np.isfinite(value).all():
+            raise NumericError(f"{name} is not finite at step {k}")
+        raise NumericError(f"{name} is too large (its squared norm overflows) at step {k}")
     return value
 
 
@@ -366,22 +381,28 @@ def bb_init(dx, dx2, df, dg, Lf0, Lg0, cfg: SolverConfig):
     return Lf0, Lg0
 
 
+def _smoothing_gradient(prob: DCProblem, x, point: ConePoint, mu: float, k: int):
+    """``(grad h_mu(y), grad g_mu(x))`` at the point ``x`` whose evaluated cone
+    point is ``point``: the smoothing gradient and its adjoint apply, which
+    ``_finite`` checks."""
+    grad_h = point.gradient(mu)
+    return grad_h, _finite("constraint adjoint", prob.g.adjoint_apply(x, grad_h), k, prob.dim)
+
+
 def _state(prob: DCProblem, cfg: SolverConfig, k: int, x, mu: float, f: float, psi: float,
-           grad_f, point: ConePoint, prev: Optional[IterateState] = None,
+           grad_f, point: ConePoint, grad_gmu, prev: Optional[IterateState] = None,
            step: Optional[InnerResult] = None) -> IterateState:
     """The state of step ``k`` at ``x`` and ``mu``: x0 when ``prev`` is None,
-    else the point that ``step`` reached from ``prev``.  Checks that the
-    smoothed value is negative, then forms the smoothing gradient by the
-    adjoint and the P2 subgradient, each guarded against NaN, inf and a
-    shape other than ``(prob.dim,)``, and the warm starts."""
+    else the point that ``step`` reached from ``prev``; ``grad_gmu`` is the
+    checked smoothing gradient there at ``mu``.  Checks that the smoothed
+    value is negative, then forms the P2 subgradient, guarded as the
+    adjoint is, and the warm starts."""
     gmu = point.value(mu)
     if not gmu < 0:
         if prev is None:
             raise InfeasibleStartError(
                 f"smoothed constraint is not negative at x0 for mu0={mu:.3e} (value {gmu:.3e})")
         raise NumericError("strict feasibility chain broken")
-    grad_gmu = _finite("constraint adjoint", prob.g.adjoint_apply(x, point.gradient(mu)), k,
-                       prob.dim)
     xi = _finite("P2 subgradient", prob.p2.subgradient(x), k, prob.dim)
     if prev is None:
         Lf0 = Lg0 = min(max(1.0, cfg.L_min), cfg.L_max)
@@ -389,6 +410,21 @@ def _state(prob: DCProblem, cfg: SolverConfig, k: int, x, mu: float, f: float, p
         Lf0, Lg0 = bb_init(step.dx, step.step2, grad_f - prev.grad_f,
                            mu * (grad_gmu - prev.grad_gmu), prev.Lf0, prev.Lg0, cfg)
     return IterateState(x, mu, f, psi, gmu, grad_gmu, grad_f, xi, Lf0, Lg0)
+
+
+def _stall_index(spec: ScheduleSpec, s: int) -> int:
+    """The schedule index after a stall at index ``s`` (module docstring):
+    the start of the next block, or for ``power`` the first index where mu
+    has halved, ``ceil((s + 1) 2^(1/r)) - 1``.  A halving index past the
+    float range (``r`` below about 1/1024) is not taken; the index moves by
+    one."""
+    if spec.variant != "power":
+        block = spec.n0 + 1
+        return (s // block + 1) * block
+    try:
+        return math.ceil((s + 1) * 2.0 ** (1.0 / spec.r)) - 1
+    except OverflowError:
+        return s + 1
 
 
 def _secant_rise(curv: float, scale: float, step2: float, factor: float,
@@ -478,22 +514,28 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         point0 = _start_point(prob, x0)
         mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
         schedule = cfg.schedule.with_mu0(mu0)
-        # the schedule index s runs apart from the step count k: it jumps to
-        # the next block start when the iterate stalls (module docstring)
-        s, block = 0, None if schedule.variant == "power" else schedule.n0 + 1
+        # the schedule index s runs apart from the step count k: it jumps
+        # ahead when the iterate stalls (module docstring)
+        s = 0
         state = _state(prob, cfg, 0, x0, mu0, f0, _finite("objective value", psi, 0),
-                       _finite("f gradient", prob.f.gradient(x0), 0, prob.dim), point0)
+                       _finite("f gradient", prob.f.gradient(x0), 0, prob.dim), point0,
+                       _smoothing_gradient(prob, x0, point0, mu0, 0)[1])
 
         for k in range(cfg.max_outer):
             inner = inner_loop_step(state, prob, cfg)
 
             # the accepted trial's step, G value and cone point serve the
             # certificate, the exact feasibility check, the next warm starts
-            # and the next step's smoothing
+            # and the next step's smoothing.  The certificate's multiplier
+            # and the next step's smoothing gradient share one mu, the next
+            # schedule value; at the floor, the step's own
             x_next, point = inner.x, inner.point
             grad_f_next = _finite("f gradient", prob.f.gradient(x_next), k, prob.dim)
+            mu_next = mu_at(schedule, s + 1)
+            mu_cert = mu_next if mu_next >= MU_FLOOR else state.mu
+            grad_h, grad_gmu = _smoothing_gradient(prob, x_next, point, mu_cert, k)
             kkt = diagnostics.kkt_residuals(
-                prob, x_next, math.sqrt(inner.step2), inner.lam, state.mu, inner.y, point,
+                prob, x_next, math.sqrt(inner.step2), inner.lam, inner.y, grad_h, grad_gmu,
                 grad_f_next, state.xi,
             )
             x_norm = math.sqrt(x_next.dot(x_next))
@@ -525,20 +567,22 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             # advance the smoothing parameter; the shifted family keeps the new
             # iterate strictly feasible at the smaller mu.  The kernel rejects any
             # mu below its floor, so the run stops there
-            if block and step <= cfg.eps < slack:
-                s = (s // block + 1) * block
+            if step <= cfg.eps < slack:
+                s = _stall_index(schedule, s)
                 advances += 1
+                mu_next = mu_at(schedule, s)
             else:
                 s += 1
-            mu_next = mu_at(schedule, s)
             if mu_next < MU_FLOOR:
                 status = SolveStatus.MU_FLOOR
                 reason = (f"smoothing schedule falls below the floor {MU_FLOOR:.0e} "
                           f"at step {k + 1} (schedule index {s})")
                 break
             if k + 1 < cfg.max_outer:  # no state past the last step
+                if mu_next != mu_cert:  # a stall advance moved the schedule index
+                    grad_gmu = _smoothing_gradient(prob, x_next, point, mu_next, k)[1]
                 state = _state(prob, cfg, k + 1, x_next, mu_next, inner.f, inner.psi,
-                               grad_f_next, point, state, inner)
+                               grad_f_next, point, grad_gmu, state, inner)
     except InnerCapError as exc:
         status, reason, capped = SolveStatus.INNER_CAP_EXCEEDED, str(exc), (exc.i, exc.j)
     except NumericError as exc:

@@ -12,6 +12,7 @@ from smba.ball_prox import (
     PHI_TOL,
     BallConstraint,
     SubproblemResult,
+    _double_sum,
     _l1_multiplier,
     build_ball,
     solve_ball_prox,
@@ -408,6 +409,15 @@ class TestProxPathPoint:
 
 
 class TestSolveBallProx:
+    @pytest.mark.parametrize("terms", [[1e308, 1e308], [math.inf, 1.0]],
+                             ids=["partial-sums", "inf-term"])
+    def test_overflowing_start_sums_raise(self, terms):
+        # finite terms whose exact sum passes the float range make math.fsum
+        # raise OverflowError; oracle vectors that pass the solver's
+        # squared-norm check can still form such terms
+        with pytest.raises(NumericError, match="^l1 subproblem terms overflow the float range$"):
+            _double_sum(terms)
+
     def test_projection_example(self):
         # z = (3, 0) projects to (1, 0); stationarity gives lam * curvature = 2
         ball = BallConstraint(center=np.zeros(2), radius=1.0, curvature=1.0)

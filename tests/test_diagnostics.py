@@ -35,19 +35,25 @@ def constant_gradient_problem(u, l1_weight=1.0):
 
 
 def certify(prob, x_next, x_prev, lam, mu):
-    """``kkt_residuals`` fed as the solver feeds it, with every input evaluated here."""
+    """``kkt_residuals`` fed as the solver feeds it, with every input evaluated
+    here: the smoothing gradient at ``mu`` and its adjoint apply among them."""
     y = prob.g.value(x_next)
+    grad_h = prob.cone.prepare(y).gradient(mu)
     dx = x_next - x_prev
-    return kkt_residuals(prob, x_next, math.sqrt(dx.dot(dx)), lam, mu, y, prob.cone.prepare(y),
-                         prob.f.gradient(x_next), prob.p2.subgradient(x_prev))
+    return kkt_residuals(prob, x_next, math.sqrt(dx.dot(dx)), lam, y, grad_h,
+                         prob.g.adjoint_apply(x_next, grad_h), prob.f.gradient(x_next),
+                         prob.p2.subgradient(x_prev))
 
 
 def reference_residuals(prob, x_next, x_prev, lam, mu):
-    """(rho, complementarity, step) recomputed from scratch through the per-call oracles."""
+    """(rho, complementarity, step) recomputed from scratch through the per-call
+    oracles: the multiplier ``lam * grad h_mu(G(x_next))`` and its term ``lam``
+    times the adjoint apply of the smoothing gradient."""
     g = prob.g.value(x_next)
-    v = lam * prob.cone.prepare(g).gradient(mu) if lam > 0.0 else np.zeros_like(g)
+    grad_h = prob.cone.prepare(g).gradient(mu)
+    v = lam * grad_h if lam > 0.0 else np.zeros_like(g)
     u = (prob.f.gradient(x_next) - prob.p2.subgradient(x_prev)
-         + prob.g.adjoint_apply(x_next, v))
+         + lam * prob.g.adjoint_apply(x_next, grad_h))
     return (prob.p1.subdiff_distance(x_next, u), -float(np.vdot(g, v)),
             float(np.linalg.norm(x_next - x_prev)))
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -599,10 +600,17 @@ def stall_rows(report, eps):
     return [row.k for row in report.trace if row.term_step <= eps < row.term_slack]
 
 
+# the objective of desk instance 15 (generate_nsdp(20, 10, 15)) from an
+# eps = 1e-10 solve under the default schedule, 3,876 steps
+DESK_15_OPTIMUM = -7.769861494633741
+
+
 class TestScheduleAdvance:
-    @pytest.mark.parametrize("schedule", [ramped_log_schedule(0.9, 3.0), blockwise_schedule(0.9)],
-                             ids=["ramped_log", "blockwise"])
-    def test_stall_jumps_to_next_block(self, schedule):
+    @pytest.mark.parametrize("schedule", [
+        ramped_log_schedule(0.9, 3.0), blockwise_schedule(0.9), power_schedule(0.9),
+        power_schedule(0.5),
+    ], ids=["ramped_log", "blockwise", "power-0.9", "power-0.5"])
+    def test_stall_advances_the_schedule(self, schedule):
         cfg = SolverConfig(eps=1e-5, schedule=schedule)
         report = run(stalling_norm_ball(), cfg, np.zeros(5))
         assert report.status is SolveStatus.CONVERGED
@@ -610,20 +618,74 @@ class TestScheduleAdvance:
         assert stalls and report.advances == len(stalls)
         # before the first stall the schedule index is the step count
         k = stalls[0]
-        block = schedule.n0 + 1
         spec = schedule.with_mu0(report.mu0)
-        assert report.trace[k].mu == mu_at(spec, k)
-        assert report.trace[k + 1].mu == mu_at(spec, (k // block + 1) * block)
+        assert all(row.mu == mu_at(spec, row.k) for row in report.trace[:k + 1])
+        if schedule.variant == "power":
+            # the first index where mu has halved
+            jump = math.ceil((k + 1) * 2.0 ** (1.0 / schedule.r)) - 1
+            assert mu_at(spec, jump) / mu_at(spec, k) <= 0.5 + 1e-15
+            assert mu_at(spec, jump - 1) / mu_at(spec, k) > 0.5
+        else:  # the start of the next block
+            block = schedule.n0 + 1
+            jump = (k // block + 1) * block
+        assert report.trace[k + 1].mu == mu_at(spec, jump)
         mus = [row.mu for row in report.trace]
         assert all(b < a for a, b in zip(mus, mus[1:]))
 
-    def test_power_schedule_followed_index_by_index(self):
-        cfg = SolverConfig(eps=1e-5, schedule=power_schedule(0.9))
+    def test_power_stall_stops_desk_instance_15(self):
+        # under power(0.5) this seed-0 desk instance ran to max_outer (5,000
+        # steps) at eps = 1e-5, with term_slack stuck at 1.07e-5: the slack
+        # falls only with mu.  Measured gaps to the optimum: 7.6e-6 and 3.0e-8
+        prob = nsdp_problem(generate_nsdp(20, 10, 15))
+        for eps, steps, advances in ((1e-5, 168, 3), (1e-7, 923, 9)):
+            cfg = SolverConfig(eps=eps, schedule=power_schedule(0.5))
+            report = run(prob, cfg, np.zeros(20))
+            assert report.status is SolveStatus.CONVERGED
+            assert (report.iterations, report.advances) == (steps, advances)
+            assert abs(report.objective - DESK_15_OPTIMUM) <= eps * abs(DESK_15_OPTIMUM)
+
+    def test_power_halving_index_past_float_range_not_taken(self):
+        # 2^(1/r) overflows below r = 1/1024, and (s + 1) 2^(1/r) can; the
+        # index then moves by one, and a run meeting the stall test ends
+        # with a report
+        assert smba.solver._stall_index(power_schedule(0.0009), 5) == 6
+        spec = power_schedule(0.001)
+        far = smba.solver._stall_index(spec, 0)
+        assert far == math.ceil(2.0 ** 1000.0) - 1
+        assert smba.solver._stall_index(spec, far) == far + 1
+        cfg = SolverConfig(eps=1e-5, max_outer=300, schedule=power_schedule(0.0009))
         report = run(stalling_norm_ball(), cfg, np.zeros(5))
-        assert report.status is SolveStatus.CONVERGED
-        assert stall_rows(report, cfg.eps) and report.advances == 0
+        assert stall_rows(report, cfg.eps) and report.advances == len(stall_rows(report, cfg.eps))
+        assert report.status is SolveStatus.MAX_OUTER
+
+    def test_certificate_reads_the_next_schedule_value(self):
+        # rho and term_slack of row k come from the multiplier lam_k grad
+        # h_mu'(G(x_{k+1})) at the mu' of row k + 1 (for the last row, the
+        # next schedule index), the smoothing gradient the next step uses
+        prob = nsdp_problem(generate_nsdp(20, 10, 1))
+        cfg = SolverConfig(eps=1e-5, schedule=power_schedule(0.5))
+        xs = []
+
+        def gradient(x):
+            xs.append(np.array(x, copy=True))
+            return prob.f.gradient(x)
+
+        traced = dataclasses.replace(prob, f=dataclasses.replace(prob.f, gradient=gradient))
+        report = run(traced, cfg, np.zeros(20))
+        assert report.status is SolveStatus.CONVERGED and report.advances == 0
+        assert len(xs) == report.iterations + 1
         spec = cfg.schedule.with_mu0(report.mu0)
-        assert all(row.mu == mu_at(spec, row.k) for row in report.trace)
+        mus = [row.mu for row in report.trace[1:]] + [mu_at(spec, report.iterations)]
+        assert all(row.lam > 0.0 for row in report.trace)
+        for row, x_prev, x_next, mu in zip(report.trace, xs, xs[1:], mus):
+            y = prob.g.value(x_next)
+            grad_h = prob.cone.prepare(y).gradient(mu)
+            v = row.lam * grad_h
+            u = (prob.f.gradient(x_next) - prob.p2.subgradient(x_prev)
+                 + row.lam * prob.g.adjoint_apply(x_next, grad_h))
+            scale = max(1.0, math.sqrt(x_next.dot(x_next)))
+            assert row.rho == prob.p1.subdiff_distance(x_next, u), row.k
+            assert row.term_slack == -float(np.vdot(v, y)) / scale, row.k
 
 
 class TestTinyBall:
@@ -947,22 +1009,45 @@ class TestRunFailureModes:
             "numbers: dtype complex128"), report.reason
         assert (report.iterations > 0) == (start > 1)
 
-    @pytest.mark.parametrize("oracle, start, huge", [
-        ("f.gradient", 1, 1e308), ("f.gradient", 1, 1e154), ("g.adjoint_apply", 1, 1e308),
-        ("g.adjoint_apply", 3, 1e200),
-    ])
-    def test_overflowing_subproblem_terms_become_status(self, oracle, start, huge):
-        # finite but huge vectors overflow the l1 multiplier's sums of
-        # squares: to inf (1e308, 1e200), which made math.fsum raise
-        # ValueError, or past the float range in math.fsum's exact partial
-        # sums (1e154), which raised OverflowError, out of run
-        prob = with_fault(nsdp_problem(generate_nsdp(8, 4, 1)), oracle, start,
-                          lambda out: np.full_like(out, huge))
+    @pytest.mark.parametrize("start, steps", [(1, 1), (3, 2)])
+    def test_overflowing_subproblem_terms_become_status(self, start, steps):
+        # an adjoint output of all 4e153 has a finite squared norm, so it
+        # passes _finite, but it overflows the l1 multiplier's sums of
+        # squares: at the start sums, or (start 3) later, to a NaN root that
+        # escaped run as a TypeError
+        prob = with_fault(nsdp_problem(generate_nsdp(8, 4, 1)), "g.adjoint_apply", start,
+                          lambda out: np.full_like(out, 4e153))
         with np.errstate(over="ignore", invalid="ignore"):
             report = run(prob, SolverConfig(eps=1e-6), np.zeros(8))
         assert report.status is SolveStatus.NUMERIC_FAILURE
         assert report.reason == "l1 subproblem terms overflow the float range"
-        assert (report.iterations > 0) == (start > 2)
+        assert report.iterations == steps
+
+    @pytest.mark.parametrize("huge", [1e308, 1e154])
+    @pytest.mark.parametrize("oracle, name", [
+        ("f.gradient", "f gradient"), ("g.adjoint_apply", "constraint adjoint"),
+        ("p2.subgradient", "P2 subgradient"),
+    ])
+    @pytest.mark.parametrize("prob", [
+        box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), norm_ball_problem([1.0, 2.0], 1.0),
+        nsdp_problem(generate_nsdp(8, 4, 1)),
+    ], ids=["box", "norm_ball", "nsdp"])
+    def test_huge_vector_output_named_without_warning(self, prob, oracle, name, huge):
+        # finite entries whose squared norm overflows ended the run blaming
+        # the ball subproblem, the linesearch cap or the l1 sums, after numpy
+        # printed overflow warnings; now the oracle is named where its
+        # output is made, at x0 (start 1) or after a recorded step
+        for start in (1, 3):
+            faulty = with_fault(prob, oracle, start, lambda out: np.full_like(out, huge))
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                report = run(faulty, FAULT_CFG, np.zeros(prob.dim))
+            assert [str(w.message) for w in seen] == []
+            assert report.status is SolveStatus.NUMERIC_FAILURE
+            assert report.reason.startswith(
+                f"{name} is too large (its squared norm overflows) at step "), report.reason
+            assert (report.iterations > 0) == (start > 1)
+            json.dumps(report.to_dict(), allow_nan=False)
 
     def test_raising_oracle_propagates(self):
         def fault(y):
@@ -1013,8 +1098,17 @@ class TestFiniteGuard:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_any_nonfinite_entry(self, bad):
-        with pytest.raises(NumericError, match="^f gradient is not finite at step 3$"):
-            smba.solver._finite("f gradient", np.array([1.0, bad, 1e308]), 3)
+        for n in (None, 3):
+            with pytest.raises(NumericError, match="^f gradient is not finite at step 3$"):
+                smba.solver._finite("f gradient", np.array([1.0, bad, 1e308]), 3, n)
+
+    @pytest.mark.parametrize("entries", [[1e308, 1e308], [1e200, -1e200], [1e154, 1e154]])
+    def test_rejects_a_vector_whose_squared_norm_overflows(self, entries):
+        with pytest.raises(NumericError, match=r"^f gradient is too large \(its squared norm "
+                                               r"overflows\) at step 3$"):
+            smba.solver._finite("f gradient", np.array(entries), 3, 2)
+        v = np.array([1e153, -1e153])  # 2e306
+        assert smba.solver._finite("f gradient", v, 3, 2) is v
 
 
 class TestCallCounts:
@@ -1022,8 +1116,9 @@ class TestCallCounts:
         # one G call and one eigendecomposition per linesearch trial that
         # passes the descent test, plus the start point; one f value per
         # trial and one f gradient per accepted step, plus the start point;
-        # one adjoint per step for its smoothing gradient and one per accepted
-        # step for its certificate, with no state after the last row; one exp
+        # one adjoint apply at the start point and one per accepted step,
+        # shared by its certificate and the next step's smoothing gradient,
+        # plus one per stall advance that another step follows; one exp
         # pass per (point, mu) asked about; one l1 prox per ball subproblem,
         # one per trial (most of this instance's subproblems start outside
         # the ball)
@@ -1057,21 +1152,31 @@ class TestCallCounts:
         assert counts["eigh"] == counts["G"] == 1 + evaluated
         assert counts["grad_f"] == 1 + report.iterations
         assert counts["f"] == 1 + report.trials
-        assert counts["G_adj"] == 2 * report.iterations
+        assert report.advances == 0
+        assert counts["G_adj"] == 1 + report.iterations
         assert counts["prox"] == report.trials
         # the start point at mu = 0.9 / 2^l for l = 0..L (the initial search,
         # whose last mu is mu0), each evaluated trial at the step's mu, and
-        # each accepted point but the last at the next mu
+        # each accepted point at the next mu
         searched = 1 + round(math.log2(0.9 / report.mu0))
-        assert counts["exp"] == searched + evaluated + report.iterations - 1
+        assert counts["exp"] == searched + evaluated + report.iterations
         # a run cut by max_outer forms no state after its last row either
         counts.update(f=0, G_adj=0, exp=0)
         capped = run(prob, SolverConfig(eps=1e-16, max_outer=7), np.zeros(6))
         assert capped.status is SolveStatus.MAX_OUTER
-        assert counts["G_adj"] == 2 * capped.iterations
+        assert counts["G_adj"] == 1 + capped.iterations
         assert counts["f"] == 1 + capped.trials
         evaluated = sum(row.j_k + 1 - row.i_k for row in capped.trace)
-        assert counts["exp"] == searched + evaluated + capped.iterations - 1
+        assert counts["exp"] == searched + evaluated + capped.iterations
+        # a stall advance forms the smoothing gradient again at the new mu
+        base = stalling_norm_ball()
+        adjoints = []
+        stalling = dataclasses.replace(base, g=dataclasses.replace(
+            base.g, adjoint_apply=lambda x, v: adjoints.append(1) or base.g.adjoint_apply(x, v)))
+        stalled = run(stalling, SolverConfig(eps=1e-5, schedule=power_schedule(0.5)),
+                      np.zeros(5))
+        assert stalled.status is SolveStatus.CONVERGED and stalled.advances > 0
+        assert len(adjoints) == 1 + stalled.iterations + stalled.advances
 
     def test_descent_failure_skips_constraint_and_cone(self):
         # a small objective weight overshoots the minimizer, and at a small mu

@@ -1,4 +1,4 @@
-"""The bit-identity check in ``tools/trace_digests.py``, the line counter
+"""The bit-identity checks in ``tools/trace_digests.py``, the line counter
 ``tools/code_lines.py`` and the pair runner ``tools/bench_pairs.py``."""
 
 import dataclasses
@@ -45,6 +45,26 @@ def test_digest_reads_every_column_but_elapsed(monkeypatch):
         assert digest(with_trace(bumped)) != base, name
 
 
+def test_iterate_digest_skips_the_certificate_columns(monkeypatch):
+    # rho, term_slack and elapsed_s may move with the iterates unchanged;
+    # one ulp (or one count) in any other column of one row shows
+    spec = importlib.util.spec_from_file_location("trace_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cfg = SolverConfig(eps=1e-7, schedule=power_schedule(0.9))
+    report = run(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), cfg, np.zeros(2))
+    trace = report.trace
+    assert len(trace) > 2
+    with_trace = lambda rows: dataclasses.replace(report, trace=rows)
+    base = tool.iterate_digest(report)
+    assert base != trace_digest(monkeypatch)(report)
+    for name, value in trace[1]._asdict().items():
+        moved = math.nextafter(value, math.inf) if isinstance(value, float) else value + 1
+        bumped = [trace[0], trace[1]._replace(**{name: moved}), *trace[2:]]
+        changed = tool.iterate_digest(with_trace(bumped)) != base
+        assert changed == (name not in ("rho", "term_slack", "elapsed_s")), name
+
+
 def test_prints_one_line_per_solve():
     # the three workloads under the default schedule, then the desk panel
     # under each schedule variant
@@ -56,10 +76,15 @@ def test_prints_one_line_per_solve():
         + [("socp-dc", default)] * 2 + [("nsdp-desk", "schedule=power(0.5)")] * 5
         + [("nsdp-desk", "schedule=blockwise(0.9)")] * 5
         + [("nsdp-desk", "schedule=ramped_log(0.6,3.0)")] * 5)
-    # desk instance 15 runs power(0.5) to max_outer, through chunks 0-4
-    capped = [line.split()[2] for line in out if line.split()[3] != "converged"]
-    assert capped == ["instance=15"]
-    assert "max_outer steps=5000 " in out[12]
+    # every solve converges; desk instance 15 under power(0.5) stops after
+    # its stall advances (it ran to max_outer, 5,000 steps, without them)
+    assert all(line.split()[3] == "converged" for line in out)
+    assert "instance=15 converged steps=168 " in out[12]
+    # each line carries both digests, the iterate one after the trace one
+    for line in out:
+        trace, iterates = line.split()[6:8]
+        assert trace.startswith("trace=") and iterates.startswith("iterates=")
+        assert len(trace) == 6 + 64 and len(iterates) == 9 + 64
 
 
 def test_refuses_a_src_without_smba(tmp_path):

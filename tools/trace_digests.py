@@ -15,12 +15,15 @@ imported from ``DIR`` (default: this checkout's ``src``), so the same panels
 can be solved by another source tree, such as a checkout of the parent
 commit.  Each line reads::
 
-    <workload> seed=<s> instance=<i> <status> steps=<n> objective=<hex> trace=<sha256> schedule=<name>
+    <workload> seed=<s> instance=<i> <status> steps=<n> objective=<hex> trace=<sha256> iterates=<sha256> schedule=<name>
 
 where the objective is written by ``float.hex`` and the trace digest is
 ``perfbench/harness.py``'s ``trace_digest``, the one ``perfbench/run.py``
 prints: a sha256 over every trace column except ``elapsed_s``, row by row.
-Two trees whose outputs are identical give bit-identical traces.  The tool
+The iterate digest is taken the same way over every column except
+``rho``, ``term_slack`` and ``elapsed_s``: the columns a change to the KKT
+certificate alone leaves as they were.  Two trees whose outputs are
+identical give bit-identical traces.  The tool
 exits with status 2, printing nothing, unless ``DIR/smba/__init__.py``
 exists and is the module imported.
 """
@@ -28,6 +31,7 @@ exists and is the module imported.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -75,8 +79,25 @@ def main(argv=None) -> int:
                 print(f"{workload.name} seed={seed} instance={inst.seed} {report.status.value} "
                       f"steps={len(report.trace)} objective={float(report.objective).hex()} "
                       f"trace={harness.trace_digest(report)} "
+                      f"iterates={iterate_digest(report)} "
                       f"schedule={schedule_name(cfg.schedule)}", flush=True)
     return 0
+
+
+# the certificate's columns, and the wall clock
+NOT_ITERATES = ("rho", "term_slack", "elapsed_s")
+
+
+def iterate_digest(report) -> str:
+    """sha256 of the trace without the ``NOT_ITERATES`` columns, written as
+    ``harness.trace_digest`` writes its rows: a header, then one line per
+    step, floats by ``repr``."""
+    from smba.solver import TRACE_COLUMNS
+    keep = [i for i, name in enumerate(TRACE_COLUMNS) if name not in NOT_ITERATES]
+    h = hashlib.sha256((",".join(TRACE_COLUMNS[i] for i in keep) + "\n").encode())
+    for row in report.trace:
+        h.update((",".join(repr(row[i]) for i in keep) + "\n").encode())
+    return h.hexdigest()
 
 
 def schedule_name(spec) -> str:
