@@ -17,38 +17,39 @@ quadratic between sorted soft-threshold breakpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .cones import count_nonzero
 from .errors import InfeasibleStartError, NumericError
-from .problems import L1Regularizer
+from .problems import _SIGNS, L1Regularizer
 
 PHI_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class BallConstraint:
     """Feasible ball of one subproblem.
 
     ``curvature`` is the quadratic weight L_g / mu of the majorant that the
     ball came from; the constraint function is
-    ``(curvature / 2) (||x - center||^2 - radius^2)``.
+    ``(curvature / 2) (||x - center||^2 - radius^2)``.  The constructor
+    raises ValueError unless the radius and the curvature are positive.  A
+    slotted record, one per linesearch trial: its fields are set once here
+    and only read after.
     """
 
-    center: np.ndarray
-    radius: float
-    curvature: float
+    __slots__ = ("center", "radius", "curvature")
 
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
-        if not (self.curvature > 0):
+    def __init__(self, center, radius, curvature):
+        if not (radius > 0):
+            raise ValueError(f"ball radius must be positive, got {radius}")
+        if not (curvature > 0):
             raise ValueError("curvature weight must be positive")
+        self.center, self.radius, self.curvature = center, radius, curvature
 
 
-@dataclass(frozen=True)
-class SubproblemResult:
+class SubproblemResult(NamedTuple):
     x: np.ndarray
     lam: float
 
@@ -70,7 +71,7 @@ def build_ball(x_k, grad_gmu, grad_sq, gmu_val, L_g, mu) -> BallConstraint:
     scale = mu / L_g
     center = x_k - scale * grad_gmu
     radius = scale * math.sqrt(grad_sq - 2.0 * (L_g / mu) * gmu_val)
-    return BallConstraint(center=center, radius=radius, curvature=L_g / mu)
+    return BallConstraint(center, radius, L_g / mu)
 
 
 def _path_point(p1, a, L_f, ball: BallConstraint, lam: float) -> np.ndarray:
@@ -101,7 +102,9 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     path point at 0 is then ``x(0)`` itself.  For ``P1 = 0`` the prox
     gradient point is formed once and the multiplier is closed-form.
     ``x_k`` and ``q`` are float vectors, and ``p1`` is a ``ZeroRegularizer``
-    or an ``L1Regularizer``, as ``DCProblem`` requires.
+    or an ``L1Regularizer``, as ``DCProblem`` requires.  A multiplier that
+    is not finite, as from a distance or l1 sums that overflow, raises
+    NumericError before any point is formed from it.
     """
     a = L_f * x_k - q
     R = ball.radius
@@ -111,29 +114,25 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     if not l1:
         x0 = _path_point(p1, a, L_f, ball, 0.0)
         gap = x0 - ball.center
-        dist = math.sqrt(gap.dot(gap))
+        dist = math.sqrt(np.vdot(gap, gap))  # vdot overflows silently
     while margin < R:
         radius = R - margin
         if l1:
-            lam = _l1_multiplier(p1.weights, a, ball.center, float(L_f), radius) / ball.curvature
-            x = _path_point(p1, a, L_f, ball, lam)
+            lam = _l1_multiplier(p1.thresholds, a, ball.center, float(L_f), radius) / ball.curvature
         elif dist <= radius:
-            x, lam = x0, 0.0
+            lam = 0.0
         else:
             # P1 = 0: x(nu) - center = L_f (x0 - center) / (L_f + nu)
-            nu = L_f * (dist / radius - 1.0)
-            lam = float(nu / ball.curvature)
-            x = ball.center + (radius / dist) * gap
+            lam = float(L_f * (dist / radius - 1.0) / ball.curvature)
+        if not lam < math.inf:  # a NaN too
+            raise NumericError("ball subproblem terms overflow the float range")
+        x = (_path_point(p1, a, L_f, ball, lam) if l1 else x0 if dist <= radius
+             else ball.center + (radius / dist) * gap)
         x_gap = x - ball.center
         if math.sqrt(x_gap.dot(x_gap)) < R:
-            return SubproblemResult(x=x, lam=lam)
+            return SubproblemResult(x, lam)
         margin = max(2.0 * margin, math.ulp(R))
     raise NumericError("ball subproblem has no point strictly inside the ball at double precision")
-
-
-# row signs of the (2, n) prelude of _l1_multiplier: row 0 is the +w
-# threshold, row 1 the -w one
-_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _double_sum(terms):
@@ -149,7 +148,7 @@ def _double_sum(terms):
     return hi, math.fsum(terms + [-hi])
 
 
-def _l1_multiplier(w, a, c, L_f, R):
+def _l1_multiplier(thresholds, a, c, L_f, R):
     """Smallest ``nu = lam * curvature >= 0`` with ``||x(nu) - c|| <= R`` on the l1 path.
 
     With ``s = a + nu c`` and ``a = L_f x_k - q``, coordinate i of the path
@@ -166,7 +165,8 @@ def _l1_multiplier(w, a, c, L_f, R):
     piece, and the clamp returns exactly 0.0.
 
     The per-coordinate terms are formed on one ``(2, n)`` layout, row 0 for
-    the +w threshold and row 1 for the -w one, and sorted once; one pass
+    the +w threshold and row 1 for the -w one, as in ``thresholds``, the
+    ``L1Regularizer`` attribute of that name, and sorted once; one pass
     over the sorted breakpoints in Python floats stops at the root's piece,
     which is nearly always among the first few.  P and Q are carried as
     double-doubles (``hi + lo``): the start sums by ``_double_sum``, each
@@ -176,12 +176,12 @@ def _l1_multiplier(w, a, c, L_f, R):
     orders of magnitude before the root's piece.
     """
     n = a.size
-    S = _SIGNS * w - a  # w - s and -w - s at nu = 0
+    S = thresholds - a  # w - s and -w - s at nu = 0
     T2 = S + L_f * c
     T2 *= T2  # alpha^2: above the dead zone in row 0, below it in row 1
     # region just right of nu = 0: above where S[0] < 0, below where
     # S[1] > 0; a tie on a boundary (S == 0, rare) moves in the direction of c
-    ties = np.count_nonzero(S) < 2 * n
+    ties = count_nonzero(S) < 2 * n
     outside = (np.where(S != 0.0, S, -c) if ties else S) * _SIGNS < 0.0
     P, P_lo = _double_sum(T2[outside].tolist())
     # no coordinate is both above and below, so the dead zone is where the
@@ -193,7 +193,7 @@ def _l1_multiplier(w, a, c, L_f, R):
     # region in the direction of c_i.  The stable sort breaks ties by
     # position; a knot that overflows to inf only splits the last piece.  A
     # coordinate on the center (c_i == 0, rare) never crosses: its knots are 0
-    on_center = np.count_nonzero(c) < n
+    on_center = count_nonzero(c) < n
     knots = (np.divide(S, c, out=np.zeros((2, n)), where=c != 0.0) if on_center
              else S / c).ravel()
     keep = (knots > 0.0).nonzero()[0]

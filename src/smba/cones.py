@@ -36,6 +36,11 @@ import math
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+try:  # the C function behind np.count_nonzero, without its two Python-level calls
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import count_nonzero
+
 MU_FLOOR = 1e-12
 SYMMETRY_TOL = 1e-10
 DEFAULT_SHIFT = 1e-5
@@ -67,9 +72,10 @@ def all_finite(v) -> bool:
 
 def _shifted_logsumexp(v, top, mu):
     """Temperature log-sum-exp ``top + mu * log(sum_i exp((v_i - top) / mu))``
-    of a checked finite vector ``v`` with ``top = max(v)`` and a checked
-    ``mu``, with its softmax weights.  The shift keeps every exponent
+    of a checked finite vector ``v`` with ``top = max(v)``, with its softmax
+    weights; ``mu`` passes ``_checked_mu``.  The shift keeps every exponent
     nonpositive, so the evaluation cannot overflow even for mu near 1e-12."""
+    mu = _checked_mu(mu)
     expo = np.exp((v - top) / mu)
     total = float(np.add.reduce(expo))
     return top + mu * math.log(total), expo / total
@@ -110,7 +116,7 @@ def symmetrized(y):
     ``||y - y'||_F`` exceeds ``SYMMETRY_TOL * (1 + ||y||_F)``.  For an exactly
     symmetric ``y``, ``0.5 * (y + y)`` is ``y`` bit for bit."""
     yt = y.swapaxes(-1, -2)
-    if not np.count_nonzero(y != yt):
+    if not count_nonzero(y != yt):
         return y
     skew = np.ravel(np.linalg.norm(y - yt, axis=(-2, -1)))
     bad = (skew > SYMMETRY_TOL * (1.0 + np.ravel(np.linalg.norm(y, axis=(-2, -1))))).nonzero()[0]
@@ -125,7 +131,11 @@ class ConePoint:
 
     ``support`` is the support value; ``value(mu)`` (with the ``alpha4 * mu``
     shift) and ``gradient(mu)`` evaluate the smoothed kernel at any mu from
-    the stored decomposition.
+    the stored decomposition, and raise ValueError for a mu outside
+    ``[MU_FLOOR, inf)`` (``_checked_mu``).  The linesearch asks each trial's
+    point for its value and the accepted one for its gradient, so a
+    log-sum-exp point answers a repeated mu from its kept exp pass with no
+    further call.
     """
 
     support: float
@@ -142,43 +152,42 @@ class _LogSumExpPoint(ConePoint):
     its softmax.
 
     ``support``, the maximum of the values, is both the support value and
-    the shift of every exp pass.  The last ``(mu, value, weights)`` is kept,
-    so ``value`` and ``gradient`` at the same mu share one exp pass.
+    the shift of every exp pass.  The last ``mu`` and its ``(value,
+    weights)`` are kept, so ``value`` and ``gradient`` at the same mu share
+    one exp pass; each asks ``_shifted_logsumexp`` directly, which checks
+    ``mu``, and only when ``mu`` is new.  ``vecs`` is None here and the
+    eigenvectors of a spectral point.
     """
 
-    def __init__(self, vals, support, alpha4):
+    def __init__(self, vals, support, alpha4, vecs=None):
         self.vals = vals
         self.alpha4 = alpha4
         self.support = support
+        self.vecs = vecs
         self._mu = None
 
-    def _logsumexp(self, mu):
-        if mu != self._mu:
-            self._lse = _shifted_logsumexp(self.vals, self.support, mu)
-            self._mu = mu
-        return self._lse
-
     def value(self, mu):
-        mu = _checked_mu(mu)
-        return self._logsumexp(mu)[0] + self.alpha4 * mu
+        if mu != self._mu:
+            self._lse, self._mu = _shifted_logsumexp(self.vals, self.support, mu), mu
+        return self._lse[0] + self.alpha4 * mu
 
     def gradient(self, mu):
+        if mu != self._mu:
+            self._lse, self._mu = _shifted_logsumexp(self.vals, self.support, mu), mu
         # a copy, so a caller that writes into it cannot change the kept weights
-        return self._logsumexp(_checked_mu(mu))[1].copy()
+        return self._lse[1].copy()
 
 
 class _SpectralPoint(_LogSumExpPoint):
     """Log-sum-exp over a spectrum (descending), gradient ``V diag(softmax) V'``."""
 
-    def __init__(self, vals, vecs, alpha4):
-        super().__init__(vals, float(vals[0]), alpha4)
-        self.vecs = vecs
-
     def gradient(self, mu):
+        if mu != self._mu:
+            self._lse, self._mu = _shifted_logsumexp(self.vals, self.support, mu), mu
         # R R' with R = V diag(sqrt(softmax)): numpy runs a product of an
         # array with its own transpose as one syrk, which is exactly
         # symmetric; softmax weights below machine epsilon are harmless
-        R = self.vecs * np.sqrt(self._logsumexp(_checked_mu(mu))[1])
+        R = self.vecs * np.sqrt(self._lse[1])
         return R @ R.T
 
 
@@ -268,7 +277,7 @@ class NegSemidef(ConeBaseOracle):
         it is reversed to descending, and its first entry is the support value.
         """
         vals, vecs = self._eigh(symmetrized(checked_array(y, (self.m, self.m))))
-        return _SpectralPoint(vals[::-1], vecs[:, ::-1], self.alpha4)
+        return _SpectralPoint(vals[::-1], vals.item(-1), self.alpha4, vecs[:, ::-1])
 
 
 class PCone(ConeBaseOracle):

@@ -20,6 +20,9 @@ from .cones import (ConeBaseOracle, NegSemidef, NonposOrthant, PCone, all_finite
                     symmetrized)
 from .errors import UnsupportedFamilyError
 
+# row signs of the (2, n) soft-threshold breakpoints: row 0 is +w, row 1 -w
+_SIGNS = np.array([[1.0], [-1.0]])
+
 
 @dataclass(frozen=True)
 class SmoothObjective:
@@ -43,13 +46,24 @@ class ZeroRegularizer:
 
 
 class L1Regularizer:
-    """Weighted l1 term with componentwise soft-threshold prox."""
+    """Weighted l1 term with componentwise soft-threshold prox.
+
+    ``thresholds`` holds the rows ``(w, -w)`` of the soft threshold's two
+    breakpoints, which the ball subproblem reads on every trial.  It is
+    formed once each time ``weights`` is assigned, so a caller that assigns
+    new weights never leaves it stale.
+    """
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
         if not ((w >= 0) & (w < math.inf)).all():
             raise ValueError("l1 weights must be finite nonnegative numbers")
         self.weights = w
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "weights":
+            super().__setattr__("thresholds", _SIGNS * value)
 
     def value(self, x):
         return float(np.add.reduce(self.weights * np.abs(x)))

@@ -60,7 +60,8 @@ after its last row.  Each oracle output is scanned for NaN and inf once; the
 f gradient, the P2 subgradient and the adjoint output are checked for the
 shape ``(n,)``, a real dtype and a squared norm that does not overflow, and
 the f and P2 values become Python floats, or end the run unless they are
-real scalars.
+real scalars (a bool or a complex number is not; a Python float passes as
+it is, with no further call).
 
 The stop test can only pass once the slack falls with mu, and the
 ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
@@ -320,19 +321,27 @@ def _cone_point(prob: DCProblem, y, where: str) -> ConePoint:
 
 def _scalar(name: str, value, where: str) -> float:
     """``value`` as a Python float; raises NumericError naming ``name`` and
-    ``where`` unless it is a real scalar."""
+    ``where`` unless it is a real scalar: a bool, a complex number and a
+    value of a non-real numpy dtype are not, so a complex value is not read
+    as its real part."""
     try:
-        return float(value)
+        if not isinstance(value, (bool, complex)) and (
+                real_dtype(value) or not hasattr(value, "dtype")):
+            return float(value)
     except (TypeError, ValueError):
-        raise NumericError(
-            f"{name} is not a real scalar at {where}: {reprlib.repr(value)}") from None
+        pass
+    raise NumericError(f"{name} is not a real scalar at {where}: {reprlib.repr(value)}")
 
 
 def _objective(prob: DCProblem, x, where: str) -> Tuple[float, float]:
     """``(f(x), psi(x))`` as Python floats, psi summed in ``objective_value``'s
-    order; the f value and the P2 value pass ``_scalar``."""
-    f = _scalar("f value", prob.f.value(x), where)
-    return f, f + prob.p1.value(x) - _scalar("P2 value", prob.p2.value(x), where)
+    order; an f value or P2 value that is not a Python float passes
+    ``_scalar``."""
+    f = prob.f.value(x)
+    if type(f) is not float:
+        f = _scalar("f value", f, where)
+    psi, p2 = f + prob.p1.value(x), prob.p2.value(x)
+    return f, psi - (p2 if type(p2) is float else _scalar("P2 value", p2, where))
 
 
 def _start_point(prob: DCProblem, x0) -> ConePoint:
@@ -373,11 +382,11 @@ def bb_init(dx, dx2, df, dg, Lf0, Lg0, cfg: SolverConfig):
     lo, hi = cfg.L_min, cfg.L_max
     Lf0, Lg0 = max(lo, 0.5 * Lf0), max(lo, 0.5 * Lg0)
     if math.sqrt(dx2) > 1e-12:
-        inside = lambda r: math.isfinite(r) and lo <= r <= hi
+        # L_max is finite, so a NaN or inf ratio is not inside
         ratio_f = abs(float(dx.dot(df))) / dx2
         ratio_g = math.sqrt(float(dg.dot(dg)) / dx2)
-        Lf0 = ratio_f if inside(ratio_f) else Lf0
-        Lg0 = ratio_g if inside(ratio_g) else Lg0
+        Lf0 = ratio_f if lo <= ratio_f <= hi else Lf0
+        Lg0 = ratio_g if lo <= ratio_g <= hi else Lg0
     return Lf0, Lg0
 
 
@@ -461,22 +470,21 @@ def inner_loop_step(state: IterateState, prob: DCProblem, cfg: SolverConfig) -> 
         except OverflowError:
             raise NumericError("linesearch weight overflowed") from None
         ball = build_ball(state.x, state.grad_gmu, grad_sq, state.gmu, Lg, state.mu)
-        sub = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
-        dx = sub.x - state.x
+        x, lam = solve_ball_prox(prob.p1, state.x, q, Lf, ball)
+        dx = x - state.x
         step2 = float(dx.dot(dx))
-        f_cand, psi_cand = _objective(prob, sub.x, "a trial point")  # f kept for the secant
-        decrease = (cfg.tau1 * state.mu + cfg.tau2 * sub.lam) / (2.0 * state.mu) * step2
+        f_cand, psi_cand = _objective(prob, x, "a trial point")  # f kept for the secant
+        decrease = (cfg.tau1 * state.mu + cfg.tau2 * lam) / (2.0 * state.mu) * step2
         finite = math.isfinite(psi_cand)
         if psi_cand <= state.psi - decrease or not finite:
-            y = prob.g.value(sub.x)
+            y = prob.g.value(x)
             point = _cone_point(prob, y, "a trial point")
             gmu_cand = point.value(state.mu)
             if gmu_cand <= 0.0:
                 if not finite:
                     raise NumericError("objective value is not finite at a trial point")
-                return InnerResult(x=sub.x, dx=dx, step2=step2, lam=sub.lam, Lf=Lf, Lg=Lg,
-                                   i=i, j=j, gmu=gmu_cand, f=f_cand, psi=psi_cand, y=y,
-                                   point=point)
+                return InnerResult(x, dx, step2, lam, Lf, Lg, i, j, gmu_cand, f_cand,
+                                   psi_cand, y, point)
             b += _secant_rise(gmu_cand - state.gmu - float(state.grad_gmu.dot(dx)),
                               abs(gmu_cand) + abs(state.gmu), step2, state.mu,
                               state.Lg0, b, above=True)
@@ -550,12 +558,9 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             if sigma_next > FEASIBILITY_SLACK * (1.0 + abs(state.gmu)):
                 raise NumericError("exact feasibility lost")
 
-            trace.append(TraceRow(
-                k=k, psi=inner.psi, g_mu=inner.gmu, sigma_B=sigma_next, mu=state.mu,
-                lam=inner.lam, Lf=inner.Lf, Lg=inner.Lg, i_k=inner.i, j_k=inner.j,
-                term_step=step, term_slack=slack, rho=kkt.rho,
-                elapsed_s=time.perf_counter() - t0,
-            ))
+            trace.append(TraceRow(k, inner.psi, inner.gmu, sigma_next, state.mu, inner.lam,
+                                  inner.Lf, inner.Lg, inner.i, inner.j, step, slack, kkt.rho,
+                                  time.perf_counter() - t0))
             x, psi, cert = x_next, inner.psi, kkt
 
             if x_norm > DIVERGENCE_NORM:

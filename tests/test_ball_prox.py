@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -166,7 +167,7 @@ def reference_solve_ball_prox(p1, x_k, q, L_f, ball):
         if dist <= radius:
             x, lam = x0, 0.0
         elif isinstance(p1, L1Regularizer):
-            nu = _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, float(L_f), radius)
+            nu = _l1_multiplier(p1.thresholds, L_f * x_k - q, ball.center, float(L_f), radius)
             lam = nu / ball.curvature
             x = reference_path_point(p1, x_k, q, L_f, ball, lam)
         else:
@@ -246,8 +247,9 @@ def exact_l1_roots(w, a, c, L_f, R, widen=4 * EPS):
 def assert_l1_multiplier_accurate(args, rel=1e-12):
     """``_l1_multiplier`` between the exact roots for the radius rounded
     either way, within ``rel``; and within ``rel`` of the reference scan
-    plus the width of that bracket."""
-    got = _l1_multiplier(*args)
+    plus the width of that bracket.  ``args`` starts with the weights, which
+    ``_l1_multiplier`` reads as the thresholds ``L1Regularizer`` holds."""
+    got = _l1_multiplier(L1Regularizer(args[0]).thresholds, *args[1:])
     lo, hi = exact_l1_roots(*args)
     assert lo * (1 - rel) <= got <= hi * (1 + rel)
     ref = reference_l1_multiplier(*args)
@@ -458,7 +460,7 @@ class TestSolveBallProx:
         p1 = L1Regularizer(np.full(3, 1.0))
         ball = BallConstraint(center=np.array([0.5, 0.25, -0.5]), radius=2.0, curvature=3.0)
         x_k, q, L_f = np.array([1.0, 0.0, -1.0]), np.array([-1.0, 0.2, 0.0]), 2.0
-        assert _l1_multiplier(p1.weights, L_f * x_k - q, ball.center, L_f, ball.radius) == 0.0
+        assert _l1_multiplier(p1.thresholds, L_f * x_k - q, ball.center, L_f, ball.radius) == 0.0
         res = solve_ball_prox(p1, x_k, q, L_f, ball)
         assert res.lam == 0.0
         assert np.array_equal(res.x, prox_path_point(p1, x_k, q, L_f, ball, 0.0))
@@ -641,7 +643,7 @@ class TestSolveBallProx:
         # distance to c is exactly R there: the whole first piece is a root,
         # and the smallest is 0
         w, a, c = np.array(w), np.array(a), np.array(c)
-        nu = _l1_multiplier(w, a, c, 1.0, R)
+        nu = _l1_multiplier(L1Regularizer(w).thresholds, a, c, 1.0, R)
         assert nu == 0.0 and type(nu) is float
         # a ball whose radius less the solver's margin is exactly R: x(0) is
         # strictly inside it, so the multiplier is 0
@@ -714,6 +716,21 @@ class TestSolveBallProx:
         res = solve_ball_prox(p1, x_k, rng.normal(0, 1, n), 2.7e11, ball)
         assert float(np.linalg.norm(res.x - center)) < R
         assert res.lam > 0.0 and math.isfinite(res.lam)
+
+    @pytest.mark.parametrize("p1", [ZeroRegularizer(), L1Regularizer([1.0, 1.0])],
+                             ids=["zero", "l1"])
+    def test_overflowing_multiplier_raises_without_warning(self, p1):
+        # a = 1e200 puts x(0) at a distance whose square overflows (P1 = 0),
+        # and a = 1e150 the l1 root's sqrt(P / R^2) past the float range: an
+        # infinite multiplier, which the subproblem returned (P1 = 0) or
+        # formed a NaN path point from (l1), after overflow warnings
+        a = np.full(2, 1e200 if isinstance(p1, ZeroRegularizer) else 1e150)
+        ball = BallConstraint(center=np.zeros(2), radius=1e-5, curvature=1.0)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="ball subproblem terms overflow the float"):
+                solve_ball_prox(p1, np.zeros(2), -a, 1.0, ball)
+        assert [str(w.message) for w in seen] == []
 
     def test_invalid_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import weakref
@@ -75,6 +76,17 @@ class TestRegularizers:
     def test_l1_nan_weight_rejected(self, weights):
         with pytest.raises(ValueError, match="nonnegative numbers"):
             L1Regularizer(weights)
+
+    def test_l1_thresholds_follow_the_weights(self):
+        # the (w, -w) rows the ball subproblem reads are formed whenever the
+        # weights are assigned, in the constructor or later, and a copy
+        # carries them
+        p1 = L1Regularizer([1.0, 0.0, 2.5])
+        np.testing.assert_array_equal(p1.thresholds, [[1.0, 0.0, 2.5], [-1.0, -0.0, -2.5]])
+        other = copy.copy(p1)
+        other.weights = np.array([0.5, 3.0, 0.0])
+        np.testing.assert_array_equal(other.thresholds, [[0.5, 3.0, 0.0], [-0.5, -3.0, -0.0]])
+        np.testing.assert_array_equal(p1.thresholds[0], p1.weights)
 
 
 class TestConcaveTerms:

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smba
 import smba.solver
 from smba import cones
 from smba.ball_prox import SubproblemResult
@@ -857,6 +859,70 @@ class TestRunFailureModes:
             assert (report.iterations > 0) == (start > 1)
             json.dumps(report.to_dict(), allow_nan=False)
 
+    @pytest.mark.parametrize("oracle, name", [("f.value", "f value"), ("p2.value", "P2 value")])
+    @pytest.mark.parametrize("fault", [
+        lambda value: np.complex128(value + 5j), lambda value: np.array(value + 5j),
+        lambda value: np.bool_(value < 1.0), lambda value: value < 1.0,
+    ], ids=["complex", "complex-0d", "numpy-bool", "bool"])
+    def test_complex_or_bool_objective_part_becomes_status(self, oracle, name, fault):
+        # a numpy complex f or P2 value was read as its real part, with a
+        # ComplexWarning, and a bool as 0 or 1, and the box run reported
+        # converged; from x0 or a linesearch trial, each now ends named, with
+        # no warning
+        for start, where in ((1, "x0"), (4, "a trial point")):
+            prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), oracle, start, fault)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                report = run(prob, SolverConfig(schedule=power_schedule(0.9)), np.zeros(2))
+            assert [str(w.message) for w in seen] == []
+            assert report.status is SolveStatus.NUMERIC_FAILURE
+            assert report.reason.startswith(f"{name} is not a real scalar at {where}: ")
+            assert (report.iterations > 0) == (start > 1)
+
+    def test_real_objective_parts_pass_and_floats_skip_the_check(self, monkeypatch):
+        # a numpy float, a 0-d float array or a Python int still passes as
+        # the same float; a plain Python float, what every built-in oracle
+        # returns, does not reach _scalar at all
+        prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
+        cfg = SolverConfig(schedule=power_schedule(0.9))
+        plain = run(prob, cfg, np.zeros(2))
+        assert plain.status is SolveStatus.CONVERGED
+        for oracle, fault in (("f.value", np.float64), ("f.value", np.array),
+                              ("p2.value", np.float64), ("p2.value", int)):
+            report = run(with_fault(prob, oracle, 1, fault), cfg, np.zeros(2))
+            assert [row[:-1] for row in report.trace] == [row[:-1] for row in plain.trace]
+
+        def refuse(*args):
+            raise AssertionError("a Python float reached _scalar")
+
+        monkeypatch.setattr(smba.solver, "_scalar", refuse)
+        for prob in (prob, socp_dc_shaped(), nsdp_problem(generate_nsdp(6, 4, 1))):
+            assert run(prob, SolverConfig(eps=1e-5), np.zeros(prob.dim)).status is \
+                SolveStatus.CONVERGED
+
+    @pytest.mark.parametrize("prob, oracle, steps", [
+        (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), "f.gradient", 2),
+        (norm_ball_problem([1.0, 2.0], 1.0), "f.gradient", 2),
+        (nsdp_problem(generate_nsdp(8, 4, 1)), "f.gradient", 0),
+        (nsdp_problem(generate_nsdp(8, 4, 1)), "p2.subgradient", 0),
+    ], ids=["box", "norm_ball", "nsdp-f", "nsdp-p2"])
+    def test_overflowing_ball_subproblem_named_without_warning(self, prob, oracle, steps):
+        # an f gradient or P2 subgradient of all 4e153 has a finite squared
+        # norm, so it passes _finite, but the subproblem's distance (P1 = 0)
+        # or l1 multiplier overflows.  The box run went on to max_outer, the
+        # norm-ball one to the mu floor, printing an overflow warning per
+        # step, and the NSDP runs blamed the ball's interior after 80
+        # warnings; each now ends where the multiplier overflows
+        faulty = with_fault(prob, oracle, 1, lambda out: np.full_like(out, 4e153))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            report = run(faulty, FAULT_CFG, np.zeros(prob.dim))
+        assert [str(w.message) for w in seen] == []
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason == "ball subproblem terms overflow the float range"
+        assert report.iterations == steps
+        json.dumps(report.to_dict(), allow_nan=False)
+
     @pytest.mark.parametrize("prob, fault", [
         (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.nan)),
         (box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), lambda y: np.full_like(y, np.inf)),
@@ -1202,6 +1268,30 @@ class TestCallCounts:
         assert res.i >= 2
         assert counts["f"] == res.j + 1  # one objective value per trial
         assert counts["G"] == counts["prepare"] == res.j + 1 - res.i
+
+    def test_python_calls_per_step_within_budget(self):
+        # Python calls whose code lies in the smba package, per accepted step
+        # of a pinned desk solve: 60.1 before the linesearch trial shed its
+        # per-call overhead (records built by keyword, frozen dataclasses, a
+        # four-deep call chain per cone-point evaluation), 50.4 after.  A
+        # change that adds a call per trial or per step must raise this
+        # budget and say why
+        package = os.path.dirname(smba.__file__) + os.sep
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls += 1
+
+        prob = nsdp_problem(generate_nsdp(20, 10, 1))
+        sys.setprofile(count)
+        try:
+            report = run(prob, SolverConfig(eps=1e-7), np.zeros(20))
+        finally:
+            sys.setprofile(None)
+        assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 213)
+        assert calls / report.iterations <= 50.5
 
 
 def recorded_run(prob, eps):

@@ -184,6 +184,46 @@ def test_pair_summary_marks_an_unresolved_wall():
         "resolution ±25%, unresolved)")
 
 
+def test_each_side_adds_its_untimed_best_pass(monkeypatch):
+    # after the perfbench run, a second interpreter in the same tree times
+    # untimed passes; its best joins the side's metrics, and the summary
+    # gives it a median, an IQR and a lower-count like every other metric
+    tool = bench_pairs()
+    commands = []
+
+    def canned(cmd, tree):
+        commands.append((cmd, tree))
+        return canned_run(0.40, 0.20, ["0.13"]) if len(commands) == 1 else "0.1113\n"
+
+    monkeypatch.setattr(tool, "checked_run", canned)
+    args = tool.argparse.Namespace(workload="nsdp-desk", seed=12, seconds=10.0)
+    metrics = tool.run_side(Path("/tree"), args)
+    assert metrics["untimed_best_s"] == (0.1113, "s")
+    untimed, tree = commands[1]
+    assert untimed[1:] == ["-c", tool.UNTIMED, "nsdp-desk", "12", str(tool.UNTIMED_PASSES)]
+    assert tree == Path("/tree") and tool.UNTIMED_PASSES == 7
+
+    def side(p50, best):
+        run = tool.parse_run(canned_run(0.37, p50, ["0.12"]))
+        run["untimed_best_s"] = (best, "s")
+        return run
+
+    pairs = [(side(0.17, 0.119), side(0.16, 0.112)), (side(0.17, 0.121), side(0.16, 0.111)),
+             (side(0.17, 0.120), side(0.16, 0.113))]
+    assert tool.summary(pairs)[-1] == (
+        "  untimed_best_s 0.12 -> 0.112 s (-6.7%; parent IQR 0.001; change lower in 3/3)")
+
+
+def test_untimed_probe_times_a_panel():
+    # the probe the runner starts in each tree: a warm-up pass, then the
+    # best of the given number of passes, in seconds
+    tool = bench_pairs()
+    done = subprocess.run([sys.executable, "-c", tool.UNTIMED, "socp-dc", "0", "2"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert 0.0 < float(done.stdout) < 1.0
+
+
 def test_pair_runner_refuses_a_parent_without_perfbench(tmp_path):
     done = subprocess.run([sys.executable, str(PAIRS), "--parent", str(tmp_path)],
                           capture_output=True, text=True)

@@ -14,7 +14,13 @@ times that tree's ``src``.
 For each pair it prints the end-to-end metrics of the last JSON line of
 each run, and the median of the raw wall times of its passes (the
 ``... s wall`` list), which ``perfbench`` rescales by calibration samples
-taken around each solve.  It then prints, for each metric, the medians
+taken around each solve.  Right after each run, a second interpreter in
+the same tree solves the same panel untimed: one warm-up pass, then
+``UNTIMED_PASSES`` passes in one process, each solving every instance once
+from the origin with no calibration and no tracing.  The best of them is
+``untimed_best_s``.  It reads the solver alone, so a shift in the speed of
+``perfbench``'s calibration kernel between two trees, which rescales every
+timed metric, does not move it.  It then prints, for each metric, the medians
 over the pairs, parent -> change, the change in percent, the spread
 between the quartiles of the parent's runs, and in how many pairs the
 change read lower.  ``perfbench`` prints each pass wall to 3 decimals, so
@@ -23,7 +29,8 @@ parent's median, and reads ``unresolved`` when that exceeds 1% (a
 ``socp-dc`` pass takes 1-2 ms, so its walls read 0.002 -> 0.002 whatever
 changed).
 
-The tool only runs ``perfbench`` and writes no file of its own.  It exits
+The tool only runs ``perfbench`` and the untimed passes, and writes no
+file of its own.  It exits
 with status 2, printing nothing, unless ``DIR/perfbench/run.py`` exists,
 and with status 1 as soon as a run fails its checks.
 """
@@ -42,6 +49,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WALL = re.compile(r"\(([^()]*) s wall\)")
 WALL_HALF_STEP = 0.0005  # the pass walls are printed to 3 decimals
+UNTIMED_PASSES = 7
+# run in a tree's root as ``python -c UNTIMED <workload> <seed> <passes>``;
+# prints the best pass time in seconds
+UNTIMED = """
+import os, sys, time
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+import smba
+from workloads import WORKLOADS, build_panel
+
+workload = WORKLOADS[sys.argv[1]]
+panel, _ = build_panel(workload, int(sys.argv[2]))
+cfg = smba.SolverConfig(eps=workload.eps)
+
+
+def one_pass():
+    t0 = time.perf_counter()
+    for inst in panel:
+        smba.run(inst.problem, cfg, np.zeros(inst.problem.dim))
+    return time.perf_counter() - t0
+
+
+one_pass()
+print(min(one_pass() for _ in range(int(sys.argv[3]))))
+"""
 
 
 def parse_run(stdout: str) -> dict:
@@ -83,15 +117,27 @@ def summary(pairs) -> list:
     return lines
 
 
-def run_side(tree: Path, args) -> dict:
-    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+def checked_run(cmd, tree: Path) -> str:
+    """The stdout of ``cmd`` run in ``tree``; exits with status 1, printing
+    the tail of its output, unless it exits 0."""
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         print(f"run in {tree} exited {done.returncode}:\n{done.stdout[-2000:]}"
               f"{done.stderr[-2000:]}", file=sys.stderr)
         raise SystemExit(1)
-    return parse_run(done.stdout)
+    return done.stdout
+
+
+def run_side(tree: Path, args) -> dict:
+    """The metrics of one ``perfbench`` run in ``tree``, then its
+    ``untimed_best_s``."""
+    metrics = parse_run(checked_run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"], tree))
+    best = checked_run([sys.executable, "-c", UNTIMED, args.workload, str(args.seed),
+                        str(UNTIMED_PASSES)], tree)
+    metrics["untimed_best_s"] = (float(best.strip().splitlines()[-1]), "s")
+    return metrics
 
 
 def main(argv=None) -> int:
