@@ -12,8 +12,9 @@ Three cone families are provided.  For each one the membership test
   smoothed by the hyperbolic perturbation ``sqrt(||y[:m]||^2 + mu^2)``.
 
 ``prepare(y)`` checks an argument and decomposes it once (one
-eigendecomposition for matrices); the returned point gives the support value
-and the smoothed value and gradient at any mu.  ``checked_array`` is the one
+eigendecomposition for matrices); the returned point, which never changes,
+gives the support value, the smoothed value ``value(mu)`` at any mu, and
+with ``smoothed(mu)`` that value and its gradient.  ``checked_array`` is the one
 test that an input is a finite real array of a given shape, ``real_dtype``
 its dtype rule, and ``symmetrized`` the one symmetry rule.
 
@@ -71,14 +72,16 @@ def all_finite(v) -> bool:
 
 
 def _shifted_logsumexp(v, top, mu):
-    """Temperature log-sum-exp ``top + mu * log(sum_i exp((v_i - top) / mu))``
-    of a checked finite vector ``v`` with ``top = max(v)``, with its softmax
-    weights; ``mu`` passes ``_checked_mu``.  The shift keeps every exponent
-    nonpositive, so the evaluation cannot overflow even for mu near 1e-12."""
+    """``(lse, expo, total)``: the temperature log-sum-exp ``lse = top + mu *
+    log(total)`` of a checked finite vector ``v`` with ``top = max(v)``, where
+    ``expo = exp((v - top) / mu)`` and ``total`` is its sum; the softmax
+    weights are ``expo / total``, formed only by a gradient.  ``mu`` passes
+    ``_checked_mu``.  The shift keeps every exponent nonpositive, so the
+    evaluation cannot overflow even for mu near 1e-12."""
     mu = _checked_mu(mu)
     expo = np.exp((v - top) / mu)
     total = float(np.add.reduce(expo))
-    return top + mu * math.log(total), expo / total
+    return top + mu * math.log(total), expo, total
 
 
 def real_dtype(v) -> bool:
@@ -127,15 +130,14 @@ def symmetrized(y):
 
 
 class ConePoint:
-    """A cone argument checked and decomposed once.
+    """A cone argument checked and decomposed once, and never changed after.
 
-    ``support`` is the support value; ``value(mu)`` (with the ``alpha4 * mu``
-    shift) and ``gradient(mu)`` evaluate the smoothed kernel at any mu from
-    the stored decomposition, and raise ValueError for a mu outside
-    ``[MU_FLOOR, inf)`` (``_checked_mu``).  The linesearch asks each trial's
-    point for its value and the accepted one for its gradient, so a
-    log-sum-exp point answers a repeated mu from its kept exp pass with no
-    further call.
+    ``support`` is the support value; ``value(mu)`` is the smoothed kernel
+    with the ``alpha4 * mu`` shift, and ``smoothed(mu)`` is that value with
+    the kernel's gradient, both from the stored decomposition.  Each raises
+    ValueError for a mu outside ``[MU_FLOOR, inf)`` (``_checked_mu``).  The
+    linesearch asks each trial's point for its value and an accepted one for
+    both, so ``value`` forms no gradient.
     """
 
     support: float
@@ -143,7 +145,7 @@ class ConePoint:
     def value(self, mu) -> float:
         raise NotImplementedError
 
-    def gradient(self, mu):
+    def smoothed(self, mu):
         raise NotImplementedError
 
 
@@ -152,11 +154,9 @@ class _LogSumExpPoint(ConePoint):
     its softmax.
 
     ``support``, the maximum of the values, is both the support value and
-    the shift of every exp pass.  The last ``mu`` and its ``(value,
-    weights)`` are kept, so ``value`` and ``gradient`` at the same mu share
-    one exp pass; each asks ``_shifted_logsumexp`` directly, which checks
-    ``mu``, and only when ``mu`` is new.  ``vecs`` is None here and the
-    eigenvectors of a spectral point.
+    the shift of every exp pass, which ``_shifted_logsumexp`` makes and
+    which checks ``mu``.  ``vecs`` is None here and the eigenvectors of a
+    spectral point.
     """
 
     def __init__(self, vals, support, alpha4, vecs=None):
@@ -164,31 +164,25 @@ class _LogSumExpPoint(ConePoint):
         self.alpha4 = alpha4
         self.support = support
         self.vecs = vecs
-        self._mu = None
 
     def value(self, mu):
-        if mu != self._mu:
-            self._lse, self._mu = _shifted_logsumexp(self.vals, self.support, mu), mu
-        return self._lse[0] + self.alpha4 * mu
+        return _shifted_logsumexp(self.vals, self.support, mu)[0] + self.alpha4 * mu
 
-    def gradient(self, mu):
-        if mu != self._mu:
-            self._lse, self._mu = _shifted_logsumexp(self.vals, self.support, mu), mu
-        # a copy, so a caller that writes into it cannot change the kept weights
-        return self._lse[1].copy()
+    def smoothed(self, mu):
+        lse, expo, total = _shifted_logsumexp(self.vals, self.support, mu)
+        return lse + self.alpha4 * mu, expo / total
 
 
 class _SpectralPoint(_LogSumExpPoint):
     """Log-sum-exp over a spectrum (descending), gradient ``V diag(softmax) V'``."""
 
-    def gradient(self, mu):
-        if mu != self._mu:
-            self._lse, self._mu = _shifted_logsumexp(self.vals, self.support, mu), mu
+    def smoothed(self, mu):
+        lse, expo, total = _shifted_logsumexp(self.vals, self.support, mu)
         # R R' with R = V diag(sqrt(softmax)): numpy runs a product of an
         # array with its own transpose as one syrk, which is exactly
         # symmetric; softmax weights below machine epsilon are harmless
-        R = self.vecs * np.sqrt(self._lse[1])
-        return R @ R.T
+        R = self.vecs * np.sqrt(expo / total)
+        return lse + self.alpha4 * mu, R @ R.T
 
 
 class _PConePoint(ConePoint):
@@ -206,12 +200,13 @@ class _PConePoint(ConePoint):
         mu = _checked_mu(mu)
         return math.sqrt(self.sq + mu * mu) - self.top + self.alpha4 * mu
 
-    def gradient(self, mu):
+    def smoothed(self, mu):
         mu = _checked_mu(mu)
+        root = math.sqrt(self.sq + mu * mu)
         grad = np.empty_like(self.y)
-        grad[:-1] = self.y[:-1] / math.sqrt(self.sq + mu * mu)
+        grad[:-1] = self.y[:-1] / root
         grad[-1] = -1.0
-        return grad
+        return root - self.top + self.alpha4 * mu, grad
 
 
 class ConeBaseOracle:

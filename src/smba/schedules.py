@@ -19,13 +19,15 @@ must not lie below the kernel's smoothing floor.
 Each value is ``mu0`` times factors that depend on the schedule's shape
 alone (every field but ``mu0``).  ``mu_at`` reads them from a bounded cache
 of fixed chunks keyed by the shape, so every run with that shape shares them
-whatever its ``mu0``.
+whatever its ``mu0``.  ``stall_index`` is the index that a run which has
+stalled at the current mu jumps to.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -180,3 +182,18 @@ def mu_at(spec: ScheduleSpec, k: int) -> float:
     mu = float(spec.mu0) * a[i]
     return mu if b is None else mu * b[i]
 
+
+def stall_index(spec: ScheduleSpec, s: int) -> int:
+    """The schedule index after a stall at index ``s``, where mu has fallen
+    clearly: the start of the next block for the block variants, which hold
+    mu nearly constant within a block, or for ``power`` the first index
+    where mu has halved, ``ceil((s + 1) 2^(1/r)) - 1``.  A halving index
+    past the float range (``r`` below about 1/1024) is not taken; the index
+    moves by one."""
+    if spec.variant != "power":
+        block = spec.n0 + 1
+        return (s // block + 1) * block
+    try:
+        return math.ceil((s + 1) * 2.0 ** (1.0 / spec.r)) - 1
+    except OverflowError:
+        return s + 1

@@ -37,42 +37,47 @@ The hand-off.  One step hands the next a frozen ``IterateState``: the
 accepted point, the next step's mu, the point's f, psi and smoothed value
 at that mu, the gradients of f and g_mu there, the P2 subgradient, and the
 next step's warm starts.  One builder forms it at x0 and at every accepted
-point; it checks that the smoothed value is negative, and the warm starts
-come from the accepted step's own ``dx``, ``||dx||^2`` and gradient
-changes, with the clipped 1.0 at x0.
+point.  It takes the smoothed value and the adjoint of the smoothing
+gradient that one ``smoothed(mu)`` call of the point's cone point gives
+(cone points hold no state, so nothing reads one back), checks that the
+smoothed value is negative, and forms the warm starts from the accepted
+step's own ``dx``, ``||dx||^2`` and gradient changes, with the clipped 1.0
+at x0.
 
 Each quantity of a step is formed once.  A trial evaluates f, P1 and P2 at
 its point, and, if it passes the descent test, ``G``, the cone point and
-``g_mu``; ``||grad g_mu(x_k)||^2`` is shared by every trial's ball.  The
-accepted trial carries its step ``dx`` and ``||dx||^2`` from the descent
-test to the certificate's step length and the next warm starts, and its f
-value, ``G`` value and cone point to the certificate, the exact feasibility
-check and the next step's smoothed value and gradient.  ``||x_{k+1}||``
-serves the stop test and the divergence guard.  An accepted point gets one
-f gradient, one smoothing gradient ``grad h_mu'(G(x_{k+1}))`` and one
-adjoint apply of it, at the next schedule value mu' (at the floor, where no
-step follows, the step's own mu).  The certificate's multiplier is
-``lam_k`` times that smoothing gradient, and the next step reads the same
-adjoint output as its ``grad g_mu'``; only a stall advance, which moves mu'
-on, forms them again at the new mu.  Only when another step will run does
-the point also get that step's P2 subgradient, so a run forms no state
-after its last row.  Each oracle output is scanned for NaN and inf once; the
-f gradient, the P2 subgradient and the adjoint output are checked for the
-shape ``(n,)``, a real dtype and a squared norm that does not overflow, and
-the f and P2 values become Python floats, or end the run unless they are
-real scalars (a bool or a complex number is not; a Python float passes as
-it is, with no further call).
+the value ``g_mu``, with no softmax weights; ``||grad g_mu(x_k)||^2`` is
+shared by every trial's ball.  The accepted trial carries its step ``dx``
+and ``||dx||^2`` from the descent test to the certificate's step length and
+the next warm starts, and its f value, ``G`` value and cone point to the
+certificate, the exact feasibility check and the next step's smoothed value
+and gradient.  ``||x_{k+1}||`` serves the stop test and the divergence
+guard.  An accepted point gets one f gradient, one ``smoothed`` call, which
+gives the next step's smoothed value and the smoothing gradient ``grad
+h_mu'(G(x_{k+1}))``, and one adjoint apply of it, at the next schedule
+value mu' (at the floor, where no step follows, the step's own mu).  The
+certificate's multiplier is ``lam_k`` times that smoothing gradient, and
+the next step reads the same adjoint output as its ``grad g_mu'``; only a
+stall advance, which moves mu' on, forms them again at the new mu.  Only
+when another step will run does the point also get that step's P2
+subgradient, so a run forms no state after its last row.  Each oracle
+output is scanned for NaN and inf once; the f gradient, the P2 subgradient
+and the adjoint output are checked for the shape ``(n,)``, a real dtype and
+a squared norm that does not overflow, and the f and P2 values become
+Python floats, or end the run unless they are real scalars (a bool or a
+complex number is not; a Python float passes as it is, with no further
+call).
 
 The stop test can only pass once the slack falls with mu, and the
 ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
 blocks of ``n0 + 1`` indices, while ``power`` lowers it ever more slowly.
 So when an accepted step meets the step test but not the slack test, the
 iterate has stalled at the current mu, and the schedule index advances
-further than by one: to the start of the next block, or for ``power``
-``mu0 (k+1)^-r`` to ``ceil((s + 1) 2^(1/r)) - 1``, the first index at which
-mu has halved.  The mu used is then a subsequence of the prescheduled one:
-still strictly decreasing to zero, with every iterate strictly feasible,
-for every variant.  The paper's complexity bound is stated for the
+further than by one, to ``schedules.stall_index``: the start of the next
+block, or for ``power`` the first index at which mu has halved.  The mu
+used is then a subsequence of the prescheduled one: still strictly
+decreasing to zero, with every iterate strictly feasible, for every
+variant.  The paper's complexity bound is stated for the
 prescheduled sequence itself.
 """
 
@@ -90,10 +95,11 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import MU_FLOOR, ConePoint, all_finite, checked_array, real_dtype
+from .cones import MU_FLOOR, ConePoint, checked_array, real_dtype
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
-from .schedules import ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule
+from .schedules import (ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule,
+                        stall_index)
 
 DIVERGENCE_NORM = 1e8
 SECANT_GUARD = 1e-12  # curvature below this share of |f(x+)| + |f(x_k)| (or of g_mu) is rounding
@@ -285,17 +291,12 @@ class InnerResult(NamedTuple):
     point: ConePoint
 
 
-def _finite(name: str, value, k: int, n: Optional[int] = None):
-    """``value`` unchanged; raises NumericError if any entry is NaN or inf.
-    Given ``n``, it also raises unless ``value`` is an array of shape
-    ``(n,)`` (the step uses array methods, so a list fails too) with a
-    ``real_dtype`` and a finite squared norm: a vector whose entries are
-    finite but whose squared norm overflows is too large for the step's
-    sums, and is named here rather than where it overflows."""
-    if n is None:
-        if not all_finite(value):
-            raise NumericError(f"{name} is not finite at step {k}")
-        return value
+def _finite(name: str, value, k: int, n: int):
+    """``value`` unchanged; raises NumericError unless it is an array of
+    shape ``(n,)`` (the step uses array methods, so a list fails too) with a
+    ``real_dtype``, no NaN or inf entry and a finite squared norm: a vector
+    whose entries are finite but whose squared norm overflows is too large
+    for the step's sums, and is named here rather than where it overflows."""
     shape = getattr(value, "shape", None)
     if shape != (n,):
         raise NumericError(f"{name} has shape {shape} at step {k}, expected ({n},)")
@@ -391,22 +392,23 @@ def bb_init(dx, dx2, df, dg, Lf0, Lg0, cfg: SolverConfig):
 
 
 def _smoothing_gradient(prob: DCProblem, x, point: ConePoint, mu: float, k: int):
-    """``(grad h_mu(y), grad g_mu(x))`` at the point ``x`` whose evaluated cone
-    point is ``point``: the smoothing gradient and its adjoint apply, which
+    """``(g_mu(x), grad h_mu(y), grad g_mu(x))`` at the point ``x`` whose
+    evaluated cone point is ``point``, from one ``smoothed`` call: the
+    smoothed value, the smoothing gradient and its adjoint apply, which
     ``_finite`` checks."""
-    grad_h = point.gradient(mu)
-    return grad_h, _finite("constraint adjoint", prob.g.adjoint_apply(x, grad_h), k, prob.dim)
+    gmu, grad_h = point.smoothed(mu)
+    return gmu, grad_h, _finite("constraint adjoint", prob.g.adjoint_apply(x, grad_h), k,
+                                prob.dim)
 
 
 def _state(prob: DCProblem, cfg: SolverConfig, k: int, x, mu: float, f: float, psi: float,
-           grad_f, point: ConePoint, grad_gmu, prev: Optional[IterateState] = None,
+           grad_f, gmu: float, grad_gmu, prev: Optional[IterateState] = None,
            step: Optional[InnerResult] = None) -> IterateState:
     """The state of step ``k`` at ``x`` and ``mu``: x0 when ``prev`` is None,
-    else the point that ``step`` reached from ``prev``; ``grad_gmu`` is the
-    checked smoothing gradient there at ``mu``.  Checks that the smoothed
-    value is negative, then forms the P2 subgradient, guarded as the
-    adjoint is, and the warm starts."""
-    gmu = point.value(mu)
+    else the point that ``step`` reached from ``prev``; ``gmu`` and
+    ``grad_gmu`` are the smoothed value and the checked smoothing gradient
+    there at ``mu``.  Checks that the smoothed value is negative, then forms
+    the P2 subgradient, guarded as the adjoint is, and the warm starts."""
     if not gmu < 0:
         if prev is None:
             raise InfeasibleStartError(
@@ -419,21 +421,6 @@ def _state(prob: DCProblem, cfg: SolverConfig, k: int, x, mu: float, f: float, p
         Lf0, Lg0 = bb_init(step.dx, step.step2, grad_f - prev.grad_f,
                            mu * (grad_gmu - prev.grad_gmu), prev.Lf0, prev.Lg0, cfg)
     return IterateState(x, mu, f, psi, gmu, grad_gmu, grad_f, xi, Lf0, Lg0)
-
-
-def _stall_index(spec: ScheduleSpec, s: int) -> int:
-    """The schedule index after a stall at index ``s`` (module docstring):
-    the start of the next block, or for ``power`` the first index where mu
-    has halved, ``ceil((s + 1) 2^(1/r)) - 1``.  A halving index past the
-    float range (``r`` below about 1/1024) is not taken; the index moves by
-    one."""
-    if spec.variant != "power":
-        block = spec.n0 + 1
-        return (s // block + 1) * block
-    try:
-        return math.ceil((s + 1) * 2.0 ** (1.0 / spec.r)) - 1
-    except OverflowError:
-        return s + 1
 
 
 def _secant_rise(curv: float, scale: float, step2: float, factor: float,
@@ -525,9 +512,11 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         # the schedule index s runs apart from the step count k: it jumps
         # ahead when the iterate stalls (module docstring)
         s = 0
-        state = _state(prob, cfg, 0, x0, mu0, f0, _finite("objective value", psi, 0),
-                       _finite("f gradient", prob.f.gradient(x0), 0, prob.dim), point0,
-                       _smoothing_gradient(prob, x0, point0, mu0, 0)[1])
+        if not math.isfinite(psi):
+            raise NumericError("objective value is not finite at step 0")
+        grad_f0 = _finite("f gradient", prob.f.gradient(x0), 0, prob.dim)
+        gmu0, _, grad_gmu0 = _smoothing_gradient(prob, x0, point0, mu0, 0)
+        state = _state(prob, cfg, 0, x0, mu0, f0, psi, grad_f0, gmu0, grad_gmu0)
 
         for k in range(cfg.max_outer):
             inner = inner_loop_step(state, prob, cfg)
@@ -541,7 +530,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             grad_f_next = _finite("f gradient", prob.f.gradient(x_next), k, prob.dim)
             mu_next = mu_at(schedule, s + 1)
             mu_cert = mu_next if mu_next >= MU_FLOOR else state.mu
-            grad_h, grad_gmu = _smoothing_gradient(prob, x_next, point, mu_cert, k)
+            gmu_next, grad_h, grad_gmu = _smoothing_gradient(prob, x_next, point, mu_cert, k)
             kkt = diagnostics.kkt_residuals(
                 prob, x_next, math.sqrt(inner.step2), inner.lam, inner.y, grad_h, grad_gmu,
                 grad_f_next, state.xi,
@@ -573,7 +562,7 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             # iterate strictly feasible at the smaller mu.  The kernel rejects any
             # mu below its floor, so the run stops there
             if step <= cfg.eps < slack:
-                s = _stall_index(schedule, s)
+                s = stall_index(schedule, s)
                 advances += 1
                 mu_next = mu_at(schedule, s)
             else:
@@ -585,9 +574,9 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
                 break
             if k + 1 < cfg.max_outer:  # no state past the last step
                 if mu_next != mu_cert:  # a stall advance moved the schedule index
-                    grad_gmu = _smoothing_gradient(prob, x_next, point, mu_next, k)[1]
+                    gmu_next, _, grad_gmu = _smoothing_gradient(prob, x_next, point, mu_next, k)
                 state = _state(prob, cfg, k + 1, x_next, mu_next, inner.f, inner.psi,
-                               grad_f_next, point, grad_gmu, state, inner)
+                               grad_f_next, gmu_next, grad_gmu, state, inner)
     except InnerCapError as exc:
         status, reason, capped = SolveStatus.INNER_CAP_EXCEEDED, str(exc), (exc.i, exc.j)
     except NumericError as exc:

@@ -178,7 +178,7 @@ def composite_value(prob: DCProblem, x, mu) -> float:
 
 def composite_gradient(prob: DCProblem, x, mu) -> np.ndarray:
     """Gradient of the smoothed constraint: DG(x)* applied to the kernel gradient."""
-    return prob.g.adjoint_apply(x, prob.cone.prepare(prob.g.value(x)).gradient(mu))
+    return prob.g.adjoint_apply(x, prob.cone.prepare(prob.g.value(x)).smoothed(mu)[1])
 
 
 class LinearConcave:
@@ -197,11 +197,11 @@ class LinearConcave:
 def make_state(prob, x, mu, Lf0=1.0, Lg0=1.0):
     """The linesearch's starting state at ``x`` and ``mu`` with the given warm starts."""
     x = np.asarray(x, dtype=float)
-    point = prob.cone.prepare(prob.g.value(x))
+    gmu, grad_h = prob.cone.prepare(prob.g.value(x)).smoothed(mu)
     return IterateState(
         x=x, mu=mu, f=prob.f.value(x),
-        psi=objective_value(prob, x), gmu=point.value(mu),
-        grad_gmu=prob.g.adjoint_apply(x, point.gradient(mu)),
+        psi=objective_value(prob, x), gmu=gmu,
+        grad_gmu=prob.g.adjoint_apply(x, grad_h),
         grad_f=prob.f.gradient(x),
         xi=prob.p2.subgradient(x),
         Lf0=Lf0, Lg0=Lg0,

@@ -175,7 +175,7 @@ def test_criterion_2_gradient_fidelity():
         for _ in range(200):
             y, d = sample(rng), sample(rng)
             mu = 10.0 ** rng.uniform(-3, 1)
-            grad = oracle.prepare(y).gradient(mu)
+            grad = oracle.prepare(y).smoothed(mu)[1]
             up, down = oracle.prepare(y + h * d), oracle.prepare(y - h * d)
             fd = (up.value(mu) - down.value(mu)) / (2 * h)
             exact = float(np.vdot(grad, d))

@@ -64,6 +64,8 @@ REMOVED = [
     ("smba.cones", "SmoothingCert"),
     ("smba.cones", "ConeBaseOracle.polar_residual"),
     ("smba.diagnostics", "KKTCertificate.eps_triple"),
+    ("smba.cones", "ConePoint.gradient"),
+    ("smba.solver", "_stall_index"),
 ]
 
 

@@ -171,7 +171,7 @@ def logsumexp(v, mu):
     """A bare temperature log-sum-exp of ``v`` with its softmax weights: the
     point of an orthant without shift."""
     point = NonposOrthant(len(v), alpha4=0.0).prepare(v)
-    return point.value(mu), point.gradient(mu)
+    return point.value(mu), point.smoothed(mu)[1]
 
 
 class TestStableLogsumexp:
@@ -268,15 +268,15 @@ class TestMsaValue:
 
 class TestMsaGradient:
     def test_orthant_symmetric(self):
-        grad = NonposOrthant(2).prepare([0.0, 0.0]).gradient(1.0)
+        grad = NonposOrthant(2).prepare([0.0, 0.0]).smoothed(1.0)[1]
         np.testing.assert_allclose(grad, [0.5, 0.5], atol=1e-15)
 
     def test_psd_dominant_eigenvalue(self):
-        grad = NegSemidef(2).prepare(np.diag([1.0, 0.0])).gradient(0.01)
+        grad = NegSemidef(2).prepare(np.diag([1.0, 0.0])).smoothed(0.01)[1]
         np.testing.assert_allclose(grad, np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_pcone_zero_block(self):
-        grad = PCone(2).prepare([0.0, 0.0, 5.0]).gradient(1.0)
+        grad = PCone(2).prepare([0.0, 0.0, 5.0]).smoothed(1.0)[1]
         np.testing.assert_allclose(grad, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_finite_differences_200_per_family(self, rng):
@@ -285,7 +285,7 @@ class TestMsaGradient:
                 y = sample(rng)
                 mu = 10.0 ** rng.uniform(-3, 1)
                 d = sample(rng)
-                grad = oracle.prepare(y).gradient(mu)
+                grad = oracle.prepare(y).smoothed(mu)[1]
                 fd = directional_derivative(lambda z: oracle.prepare(z).value(mu), y, d)
                 exact = float(np.vdot(grad, d))
                 assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
@@ -295,7 +295,7 @@ class TestMsaGradient:
             for _ in range(200):
                 y = sample(rng)
                 mu = 10.0 ** rng.uniform(-6, 1)
-                u = oracle.prepare(y).gradient(mu)
+                u = oracle.prepare(y).smoothed(mu)[1]
                 if isinstance(oracle, NonposOrthant):
                     assert np.all(u >= 0.0)
                     assert abs(float(np.sum(u)) - 1.0) <= 1e-12
@@ -312,8 +312,8 @@ class TestMsaGradient:
                 y, z = sample(rng), sample(rng)
                 mu = 10.0 ** rng.uniform(-3, 1)
                 bound = smoothing(oracle).gradient_lipschitz(mu)
-                gy = oracle.prepare(y).gradient(mu)
-                gz = oracle.prepare(z).gradient(mu)
+                gy = oracle.prepare(y).smoothed(mu)[1]
+                gz = oracle.prepare(z).smoothed(mu)[1]
                 lhs = float(np.linalg.norm(np.asarray(gy) - np.asarray(gz)))
                 assert lhs <= bound * float(np.linalg.norm(np.asarray(y) - np.asarray(z))) * (
                     1 + 1e-8
@@ -406,17 +406,17 @@ class TestPreparedPoint:
                 point = oracle.prepare(y)
                 assert point.support == oracle.prepare(y).support == oracle.support_value(y)
                 for mu in self.MUS:
-                    value, grad = point.value(mu), point.gradient(mu)
+                    value, (smoothed, grad) = point.value(mu), point.smoothed(mu)
                     fresh = oracle.prepare(y)
-                    assert value == fresh.value(mu)
-                    np.testing.assert_array_equal(grad, fresh.gradient(mu))
+                    assert value == smoothed == fresh.value(mu)
+                    np.testing.assert_array_equal(grad, fresh.smoothed(mu)[1])
 
     def test_below_floor_rejected(self):
         # every entry point of every family rejects a mu below the floor, as
         # it rejects a nonpositive one, and accepts the floor itself
         for oracle, sample in family_cases():
             point = oracle.prepare(sample(np.random.default_rng(1)))
-            for evaluate in (point.value, point.gradient):
+            for evaluate in (point.value, lambda mu: point.smoothed(mu)[1]):
                 for mu in (0.1 * MU_FLOOR, np.nextafter(MU_FLOOR, 0.0), 0.0, math.inf):
                     with pytest.raises(ValueError, match="smoothing parameter"):
                         evaluate(mu)
@@ -435,8 +435,8 @@ class TestPreparedPoint:
         with pytest.raises(ValueError, match="asymmetry"):
             NegSemidef(2).prepare(y)
 
-    def test_kept_exp_pass_matches_fresh_logsumexp(self, rng):
-        # value and gradient asked in interleaved mu order read the same bits
+    def test_interleaved_mu_matches_fresh_logsumexp(self, rng):
+        # value and smoothed asked in interleaved mu order read the same bits
         # as a log-sum-exp computed afresh for each question
         alpha4 = 1e-5
         orthant, psd = NonposOrthant(5, alpha4=alpha4), NegSemidef(4, alpha4=alpha4)
@@ -452,10 +452,12 @@ class TestPreparedPoint:
                     assert points[0].value(mu) == logsumexp(vec, mu)[0] + alpha4 * mu
                     assert points[1].value(mu) == logsumexp(vals, mu)[0] + alpha4 * mu
                 else:
-                    np.testing.assert_array_equal(points[0].gradient(mu),
-                                                  logsumexp(vec, mu)[1])
+                    (value0, grad0), (value1, grad1) = (p.smoothed(mu) for p in points)
+                    assert value0 == logsumexp(vec, mu)[0] + alpha4 * mu
+                    assert value1 == logsumexp(vals, mu)[0] + alpha4 * mu
+                    np.testing.assert_array_equal(grad0, logsumexp(vec, mu)[1])
                     root = vecs * np.sqrt(logsumexp(vals, mu)[1])
-                    np.testing.assert_array_equal(points[1].gradient(mu), root @ root.T)
+                    np.testing.assert_array_equal(grad1, root @ root.T)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 60])
     def test_spectral_gradient_exactly_symmetric(self, rng, m):
@@ -463,7 +465,7 @@ class TestPreparedPoint:
         for _ in range(20):
             point = oracle.prepare(random_symmetric(rng, m))
             for mu in self.MUS:
-                grad = point.gradient(mu)
+                grad = point.smoothed(mu)[1]
                 np.testing.assert_array_equal(grad, grad.T)
 
     @pytest.mark.parametrize("n, m", [(20, 10), (100, 60)])
@@ -503,8 +505,24 @@ class TestPreparedPoint:
         with pytest.raises(ValueError, match="asymmetry"):
             NegSemidef(10).prepare(y)
 
-    def test_written_gradient_leaves_point_unchanged(self, rng):
-        y = rng.normal(0.0, 3.0, 5)
-        point = NonposOrthant(5).prepare(y)
-        point.gradient(0.3)[:] = 7.0
-        np.testing.assert_array_equal(point.gradient(0.3), logsumexp(y, 0.3)[1])
+    def test_points_hold_no_mutable_state(self, rng):
+        # a prepared point is never changed: value and smoothed at every mu
+        # leave each attribute as it was, the same object with the same
+        # bits, and writing into a returned gradient changes no later answer
+        for oracle, sample in family_cases():
+            for _ in range(3):
+                y = sample(rng)
+                point, fresh = oracle.prepare(y), oracle.prepare(y)
+                before = dict(vars(point))
+                kept = {name: np.copy(v) for name, v in before.items()}
+                for mu in self.MUS:
+                    point.value(mu)
+                    point.smoothed(mu)[1][...] = 7.0
+                assert vars(point).keys() == before.keys()
+                for name, v in vars(point).items():
+                    assert v is before[name], name
+                    np.testing.assert_array_equal(v, kept[name], err_msg=name)
+                for mu in self.MUS:
+                    value, grad = point.smoothed(mu)
+                    assert value == point.value(mu) == fresh.value(mu)
+                    np.testing.assert_array_equal(grad, fresh.smoothed(mu)[1])

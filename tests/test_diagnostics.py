@@ -38,7 +38,7 @@ def certify(prob, x_next, x_prev, lam, mu):
     """``kkt_residuals`` fed as the solver feeds it, with every input evaluated
     here: the smoothing gradient at ``mu`` and its adjoint apply among them."""
     y = prob.g.value(x_next)
-    grad_h = prob.cone.prepare(y).gradient(mu)
+    grad_h = prob.cone.prepare(y).smoothed(mu)[1]
     dx = x_next - x_prev
     return kkt_residuals(prob, x_next, math.sqrt(dx.dot(dx)), lam, y, grad_h,
                          prob.g.adjoint_apply(x_next, grad_h), prob.f.gradient(x_next),
@@ -50,7 +50,7 @@ def reference_residuals(prob, x_next, x_prev, lam, mu):
     oracles: the multiplier ``lam * grad h_mu(G(x_next))`` and its term ``lam``
     times the adjoint apply of the smoothing gradient."""
     g = prob.g.value(x_next)
-    grad_h = prob.cone.prepare(g).gradient(mu)
+    grad_h = prob.cone.prepare(g).smoothed(mu)[1]
     v = lam * grad_h if lam > 0.0 else np.zeros_like(g)
     u = (prob.f.gradient(x_next) - prob.p2.subgradient(x_prev)
          + lam * prob.g.adjoint_apply(x_next, grad_h))

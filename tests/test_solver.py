@@ -29,7 +29,8 @@ from smba.problems import (
     objective_value,
     psd_affine_problem,
 )
-from smba.schedules import blockwise_schedule, mu_at, power_schedule, ramped_log_schedule
+from smba.schedules import (blockwise_schedule, mu_at, power_schedule, ramped_log_schedule,
+                            stall_index)
 from smba.solver import (
     SolveStatus,
     SolverConfig,
@@ -650,11 +651,11 @@ class TestScheduleAdvance:
         # 2^(1/r) overflows below r = 1/1024, and (s + 1) 2^(1/r) can; the
         # index then moves by one, and a run meeting the stall test ends
         # with a report
-        assert smba.solver._stall_index(power_schedule(0.0009), 5) == 6
+        assert stall_index(power_schedule(0.0009), 5) == 6
         spec = power_schedule(0.001)
-        far = smba.solver._stall_index(spec, 0)
+        far = stall_index(spec, 0)
         assert far == math.ceil(2.0 ** 1000.0) - 1
-        assert smba.solver._stall_index(spec, far) == far + 1
+        assert stall_index(spec, far) == far + 1
         cfg = SolverConfig(eps=1e-5, max_outer=300, schedule=power_schedule(0.0009))
         report = run(stalling_norm_ball(), cfg, np.zeros(5))
         assert stall_rows(report, cfg.eps) and report.advances == len(stall_rows(report, cfg.eps))
@@ -681,7 +682,7 @@ class TestScheduleAdvance:
         assert all(row.lam > 0.0 for row in report.trace)
         for row, x_prev, x_next, mu in zip(report.trace, xs, xs[1:], mus):
             y = prob.g.value(x_next)
-            grad_h = prob.cone.prepare(y).gradient(mu)
+            grad_h = prob.cone.prepare(y).smoothed(mu)[1]
             v = row.lam * grad_h
             u = (prob.f.gradient(x_next) - prob.p2.subgradient(x_prev)
                  + row.lam * prob.g.adjoint_apply(x_next, grad_h))
@@ -1159,14 +1160,16 @@ class TestRunFailureModes:
 class TestFiniteGuard:
     @pytest.mark.parametrize("entries", [[1e308, 1e308], [1e200, -1e200]])
     def test_accepts_finite_entries_whose_sums_overflow(self, entries):
-        v = np.array(entries)
-        assert smba.solver._finite("f gradient", v, 3) is v
+        # the entries are read as finite, past the overflowing sums: the
+        # vector is named too large for the step's sums, not non-finite
+        with pytest.raises(NumericError, match=r"^f gradient is too large \(its squared norm "
+                                               r"overflows\) at step 3$"):
+            smba.solver._finite("f gradient", np.array(entries), 3, 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_any_nonfinite_entry(self, bad):
-        for n in (None, 3):
-            with pytest.raises(NumericError, match="^f gradient is not finite at step 3$"):
-                smba.solver._finite("f gradient", np.array([1.0, bad, 1e308]), 3, n)
+        with pytest.raises(NumericError, match="^f gradient is not finite at step 3$"):
+            smba.solver._finite("f gradient", np.array([1.0, bad, 1e308]), 3, 3)
 
     @pytest.mark.parametrize("entries", [[1e308, 1e308], [1e200, -1e200], [1e154, 1e154]])
     def test_rejects_a_vector_whose_squared_norm_overflows(self, entries):
@@ -1222,10 +1225,17 @@ class TestCallCounts:
         assert counts["G_adj"] == 1 + report.iterations
         assert counts["prox"] == report.trials
         # the start point at mu = 0.9 / 2^l for l = 0..L (the initial search,
-        # whose last mu is mu0), each evaluated trial at the step's mu, and
-        # each accepted point at the next mu
+        # whose last mu is mu0) and once more at mu0 for its smoothed value
+        # and gradient, since a point keeps no exp pass; each evaluated trial
+        # at the step's mu, and each accepted point at the next mu
         searched = 1 + round(math.log2(0.9 / report.mu0))
-        assert counts["exp"] == searched + evaluated + report.iterations
+        assert counts["exp"] == searched + 1 + evaluated + report.iterations
+        # a supplied mu0 skips the search: one exp pass at the start point
+        counts.update(exp=0)
+        supplied = run(prob, SolverConfig(eps=1e-6, schedule=ramped_log_schedule(
+            0.9, 3.0, mu0=report.mu0)), np.zeros(6))
+        assert [row[:-1] for row in supplied.trace] == [row[:-1] for row in report.trace]
+        assert counts["exp"] == 1 + evaluated + supplied.iterations
         # a run cut by max_outer forms no state after its last row either
         counts.update(f=0, G_adj=0, exp=0)
         capped = run(prob, SolverConfig(eps=1e-16, max_outer=7), np.zeros(6))
@@ -1233,7 +1243,7 @@ class TestCallCounts:
         assert counts["G_adj"] == 1 + capped.iterations
         assert counts["f"] == 1 + capped.trials
         evaluated = sum(row.j_k + 1 - row.i_k for row in capped.trace)
-        assert counts["exp"] == searched + evaluated + capped.iterations
+        assert counts["exp"] == searched + 1 + evaluated + capped.iterations
         # a stall advance forms the smoothing gradient again at the new mu
         base = stalling_norm_ball()
         adjoints = []
@@ -1273,9 +1283,10 @@ class TestCallCounts:
         # Python calls whose code lies in the smba package, per accepted step
         # of a pinned desk solve: 60.1 before the linesearch trial shed its
         # per-call overhead (records built by keyword, frozen dataclasses, a
-        # four-deep call chain per cone-point evaluation), 50.4 after.  A
-        # change that adds a call per trial or per step must raise this
-        # budget and say why
+        # four-deep call chain per cone-point evaluation), 50.4 after, and
+        # 49.5 once one smoothed call gave an accepted point its smoothed
+        # value and gradient.  A change that adds a call per trial or per
+        # step must raise this budget and say why
         package = os.path.dirname(smba.__file__) + os.sep
         calls = 0
 
@@ -1291,7 +1302,7 @@ class TestCallCounts:
         finally:
             sys.setprofile(None)
         assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 213)
-        assert calls / report.iterations <= 50.5
+        assert calls / report.iterations <= 49.5
 
 
 def recorded_run(prob, eps):
@@ -1378,8 +1389,9 @@ def read_only(fn):
 
 
 def with_read_only_outputs(prob):
-    """``prob`` whose every oracle, and the gradient of every cone point it
-    prepares, returns read-only copies; the l1 weights are read-only too."""
+    """``prob`` whose every oracle, and the smoothing gradient that every cone
+    point it prepares returns from ``smoothed``, returns read-only copies;
+    the l1 weights are read-only too."""
     def shadowed(obj, names):
         obj = copy.copy(obj)
         for name in names:
@@ -1394,7 +1406,15 @@ def with_read_only_outputs(prob):
 
     def prepare_read_only(y):
         point = prepare(y)
-        point.gradient = read_only(point.gradient)
+        smoothed = point.smoothed
+
+        def smoothed_read_only(mu):
+            value, grad = smoothed(mu)
+            grad = grad.copy()
+            grad.flags.writeable = False
+            return value, grad
+
+        point.smoothed = smoothed_read_only
         return point
 
     cone = copy.copy(prob.cone)
