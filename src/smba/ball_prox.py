@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cones import count_nonzero
-from .errors import InfeasibleStartError, NumericError
+from .errors import NumericError
 from .problems import _SIGNS, L1Regularizer
 
 PHI_TOL = 1e-12
@@ -34,9 +34,10 @@ class BallConstraint:
     ``curvature`` is the quadratic weight L_g / mu of the majorant that the
     ball came from; the constraint function is
     ``(curvature / 2) (||x - center||^2 - radius^2)``.  The constructor
-    raises ValueError unless the radius and the curvature are positive.  A
-    slotted record, one per linesearch trial: its fields are set once here
-    and only read after.
+    raises ValueError unless the radius is positive, since a radius can
+    underflow to 0; the curvature is positive wherever ``build_ball`` forms
+    one.  A slotted record, one per linesearch trial: its fields are set once
+    here and only read after.
     """
 
     __slots__ = ("center", "radius", "curvature")
@@ -44,8 +45,6 @@ class BallConstraint:
     def __init__(self, center, radius, curvature):
         if not (radius > 0):
             raise ValueError(f"ball radius must be positive, got {radius}")
-        if not (curvature > 0):
-            raise ValueError("curvature weight must be positive")
         self.center, self.radius, self.curvature = center, radius, curvature
 
 
@@ -58,16 +57,12 @@ def build_ball(x_k, grad_gmu, grad_sq, gmu_val, L_g, mu) -> BallConstraint:
     """Ball of the quadratic majorant of the smoothed constraint at x_k.
 
     ``x_k`` and ``grad_gmu`` are float vectors and ``grad_sq`` is
-    ``grad_gmu . grad_gmu``, which every ball of one step shares.  Requires
-    strict feasibility ``gmu_val < 0``, which makes the radius real and
-    positive.
+    ``grad_gmu . grad_gmu``, which every ball of one step shares.  The
+    solver guarantees what makes the radius real and positive, so it is not
+    checked again here: strict feasibility ``gmu_val < 0`` (the step state
+    is formed only at such a point), ``L_g > 0`` (a finite power of two
+    times a warm start of at least ``L_min > 0``) and ``mu >= MU_FLOOR``.
     """
-    if not (gmu_val < 0.0):
-        raise InfeasibleStartError(
-            f"smoothed constraint value must be negative to build the ball, got {gmu_val}"
-        )
-    if L_g <= 0 or mu <= 0:
-        raise ValueError("L_g and mu must be positive")
     scale = mu / L_g
     center = x_k - scale * grad_gmu
     radius = scale * math.sqrt(grad_sq - 2.0 * (L_g / mu) * gmu_val)

@@ -14,9 +14,12 @@ Three cone families are provided.  For each one the membership test
 ``prepare(y)`` checks an argument and decomposes it once (one
 eigendecomposition for matrices); the returned point, which never changes,
 gives the support value, the smoothed value ``value(mu)`` at any mu, and
-with ``smoothed(mu)`` that value and its gradient.  ``checked_array`` is the one
-test that an input is a finite real array of a given shape, ``real_dtype``
-its dtype rule, and ``symmetrized`` the one symmetry rule.
+with ``smoothed(mu)`` that value and its gradient.  The module also holds
+the package's input rules, each checked once where an input enters:
+``checked_array``, the one test that an array is a finite real array of a
+given shape, with ``real_dtype`` its dtype rule; ``check_numbers``, the one
+test that a number is a finite real or an integer; ``check_keys``, the one
+test of a document's keys; and ``symmetrized``, the one symmetry rule.
 
 Each smoothed kernel h_mu majorizes the support value with a gap of at most
 ``alpha3 * mu``, and its gradient is ``alpha1 + alpha2 / mu`` Lipschitz.  An
@@ -32,7 +35,9 @@ most ``sqrt(2)``, with ``alpha3 = 1 + alpha4``, ``alpha1 = 0`` and
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -54,6 +59,10 @@ DEFAULT_SHIFT = 1e-5
 # bit for bit.  Where the wrapper raised on a LAPACK failure, the gufunc
 # returns a NaN spectrum.
 _EIGH_LO = _umath_linalg.eigh_lo
+# The C function behind np.vdot, without the array-function dispatch in front
+# of it (about 0.13 us a call).  Unlike ndarray.dot, it lets a sum of squares
+# overflow to inf without a warning.
+_VDOT = np.vdot._implementation
 
 
 def _checked_mu(mu: float) -> float:
@@ -68,7 +77,7 @@ def all_finite(v) -> bool:
     """Whether no entry of ``v`` is NaN or inf.  A finite sum of squares has
     finite terms, so one ``vdot`` accepts nearly every input; a sum that
     overflows falls back to the entrywise test."""
-    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+    return math.isfinite(_VDOT(v, v)) or bool(np.isfinite(v).all())
 
 
 def _shifted_logsumexp(v, top, mu):
@@ -110,6 +119,32 @@ def checked_array(v, shape, what="cone argument"):
     if not all_finite(v):
         raise ValueError(f"non-finite entries in {what}")
     return v
+
+
+def check_numbers(obj, reals=(), integers=()):
+    """Raise ValueError naming the first attribute of ``obj`` in ``reals``
+    that is not a finite real number, or in ``integers`` that is not an
+    integer; a bool, a complex number and text are neither.  Run before any
+    range check, which a string would break and which NaN or +inf (JSON's
+    ``NaN`` and ``Infinity``) could pass.  It reads attributes one by one,
+    not ``vars(obj)``, which would cost every later attribute read of a
+    config or schedule its fast path."""
+    for names, kind, text in ((reals, numbers.Real, "a finite real number"),
+                              (integers, numbers.Integral, "an integer")):
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) < np.inf:
+                raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
+def check_keys(cls, d, what):
+    """Raise ValueError unless ``d`` is a dict whose keys all name fields of
+    the dataclass ``cls``; ``what`` names the document in the message."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def symmetrized(y):
@@ -192,7 +227,7 @@ class _PConePoint(ConePoint):
         self.y = y
         self.alpha4 = alpha4
         head = y[:-1]
-        self.sq = float(head.dot(head))
+        self.sq = float(_VDOT(head, head))
         self.top = y.item(-1)  # a Python float, so value() returns one too
         self.support = math.sqrt(self.sq) - self.top
 
@@ -216,20 +251,18 @@ class ConeBaseOracle:
     ``prepare``, which checks an argument and decomposes it once (one
     eigendecomposition for matrices) into the point that holds the support
     value and evaluates the smoothed kernel at any mu.  Each family is built
-    from its dimension ``m >= 1`` and the shift slope ``alpha4`` (module
-    docstring), a finite nonnegative number.
+    from its dimension ``m``, an integer ``>= 1``, and the shift slope
+    ``alpha4`` (module docstring), a finite real ``>= 0``.
     """
 
     family: str
 
     def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
-        if m < 1:
-            raise ValueError(f"{self.family} dimension must be >= 1")
-        # written as not (valid), so a NaN fails
-        if not 0.0 <= alpha4 < math.inf:
-            raise ValueError(f"alpha4 must be finite and nonnegative, got {alpha4!r}")
+        self.m, self.alpha4 = m, alpha4
+        check_numbers(self, reals=("alpha4",), integers=("m",))
+        if not (m >= 1 and alpha4 >= 0):
+            raise ValueError(f"{self.family}: need m >= 1, alpha4 >= 0; got {m!r}, {alpha4!r}")
         self.m = int(m)
-        self.alpha4 = alpha4
 
     def prepare(self, y) -> ConePoint:
         raise NotImplementedError

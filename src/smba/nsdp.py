@@ -22,9 +22,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cones import NegSemidef, checked_array, symmetrized
+from .cones import NegSemidef, check_keys, check_numbers, checked_array, symmetrized
 from .problems import DCProblem, L1Regularizer, ZeroConcave, poly_quartic_objective, psd_affine_map
-from .schedules import check_keys, check_numbers
 
 SPARSE_DENSITY = 0.2
 
@@ -86,9 +85,11 @@ def _sparse_positive(rng, k):
 
 
 def generate_nsdp(n: int, m: int, seed: int) -> NsdpInstance:
-    """Deterministic random instance; draw order is part of the contract."""
+    """Deterministic random instance; draw order is part of the contract.
+    ``n``, ``m`` and ``seed`` must be integers, ``n`` and ``m`` at least 1."""
+    check_numbers(SimpleNamespace(n=n, m=m, seed=seed), integers=("n", "m", "seed"))
     if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+        raise ValueError(f"n and m must be >= 1, got n={n!r}, m={m!r}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
     U = _orthogonal(rng, n)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .cones import (ConeBaseOracle, NegSemidef, NonposOrthant, PCone, all_finite, checked_array,
+from .cones import (ConeBaseOracle, NegSemidef, NonposOrthant, PCone, check_numbers, checked_array,
                     symmetrized)
 from .errors import UnsupportedFamilyError
 
@@ -49,21 +50,22 @@ class L1Regularizer:
     """Weighted l1 term with componentwise soft-threshold prox.
 
     ``thresholds`` holds the rows ``(w, -w)`` of the soft threshold's two
-    breakpoints, which the ball subproblem reads on every trial.  It is
-    formed once each time ``weights`` is assigned, so a caller that assigns
-    new weights never leaves it stale.
+    breakpoints, which the ball subproblem reads on every trial.  Each time
+    ``weights`` is assigned, in the constructor or later, the weights pass
+    ``checked_array`` and must be nonnegative, and ``thresholds`` is formed
+    from them, so a caller that assigns new weights never leaves it stale.
     """
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if not ((w >= 0) & (w < math.inf)).all():
-            raise ValueError("l1 weights must be finite nonnegative numbers")
-        self.weights = w
+        self.weights = weights
 
     def __setattr__(self, name, value):
-        super().__setattr__(name, value)
         if name == "weights":
+            value = checked_array(value, np.shape(value), "l1 weights")
+            if not (value >= 0).all():
+                raise ValueError("l1 weights must be nonnegative")
             super().__setattr__("thresholds", _SIGNS * value)
+        super().__setattr__(name, value)
 
     def value(self, x):
         return float(np.add.reduce(self.weights * np.abs(x)))
@@ -98,8 +100,9 @@ class L1Concave:
     """P2(x) = weight * ||x||_1 with the tie at 0 broken toward 0."""
 
     def __init__(self, weight: float):
-        if not 0 <= weight < math.inf:
-            raise ValueError("weight must be a finite nonnegative number")
+        check_numbers(SimpleNamespace(weight=weight), reals=("weight",))
+        if weight < 0:
+            raise ValueError(f"weight must be nonnegative, got {weight!r}")
         self.weight = float(weight)
 
     def value(self, x):
@@ -200,13 +203,12 @@ def psd_affine_map(A) -> ConstraintMap:
     ``G(x)`` is gathered from its triangle, so it is exactly symmetric.  The
     adjoint, the vector of trace inner products ``-<A_i, u>``, folds
     ``u + u'`` onto the triangle with the diagonal halved, so it stays the
-    exact adjoint for a non-symmetric ``u``.
+    exact adjoint for a non-symmetric ``u``.  ``A`` passes ``checked_array``
+    first.
     """
-    A = np.asarray(A, dtype=float)
+    A = checked_array(A, np.shape(A), "constraint matrices")
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError("expected a stack of square matrices")
-    if not all_finite(A):
-        raise ValueError("non-finite entries in constraint matrices")
     m = A.shape[1]
     rows, cols = np.triu_indices(m)
     tri = symmetrized(A)[:, rows, cols]
@@ -230,7 +232,8 @@ def psd_affine_map(A) -> ConstraintMap:
 
 def _toy_problem(c, g, cone, name, l1_weight=0.0) -> DCProblem:
     """min 0.5||x - c||^2 + w||x||_1  s.t.  G(x) in K: the toy builders' shared
-    body; ``c`` passes ``checked_array`` as a vector."""
+    body; ``c`` passes ``checked_array`` as a vector, and so do the l1
+    weights ``l1_weight`` fills."""
     c = checked_array(c, (np.size(c),), "c")
 
     def value(x):
@@ -239,7 +242,7 @@ def _toy_problem(c, g, cone, name, l1_weight=0.0) -> DCProblem:
 
     return DCProblem(
         f=SmoothObjective(value=value, gradient=lambda x: x - c),
-        p1=L1Regularizer(np.full(c.size, float(l1_weight))) if l1_weight else ZeroRegularizer(),
+        p1=L1Regularizer(np.full(c.size, l1_weight)) if l1_weight else ZeroRegularizer(),
         p2=ZeroConcave(),
         g=g,
         cone=cone,
@@ -258,15 +261,15 @@ def box_problem(c, b, l1_weight=0.0) -> DCProblem:
 
 def norm_ball_problem(c, radius) -> DCProblem:
     """min 0.5||x - c||^2  s.t.  ||x|| <= radius (p-cone family); ``radius``
-    must be finite."""
-    if not math.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius}")
+    must be a finite real number."""
+    check_numbers(SimpleNamespace(radius=radius), reals=("radius",))
     return _toy_problem(c, pcone_lift_map(radius), PCone(np.size(c)), "norm_ball")
 
 
 def psd_affine_problem(c, A) -> DCProblem:
-    """min 0.5||x - c||^2  s.t.  -A0 - sum x_i A_i negative semidefinite."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] != np.size(c) + 1:
+    """min 0.5||x - c||^2  s.t.  -A0 - sum x_i A_i negative semidefinite;
+    ``psd_affine_map`` checks the stack ``A``."""
+    g = psd_affine_map(A)
+    if np.shape(A)[0] != np.size(c) + 1:
         raise ValueError("need n + 1 constraint matrices")
-    return _toy_problem(c, psd_affine_map(A), NegSemidef(A.shape[1]), "psd_affine")
+    return _toy_problem(c, g, NegSemidef(np.shape(A)[1]), "psd_affine")

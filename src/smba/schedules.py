@@ -28,14 +28,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cones import MU_FLOOR
+from .cones import MU_FLOOR, check_keys, check_numbers
 
 VARIANTS = ("power", "blockwise", "ramped_log")
 
@@ -43,29 +42,6 @@ VARIANTS = ("power", "blockwise", "ramped_log")
 DEFAULT_N0 = 300
 DEFAULT_NU0 = 1.0 / (10 * DEFAULT_N0 + 1)
 DEFAULT_RAMP_LEN = 5000
-
-
-def check_numbers(obj, reals=(), integers=()):
-    """Raise ValueError naming the first field of ``obj`` in ``reals`` that is
-    not a finite real number, or in ``integers`` that is not an integer; a
-    bool is neither.  Run before any range check, which a string would break
-    and which NaN or +inf (JSON's ``NaN`` and ``Infinity``) could pass."""
-    for names, kind, text in ((reals, numbers.Real, "a finite real number"),
-                              (integers, numbers.Integral, "an integer")):
-        for name in names:
-            value = getattr(obj, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) < np.inf:
-                raise ValueError(f"{name} must be {text}, got {value!r}")
-
-
-def check_keys(cls, d, what):
-    """Raise ValueError unless ``d`` is a dict whose keys all name fields of
-    the dataclass ``cls``; ``what`` names the document in the message."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +79,6 @@ class ScheduleSpec:
 
     def with_mu0(self, mu0: float) -> "ScheduleSpec":
         return dataclasses.replace(self, mu0=float(mu0))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScheduleSpec":

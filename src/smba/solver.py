@@ -64,9 +64,9 @@ subgradient, so a run forms no state after its last row.  Each oracle
 output is scanned for NaN and inf once; the f gradient, the P2 subgradient
 and the adjoint output are checked for the shape ``(n,)``, a real dtype and
 a squared norm that does not overflow, and the f and P2 values become
-Python floats, or end the run unless they are real scalars (a bool or a
-complex number is not; a Python float passes as it is, with no further
-call).
+Python floats, or end the run unless they are real scalars (a bool, a
+complex number or text is not; a Python float passes as it is, with no
+further call).
 
 The stop test can only pass once the slack falls with mu, and the
 ``blockwise`` and ``ramped_log`` schedules hold mu nearly constant for
@@ -95,11 +95,10 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import MU_FLOOR, ConePoint, checked_array, real_dtype
+from .cones import MU_FLOOR, ConePoint, check_keys, check_numbers, checked_array, real_dtype
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
-from .schedules import (ScheduleSpec, check_keys, check_numbers, mu_at, ramped_log_schedule,
-                        stall_index)
+from .schedules import ScheduleSpec, mu_at, ramped_log_schedule, stall_index
 
 DIVERGENCE_NORM = 1e8
 SECANT_GUARD = 1e-12  # curvature below this share of |f(x+)| + |f(x_k)| (or of g_mu) is rounding
@@ -322,11 +321,11 @@ def _cone_point(prob: DCProblem, y, where: str) -> ConePoint:
 
 def _scalar(name: str, value, where: str) -> float:
     """``value`` as a Python float; raises NumericError naming ``name`` and
-    ``where`` unless it is a real scalar: a bool, a complex number and a
-    value of a non-real numpy dtype are not, so a complex value is not read
-    as its real part."""
+    ``where`` unless it is a real scalar: a bool, a complex number, text
+    (``str`` or ``bytes``) and a value of a non-real numpy dtype are not, so
+    a complex value is not read as its real part, nor text parsed."""
     try:
-        if not isinstance(value, (bool, complex)) and (
+        if not isinstance(value, (bool, complex, str, bytes)) and (
                 real_dtype(value) or not hasattr(value, "dtype")):
             return float(value)
     except (TypeError, ValueError):

@@ -39,13 +39,16 @@ INTERNALS = [
     ("smba.schedules", "mu_at"),
     ("smba.cones", "ConeBaseOracle"),
     ("smba.cones", "checked_array"),
+    ("smba.cones", "check_numbers"),
+    ("smba.cones", "check_keys"),
 ]
 
 # second ways into a kernel (the cone point from prepare(y), the mu0 that
 # run reports, np.vdot), the slack of a guard that could not fire, copies
 # of the array check (checked_array) and the symmetry rule (symmetrized),
 # and what only the tests called, now in tests/helpers.py or read off
-# _path_point and _factors
+# _path_point and _factors (or, for ScheduleSpec.to_dict, done by
+# SolverConfig.to_dict's dataclasses.asdict)
 REMOVED = [
     ("smba.cones", "stable_logsumexp"),
     ("smba.cones", "ConeBaseOracle.msa_value"),
@@ -66,6 +69,7 @@ REMOVED = [
     ("smba.diagnostics", "KKTCertificate.eps_triple"),
     ("smba.cones", "ConePoint.gradient"),
     ("smba.solver", "_stall_index"),
+    ("smba.schedules", "ScheduleSpec.to_dict"),
 ]
 
 

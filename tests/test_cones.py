@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -84,6 +85,15 @@ class TestFiniteGuards:
             assert PCone(1).prepare(entries).support == math.inf
         with pytest.raises(ValueError, match="non-finite"):
             NonposOrthant(2).prepare([entries[0], math.nan])
+
+    def test_pcone_point_overflow_is_silent(self):
+        # ||y[:-1]||^2 of a huge trial G overflows to a support value of inf,
+        # which the linesearch rejects; numpy printed "overflow encountered
+        # in dot" for it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = PCone(5).prepare(np.full(6, 1e300))
+        assert point.support == math.inf
 
     def test_spectrum_check_accepts_overflowing_sums(self):
         # the argument and its spectrum (1e308, 1e308) both overflow a sum
@@ -339,6 +349,20 @@ class TestCertificates:
     def test_invalid_shift_rejected(self, family, alpha4):
         with pytest.raises(ValueError, match="alpha4"):
             family(3, alpha4=alpha4)
+
+    @pytest.mark.parametrize("family", [NonposOrthant, NegSemidef, PCone])
+    @pytest.mark.parametrize("m, alpha4, match", [
+        (2.5, 1e-5, "m must be an integer"), (2.0, 1e-5, "m must be an integer"),
+        (True, 1e-5, "m must be an integer"), (0, 1e-5, "need m >= 1, alpha4 >= 0; got 0, "),
+        (2, True, "alpha4 must be a finite real number"),
+        (2, 1j, "alpha4 must be a finite real number"),
+        (2, "0", "alpha4 must be a finite real number"),
+    ])
+    def test_non_numeric_argument_rejected(self, family, m, alpha4, match):
+        # m = 2.5 became 2, alpha4 = True was taken as 1, and alpha4 = 1j
+        # escaped as TypeError
+        with pytest.raises(ValueError, match=match):
+            family(m, alpha4=alpha4)
 
     def test_one_value_log_sum_exp_without_shift(self):
         # log-sum-exp over one value is exact: gap slope log(1) + 0 = 0

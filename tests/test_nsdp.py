@@ -63,6 +63,15 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_nsdp(5, 0, 1)
 
+    @pytest.mark.parametrize("n, m, seed, name", [
+        (3, 2, 1.5, "seed"), (3, 2, True, "seed"), (3, 2, "1", "seed"), (3.0, 2, 1, "n"),
+        (3, 2.5, 1, "m"), (3, 1 + 0j, 1, "m"),
+    ])
+    def test_non_integer_argument_rejected(self, n, m, seed, name):
+        # a seed of 1.5 was used, and recorded, as seed 1
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            generate_nsdp(n, m, seed)
+
 
 class TestSerialization:
     def test_roundtrip_file(self, tmp_path):

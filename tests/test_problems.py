@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -74,8 +75,31 @@ class TestRegularizers:
 
     @pytest.mark.parametrize("weights", [[np.nan], [1.0, np.nan], [np.nan, -1.0], [1.0, np.inf]])
     def test_l1_nan_weight_rejected(self, weights):
-        with pytest.raises(ValueError, match="nonnegative numbers"):
+        with pytest.raises(ValueError, match="non-finite entries in l1 weights"):
             L1Regularizer(weights)
+
+    @pytest.mark.parametrize("weights", [
+        [1.0 + 0.5j, 2.0], np.array([1.0, 2.0], dtype=complex), [True, False], ["1", "2"],
+        np.array([1.0, 2.0], dtype=object),
+    ], ids=["complex", "complex-array", "bool", "text", "object"])
+    def test_l1_nonreal_weights_rejected(self, weights):
+        # complex weights were read as their real part (with one
+        # ComplexWarning), bools as 0 and 1, and text parsed as numbers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="l1 weights is not an array of numbers"):
+                L1Regularizer(weights)
+
+    def test_l1_weights_assigned_later_are_checked(self):
+        # the one check runs on every assignment, and a rejected one leaves
+        # the weights and their thresholds as they were
+        p1 = L1Regularizer([1.0, 2.0])
+        for weights, match in (([1.0, np.nan], "non-finite"), ([1.0, -2.0], "nonnegative"),
+                               ([1j, 2.0], "not an array of numbers")):
+            with pytest.raises(ValueError, match=match):
+                p1.weights = weights
+        np.testing.assert_array_equal(p1.weights, [1.0, 2.0])
+        np.testing.assert_array_equal(p1.thresholds, [[1.0, 2.0], [-1.0, -2.0]])
 
     def test_l1_thresholds_follow_the_weights(self):
         # the (w, -w) rows the ball subproblem reads are formed whenever the
@@ -104,9 +128,20 @@ class TestConcaveTerms:
                 g = p2.subgradient(x)
                 assert p2.value(z) >= p2.value(x) + float(np.dot(g, z - x)) - 1e-10
 
-    @pytest.mark.parametrize("weight", [np.nan, -0.5, np.inf])
-    def test_l1_bad_weight_rejected(self, weight):
-        with pytest.raises(ValueError, match="nonnegative number"):
+    @pytest.mark.parametrize("weight, match", [
+        (np.nan, "weight must be a finite real number"), (-0.5, "weight must be nonnegative"),
+        (np.inf, "weight must be a finite real number"),
+    ])
+    def test_l1_bad_weight_rejected(self, weight, match):
+        with pytest.raises(ValueError, match=match):
+            L1Concave(weight)
+
+    @pytest.mark.parametrize("weight", [np.complex128(1), 1 + 0j, True, np.bool_(True), "1"],
+                             ids=["numpy-complex", "complex", "bool", "numpy-bool", "text"])
+    def test_l1_nonreal_weight_rejected(self, weight):
+        # a numpy complex and a bool became weight 1.0; a Python complex
+        # escaped as TypeError
+        with pytest.raises(ValueError, match="weight must be a finite real number"):
             L1Concave(weight)
 
     def test_l1_tie_broken_toward_zero(self):
@@ -317,6 +352,18 @@ class TestHalfSizeStack:
         with pytest.raises(ValueError, match="need n \\+ 1 constraint matrices"):
             psd_affine_problem(np.zeros(3), random_stack(rng, 2, 4))
 
+    @pytest.mark.parametrize("dtype", [complex, str, object, bool])
+    @pytest.mark.parametrize("build", [psd_affine_map, lambda A: psd_affine_problem([0.0], A)],
+                             ids=["map", "problem"])
+    def test_nonreal_stack_rejected(self, build, dtype):
+        # a complex stack was read as its real part (with a ComplexWarning),
+        # a text one parsed as numbers
+        A = np.stack([np.eye(2), np.zeros((2, 2))]).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="constraint matrices is not an array of numbers"):
+                build(A)
+
     def test_asymmetry_within_tolerance_symmetrized(self, rng):
         A = random_stack(rng, 3, 4)
         B = A.copy()
@@ -409,8 +456,20 @@ class TestProblemWiring:
         with pytest.raises(ValueError, match=match):
             build(c)
 
-    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("weight, match", [
+        (np.nan, "non-finite entries in l1 weights"), (1j, "l1 weights is not an array of numbers"),
+        (True, "l1 weights is not an array of numbers"),
+        ("0.3", "l1 weights is not an array of numbers"), (-0.5, "l1 weights must be nonnegative"),
+    ])
+    def test_bad_box_l1_weight_rejected(self, weight, match):
+        # the weight fills the l1 weights, which pass the one array check:
+        # text was parsed as a number, True taken as weight 1.0, and 1j
+        # escaped as TypeError
+        with pytest.raises(ValueError, match=match):
+            box_problem(c=[1.0, 2.0], b=[3.0, 3.0], l1_weight=weight)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 1j, True, "1"])
     def test_nonfinite_radius_rejected(self, radius):
         # at build time: a run blamed the constraint map for it
-        with pytest.raises(ValueError, match="radius must be finite"):
+        with pytest.raises(ValueError, match="radius must be a finite real number"):
             norm_ball_problem([1.0, 2.0], radius)

@@ -111,8 +111,9 @@ class TestMuAt:
             assert mus[-1] < 1e-1 * mus[0]
 
     def test_roundtrip_dict(self):
+        # from_dict reads the schedule as SolverConfig.to_dict writes it
         spec = ramped_log_schedule(0.9, 3.0, mu0=0.45)
-        again = ScheduleSpec.from_dict(spec.to_dict())
+        again = ScheduleSpec.from_dict(dataclasses.asdict(spec))
         assert again == spec
 
 

@@ -735,6 +735,37 @@ def with_fault(prob, oracle, start, fault):
     return dataclasses.replace(prob, **{part: owner})
 
 
+class LyingPoint(cones.ConePoint):
+    """The cone point ``point``, except that it reports the support value
+    ``support`` or the smoothed value ``gmu`` where one is given; its
+    ``value(mu)`` and its smoothing gradient are the true ones."""
+
+    def __init__(self, point, support=None, gmu=None):
+        self.point, self.gmu = point, gmu
+        self.support = point.support if support is None else support
+
+    def value(self, mu):
+        return self.point.value(mu)
+
+    def smoothed(self, mu):
+        value, grad = self.point.smoothed(mu)
+        return value if self.gmu is None else self.gmu, grad
+
+
+def with_lying_points(prob, **lies):
+    """``prob`` whose cone returns the true point of ``G(x0)`` and, for every
+    later argument, a ``LyingPoint`` with ``lies``."""
+    cone, calls = copy.copy(prob.cone), []
+    prepare = cone.prepare
+
+    def lying(y):
+        calls.append(1)
+        return prepare(y) if len(calls) == 1 else LyingPoint(prepare(y), **lies)
+
+    cone.prepare = lying
+    return dataclasses.replace(prob, cone=cone)
+
+
 # eps is out of reach, so only a fault ends a run before max_outer
 FAULT_CFG = SolverConfig(eps=1e-16, max_outer=60, schedule=power_schedule(0.9))
 
@@ -863,13 +894,14 @@ class TestRunFailureModes:
     @pytest.mark.parametrize("oracle, name", [("f.value", "f value"), ("p2.value", "P2 value")])
     @pytest.mark.parametrize("fault", [
         lambda value: np.complex128(value + 5j), lambda value: np.array(value + 5j),
-        lambda value: np.bool_(value < 1.0), lambda value: value < 1.0,
-    ], ids=["complex", "complex-0d", "numpy-bool", "bool"])
+        lambda value: np.bool_(value < 1.0), lambda value: value < 1.0, repr,
+        lambda value: repr(value).encode(), lambda value: np.str_(value),
+    ], ids=["complex", "complex-0d", "numpy-bool", "bool", "str", "bytes", "numpy-str"])
     def test_complex_or_bool_objective_part_becomes_status(self, oracle, name, fault):
         # a numpy complex f or P2 value was read as its real part, with a
-        # ComplexWarning, and a bool as 0 or 1, and the box run reported
-        # converged; from x0 or a linesearch trial, each now ends named, with
-        # no warning
+        # ComplexWarning, a bool as 0 or 1, and text parsed by float(), and
+        # the box run reported converged; from x0 or a linesearch trial, each
+        # now ends named, with no warning
         for start, where in ((1, "x0"), (4, "a trial point")):
             prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), oracle, start, fault)
             with warnings.catch_warnings(record=True) as seen:
@@ -968,6 +1000,60 @@ class TestRunFailureModes:
         assert report.reason == "objective value is not finite at a trial point"
         assert report.iterations == len(report.trace) > 0
         assert math.isfinite(report.objective)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_objective_at_x0_becomes_status(self, bad):
+        # f is bad at its first call only, at x0; without the guard, the
+        # first step compares every trial with a non-finite psi
+        base = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
+        calls = []
+
+        def value(x):
+            calls.append(1)
+            return bad if len(calls) == 1 else base.f.value(x)
+
+        prob = dataclasses.replace(base, f=dataclasses.replace(base.f, value=value))
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason == "objective value is not finite at step 0"
+        assert report.iterations == 0 and report.final_kkt is None
+        assert math.isfinite(report.mu0)
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_smoothed_value_not_negative_at_an_accepted_point_becomes_status(self):
+        # a cone point that reports a positive smoothed value where the step
+        # state is formed, though value(mu) accepted it as a trial, breaks the
+        # chain of strictly feasible states after the first row
+        prob = with_lying_points(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), gmu=1e-3)
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason == "strict feasibility chain broken"
+        assert report.iterations == 1
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_positive_support_at_an_accepted_point_becomes_status(self):
+        # a cone point whose support value is positive though its smoothed
+        # value, which majorizes it, accepted the trial
+        prob = with_lying_points(box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), support=1.0)
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason == "exact feasibility lost"
+        assert report.iterations == 0
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("start", [1, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_kkt_residual_becomes_status(self, start, bad):
+        # the P1 oracle's subdifferential distance, the certificate's rho,
+        # turns bad from its start-th call, at the start-th accepted point
+        prob = with_fault(box_problem(c=[2.0, -1.0], b=[1.0, 1.0], l1_weight=0.3),
+                          "p1.subdiff_distance", start, lambda rho: bad)
+        report = run(prob, FAULT_CFG, np.zeros(2))
+        assert report.status is SolveStatus.NUMERIC_FAILURE
+        assert report.reason == f"KKT residual is not finite at step {start - 1}"
+        assert report.iterations == start - 1
+        assert all(math.isfinite(row.rho) for row in report.trace)
+        json.dumps(report.to_dict(), allow_nan=False)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("infeasible", [True, False])

@@ -12,22 +12,19 @@ parent first in odd pairs.  Each run starts in its own tree's root, so it
 times that tree's ``src``.
 
 For each pair it prints the end-to-end metrics of the last JSON line of
-each run, and the median of the raw wall times of its passes (the
-``... s wall`` list), which ``perfbench`` rescales by calibration samples
-taken around each solve.  Right after each run, a second interpreter in
-the same tree solves the same panel untimed: one warm-up pass, then
-``UNTIMED_PASSES`` passes in one process, each solving every instance once
-from the origin with no calibration and no tracing.  The best of them is
-``untimed_best_s``.  It reads the solver alone, so a shift in the speed of
-``perfbench``'s calibration kernel between two trees, which rescales every
-timed metric, does not move it.  It then prints, for each metric, the medians
-over the pairs, parent -> change, the change in percent, the spread
-between the quartiles of the parent's runs, and in how many pairs the
-change read lower.  ``perfbench`` prints each pass wall to 3 decimals, so
-``wall_median_s`` also shows its resolution, 0.0005 s as a percent of the
-parent's median, and reads ``unresolved`` when that exceeds 1% (a
-``socp-dc`` pass takes 1-2 ms, so its walls read 0.002 -> 0.002 whatever
-changed).
+each run, which ``perfbench`` rescales by calibration samples taken around
+each solve.  Right after each run, a second interpreter in the same tree
+solves the same panel untimed: one warm-up pass, then as many passes in one
+process as fill ``UNTIMED_SECONDS`` at the warm-up's speed, and at least
+``UNTIMED_PASSES``, each solving every instance once from the origin with no
+calibration and no tracing.  The best of them is ``untimed_best_s``.  It
+reads the solver alone, so a shift in the speed of ``perfbench``'s
+calibration kernel between two trees, which rescales every timed metric,
+does not move it; and a short pass (about 1.3 ms on ``socp-dc``) gets
+hundreds of passes, so one slow pass cannot set it.  It then prints, for
+each metric, the medians over the pairs, parent -> change, the change in
+percent, the spread between the quartiles of the parent's runs, and in how
+many pairs the change read lower.
 
 The tool only runs ``perfbench`` and the untimed passes, and writes no
 file of its own.  It exits
@@ -39,21 +36,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WALL = re.compile(r"\(([^()]*) s wall\)")
-WALL_HALF_STEP = 0.0005  # the pass walls are printed to 3 decimals
 UNTIMED_PASSES = 7
-# run in a tree's root as ``python -c UNTIMED <workload> <seed> <passes>``;
-# prints the best pass time in seconds
+UNTIMED_SECONDS = 1.0
+# run in a tree's root as ``python -c UNTIMED <workload> <seed> <passes>
+# <seconds>``; prints the number of timed passes, then the best pass time in
+# seconds
 UNTIMED = """
-import os, sys, time
+import math, os, sys, time
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 sys.path[:0] = ["src", "perfbench"]
@@ -73,22 +68,17 @@ def one_pass():
     return time.perf_counter() - t0
 
 
-one_pass()
-print(min(one_pass() for _ in range(int(sys.argv[3]))))
+passes = max(int(sys.argv[3]), math.ceil(float(sys.argv[4]) / one_pass()))
+print(passes)
+print(min(one_pass() for _ in range(passes)))
 """
 
 
 def parse_run(stdout: str) -> dict:
     """``{metric: (value, unit)}`` from one run's output: the metrics of its
-    last line, a JSON object, and ``wall_median_s``, the median of its raw
-    pass wall times."""
-    lines = stdout.strip().splitlines()
-    metrics = {name: (m["value"], m["unit"])
-               for name, m in json.loads(lines[-1])["metrics"].items()}
-    walls = [float(w) for line in lines for match in WALL.findall(line)
-             for w in match.split(",")]
-    metrics["wall_median_s"] = (statistics.median(walls), "s")
-    return metrics
+    last line, a JSON object."""
+    last = stdout.strip().splitlines()[-1]
+    return {name: (m["value"], m["unit"]) for name, m in json.loads(last)["metrics"].items()}
 
 
 def quartile_spread(values) -> float:
@@ -108,12 +98,8 @@ def summary(pairs) -> list:
         lower = sum(c < p for p, c in zip(parent, change))
         p50, c50 = statistics.median(parent), statistics.median(change)
         rel = f"{100.0 * (c50 / p50 - 1.0):+.1f}%" if p50 else "n/a"
-        note = ""
-        if name == "wall_median_s":
-            resolution = 100.0 * WALL_HALF_STEP / p50 if p50 else math.inf
-            note = f"; resolution ±{resolution:.2g}%" + (", unresolved" if resolution > 1 else "")
         lines.append(f"  {name} {p50:.6g} -> {c50:.6g} {unit} ({rel}; parent IQR "
-                     f"{quartile_spread(parent):.3g}; change lower in {lower}/{len(pairs)}{note})")
+                     f"{quartile_spread(parent):.3g}; change lower in {lower}/{len(pairs)})")
     return lines
 
 
@@ -135,7 +121,7 @@ def run_side(tree: Path, args) -> dict:
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"], tree))
     best = checked_run([sys.executable, "-c", UNTIMED, args.workload, str(args.seed),
-                        str(UNTIMED_PASSES)], tree)
+                        str(UNTIMED_PASSES), str(UNTIMED_SECONDS)], tree)
     metrics["untimed_best_s"] = (float(best.strip().splitlines()[-1]), "s")
     return metrics
 
