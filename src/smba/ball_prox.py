@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import count_nonzero
+from .cones import _VDOT, count_nonzero
 from .errors import NumericError
 from .problems import _SIGNS, L1Regularizer
 
@@ -95,7 +95,11 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     For l1 each pass costs one prox evaluation: the multiplier is exactly 0
     when the prox gradient point ``x(0)`` lies within the radius, and the
     path point at 0 is then ``x(0)`` itself.  For ``P1 = 0`` the prox
-    gradient point is formed once and the multiplier is closed-form.
+    gradient point ``x(0) = p1.prox(a / L_f, 1 / L_f)`` is formed once, with
+    none of the path point's terms in the zero multiplier (``0 * curvature``
+    and ``a + 0 * center`` change at most the sign of a zero entry), its
+    distance to the center is one ``vdot``, and the multiplier is
+    closed-form.
     ``x_k`` and ``q`` are float vectors, and ``p1`` is a ``ZeroRegularizer``
     or an ``L1Regularizer``, as ``DCProblem`` requires.  A multiplier that
     is not finite, as from a distance or l1 sums that overflow, raises
@@ -107,9 +111,9 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
 
     l1 = isinstance(p1, L1Regularizer)
     if not l1:
-        x0 = _path_point(p1, a, L_f, ball, 0.0)
+        x0 = p1.prox(a / L_f, 1.0 / L_f)
         gap = x0 - ball.center
-        dist = math.sqrt(np.vdot(gap, gap))  # vdot overflows silently
+        dist = math.sqrt(_VDOT(gap, gap))  # vdot overflows silently
     while margin < R:
         radius = R - margin
         if l1:

@@ -63,6 +63,9 @@ _EIGH_LO = _umath_linalg.eigh_lo
 # of it (about 0.13 us a call).  Unlike ndarray.dot, it lets a sum of squares
 # overflow to inf without a warning.
 _VDOT = np.vdot._implementation
+# the native float64 dtype, one object: ``v.dtype is _FLOAT64`` holds for an
+# array numpy built from Python floats and fails for ``>f8`` and every other dtype
+_FLOAT64 = np.dtype(float)
 
 
 def _checked_mu(mu: float) -> float:
@@ -106,7 +109,16 @@ def checked_array(v, shape, what="cone argument"):
     """``v`` as a float array, a float64 array as it is; raises ValueError,
     naming ``what``, unless it is an array of real numbers (``real_dtype``;
     a complex one is not read as its real part) of exactly ``shape`` with
-    finite entries."""
+    finite entries.
+
+    An exact ``np.ndarray`` of native float64 and of ``shape`` whose squared
+    norm is finite, as every array the solver builds, passes in one test and
+    comes back as the same object.  Anything else (a subclass, another
+    dtype, a byte-swapped one, a wrong shape, a NaN or inf, or finite
+    entries whose squared norm overflows) takes the general path below."""
+    if (type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == shape
+            and math.isfinite(_VDOT(v, v))):
+        return v
     try:
         v = np.asarray(v)
     except (TypeError, ValueError) as exc:
@@ -226,7 +238,7 @@ class _PConePoint(ConePoint):
     def __init__(self, y, alpha4):
         self.y = y
         self.alpha4 = alpha4
-        head = y[:-1]
+        self.head = head = y[:-1]
         self.sq = float(_VDOT(head, head))
         self.top = y.item(-1)  # a Python float, so value() returns one too
         self.support = math.sqrt(self.sq) - self.top
@@ -238,8 +250,10 @@ class _PConePoint(ConePoint):
     def smoothed(self, mu):
         mu = _checked_mu(mu)
         root = math.sqrt(self.sq + mu * mu)
-        grad = np.empty_like(self.y)
-        grad[:-1] = self.y[:-1] / root
+        # the last entry is never divided: a lifted ball's radius near 1e300
+        # would overflow at the floor
+        grad = np.empty(self.y.size)
+        np.divide(self.head, root, out=grad[:-1])
         grad[-1] = -1.0
         return root - self.top + self.alpha4 * mu, grad
 

@@ -9,15 +9,15 @@ step length (the point where the P2 subgradient was taken).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .cones import _VDOT
 from .problems import DCProblem
 
 
-@dataclass(frozen=True)
-class KKTCertificate:
+class KKTCertificate(NamedTuple):
     rho: float
     complementarity: float
     step: float
@@ -48,7 +48,7 @@ def kkt_residuals(prob: DCProblem, x_next, step, lam, y, grad_h, grad_gmu, grad_
     v = lam * grad_h if lam > 0.0 else np.zeros(np.shape(y))
     u = grad_f - xi + lam * grad_gmu
     rho = prob.p1.subdiff_distance(x_next, u)
-    return KKTCertificate(rho, -float(np.vdot(v, y)), step, v)
+    return KKTCertificate(rho, -float(_VDOT(v, y)), step, v)
 
 
 def termination_metrics(cert: KKTCertificate, x_norm, lam, mu, tau1, tau2):

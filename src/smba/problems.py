@@ -40,7 +40,8 @@ class ZeroRegularizer:
         return 0.0
 
     def prox(self, z, t):
-        return np.asarray(z, dtype=float).copy()
+        """A float copy of ``z``, made in one call."""
+        return np.array(z, dtype=float)
 
     def subdiff_distance(self, x, u):
         return math.sqrt(u.dot(u))
@@ -156,11 +157,14 @@ def poly_quartic_objective(Q, b, cubic, quartic) -> SmoothObjective:
     f(x) = sum_i (quartic_i x_i^4 / 4 + cubic_i |x_i|^3 / 3)
            + 0.5 x'Qx + b'x
     with gradient components quartic_i x_i^3 + cubic_i x_i |x_i| + (Qx + b)_i.
+    ``b`` passes ``checked_array`` as a vector of some length n, ``Q`` at
+    ``(n, n)`` and ``cubic`` and ``quartic`` at ``(n,)``.
     """
-    Q = np.asarray(Q, dtype=float)
-    b = np.asarray(b, dtype=float)
-    cubic = np.asarray(cubic, dtype=float)
-    quartic = np.asarray(quartic, dtype=float)
+    b = checked_array(b, (np.size(b),), "b")
+    n = b.size
+    Q = checked_array(Q, (n, n), "Q")
+    cubic = checked_array(cubic, (n,), "cubic")
+    quartic = checked_array(quartic, (n,), "quartic")
 
     def value(x):
         # each reduction becomes a Python float once; the sum keeps its order
@@ -185,10 +189,10 @@ def shift_map(b) -> ConstraintMap:
 
 def pcone_lift_map(t: float) -> ConstraintMap:
     """G(x) = (x, t): embeds x into the norm cone with a fixed last coordinate."""
-    t = float(t)
+    tail = np.array([float(t)])  # built once; each value is a new array
 
     return ConstraintMap(
-        value=lambda x: np.concatenate([x, [t]]),
+        value=lambda x: np.concatenate((x, tail)),
         adjoint_apply=lambda x, u: u[:-1].copy(),
     )
 

@@ -95,7 +95,8 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import MU_FLOOR, ConePoint, check_keys, check_numbers, checked_array, real_dtype
+from .cones import (_FLOAT64, _VDOT, MU_FLOOR, ConePoint, check_keys, check_numbers, checked_array,
+                    real_dtype)
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
 from .schedules import ScheduleSpec, mu_at, ramped_log_schedule, stall_index
@@ -295,14 +296,22 @@ def _finite(name: str, value, k: int, n: int):
     shape ``(n,)`` (the step uses array methods, so a list fails too) with a
     ``real_dtype``, no NaN or inf entry and a finite squared norm: a vector
     whose entries are finite but whose squared norm overflows is too large
-    for the step's sums, and is named here rather than where it overflows."""
+    for the step's sums, and is named here rather than where it overflows.
+
+    An exact ``np.ndarray`` of native float64 and shape ``(n,)`` with a
+    finite squared norm, as every oracle of ``smba.problems`` returns,
+    passes in one test; any other value takes the general path, with the
+    same verdicts."""
+    if (type(value) is np.ndarray and value.dtype is _FLOAT64 and value.shape == (n,)
+            and math.isfinite(_VDOT(value, value))):
+        return value
     shape = getattr(value, "shape", None)
     if shape != (n,):
         raise NumericError(f"{name} has shape {shape} at step {k}, expected ({n},)")
     if not real_dtype(value):
         raise NumericError(f"{name} has dtype {getattr(value, 'dtype', None)} at step {k}, "
                            "expected real numbers")
-    if not math.isfinite(np.vdot(value, value)):  # vdot overflows silently
+    if not math.isfinite(_VDOT(value, value)):  # vdot overflows silently
         if not np.isfinite(value).all():
             raise NumericError(f"{name} is not finite at step {k}")
         raise NumericError(f"{name} is too large (its squared norm overflows) at step {k}")

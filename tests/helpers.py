@@ -304,3 +304,31 @@ SMOOTHING_TABLE = {
 def smoothing(cone) -> Smoothing:
     gap, alpha1, alpha2, base = SMOOTHING_TABLE[cone.family]
     return Smoothing(alpha1, alpha2, gap(cone.m) + cone.alpha4, cone.alpha4, base)
+
+
+class _Subclass(np.ndarray):
+    """An ndarray subclass, which the guards' one-test acceptance turns away."""
+
+
+# inputs of shape (3,) unless named otherwise, for the two array guards
+# (``checked_array``, ``solver._finite``): each is built fresh, and each
+# but "float64" misses the guards' one-test acceptance of an exact float64
+# ndarray of the right shape with a finite squared norm
+GUARD_INPUTS = {
+    "float64": lambda: np.array([1.0, -2.0, 3.0]),
+    "float32": lambda: np.array([1.0, -2.0, 3.0], dtype=np.float32),
+    "float32-inf": lambda: np.array([1.0, np.inf, 3.0], dtype=np.float32),
+    "int": lambda: np.array([1, -2, 3]),
+    "bool": lambda: np.array([True, False, True]),
+    "complex": lambda: np.array([1.0, -2.0, 3.0 + 0j]),
+    "object": lambda: np.array([1.0, -2.0, 3.0], dtype=object),
+    "big-endian": lambda: np.array([1.0, -2.0, 3.0], dtype=">f8"),
+    "big-endian-nan": lambda: np.array([1.0, np.nan, 3.0], dtype=">f8"),
+    "subclass": lambda: np.array([1.0, -2.0, 3.0]).view(_Subclass),
+    "subclass-nan": lambda: np.array([1.0, np.nan, 3.0]).view(_Subclass),
+    "shape-2": lambda: np.array([1.0, -2.0]),
+    "shape-3x1": lambda: np.array([[1.0], [-2.0], [3.0]]),
+    "nan": lambda: np.array([1.0, np.nan, 3.0]),
+    "inf": lambda: np.array([1.0, -np.inf, 3.0]),
+    "squares-overflow": lambda: np.array([1e200, -1e200, 3.0]),
+}

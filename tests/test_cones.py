@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -21,7 +22,7 @@ from smba.cones import (
 from smba.nsdp import generate_nsdp, nsdp_problem
 
 from conftest import directional_derivative, family_cases, random_symmetric
-from helpers import polar_residual, smoothing
+from helpers import GUARD_INPUTS, polar_residual, smoothing
 
 
 class TestSupportValue:
@@ -122,6 +123,44 @@ class TestCheckedArray:
         v = checked_array(np.arange(3, dtype=np.int32), (3,))
         assert v.dtype == np.float64 and v.tolist() == [0.0, 1.0, 2.0]
         assert checked_array(np.arange(3, dtype=np.uint8), (3,)).dtype == np.float64
+
+    # per input of helpers.GUARD_INPUTS: "same" (returned as it is),
+    # "float64" (a native float64 copy), "base" (a plain ndarray view of a
+    # subclass), or the start of the ValueError message
+    GUARD_VERDICTS = {
+        "float64": "same",
+        "float32": "float64",
+        "float32-inf": "non-finite entries in x",
+        "int": "float64",
+        "bool": "x is not an array of numbers: dtype bool is not real",
+        "complex": "x is not an array of numbers: dtype complex128 is not real",
+        "object": "x is not an array of numbers: dtype object is not real",
+        "big-endian": "float64",
+        "big-endian-nan": "non-finite entries in x",
+        "subclass": "base",
+        "subclass-nan": "non-finite entries in x",
+        "shape-2": "x: expected shape (3,), got (2,)",
+        "shape-3x1": "x: expected shape (3,), got (3, 1)",
+        "nan": "non-finite entries in x",
+        "inf": "non-finite entries in x",
+        "squares-overflow": "same",
+    }
+
+    @pytest.mark.parametrize("case", GUARD_VERDICTS)
+    def test_one_test_acceptance_lets_nothing_new_through(self, case):
+        # only an exact float64 ndarray of the right shape with a finite
+        # squared norm skips the general path; every other input gets that
+        # path's conversion or message
+        v, verdict = GUARD_INPUTS[case](), self.GUARD_VERDICTS[case]
+        if verdict in ("same", "float64", "base"):
+            out = checked_array(v, (3,), "x")
+            assert (out is v) == (verdict == "same")
+            assert type(out) is np.ndarray and out.dtype == np.dtype(float)
+            assert out.dtype.isnative and np.array_equal(out, v)
+            assert np.shares_memory(out, v) == (verdict != "float64")
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(verdict) + "$"):
+                checked_array(v, (3,), "x")
 
     @pytest.mark.parametrize("bad", [
         np.array([1.0 + 0j, 2.0]), np.array([1.0, 2.0 + 5j]), np.array([1.0, 2.0], dtype=object),

@@ -22,6 +22,7 @@ from smba.problems import (
     box_problem,
     norm_ball_problem,
     objective_value,
+    pcone_lift_map,
     poly_quartic_objective,
     psd_affine_map,
     psd_affine_problem,
@@ -166,6 +167,36 @@ class TestObjectives:
         f = poly_quartic_objective(np.zeros((1, 1)), np.zeros(1), np.array([3.0]), np.zeros(1))
         np.testing.assert_allclose(f.gradient(np.array([-2.0])), [-12.0])
 
+    QUARTIC_ARGS = {"Q": np.eye(2), "b": np.zeros(2), "cubic": np.ones(2), "quartic": np.ones(2)}
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("Q", np.eye(2) * (1 + 1j), "Q is not an array of numbers"),
+        ("b", ["1", "2"], "b is not an array of numbers"),
+        ("quartic", [True, False], "quartic is not an array of numbers"),
+        ("cubic", np.array([1.0, 2.0], dtype=object), "cubic is not an array of numbers"),
+        ("Q", np.eye(3), r"Q: expected shape \(2, 2\), got \(3, 3\)"),
+        ("Q", np.ones(4), r"Q: expected shape \(2, 2\), got \(4,\)"),
+        ("b", np.zeros((2, 2)), r"b: expected shape \(4,\), got \(2, 2\)"),
+        ("cubic", np.ones(3), r"cubic: expected shape \(2,\), got \(3,\)"),
+        ("quartic", [1.0, np.inf], "non-finite entries in quartic"),
+    ], ids=["complex-Q", "text-b", "bool-quartic", "object-cubic", "big-Q", "flat-Q",
+            "matrix-b", "long-cubic", "inf-quartic"])
+    def test_quartic_objective_rejects_bad_arrays(self, field, value, match):
+        # each array was converted by np.asarray(dtype=float): a complex Q
+        # read as its real part with a ComplexWarning, a text b parsed, a
+        # bool quartic taken as 0 and 1, and no shape checked
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{match}"):
+                poly_quartic_objective(**{**self.QUARTIC_ARGS, field: value})
+
+    def test_quartic_objective_keeps_float_arrays(self):
+        # float64 arrays are kept as they are, lists of numbers converted
+        f = poly_quartic_objective([[2.0, 0.0], [0.0, 2.0]], [1, -1], [0.0, 0.0], [0.0, 0.0])
+        x = np.array([1.0, 2.0])
+        assert f.value(x) == 0.5 * 10.0 - 1.0
+        np.testing.assert_array_equal(f.gradient(x), [3.0, 3.0])
+
     def test_gradient_matches_fd(self, rng):
         n = 4
         Q = rng.normal(0, 1, (n, n))
@@ -209,6 +240,30 @@ class TestCompositeSmoothing:
         prob = norm_ball_problem(c=[0.0, 0.0], radius=1.0)
         grad = composite_gradient(prob, np.zeros(2), 1.0)
         np.testing.assert_allclose(grad, [0.0, 0.0], atol=1e-15)
+
+    def test_pcone_lift_outputs_are_independent(self):
+        # the lifted coordinate's tail is built once; each value is a new
+        # array, so writing into one leaves the tail and later values as
+        # they were, and a later value leaves an earlier one as it was
+        g, x = pcone_lift_map(2.5), np.array([1.0, -1.0])
+        first = g.value(x)
+        first[:] = 7.0
+        assert g.value(x).tolist() == [1.0, -1.0, 2.5] and x.tolist() == [1.0, -1.0]
+        assert first.tolist() == [7.0, 7.0, 7.0]
+        u = np.array([3.0, 4.0, 5.0])
+        adj = g.adjoint_apply(x, u)
+        adj[:] = 0.0
+        assert g.adjoint_apply(x, u).tolist() == [3.0, 4.0] and u.tolist() == [3.0, 4.0, 5.0]
+
+    def test_pcone_gradient_never_divides_the_radius(self):
+        # the lifted radius 1e300 sits in the last entry of G(0); divided by
+        # the root sqrt(0 + mu^2) = 1e-12, it would overflow
+        prob = norm_ball_problem(c=[1.0, 2.0], radius=1e300)
+        point = prob.cone.prepare(prob.g.value(np.zeros(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = point.smoothed(1e-12)
+        assert value == -1e300 and grad.tolist() == [0.0, 0.0, -1.0]
 
     def test_composite_sandwich(self, rng):
         prob = box_problem(c=[0.0, 0.0], b=rng.normal(0, 1, 2))

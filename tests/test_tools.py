@@ -161,9 +161,43 @@ def test_pair_summary_from_canned_output():
     pairs = [(tool.parse_run(p), tool.parse_run(c)) for p, c in zip(parent, change)]
     assert tool.summary(pairs) == [
         "medians over 3 pairs, parent -> change",
-        "  solve_s 0.39 -> 0.37 s (-5.1%; parent IQR 0.01; change lower in 2/3)",
-        "  iter_ms_p50 0.19 -> 0.18 ms (-5.3%; parent IQR 0.005; change lower in 3/3)",
+        "  solve_s 0.39 -> 0.37 s (-5.1%; parent IQR 0.01; change lower in 2/3; within bound)",
+        "  iter_ms_p50 0.19 -> 0.18 ms (-5.3%; parent IQR 0.005; change lower in 3/3; gain)",
     ]
+
+
+def test_pair_summary_verdicts_follow_the_benchmark_rules():
+    # BENCHMARK.json, read as it is: solve_s and iter_ms_p50 are lower-better
+    # with bound 0.25, solved_frac higher-better with bound 0.01
+    tool = bench_pairs()
+    rules = {m["name"]: (m["better"], m["bound"])
+             for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert rules["iter_ms_p50"] == ("lower", 0.25) and rules["solved_frac"] == ("higher", 0.01)
+
+    def verdicts(parent, change, name="iter_ms_p50"):
+        # the verdicts of the named metric and of untimed_best_s, which has no rule
+        pairs = [({name: (p, "ms"), "untimed_best_s": (p, "s")},
+                  {name: (c, "ms"), "untimed_best_s": (c, "s")}) for p, c in zip(parent, change)]
+        return [line.rpartition("; ")[2].rstrip(")") for line in tool.summary(pairs)[1:]]
+
+    parent = [0.100, 0.101, 0.102, 0.103, 0.104, 0.100, 0.101, 0.102, 0.103, 0.104]
+    # 9 of 10 pairs lower and a median gap (0.005) above the parent's IQR (0.002)
+    assert verdicts(parent, [p - 0.005 for p in parent[:9]] + parent[9:]) == ["gain", "gain"]
+    # 8 of 10 is not enough, however large the gap; a tie is not a win
+    eight = [p - 0.05 for p in parent[:8]] + parent[8:]
+    assert verdicts(parent, eight) == ["within bound", "no bound"]
+    assert verdicts(parent, parent[:1] + [p - 0.005 for p in parent[1:]]) == ["gain", "gain"]
+    assert verdicts(parent, parent[:2] + [p - 0.005 for p in parent[2:]])[0] == "within bound"
+    # 10 of 10 lower by less than the parent's IQR is no gain
+    assert verdicts(parent, [p - 0.001 for p in parent])[0] == "within bound"
+    # worse by more than 25% of the parent's median: over bound; by 20%: within
+    assert verdicts(parent, [1.3 * p for p in parent]) == ["over bound", "no bound"]
+    assert verdicts(parent, [1.2 * p for p in parent])[0] == "within bound"
+    # higher is better for solved_frac: lower by more than 1% is over bound
+    ones = [1.0] * 10
+    assert verdicts(ones, [0.985] * 10, "solved_frac")[0] == "over bound"
+    assert verdicts(ones, [0.995] * 10, "solved_frac")[0] == "within bound"
+    assert verdicts([0.9] * 10, ones, "solved_frac")[0] == "gain"
 
 
 def test_each_side_adds_its_untimed_best_pass(monkeypatch):
@@ -194,7 +228,7 @@ def test_each_side_adds_its_untimed_best_pass(monkeypatch):
     pairs = [(side(0.17, 0.119), side(0.16, 0.112)), (side(0.17, 0.121), side(0.16, 0.111)),
              (side(0.17, 0.120), side(0.16, 0.113))]
     assert tool.summary(pairs)[-1] == (
-        "  untimed_best_s 0.12 -> 0.112 s (-6.7%; parent IQR 0.001; change lower in 3/3)")
+        "  untimed_best_s 0.12 -> 0.112 s (-6.7%; parent IQR 0.001; change lower in 3/3; gain)")
 
 
 @pytest.mark.parametrize("least, seconds", [(2, "0.2"), (40, "0.001")])

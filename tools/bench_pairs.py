@@ -23,8 +23,18 @@ calibration kernel between two trees, which rescales every timed metric,
 does not move it; and a short pass (about 1.3 ms on ``socp-dc``) gets
 hundreds of passes, so one slow pass cannot set it.  It then prints, for
 each metric, the medians over the pairs, parent -> change, the change in
-percent, the spread between the quartiles of the parent's runs, and in how
-many pairs the change read lower.
+percent, the spread between the quartiles of the parent's runs, in how
+many pairs the change read lower, and a verdict.  The verdict reads each
+metric's ``better`` direction and relative ``bound`` from the
+``end_to_end`` list of ``BENCHMARK.json`` at the root of this checkout
+(``untimed_best_s``, not listed there, is lower-better with no bound):
+
+* ``gain``: the change is better in at least 9 of 10 pairs (a tie is not
+  a win), and its median is better than the parent's by more than the
+  parent's quartile spread;
+* ``over bound``: the change's median is worse than the parent's by more
+  than ``bound`` times the parent's median;
+* ``within bound`` otherwise (``no bound`` for a metric without one).
 
 The tool only runs ``perfbench`` and the untimed passes, and writes no
 file of its own.  It exits
@@ -42,6 +52,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 UNTIMED_PASSES = 7
 UNTIMED_SECONDS = 1.0
 # run in a tree's root as ``python -c UNTIMED <workload> <seed> <passes>
@@ -88,9 +99,27 @@ def quartile_spread(values) -> float:
     return q3 - q1
 
 
+def verdict(parent, change, better: str, bound) -> str:
+    """The verdict (module docstring) on one metric's ``parent`` and
+    ``change`` values, pair by pair; ``better`` is ``"lower"`` or
+    ``"higher"`` and ``bound`` a share of the parent's median, or None."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    p50 = statistics.median(parent)
+    gain = sign * (p50 - statistics.median(change))
+    if 10 * wins >= 9 * len(parent) and gain > quartile_spread(parent):
+        return "gain"
+    if bound is None:
+        return "no bound"
+    return "over bound" if -gain > bound * abs(p50) else "within bound"
+
+
 def summary(pairs) -> list:
     """The summary lines of ``pairs``, a list of ``(parent, change)`` metric
-    dicts as ``parse_run`` returns them."""
+    dicts as ``parse_run`` returns them, with the verdicts that
+    ``BENCHMARK.json``'s rules give."""
+    rules = {m["name"]: (m["better"], m["bound"])
+             for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     lines = [f"medians over {len(pairs)} pairs, parent -> change"]
     for name, (_, unit) in pairs[0][0].items():
         parent = [p[name][0] for p, _ in pairs]
@@ -99,7 +128,8 @@ def summary(pairs) -> list:
         p50, c50 = statistics.median(parent), statistics.median(change)
         rel = f"{100.0 * (c50 / p50 - 1.0):+.1f}%" if p50 else "n/a"
         lines.append(f"  {name} {p50:.6g} -> {c50:.6g} {unit} ({rel}; parent IQR "
-                     f"{quartile_spread(parent):.3g}; change lower in {lower}/{len(pairs)})")
+                     f"{quartile_spread(parent):.3g}; change lower in {lower}/{len(pairs)}; "
+                     f"{verdict(parent, change, *rules.get(name, ('lower', None)))})")
     return lines
 
 
