@@ -117,12 +117,12 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
     while margin < R:
         radius = R - margin
         if l1:
-            lam = _l1_multiplier(p1.thresholds, a, ball.center, float(L_f), radius) / ball.curvature
+            lam = _l1_multiplier(p1.thresholds, a, ball.center, L_f, radius) / ball.curvature
         elif dist <= radius:
             lam = 0.0
         else:
             # P1 = 0: x(nu) - center = L_f (x0 - center) / (L_f + nu)
-            lam = float(L_f * (dist / radius - 1.0) / ball.curvature)
+            lam = L_f * (dist / radius - 1.0) / ball.curvature
         if not lam < math.inf:  # a NaN too
             raise NumericError("ball subproblem terms overflow the float range")
         x = (_path_point(p1, a, L_f, ball, lam) if l1 else x0 if dist <= radius

@@ -29,15 +29,13 @@ from .solver import SolveReport, SolveStatus, SolverConfig, TRACE_COLUMNS, run
 
 
 def write_trace(report: SolveReport, path) -> None:
-    """CSV trace with the fixed 14-column schema; floats use shortest
-    round-trip decimals so parsing reproduces them exactly."""
+    """CSV trace with the fixed 14-column schema; ``csv`` writes a float by
+    ``repr``, its shortest round-trip decimals, so parsing reproduces it
+    exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for row in report.trace:
-            writer.writerow([
-                repr(v) if isinstance(v, float) else str(v) for v in row.as_tuple()
-            ])
+        writer.writerows(report.trace)
 
 
 def write_report(report: SolveReport, cfg: SolverConfig, path, problem_name="") -> None:

@@ -13,8 +13,12 @@ Three cone families are provided.  For each one the membership test
 
 ``prepare(y)`` checks an argument and decomposes it once (one
 eigendecomposition for matrices); the returned point, which never changes,
-gives the support value, the smoothed value ``value(mu)`` at any mu, and
-with ``smoothed(mu)`` that value and its gradient.  The module also holds
+gives the support value ``support``, the smoothed value ``value(mu)`` at
+any mu, and with ``smoothed(mu)`` that value and its gradient.  The three
+point classes share these names by duck typing, with no common base; each
+raises ValueError for a mu outside ``[MU_FLOOR, inf)``.  The linesearch asks
+each trial's point for its value and an accepted one for both, so ``value``
+forms no gradient.  The module also holds
 the package's input rules, each checked once where an input enters:
 ``checked_array``, the one test that an array is a finite real array of a
 given shape, with ``real_dtype`` its dtype rule; ``check_numbers``, the one
@@ -70,7 +74,6 @@ _FLOAT64 = np.dtype(float)
 
 def _checked_mu(mu: float) -> float:
     """Validate ``mu >= MU_FLOOR`` (Lipschitz constants blow up below the floor)."""
-    mu = float(mu)
     if not MU_FLOOR <= mu < math.inf:
         raise ValueError(f"smoothing parameter must lie in [{MU_FLOOR:.0e}, inf), got {mu}")
     return mu
@@ -176,27 +179,7 @@ def symmetrized(y):
     return 0.5 * (y + yt)
 
 
-class ConePoint:
-    """A cone argument checked and decomposed once, and never changed after.
-
-    ``support`` is the support value; ``value(mu)`` is the smoothed kernel
-    with the ``alpha4 * mu`` shift, and ``smoothed(mu)`` is that value with
-    the kernel's gradient, both from the stored decomposition.  Each raises
-    ValueError for a mu outside ``[MU_FLOOR, inf)`` (``_checked_mu``).  The
-    linesearch asks each trial's point for its value and an accepted one for
-    both, so ``value`` forms no gradient.
-    """
-
-    support: float
-
-    def value(self, mu) -> float:
-        raise NotImplementedError
-
-    def smoothed(self, mu):
-        raise NotImplementedError
-
-
-class _LogSumExpPoint(ConePoint):
+class _LogSumExpPoint:
     """Temperature log-sum-exp over a vector of finite values; the gradient is
     its softmax.
 
@@ -232,7 +215,7 @@ class _SpectralPoint(_LogSumExpPoint):
         return lse + self.alpha4 * mu, R @ R.T
 
 
-class _PConePoint(ConePoint):
+class _PConePoint:
     """Hyperbolic smoothing ``sqrt(||y[:-1]||^2 + mu^2) - y[-1]``."""
 
     def __init__(self, y, alpha4):
@@ -276,10 +259,6 @@ class ConeBaseOracle:
         check_numbers(self, reals=("alpha4",), integers=("m",))
         if not (m >= 1 and alpha4 >= 0):
             raise ValueError(f"{self.family}: need m >= 1, alpha4 >= 0; got {m!r}, {alpha4!r}")
-        self.m = int(m)
-
-    def prepare(self, y) -> ConePoint:
-        raise NotImplementedError
 
     def support_value(self, y) -> float:
         return self.prepare(y).support

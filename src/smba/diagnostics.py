@@ -28,7 +28,7 @@ class KKTCertificate(NamedTuple):
             "rho": self.rho,
             "complementarity": self.complementarity,
             "step": self.step,
-            "v": np.asarray(self.v).tolist(),
+            "v": self.v.tolist(),
         }
 
 

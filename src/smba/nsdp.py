@@ -64,18 +64,17 @@ class NsdpInstance:
         fields = SimpleNamespace(n=d["n"], m=d["m"], seed=d.get("seed", -1),
                                  l1_weight=d.get("l1_weight", 1.0))
         check_numbers(fields, reals=("l1_weight",), integers=("n", "m", "seed"))
-        n, m = int(fields.n), int(fields.m)
+        n, m = fields.n, fields.m
         arrays = {key: checked_array(d[key], shape, key) for key, shape in
                   (("Q", (n, n)), ("b", (n,)), ("c", (n,)), ("d", (n,)), ("A", (n + 1, m, m)))}
-        return cls(n=n, m=m, seed=int(fields.seed), l1_weight=float(fields.l1_weight), **arrays)
+        return cls(n=n, m=m, seed=fields.seed, l1_weight=float(fields.l1_weight), **arrays)
 
 
 def _orthogonal(rng, k):
-    # sign-fixed QR: forcing diag(R) > 0 makes the factor unique
+    # sign-fixed QR: forcing diag(R) > 0 makes the factor unique (a Gaussian
+    # draw leaves no zero on the diagonal)
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return q * np.sign(np.diag(r))
 
 
 def _sparse_positive(rng, k):
@@ -88,9 +87,10 @@ def generate_nsdp(n: int, m: int, seed: int) -> NsdpInstance:
     """Deterministic random instance; draw order is part of the contract.
     ``n``, ``m`` and ``seed`` must be integers, ``n`` and ``m`` at least 1."""
     check_numbers(SimpleNamespace(n=n, m=m, seed=seed), integers=("n", "m", "seed"))
+    n, m, seed = int(n), int(m), int(seed)  # a numpy integer too, so the instance saves
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be >= 1, got n={n!r}, m={m!r}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
 
     U = _orthogonal(rng, n)
     a = _sparse_positive(rng, n)
@@ -111,7 +111,7 @@ def generate_nsdp(n: int, m: int, seed: int) -> NsdpInstance:
     a_support = (a != 0.0).astype(float)
     b = U @ (a_support * b_bar)
 
-    return NsdpInstance(n=n, m=m, seed=int(seed), Q=Q, b=b, c=c, d=d, A=A)
+    return NsdpInstance(n=n, m=m, seed=seed, Q=Q, b=b, c=c, d=d, A=A)
 
 
 def nsdp_problem(inst: NsdpInstance) -> DCProblem:

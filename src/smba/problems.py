@@ -72,7 +72,7 @@ class L1Regularizer:
         return float(np.add.reduce(self.weights * np.abs(x)))
 
     def prox(self, z, t):
-        thresh = float(t) * self.weights
+        thresh = t * self.weights
         return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
     def subdiff_distance(self, x, u):
@@ -179,8 +179,8 @@ def poly_quartic_objective(Q, b, cubic, quartic) -> SmoothObjective:
 
 
 def shift_map(b) -> ConstraintMap:
-    """Affine map G(x) = x - b (identity Jacobian)."""
-    b = np.asarray(b, dtype=float)
+    """Affine map G(x) = x - b (identity Jacobian); ``b`` is a checked float
+    array (``checked_array``)."""
     return ConstraintMap(
         value=lambda x: x - b,
         adjoint_apply=lambda x, u: np.array(u, dtype=float),

@@ -145,7 +145,6 @@ def mu_at(spec: ScheduleSpec, k: int) -> float:
     Reads ``mu0 * a[k] (* b[k])`` from the cached chunk of the schedule's
     mu0-free factors that holds index k.
     """
-    k = int(k)
     if spec.mu0 is None:
         raise ValueError("schedule has no mu0 set; call with_mu0 first")
     if k < 0:

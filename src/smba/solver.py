@@ -95,8 +95,7 @@ import numpy as np
 
 from . import diagnostics
 from .ball_prox import build_ball, solve_ball_prox
-from .cones import (_FLOAT64, _VDOT, MU_FLOOR, ConePoint, check_keys, check_numbers, checked_array,
-                    real_dtype)
+from .cones import _FLOAT64, _VDOT, MU_FLOOR, check_keys, check_numbers, checked_array, real_dtype
 from .errors import InfeasibleStartError, NumericError
 from .problems import DCProblem
 from .schedules import ScheduleSpec, mu_at, ramped_log_schedule, stall_index
@@ -252,7 +251,7 @@ class SolveReport:
             "term_step": finite(self.term_step),
             "term_slack": finite(self.term_slack),
             "reason": self.reason,
-            "x": np.asarray(self.x).tolist(),
+            "x": self.x.tolist(),
             "final_kkt": self.final_kkt.to_dict() if self.final_kkt else None,
         }
 
@@ -288,7 +287,7 @@ class InnerResult(NamedTuple):
     f: float
     psi: float
     y: np.ndarray
-    point: ConePoint
+    point: object  # the cone point of y (smba.cones)
 
 
 def _finite(name: str, value, k: int, n: int):
@@ -318,7 +317,7 @@ def _finite(name: str, value, k: int, n: int):
     return value
 
 
-def _cone_point(prob: DCProblem, y, where: str) -> ConePoint:
+def _cone_point(prob: DCProblem, y, where: str):
     """The evaluated cone point of ``y = G(x)``; raises NumericError naming
     the constraint map and ``where`` if the cone rejects ``y`` (a NaN or inf
     entry, a wrong shape, or asymmetry)."""
@@ -353,7 +352,7 @@ def _objective(prob: DCProblem, x, where: str) -> Tuple[float, float]:
     return f, psi - (p2 if type(p2) is float else _scalar("P2 value", p2, where))
 
 
-def _start_point(prob: DCProblem, x0) -> ConePoint:
+def _start_point(prob: DCProblem, x0):
     """The evaluated cone point of ``G(x0)``; raises unless x0 is strictly feasible."""
     point = _cone_point(prob, prob.g.value(x0), "x0")
     if not point.support < 0:
@@ -363,7 +362,7 @@ def _start_point(prob: DCProblem, x0) -> ConePoint:
     return point
 
 
-def _initial_mu(point: ConePoint) -> float:
+def _initial_mu(point) -> float:
     """Smallest 0.9 * 2^(-l) making the smoothed constraint clearly negative
     at the start point, whose evaluated cone point is ``point``.
 
@@ -399,7 +398,7 @@ def bb_init(dx, dx2, df, dg, Lf0, Lg0, cfg: SolverConfig):
     return Lf0, Lg0
 
 
-def _smoothing_gradient(prob: DCProblem, x, point: ConePoint, mu: float, k: int):
+def _smoothing_gradient(prob: DCProblem, x, point, mu: float, k: int):
     """``(g_mu(x), grad h_mu(y), grad g_mu(x))`` at the point ``x`` whose
     evaluated cone point is ``point``, from one ``smoothed`` call: the
     smoothed value, the smoothing gradient and its adjoint apply, which
@@ -515,8 +514,9 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
         # search that reaches the floor.  Either ends with no rows
         f0, psi = _objective(prob, x0, "x0")
         point0 = _start_point(prob, x0)
-        mu0 = cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0)
-        schedule = cfg.schedule.with_mu0(mu0)
+        schedule = cfg.schedule.with_mu0(
+            cfg.schedule.mu0 if cfg.schedule.mu0 is not None else _initial_mu(point0))
+        mu0 = schedule.mu0  # a Python float, whatever real type the config holds
         # the schedule index s runs apart from the step count k: it jumps
         # ahead when the iterate stalls (module docstring)
         s = 0

@@ -48,7 +48,8 @@ INTERNALS = [
 # of the array check (checked_array) and the symmetry rule (symmetrized),
 # and what only the tests called, now in tests/helpers.py or read off
 # _path_point and _factors (or, for ScheduleSpec.to_dict, done by
-# SolverConfig.to_dict's dataclasses.asdict)
+# SolverConfig.to_dict's dataclasses.asdict), and the abstract stubs of the
+# duck-typed cone points and families (ConePoint, ConeBaseOracle.prepare)
 REMOVED = [
     ("smba.cones", "stable_logsumexp"),
     ("smba.cones", "ConeBaseOracle.msa_value"),
@@ -67,7 +68,8 @@ REMOVED = [
     ("smba.cones", "SmoothingCert"),
     ("smba.cones", "ConeBaseOracle.polar_residual"),
     ("smba.diagnostics", "KKTCertificate.eps_triple"),
-    ("smba.cones", "ConePoint.gradient"),
+    ("smba.cones", "ConePoint"),
+    ("smba.cones", "ConeBaseOracle.prepare"),
     ("smba.solver", "_stall_index"),
     ("smba.schedules", "ScheduleSpec.to_dict"),
 ]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -643,6 +644,41 @@ class TestSolveBallProx:
         assert res.lam == 0.0
         assert np.array_equal(res.x, np.zeros(c.size))
 
+    def test_l1_multiplier_plateau_past_the_first_piece(self):
+        # x(0) = -1 lies below the dead zone; from the knot 1 / 0.3, where s
+        # crosses -w, x(nu) = 0 at distance exactly R = c from the center.
+        # The first piece's root rounds one ulp past that knot, so the
+        # multiplier comes from the plateau that follows: its left end
+        nu = _l1_multiplier(L1Regularizer(np.ones(1)).thresholds, np.array([-2.0]),
+                            np.array([0.3]), 1.0, 0.3)
+        assert nu == (-1.0 + 2.0) / 0.3
+
+    def test_l1_multiplier_from_correctly_rounded_sums(self):
+        # coordinate 2 leaves the dead zone early, adding a term larger than
+        # the running P; the double-double sums keep that addition's rounding
+        # error, so the root is the one of its piece's sums, each rounded once
+        w = np.array([0.13064525105233385, 0.8613010958005517, 0.6290937466001745])
+        a = np.array([0.13380147751005902, -14.035067478613927, -0.5168165491642254])
+        c = np.array([1.189573969839777, 1.5365598744781388, 0.582002092102757])
+        R = 0.5262821073146405
+        nu = _l1_multiplier(L1Regularizer(w).thresholds, a, c, 1.0, R)
+        s = a + nu * c
+        above, below = s > w, s < -w
+        assert np.abs(np.abs(s) - w).min() > 1.0  # each region is clear of rounding
+        terms = [w - a + c, -w - a + c]  # each alpha as the kernel forms it, squared below
+        P = sum(Fraction(float(t * t)) for t in np.concatenate(
+            [terms[0][above], terms[1][below]]))
+        Q = sum(Fraction(float(ci * ci)) for ci in c[~(above | below)])
+        assert nu == math.sqrt(float(P) / (R * R - float(Q))) - 1.0
+
+    def test_l1_multiplier_skips_a_piece_at_q_equal_r2(self):
+        # coordinate 0 starts in the dead zone with c_0 = R, so Q = R^2
+        # exactly, while coordinate 1 lies outside it (P = 9): the distance
+        # exceeds R on all of the first piece, and the root lies on the next
+        nu = _l1_multiplier(L1Regularizer(np.ones(2)).thresholds, np.array([0.0, 5.0]),
+                            np.ones(2), 1.0, 1.0)
+        assert nu == pytest.approx(math.sqrt(13.0) - 1.0, rel=1e-15)
+
     @given(st.integers(1, 120), st.floats(-8.0, 1.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_l1_multiplier_sweep(self, n, log_ratio, seed):
@@ -727,16 +763,33 @@ class TestSolveBallProx:
         with pytest.raises(ValueError):
             BallConstraint(center=np.zeros(2), radius=0.0, curvature=1.0)
 
-    def test_no_interior_point_at_double_precision_raises(self):
+    @pytest.mark.parametrize("p1, x_k, q, L_f, center, radius", [
         # a unit ball about x_k = 1e18, where doubles are 128 apart: the l1
         # path point is formed from L_f x_k - q, whose rounding there is far
         # larger than the radius, so at every margin the computed point lands
         # on or outside the sphere
-        center = np.array([1e18])
-        ball = BallConstraint(center=center, radius=1.0, curvature=1.0)
+        (L1Regularizer([100.0]), [1e18], [-2.0], 5.1, [1e18], 1.0),
+        # a ball of one ulp about an odd double: the margin starts at half
+        # the radius, where the point ties and rounds to the next double, on
+        # the sphere; the doubled margin is the whole radius, so no pass is left
+        (ZeroRegularizer(), [2.0], [0.0], 1.0, [1.0 + 2.0**-52], 2.0**-52),
+    ], ids=["l1-far", "one-ulp"])
+    def test_no_interior_point_at_double_precision_raises(self, p1, x_k, q, L_f, center,
+                                                         radius):
+        ball = BallConstraint(center=np.array(center), radius=radius, curvature=1.0)
         with pytest.raises(NumericError, match="^ball subproblem has no point strictly inside "
                                                "the ball at double precision$"):
-            solve_ball_prox(L1Regularizer([100.0]), center.copy(), np.array([-2.0]), 5.1, ball)
+            solve_ball_prox(p1, np.array(x_k), np.array(q), L_f, ball)
+
+    def test_zero_regularizer_start_on_the_solved_radius(self):
+        # x(0) lies exactly at the radius solved for, R less the margin: the
+        # multiplier is 0 and the point x(0) itself, not c + (x(0) - c),
+        # which rounds to another double
+        c, x0 = -10.025841171982997, -0.007200783780651968
+        assert c + (x0 - c) != x0
+        ball = BallConstraint(center=np.array([c]), radius=10.018640388212326, curvature=1.0)
+        res = solve_ball_prox(ZeroRegularizer(), np.array([x0]), np.zeros(1), 1.0, ball)
+        assert res.lam == 0.0 and res.x.tolist() == [x0]
 
 
 def socp_dc_instance_1():

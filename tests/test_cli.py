@@ -2,16 +2,25 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smba
+
 from smba.cli import main, write_trace
+from smba.nsdp import load_instance, nsdp_problem
 from smba.problems import box_problem, norm_ball_problem, psd_affine_problem
 from smba.schedules import power_schedule
-from smba.solver import SolverConfig, TRACE_COLUMNS, run
+from smba.solver import SolverConfig, run
 
 from helpers import read_trace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +36,14 @@ class TestTraceIO:
         write_trace(toy_report, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == TRACE_COLUMNS
-        assert len(rows[0]) == 14
+        assert rows[0] == ["k", "psi", "g_mu", "sigma_B", "mu", "lambda", "Lf", "Lg", "i_k",
+                           "j_k", "term_step", "term_slack", "rho", "elapsed_s"]
         assert len(rows) >= 2
 
     def test_roundtrip_exact(self, toy_report, tmp_path):
-        # one problem per cone family, and one whose f returns np.float64;
-        # every field must be a Python int or float, whose repr the reader
-        # parses back exactly
+        # one problem per cone family, one whose f returns np.float64 and
+        # one with an l1 term; every field must be a Python int or float,
+        # whose repr the reader parses back exactly
         A = np.zeros((3, 2, 2))
         A[0] = 2.0 * np.eye(2)
         A[1], A[2] = np.diag([-1.0, 0.0]), np.diag([0.0, -1.0])
@@ -46,7 +55,9 @@ class TestTraceIO:
         reports = [toy_report,
                    run(norm_ball_problem([2.0, -1.0, 0.5], 1.0), cfg, np.zeros(3)),
                    run(psd_affine_problem([3.0, 1.0], A), cfg, np.zeros(2)),
-                   run(numpy_f, cfg, np.zeros(2))]
+                   run(numpy_f, cfg, np.zeros(2)),
+                   run(box_problem(c=[2.0, -1.0], b=[1.0, 1.0], l1_weight=0.3), cfg,
+                       np.zeros(2))]
         for i, report in enumerate(reports):
             assert report.trace
             assert all(type(v) in (int, float) for row in report.trace for v in row)
@@ -69,6 +80,8 @@ class TestGenSolve:
         inst_path = tmp_path / "p.json"
         assert main(["gen-nsdp", "--n", "20", "--m", "10", "--seed", "1",
                      "--out", str(inst_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote nsdp instance n=20 m=10 seed=1 to {inst_path}\n")
         trace = tmp_path / "t.csv"
         report = tmp_path / "r.json"
         code = main(["solve", "--problem", str(inst_path), "--eps", "1e-5",
@@ -93,6 +106,30 @@ class TestGenSolve:
                      "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["config"]["schedule"]["variant"] == "power"
+
+    def test_report_holds_the_certificate_and_problem(self, tmp_path):
+        inst_path, report = tmp_path / "p.json", tmp_path / "r.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "1", "--out", str(inst_path)])
+        assert main(["solve", "--problem", str(inst_path), "--eps", "1e-6",
+                     "--report", str(report)]) == 0
+        text = report.read_text()
+        assert text.endswith("}\n")
+        doc = json.loads(text)
+        prob = nsdp_problem(load_instance(inst_path))
+        again = run(prob, SolverConfig(eps=1e-6), np.zeros(6))
+        assert doc["problem"] == prob.name == "nsdp(n=6,m=4,seed=1)"
+        assert doc["final_kkt"] == again.final_kkt.to_dict()
+        assert doc["final_kkt"]["rho"] > 0.0
+
+    def test_config_without_schedule_uses_the_default(self, tmp_path):
+        inst_path, cfg_path = tmp_path / "p.json", tmp_path / "cfg.json"
+        main(["gen-nsdp", "--n", "6", "--m", "4", "--seed", "3", "--out", str(inst_path)])
+        cfg_path.write_text(json.dumps({"eps": 1e-4}))
+        report = tmp_path / "r.json"
+        assert main(["solve", "--problem", str(inst_path), "--config", str(cfg_path),
+                     "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["config"] == SolverConfig(eps=1e-4).to_dict()
 
     def test_stale_config_key_exit_1(self, tmp_path, capsys):
         inst_path = tmp_path / "p.json"
@@ -262,6 +299,8 @@ class TestGenSolve:
         del doc["seed"]
         inst_path.write_text(json.dumps(doc))
         assert main(["solve", "--problem", str(inst_path), "--eps", "1e-4"]) == 0
+        # read as a float, so a saved copy writes 1.0
+        assert json.dumps(load_instance(inst_path).to_dict()["l1_weight"]) == "1.0"
 
     def test_gen_invalid_size_exit_1(self, tmp_path):
         assert main(["gen-nsdp", "--n", "0", "--m", "3", "--seed", "1",
@@ -352,6 +391,22 @@ class TestGenSolve:
         assert out["final_kkt"] is None
 
 
+@pytest.mark.parametrize("how", ["main", "module"])
+def test_version(capsys, how):
+    # "module" runs the file as ``python -m smba.cli``
+    if how == "main":
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+    else:
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-m", "smba.cli", "--version"], env=env,
+                              capture_output=True, text=True, check=True)
+        out = done.stdout
+    assert out == f"{smba.__version__}\n"
+
+
 class TestBench:
     def test_small_sweep(self, tmp_path):
         out = tmp_path / "bench"
@@ -376,6 +431,22 @@ class TestBench:
         # summary is sorted by (seed, rbar, sbar)
         keys = [(int(r["seed"]), float(r["rbar"]), float(r["sbar"])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_summary_sorted_from_an_unsorted_axis(self, tmp_path):
+        out = tmp_path / "bench"
+        assert main(["bench", "--n", "5", "--m", "3", "--seeds", "0", "--rbar", "0.9,0.33",
+                     "--sbar", "0", "--eps", "1e-3", "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            assert [row["rbar"] for row in csv.DictReader(fh)] == ["0.33", "0.9"]
+
+    def test_unconverged_cell_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--n", "6", "--m", "4", "--seeds", "1", "--rbar", "0.9",
+                     "--sbar", "0", "--eps", "1e-9", "--max-outer", "2",
+                     "--out", str(out)]) == 2
+        assert "(1 not converged)" in capsys.readouterr().out
+        with open(out / "summary.csv", newline="") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == ["max_outer"]
 
     def test_comma_seed_list(self, tmp_path):
         out = tmp_path / "bench2"

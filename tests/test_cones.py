@@ -565,7 +565,7 @@ class TestPreparedPoint:
         bump = factor * SYMMETRY_TOL * (1.0 + np.linalg.norm(y)) / math.sqrt(2.0)
         y[0, 1] += 0.5 * bump
         y[1, 0] -= 0.5 * bump
-        with pytest.raises(ValueError, match="asymmetry"):
+        with pytest.raises(ValueError, match="^matrix asymmetry "):
             NegSemidef(10).prepare(y)
 
     def test_points_hold_no_mutable_state(self, rng):

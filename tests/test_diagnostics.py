@@ -11,6 +11,7 @@ from smba.problems import (
     SmoothObjective,
     ZeroConcave,
     box_problem,
+    norm_ball_problem,
     psd_affine_problem,
 )
 from smba.cones import NonposOrthant
@@ -69,15 +70,21 @@ class TestKKTResiduals:
         cert = certify(prob, np.array([1.0]), np.array([1.0]), 0.0, 1.0)
         assert cert.rho == pytest.approx(1.5)
 
-    def test_zero_multiplier_zeroes_v(self):
-        prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
+    @pytest.mark.parametrize("prob", [
+        box_problem(c=[2.0, -1.0], b=[1.0, 1.0]),
+        # the p-cone's smoothing gradient ends in -1, where 0 * grad_h is -0.0
+        norm_ball_problem([2.0, -1.0], 1.0),
+    ], ids=["orthant", "p-cone"])
+    def test_zero_multiplier_zeroes_v(self, prob):
         x = np.array([0.2, -0.3])
         cert = certify(prob, x, x, 0.0, 0.5)
-        np.testing.assert_array_equal(cert.v, np.zeros(2))
+        m = prob.g.value(x).size
+        np.testing.assert_array_equal(cert.v, np.zeros(m))
+        assert not np.signbit(cert.v).any()
         assert cert.complementarity == 0.0
         assert cert.step == 0.0
         assert cert.to_dict() == {"rho": cert.rho, "complementarity": 0.0, "step": 0.0,
-                                  "v": [0.0, 0.0]}
+                                  "v": [0.0] * m}
 
     def test_step_is_distance_between_iterates(self):
         prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])

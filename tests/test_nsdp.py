@@ -63,6 +63,17 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_nsdp(5, 0, 1)
 
+    def test_numpy_integer_arguments_give_a_savable_instance(self, tmp_path):
+        # n and m were kept as numpy integers, which JSON cannot write
+        inst = generate_nsdp(np.int64(3), np.int32(2), np.uint8(7))
+        assert all(type(v) is int for v in (inst.n, inst.m, inst.seed))
+        save_instance(inst, tmp_path / "p.json")
+        assert load_instance(tmp_path / "p.json").to_dict() == generate_nsdp(3, 2, 7).to_dict()
+
+    def test_smallest_sizes_accepted(self):
+        inst = generate_nsdp(1, 1, 3)
+        assert (inst.n, inst.m) == (1, 1)
+
     @pytest.mark.parametrize("n, m, seed, name", [
         (3, 2, 1.5, "seed"), (3, 2, True, "seed"), (3, 2, "1", "seed"), (3.0, 2, 1, "n"),
         (3, 2.5, 1, "m"), (3, 1 + 0j, 1, "m"),
@@ -78,6 +89,7 @@ class TestSerialization:
         inst = generate_nsdp(7, 4, 123)
         path = tmp_path / "inst.json"
         save_instance(inst, path)
+        assert path.read_text().endswith("}\n")
         again = load_instance(path)
         assert again.n == inst.n and again.m == inst.m and again.seed == inst.seed
         np.testing.assert_array_equal(again.Q, inst.Q)

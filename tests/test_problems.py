@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,10 @@ class TestConcaveTerms:
         with pytest.raises(ValueError, match="weight must be a finite real number"):
             L1Concave(weight)
 
+    def test_l1_zero_weight_accepted(self):
+        p2 = L1Concave(0.0)
+        assert p2.value(np.array([1.0, -2.0])) == 0.0
+
     def test_l1_tie_broken_toward_zero(self):
         g = L1Concave(1.0).subgradient(np.array([0.0, 2.0, -3.0]))
         np.testing.assert_array_equal(g, [0.0, 1.0, -1.0])
@@ -254,6 +259,12 @@ class TestCompositeSmoothing:
         adj = g.adjoint_apply(x, u)
         adj[:] = 0.0
         assert g.adjoint_apply(x, u).tolist() == [3.0, 4.0] and u.tolist() == [3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("t", [2, Fraction(5, 2)], ids=["int", "fraction"])
+    def test_pcone_lift_of_any_real_radius(self, t):
+        # the lifted coordinate is a float, whatever real type the radius has
+        value = pcone_lift_map(t).value(np.array([1.0, -1.0]))
+        assert value.dtype == np.float64 and value.tolist() == [1.0, -1.0, float(t)]
 
     def test_pcone_gradient_never_divides_the_radius(self):
         # the lifted radius 1e300 sits in the last entry of G(0); divided by

@@ -60,6 +60,12 @@ class TestMuAt:
         want = 2.0 * (kbar + 1) ** (-r) * np.log(kbar + 3) ** (-s)
         assert mu_at(spec, k) == pytest.approx(want, rel=1e-14)
 
+    def test_ramped_log_shortest_ramp(self):
+        # ramp_len = 1, the least accepted: past index 0 the ramp is complete
+        spec = ramped_log_schedule(0.9, 3.0, n0=2, nu0=0.5, ramp_len=1, mu0=2.0)
+        want = 2.0 * 7.5 ** -0.9 * np.log(9.5) ** -3.0
+        assert mu_at(spec, 7) == pytest.approx(want, rel=1e-14)
+
     def test_missing_mu0_rejected(self):
         with pytest.raises(ValueError):
             mu_at(power_schedule(0.5), 1)
@@ -86,10 +92,12 @@ class TestMuAt:
             ScheduleSpec(**{"variant": variant, "mu0": 1.0, field: value})
 
     def test_invalid_fields_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduleSpec(variant="power", r=1.0, mu0=1.0)
-        with pytest.raises(ValueError):
-            ScheduleSpec(variant="blockwise", rbar=0.005, mu0=1.0)
+        for r in (0.0, 1.0):
+            with pytest.raises(ValueError, match="power exponent"):
+                ScheduleSpec(variant="power", r=r, mu0=1.0)
+        for rbar in (0.005, 0.01, 1.0):
+            with pytest.raises(ValueError, match="rbar must lie"):
+                ScheduleSpec(variant="blockwise", rbar=rbar, mu0=1.0)
         with pytest.raises(ValueError):
             ScheduleSpec(variant="ramped_log", rbar=0.9, sbar=-1.0, mu0=1.0)
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from smba.schedules import (blockwise_schedule, mu_at, power_schedule, ramped_lo
 from smba.solver import (
     SolveStatus,
     SolverConfig,
+    _secant_rise,
     bb_init,
     inner_loop_step,
     run,
@@ -128,6 +130,17 @@ class TestBBInit:
         Lf0, Lg0 = bb_init(zero, 0.0, zero, zero, 2.0, 4.0, SolverConfig())
         assert Lf0 == pytest.approx(1.0)
         assert Lg0 == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("ratio, want", [
+        (0.0, (3.0, 5.0)), (1e9, (3.0, 5.0)), (math.nan, (3.0, 5.0)),
+        (1e-8, (1e-8, 1e-8)), (1e8, (1e8, 1e8)),
+    ], ids=["linear-f", "above-L_max", "nan", "at-L_min", "at-L_max"])
+    def test_ratio_outside_safeguards_falls_back(self, ratio, want):
+        # along dx = e_1 both ratios are exactly ``ratio``: 0, as for a
+        # linear f, lies below L_min, so each warm start falls back to half
+        # the last start (6 and 10); a ratio at L_min or L_max is kept
+        dx = np.array([1.0, 0.0])
+        assert bb_init(dx, 1.0, ratio * dx, ratio * dx, 6.0, 10.0, SolverConfig()) == want
 
     def test_constraint_warm_start_is_secant_norm_ratio(self, rng):
         # Lg0 = ||dg|| / ||dx|| with dg the change of mu grad g_mu; by
@@ -343,6 +356,17 @@ def fixed_trial(monkeypatch, point):
 
 
 class TestConstraintJump:
+    def test_trial_on_the_smoothed_boundary_is_feasible(self, monkeypatch):
+        # one value with shift 0.5 mu: g_mu(x) = x - 1 + 0.25 at mu = 0.5,
+        # exactly 0.0 at the trial 0.75, which meets g_mu <= 0; the next mu
+        # is smaller, so the shift makes the point strictly feasible there
+        prob = dataclasses.replace(box_problem(c=[2.0], b=[1.0]),
+                                   cone=cones.NonposOrthant(1, alpha4=0.5))
+        state = make_state(prob, np.zeros(1), 0.5)
+        fixed_trial(monkeypatch, [0.75])
+        res = inner_loop_step(state, prob, SolverConfig())
+        assert res.gmu == 0.0 and (res.i, res.j) == (0, 0)
+
     def test_infeasible_trial_lands_on_smallest_grid_point_above_secant(self):
         # the secant mu kappa = 12 lies between 0.7 * 2^4 = 11.2 and
         # 0.7 * 2^5 = 22.4; one infeasible trial lifts Lg to 22.4, where plain
@@ -391,6 +415,16 @@ class TestConstraintJump:
             inner_loop_step(state, prob, SolverConfig(max_inner_j=2))
         assert (err.value.i, err.value.j) == (0, 3)
         assert err.value.Lg == (0.01 * 512 if jumps else 0.01 * 4)
+
+    @pytest.mark.parametrize("curv, step2, above, rise", [
+        (2.0, 1.0, True, 2), (2.0, 1.0, False, 2), (2.5, 1.0, True, 3), (2.5, 1.0, False, 2),
+        (2.0, 0.0, True, 1),
+    ], ids=["on-grid-above", "on-grid-below", "between-above", "between-below", "zero-step"])
+    def test_secant_rise_to_the_grid(self, curv, step2, above, rise):
+        # the secant 2 curv / step2 on the grid 2^e from e = 0: 4 = 2^2 is a
+        # grid point, reached from either side; 5 lies between 2^2 and 2^3.
+        # A step whose squared length is 0 measures no secant: one rise
+        assert _secant_rise(curv, 0.0, step2, 1.0, 1.0, 0, above) == rise
 
     def test_descent_failure_still_lifts_lg_as_far(self, monkeypatch):
         # a trial that fails descent raises b with a, never by the constraint
@@ -531,12 +565,31 @@ class TestRunToyProblems:
         assert report.mu0 == 0.45
         assert report.status is SolveStatus.CONVERGED
 
-    def test_supplied_mu0_too_large_rejected(self):
-        prob = dataclasses.replace(box_problem(c=[2.0, -1.0], b=[0.1, 0.1]),
-                                   cone=cones.NonposOrthant(2, alpha4=0.0))
+    @pytest.mark.parametrize("mu0", [np.float32(0.5), 1, Fraction(1, 2)],
+                             ids=["float32", "int", "fraction"])
+    def test_supplied_mu0_of_any_real_type(self, mu0):
+        # the run reads mu0 as the Python float its schedule holds: a float32
+        # mu0 made the first step's arithmetic float32, and an int or a
+        # Fraction reached the trace's mu column
+        prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
+        got = run(prob, SolverConfig(schedule=power_schedule(0.5, mu0=mu0)), np.zeros(2))
+        want = run(prob, SolverConfig(schedule=power_schedule(0.5, mu0=float(mu0))),
+                   np.zeros(2))
+        assert type(got.mu0) is float and got.mu0 == want.mu0
+        assert all(type(row.mu) is float for row in got.trace)
+        assert [row[:-1] for row in got.trace] == [row[:-1] for row in want.trace]
+
+    @pytest.mark.parametrize("c, b, alpha4, mu0", [
         # smoothing gap log(2) * mu exceeds the margin 0.1 at mu = 1
-        with pytest.raises(InfeasibleStartError):
-            run(prob, SolverConfig(schedule=power_schedule(0.9, mu0=1.0)), np.zeros(2))
+        ([2.0, -1.0], [0.1, 0.1], 0.0, 1.0),
+        # one value, support -1, shift 0.5 mu: exactly 0.0 at mu = 2
+        ([2.0], [1.0], 0.5, 2.0),
+    ], ids=["above", "zero"])
+    def test_supplied_mu0_too_large_rejected(self, c, b, alpha4, mu0):
+        prob = dataclasses.replace(box_problem(c=c, b=b),
+                                   cone=cones.NonposOrthant(len(b), alpha4=alpha4))
+        with pytest.raises(InfeasibleStartError, match="not negative at x0"):
+            run(prob, SolverConfig(schedule=power_schedule(0.9, mu0=mu0)), np.zeros(len(b)))
 
 
 @pytest.fixture(scope="module")
@@ -663,6 +716,22 @@ class TestScheduleAdvance:
         assert stall_rows(report, cfg.eps) and report.advances == len(stall_rows(report, cfg.eps))
         assert report.status is SolveStatus.MAX_OUTER
 
+    def test_schedule_at_the_floor_runs_one_more_step(self):
+        # from this mu0, power(0.5) reaches MU_FLOOR itself, to the bit, at
+        # index 1; the kernel accepts the floor, so step 1 runs there and
+        # step 0's certificate is taken there, with no second smoothing
+        # gradient; the run stops when index 2 falls below the floor
+        mu0 = 1.414213562373095e-12
+        spec = power_schedule(0.5, mu0=mu0)
+        assert mu_at(spec, 1) == MU_FLOOR
+        base, adjoints = box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), []
+        prob = dataclasses.replace(base, g=dataclasses.replace(
+            base.g, adjoint_apply=lambda x, v: adjoints.append(1) or base.g.adjoint_apply(x, v)))
+        report = run(prob, SolverConfig(eps=1e-12, schedule=spec), np.zeros(2))
+        assert report.status is SolveStatus.MU_FLOOR
+        assert [row.mu for row in report.trace] == [mu0, MU_FLOOR]
+        assert len(adjoints) == 1 + report.iterations
+
     def test_certificate_reads_the_next_schedule_value(self):
         # rho and term_slack of row k come from the multiplier lam_k grad
         # h_mu'(G(x_{k+1})) at the mu' of row k + 1 (for the last row, the
@@ -737,7 +806,7 @@ def with_fault(prob, oracle, start, fault):
     return dataclasses.replace(prob, **{part: owner})
 
 
-class LyingPoint(cones.ConePoint):
+class LyingPoint:
     """The cone point ``point``, except that it reports the support value
     ``support`` or the smoothed value ``gmu`` where one is given; its
     ``value(mu)`` and its smoothing gradient are the true ones."""
@@ -795,6 +864,13 @@ class TestRunFailureModes:
         assert "diverged" in report.reason
         assert report.iterations == len(report.trace) > 0
         assert report.objective == report.trace[-1].psi
+
+    def test_large_center_is_not_divergence(self):
+        # iterates of norm 5e7, below DIVERGENCE_NORM, converge
+        c = np.array([3e7, 4e7])
+        report = run(box_problem(c=c, b=c + 1.0), SolverConfig(), c - 0.5)
+        assert report.status is SolveStatus.CONVERGED
+        assert np.linalg.norm(report.x) == pytest.approx(5e7)
 
     def test_nonfinite_gradient_becomes_status(self):
         base = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
@@ -1644,10 +1720,10 @@ class TestConfig:
             SolverConfig.from_dict({**SolverConfig().to_dict(), **fields})
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tau1=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(L_min=1.0, L_max=0.5)
+        for fields in ({"tau1": 0.0}, {"tau2": 0.0}, {"eps": 0.0}, {"L_min": 0.0},
+                       {"L_min": 1.0, "L_max": 0.5}):
+            with pytest.raises(ValueError):
+                SolverConfig(**fields)
         with pytest.raises(ValueError):
             SolverConfig(eps=-1.0)
         for caps in ({"max_outer": 0}, {"max_inner_j": -1}):

@@ -264,3 +264,26 @@ def test_pair_runner_stops_at_a_failed_run(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert "FAILED instance 1" in done.stderr
+
+
+def test_mutation_sweep_reports_the_survivor_of_a_toy_package(tmp_path, capsys):
+    # four mutants: raise -> pass and both forced tests fail the test, but
+    # no test sits at x = 0, so the flip of "<" survives
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / "src" / "toy").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "pytest.ini").write_text("[pytest]\n")
+    source = "def check(x):\n    if x < 0:\n        raise ValueError(x)\n"
+    (tmp_path / "src" / "toy" / "clip.py").write_text(source)
+    (tmp_path / "tests" / "test_clip.py").write_text(
+        "import pytest\nfrom toy.clip import check\n\n\ndef test_check():\n"
+        "    check(1.0)\n    with pytest.raises(ValueError):\n        check(-1.0)\n")
+    survivors = tool.sweep(tmp_path, package="toy")
+    assert [m.label() for m in survivors] == ["clip.py:2:7 < -> <="]
+    assert capsys.readouterr().out.splitlines() == [
+        "survived clip.py:2:7 < -> <=", "total 4 mutants, 3 killed, 1 survived"]
+    assert (tmp_path / "src" / "toy" / "clip.py").read_text() == source  # left as it was
+    with pytest.raises(RuntimeError, match="^no module nope in "):
+        tool.sweep(tmp_path, ["nope"], package="toy")
