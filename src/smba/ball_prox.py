@@ -17,7 +17,6 @@ quadratic between sorted soft-threshold breakpoints.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,24 +32,14 @@ class BallConstraint:
 
     ``curvature`` is the quadratic weight L_g / mu of the majorant that the
     ball came from; the constraint function is
-    ``(curvature / 2) (||x - center||^2 - radius^2)``.  The constructor
-    raises ValueError unless the radius is positive, since a radius can
-    underflow to 0; the curvature is positive wherever ``build_ball`` forms
-    one.  A slotted record, one per linesearch trial: its fields are set once
-    here and only read after.
+    ``(curvature / 2) (||x - center||^2 - radius^2)``.  A slotted record, one
+    per linesearch trial: its fields are set once here and only read after.
     """
 
     __slots__ = ("center", "radius", "curvature")
 
     def __init__(self, center, radius, curvature):
-        if not (radius > 0):
-            raise ValueError(f"ball radius must be positive, got {radius}")
         self.center, self.radius, self.curvature = center, radius, curvature
-
-
-class SubproblemResult(NamedTuple):
-    x: np.ndarray
-    lam: float
 
 
 def build_ball(x_k, grad_gmu, grad_sq, gmu_val, L_g, mu) -> BallConstraint:
@@ -58,10 +47,12 @@ def build_ball(x_k, grad_gmu, grad_sq, gmu_val, L_g, mu) -> BallConstraint:
 
     ``x_k`` and ``grad_gmu`` are float vectors and ``grad_sq`` is
     ``grad_gmu . grad_gmu``, which every ball of one step shares.  The
-    solver guarantees what makes the radius real and positive, so it is not
-    checked again here: strict feasibility ``gmu_val < 0`` (the step state
-    is formed only at such a point), ``L_g > 0`` (a finite power of two
-    times a warm start of at least ``L_min > 0``) and ``mu >= MU_FLOOR``.
+    radius is positive, inf where the terms under its root overflow, and
+    the curvature positive; the solver guarantees what makes them so, and
+    nothing here checks it again: strict feasibility ``gmu_val < 0`` (the
+    step state is formed only at such a point), ``L_g > 0`` (a finite power
+    of two times a warm start of at least ``L_min > 0``) and ``mu >=
+    MU_FLOOR``.
     """
     scale = mu / L_g
     center = x_k - scale * grad_gmu
@@ -78,8 +69,8 @@ def _path_point(p1, a, L_f, ball: BallConstraint, lam: float) -> np.ndarray:
     return p1.prox((a + s * ball.center) / t, 1.0 / t)
 
 
-def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
-    """Solve the ball-constrained prox subproblem, returning (x, lambda).
+def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint):
+    """Solve the ball-constrained prox subproblem, returning the pair (x, lam).
 
     The reported multiplier is the one of the quadratic constraint
     ``(curvature/2)(||x - center||^2 - radius^2) <= 0``.  The multiplier is
@@ -129,7 +120,7 @@ def solve_ball_prox(p1, x_k, q, L_f, ball: BallConstraint) -> SubproblemResult:
              else ball.center + (radius / dist) * gap)
         x_gap = x - ball.center
         if math.sqrt(x_gap.dot(x_gap)) < R:
-            return SubproblemResult(x, lam)
+            return x, lam
         margin = max(2.0 * margin, math.ulp(R))
     raise NumericError("ball subproblem has no point strictly inside the ball at double precision")
 

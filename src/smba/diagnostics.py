@@ -24,12 +24,7 @@ class KKTCertificate(NamedTuple):
     v: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "complementarity": self.complementarity,
-            "step": self.step,
-            "v": self.v.tolist(),
-        }
+        return {**self._asdict(), "v": self.v.tolist()}
 
 
 def kkt_residuals(prob: DCProblem, x_next, step, lam, y, grad_h, grad_gmu, grad_f,

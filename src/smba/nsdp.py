@@ -17,7 +17,7 @@ any platform with IEEE-754 doubles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,18 +41,11 @@ class NsdpInstance:
     l1_weight: float = 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "family": "nsdp",
-            "n": self.n,
-            "m": self.m,
-            "seed": self.seed,
-            "Q": self.Q.tolist(),
-            "b": self.b.tolist(),
-            "c": self.c.tolist(),
-            "d": self.d.tolist(),
-            "A": self.A.tolist(),
-            "l1_weight": self.l1_weight,
-        }
+        d = {"family": "nsdp"}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            d[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "NsdpInstance":
@@ -61,13 +54,13 @@ class NsdpInstance:
         if d.get("family") != "nsdp":
             raise ValueError(f"unsupported problem family {d.get('family')!r}")
         check_keys(cls, {key: v for key, v in d.items() if key != "family"}, "problem file")
-        fields = SimpleNamespace(n=d["n"], m=d["m"], seed=d.get("seed", -1),
-                                 l1_weight=d.get("l1_weight", 1.0))
-        check_numbers(fields, reals=("l1_weight",), integers=("n", "m", "seed"))
-        n, m = fields.n, fields.m
+        scalars = SimpleNamespace(n=d["n"], m=d["m"], seed=d.get("seed", -1),
+                                  l1_weight=d.get("l1_weight", 1.0))
+        check_numbers(scalars, reals=("l1_weight",), integers=("n", "m", "seed"))
+        n, m = scalars.n, scalars.m
         arrays = {key: checked_array(d[key], shape, key) for key, shape in
                   (("Q", (n, n)), ("b", (n,)), ("c", (n,)), ("d", (n,)), ("A", (n + 1, m, m)))}
-        return cls(n=n, m=m, seed=fields.seed, l1_weight=float(fields.l1_weight), **arrays)
+        return cls(n=n, m=m, seed=scalars.seed, l1_weight=float(scalars.l1_weight), **arrays)
 
 
 def _orthogonal(rng, k):

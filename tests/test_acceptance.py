@@ -218,9 +218,9 @@ def test_criterion_3_subproblem_exactness():
                               curvature=float(rng.uniform(0.2, 5.0)))
         x_k, q = rng.normal(0, 2, n), rng.normal(0, 2, n)
         L_f = float(rng.uniform(0.2, 4.0))
-        res = solve_ball_prox(ZeroRegularizer(), x_k, q, L_f, ball)
+        x, _ = solve_ball_prox(ZeroRegularizer(), x_k, q, L_f, ball)
         want = exact_ball_projection(x_k - q / L_f, ball.center, ball.radius)
-        assert float(np.linalg.norm(res.x - want)) <= 1e-10
+        assert float(np.linalg.norm(x - want)) <= 1e-10
 
     # l1 case against the dense grid; the grid certifies (i) the argument to
     # within its resolution and (ii) that exhaustive search finds nothing
@@ -252,15 +252,15 @@ def test_criterion_3_subproblem_exactness():
         ball = BallConstraint(center=center, radius=1.0,
                               curvature=float(rng.uniform(0.3, 3.0)))
         p1 = L1Regularizer(w)
-        res = solve_ball_prox(p1, np.zeros(2), -L_f * z, L_f, ball)
-        actives += res.lam > 1e-12
+        x, lam = solve_ball_prox(p1, np.zeros(2), -L_f * z, L_f, ball)
+        actives += lam > 1e-12
 
         obj = lambda pts: 0.5 * L_f * np.sum((pts - z) ** 2, axis=1) + np.sum(np.abs(pts) * w, axis=1)
         feas = lambda pts: np.sum((pts - center) ** 2, axis=1) <= 1.0
         grid = GridSpec(lower=center - 1.1, upper=center + 1.1, points_per_axis=2001)
         x_grid, val_grid = grid_bruteforce(obj, feas, grid)
-        assert float(np.linalg.norm(res.x - x_grid)) <= 2e-3
-        assert float(obj(res.x[None])[0]) <= val_grid + 1e-5
+        assert float(np.linalg.norm(x - x_grid)) <= 2e-3
+        assert float(obj(x[None])[0]) <= val_grid + 1e-5
     assert actives >= 5  # the family genuinely exercises the multiplier search
 
 

@@ -31,7 +31,6 @@ INTERNALS = [
     ("smba.solver", "IterateState"),
     ("smba.ball_prox", "build_ball"),
     ("smba.ball_prox", "BallConstraint"),
-    ("smba.ball_prox", "SubproblemResult"),
     ("smba.ball_prox", "solve_ball_prox"),
     ("smba.diagnostics", "kkt_residuals"),
     ("smba.diagnostics", "termination_metrics"),
@@ -48,8 +47,9 @@ INTERNALS = [
 # of the array check (checked_array) and the symmetry rule (symmetrized),
 # and what only the tests called, now in tests/helpers.py or read off
 # _path_point and _factors (or, for ScheduleSpec.to_dict, done by
-# SolverConfig.to_dict's dataclasses.asdict), and the abstract stubs of the
-# duck-typed cone points and families (ConePoint, ConeBaseOracle.prepare)
+# SolverConfig.to_dict's dataclasses.asdict), the abstract stubs of the
+# duck-typed cone points and families (ConePoint, ConeBaseOracle.prepare),
+# and the subproblem's result record (its one caller unpacks an (x, lam) pair)
 REMOVED = [
     ("smba.cones", "stable_logsumexp"),
     ("smba.cones", "ConeBaseOracle.msa_value"),
@@ -72,6 +72,7 @@ REMOVED = [
     ("smba.cones", "ConeBaseOracle.prepare"),
     ("smba.solver", "_stall_index"),
     ("smba.schedules", "ScheduleSpec.to_dict"),
+    ("smba.ball_prox", "SubproblemResult"),
 ]
 
 

@@ -13,7 +13,6 @@ import smba.solver
 from smba.ball_prox import (
     PHI_TOL,
     BallConstraint,
-    SubproblemResult,
     _double_sum,
     _l1_multiplier,
     build_ball,
@@ -71,21 +70,21 @@ def reference_ball_prox(p1, x_k, q, L_f, ball):
 
 
 def assert_matches_reference(p1, x_k, q, L_f, ball):
-    res = solve_ball_prox(p1, x_k, q, L_f, ball)
+    x, lam = solve_ball_prox(p1, x_k, q, L_f, ball)
     x_ref, lam_ref = reference_ball_prox(p1, x_k, q, L_f, ball)
-    assert float(np.linalg.norm(res.x - x_ref)) <= 1e-9 * (1 + np.linalg.norm(res.x))
-    assert res.lam == pytest.approx(lam_ref, rel=1e-6, abs=1e-9)
-    assert_kkt_contract(p1, res, x_k, q, L_f, ball)
+    assert float(np.linalg.norm(x - x_ref)) <= 1e-9 * (1 + np.linalg.norm(x))
+    assert lam == pytest.approx(lam_ref, rel=1e-6, abs=1e-9)
+    assert_kkt_contract(p1, x, lam, x_k, q, L_f, ball)
 
 
-def assert_kkt_contract(p1, res, x_k, q, L_f, ball):
-    dist = float(np.linalg.norm(res.x - ball.center))
-    assert res.lam >= 0.0
+def assert_kkt_contract(p1, x, lam, x_k, q, L_f, ball):
+    dist = float(np.linalg.norm(x - ball.center))
+    assert lam >= 0.0
     assert dist < ball.radius
-    assert stationarity_residual(p1, res.x, res.lam, x_k, q, L_f, ball) <= 1e-8 * (
+    assert stationarity_residual(p1, x, lam, x_k, q, L_f, ball) <= 1e-8 * (
         1 + float(np.linalg.norm(q))
     )
-    assert res.lam * abs(dist - ball.radius) <= 1e-8 * ball.radius
+    assert lam * abs(dist - ball.radius) <= 1e-8 * ball.radius
 
 
 def reference_l1_multiplier(w, a, c, L_f, R):
@@ -178,7 +177,7 @@ def reference_solve_ball_prox(p1, x_k, q, L_f, ball):
             x = ball.center + (radius / dist) * gap
         x_gap = x - ball.center
         if math.sqrt(x_gap.dot(x_gap)) < R:
-            return SubproblemResult(x=x, lam=lam)
+            return x, lam
         margin = max(2.0 * margin, math.ulp(R))
     raise NumericError("ball subproblem has no point strictly inside the ball at double precision")
 
@@ -415,35 +414,35 @@ class TestSolveBallProx:
     def test_projection_example(self):
         # z = (3, 0) projects to (1, 0); stationarity gives lam * curvature = 2
         ball = BallConstraint(center=np.zeros(2), radius=1.0, curvature=1.0)
-        res = solve_ball_prox(ZeroRegularizer(), np.zeros(2), np.array([-3.0, 0.0]), 1.0, ball)
-        np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-10)
-        assert res.lam == pytest.approx(2.0, rel=1e-9)
+        x, lam = solve_ball_prox(ZeroRegularizer(), np.zeros(2), np.array([-3.0, 0.0]), 1.0, ball)
+        np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-10)
+        assert lam == pytest.approx(2.0, rel=1e-9)
 
     def test_interior_point_keeps_zero_multiplier(self):
         ball = BallConstraint(center=np.zeros(2), radius=2.0, curvature=1.0)
-        res = solve_ball_prox(ZeroRegularizer(), np.zeros(2), np.array([-1.0, 0.0]), 1.0, ball)
-        np.testing.assert_allclose(res.x, [1.0, 0.0])
-        assert res.lam == 0.0
+        x, lam = solve_ball_prox(ZeroRegularizer(), np.zeros(2), np.array([-1.0, 0.0]), 1.0, ball)
+        np.testing.assert_allclose(x, [1.0, 0.0])
+        assert lam == 0.0
 
     def test_zero_regularizer_matches_closed_form_200(self, rng):
         for _ in range(200):
             _, x_k, q, L_f, ball = random_instance(rng, force_l1=False)
-            res = solve_ball_prox(ZeroRegularizer(), x_k, q, L_f, ball)
+            x, _ = solve_ball_prox(ZeroRegularizer(), x_k, q, L_f, ball)
             want = exact_ball_projection(x_k - q / L_f, ball.center, ball.radius)
-            assert float(np.linalg.norm(res.x - want)) <= 1e-10
+            assert float(np.linalg.norm(x - want)) <= 1e-10
 
     def test_l1_2d_against_grid(self):
         # frozen instance: min 0.5||x - (3,3)||^2 + ||x||_1 over the unit disk
         p1 = L1Regularizer(np.ones(2))
         ball = BallConstraint(center=np.zeros(2), radius=1.0, curvature=1.0)
         z = np.array([3.0, 3.0])
-        res = solve_ball_prox(p1, np.zeros(2), -z, 1.0, ball)
+        x, _ = solve_ball_prox(p1, np.zeros(2), -z, 1.0, ball)
         obj = lambda pts: 0.5 * np.sum((pts - z) ** 2, axis=1) + np.sum(np.abs(pts), axis=1)
         feas = lambda pts: np.sum(pts**2, axis=1) <= 1.0
         grid = GridSpec(lower=[-1.1, -1.1], upper=[1.1, 1.1], points_per_axis=2001)
         xg, vg = grid_bruteforce(obj, feas, grid)
-        assert float(np.linalg.norm(res.x - xg)) <= 2e-3
-        assert float(obj(res.x[None])[0]) <= vg + 1e-10
+        assert float(np.linalg.norm(x - xg)) <= 2e-3
+        assert float(obj(x[None])[0]) <= vg + 1e-10
 
     def test_l1_interior_point_keeps_zero_multiplier(self):
         # x(0) = soft-threshold of (1.5, -0.1, -1) at 1/2: (1, 0, -0.5), with
@@ -453,10 +452,10 @@ class TestSolveBallProx:
         ball = BallConstraint(center=np.array([0.5, 0.25, -0.5]), radius=2.0, curvature=3.0)
         x_k, q, L_f = np.array([1.0, 0.0, -1.0]), np.array([-1.0, 0.2, 0.0]), 2.0
         assert _l1_multiplier(p1.thresholds, L_f * x_k - q, ball.center, L_f, ball.radius) == 0.0
-        res = solve_ball_prox(p1, x_k, q, L_f, ball)
-        assert res.lam == 0.0
-        assert np.array_equal(res.x, prox_path_point(p1, x_k, q, L_f, ball, 0.0))
-        np.testing.assert_allclose(res.x, [1.0, 0.0, -0.5])
+        x, lam = solve_ball_prox(p1, x_k, q, L_f, ball)
+        assert lam == 0.0
+        assert np.array_equal(x, prox_path_point(p1, x_k, q, L_f, ball, 0.0))
+        np.testing.assert_allclose(x, [1.0, 0.0, -0.5])
 
     @given(st.integers(1, 120), st.floats(-8.0, 1.0), st.floats(-1.0, 1.0),
            st.booleans(), st.integers(0, 2**32 - 1))
@@ -499,8 +498,8 @@ class TestSolveBallProx:
         got = solve_ball_prox(p1, x_k, -a, L_f, ball)
         want = reference_solve_ball_prox(p1, x_k, -a, L_f, ball)
         if abs(dist - (R - margin(R))) > 4 * math.ulp(R):
-            assert got.x.tobytes() == want.x.tobytes()
-            assert got.lam.hex() == want.lam.hex()
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].hex() == want[1].hex()
         else:
             # the numpy start distance and the multiplier's double-double
             # sums may round to opposite sides of the radius.  Both points
@@ -510,11 +509,11 @@ class TestSolveBallProx:
             # between them, so both are its roots: on a plateau, where every
             # coordinate is in the dead zone or on the center, the whole
             # plateau is a root and the multiplier may be its far end
-            for res in (got, want):
-                assert float(np.linalg.norm(res.x - c)) < R
-                assert stationarity_residual(p1, res.x, res.lam, x_k, -a, L_f, ball) <= \
+            for x, lam in (got, want):
+                assert float(np.linalg.norm(x - c)) < R
+                assert stationarity_residual(p1, x, lam, x_k, -a, L_f, ball) <= \
                     1e-8 * (1 + float(np.linalg.norm(a)))
-            lo, hi = sorted((got.lam, want.lam))
+            lo, hi = sorted((got[1], want[1]))
             if hi - lo > 1e-12 * (hi + L_f / curvature):
                 far, near = (float(np.linalg.norm(prox_path_point(p1, x_k, -a, L_f, ball, lam) - c))
                              for lam in (lo, hi))
@@ -523,8 +522,8 @@ class TestSolveBallProx:
     def test_kkt_contract_random(self, rng):
         for _ in range(200):
             p1, x_k, q, L_f, ball = random_instance(rng)
-            res = solve_ball_prox(p1, x_k, q, L_f, ball)
-            assert_kkt_contract(p1, res, x_k, q, L_f, ball)
+            x, lam = solve_ball_prox(p1, x_k, q, L_f, ball)
+            assert_kkt_contract(p1, x, lam, x_k, q, L_f, ball)
 
     def test_path_distance_monotone(self, rng):
         lams = np.concatenate([[0.0], np.logspace(-4, 4, 60)])
@@ -539,11 +538,11 @@ class TestSolveBallProx:
     def test_optimality_vs_feasible_perturbations(self, rng):
         for _ in range(50):
             p1, x_k, q, L_f, ball = random_instance(rng)
-            res = solve_ball_prox(p1, x_k, q, L_f, ball)
-            base = subproblem_objective(p1, res.x, x_k, q, L_f)
+            x, _ = solve_ball_prox(p1, x_k, q, L_f, ball)
+            base = subproblem_objective(p1, x, x_k, q, L_f)
             for _ in range(50):
                 delta = rng.normal(0, 1, x_k.size)
-                cand = res.x + delta * rng.uniform(0, 0.5)
+                cand = x + delta * rng.uniform(0, 0.5)
                 gap = cand - ball.center
                 nrm = float(np.linalg.norm(gap))
                 if nrm > ball.radius:
@@ -608,9 +607,9 @@ class TestSolveBallProx:
                 (big.sum() >= 1e8 * small.sum())
             assert knots[:, :3].max() < nu < np.abs(knots[:, 3:]).min()
             ball = BallConstraint(center=c, radius=R, curvature=1.0)
-            res = solve_ball_prox(L1Regularizer(w), np.zeros(8), -a, L_f, ball)
-            assert float(np.linalg.norm(res.x - c)) < R
-            assert res.lam > 0.0
+            x, lam = solve_ball_prox(L1Regularizer(w), np.zeros(8), -a, L_f, ball)
+            assert float(np.linalg.norm(x - c)) < R
+            assert lam > 0.0
 
     def test_l1_multiplier_at_start_distance(self, rng):
         # a radius one ulp below the distance at nu = 0 puts the root at (or,
@@ -640,9 +639,9 @@ class TestSolveBallProx:
         # a ball whose radius less the solver's margin is exactly R: x(0) is
         # strictly inside it, so the multiplier is 0
         ball = BallConstraint(center=c, radius=ball_radius, curvature=curvature)
-        res = solve_ball_prox(L1Regularizer(w), np.zeros(c.size), -a, 1.0, ball)
-        assert res.lam == 0.0
-        assert np.array_equal(res.x, np.zeros(c.size))
+        x, lam = solve_ball_prox(L1Regularizer(w), np.zeros(c.size), -a, 1.0, ball)
+        assert lam == 0.0
+        assert np.array_equal(x, np.zeros(c.size))
 
     def test_l1_multiplier_plateau_past_the_first_piece(self):
         # x(0) = -1 lies below the dead zone; from the knot 1 / 0.3, where s
@@ -709,9 +708,9 @@ class TestSolveBallProx:
         start = prox_path_point(p1, np.zeros(n), -a, L_f, ball, 0.0)
         assume(np.linalg.norm(start - c) > R)
         assert_l1_multiplier_accurate((w, a, c, L_f, R))
-        res = solve_ball_prox(p1, np.zeros(n), -a, L_f, ball)
-        assert float(np.linalg.norm(res.x - c)) < R
-        assert res.lam >= 0.0 and math.isfinite(res.lam)
+        x, lam = solve_ball_prox(p1, np.zeros(n), -a, L_f, ball)
+        assert float(np.linalg.norm(x - c)) < R
+        assert lam >= 0.0 and math.isfinite(lam)
 
     @given(st.floats(0.0, 12.0), st.floats(-6.0, 7.0), st.integers(1, 30),
            st.booleans(), st.integers(0, 2**32 - 1))
@@ -727,9 +726,9 @@ class TestSolveBallProx:
         q = rng.normal(0, 1, n) * 10.0 ** rng.uniform(-2, 4)
         p1 = L1Regularizer(rng.uniform(0, 1, n) * 10.0 ** rng.uniform(-3, 2)) if use_l1 \
             else ZeroRegularizer()
-        res = solve_ball_prox(p1, x_k, q, float(10.0 ** rng.uniform(-4, 4)), ball)
-        assert float(np.linalg.norm(res.x - center)) < R
-        assert res.lam >= 0.0 and math.isfinite(res.lam)
+        x, lam = solve_ball_prox(p1, x_k, q, float(10.0 ** rng.uniform(-4, 4)), ball)
+        assert float(np.linalg.norm(x - center)) < R
+        assert lam >= 0.0 and math.isfinite(lam)
 
     @pytest.mark.parametrize("use_l1", [False, True], ids=["zero", "l1"])
     def test_radius_below_phi_tol(self, rng, use_l1):
@@ -740,9 +739,9 @@ class TestSolveBallProx:
         ball = BallConstraint(center=center, radius=R, curvature=2.8e12)
         x_k = center + rng.normal(0, 1, n) * R / (4 * math.sqrt(n))
         p1 = L1Regularizer(np.full(n, 0.1)) if use_l1 else ZeroRegularizer()
-        res = solve_ball_prox(p1, x_k, rng.normal(0, 1, n), 2.7e11, ball)
-        assert float(np.linalg.norm(res.x - center)) < R
-        assert res.lam > 0.0 and math.isfinite(res.lam)
+        x, lam = solve_ball_prox(p1, x_k, rng.normal(0, 1, n), 2.7e11, ball)
+        assert float(np.linalg.norm(x - center)) < R
+        assert lam > 0.0 and math.isfinite(lam)
 
     @pytest.mark.parametrize("p1", [ZeroRegularizer(), L1Regularizer([1.0, 1.0])],
                              ids=["zero", "l1"])
@@ -758,10 +757,6 @@ class TestSolveBallProx:
             with pytest.raises(NumericError, match="ball subproblem terms overflow the float"):
                 solve_ball_prox(p1, np.zeros(2), -a, 1.0, ball)
         assert [str(w.message) for w in seen] == []
-
-    def test_invalid_radius_rejected(self):
-        with pytest.raises(ValueError):
-            BallConstraint(center=np.zeros(2), radius=0.0, curvature=1.0)
 
     @pytest.mark.parametrize("p1, x_k, q, L_f, center, radius", [
         # a unit ball about x_k = 1e18, where doubles are 128 apart: the l1
@@ -788,8 +783,8 @@ class TestSolveBallProx:
         c, x0 = -10.025841171982997, -0.007200783780651968
         assert c + (x0 - c) != x0
         ball = BallConstraint(center=np.array([c]), radius=10.018640388212326, curvature=1.0)
-        res = solve_ball_prox(ZeroRegularizer(), np.array([x0]), np.zeros(1), 1.0, ball)
-        assert res.lam == 0.0 and res.x.tolist() == [x0]
+        x, lam = solve_ball_prox(ZeroRegularizer(), np.array([x0]), np.zeros(1), 1.0, ball)
+        assert lam == 0.0 and x.tolist() == [x0]
 
 
 def socp_dc_instance_1():

@@ -21,6 +21,7 @@ from smba.solver import SolverConfig, run
 from helpers import read_trace
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"  # formats written by the CLI, pinned byte for byte
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,17 @@ class TestGenSolve:
         assert doc["problem"] == prob.name == "nsdp(n=6,m=4,seed=1)"
         assert doc["final_kkt"] == again.final_kkt.to_dict()
         assert doc["final_kkt"]["rho"] > 0.0
+
+    def test_written_formats_keep_their_bytes(self, tmp_path):
+        # the problem file and the certificate are written from their
+        # records' fields; both are pinned here, bytes and key order
+        inst_path, report = tmp_path / "p.json", tmp_path / "r.json"
+        main(["gen-nsdp", "--n", "3", "--m", "2", "--seed", "1", "--out", str(inst_path)])
+        assert inst_path.read_bytes() == (DATA / "nsdp_n3_m2_seed1.json").read_bytes()
+        assert main(["solve", "--problem", str(inst_path), "--report", str(report)]) == 0
+        kkt = json.loads(report.read_text())["final_kkt"]
+        assert list(kkt) == ["rho", "complementarity", "step", "v"]
+        assert json.dumps(kkt) + "\n" == (DATA / "nsdp_n3_m2_seed1_final_kkt.json").read_text()
 
     def test_config_without_schedule_uses_the_default(self, tmp_path):
         inst_path, cfg_path = tmp_path / "p.json", tmp_path / "cfg.json"

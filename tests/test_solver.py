@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import smba
 import smba.solver
 from smba import cones
-from smba.ball_prox import SubproblemResult
 from smba.cones import MU_FLOOR
 from smba.errors import InfeasibleStartError, NumericError
 from smba.nsdp import generate_nsdp, nsdp_problem
@@ -352,7 +351,7 @@ def fixed_trial(monkeypatch, point):
     """Make every subproblem return ``point`` with a zero multiplier, whatever
     its ball: each trial then sees the same step, feasible or not."""
     monkeypatch.setattr(smba.solver, "solve_ball_prox",
-                        lambda p1, x, q, Lf, ball: SubproblemResult(x=np.array(point), lam=0.0))
+                        lambda p1, x, q, Lf, ball: (np.array(point), 0.0))
 
 
 class TestConstraintJump:
@@ -1319,6 +1318,62 @@ class TestRunFailureModes:
         else:
             assert report.final_kkt is None
         json.dumps(report.to_dict(), allow_nan=False)
+
+
+def checked_balls(monkeypatch):
+    """Make ``run`` build its balls through a wrapper that asserts a positive
+    radius, inf included: the guarantee ``build_ball`` states and does not
+    check.  Returns the list the wrapper appends each radius to."""
+    radii, build = [], smba.solver.build_ball
+
+    def checked(*args):
+        ball = build(*args)
+        assert ball.radius > 0.0, args
+        radii.append(ball.radius)
+        return ball
+
+    monkeypatch.setattr(smba.solver, "build_ball", checked)
+    return radii
+
+
+def first_output(value):
+    """A ``with_fault`` fault that replaces only the first output it sees."""
+    seen = []
+
+    def fault(out):
+        seen.append(1)
+        return value(out) if len(seen) == 1 else out
+
+    return fault
+
+
+class TestBallRadius:
+    @pytest.mark.parametrize("name", ["nsdp-desk", "nsdp-large", "socp-dc"])
+    def test_workload_panels_at_seed_0(self, monkeypatch, workloads, name):
+        radii = checked_balls(monkeypatch)
+        wl = workloads.WORKLOADS[name]
+        panel, _ = workloads.build_panel(wl, 0)
+        trials = 0
+        for inst in panel:
+            report = run(inst.problem, SolverConfig(eps=wl.eps), np.zeros(inst.problem.dim))
+            assert report.status is SolveStatus.CONVERGED
+            trials += report.trials
+        assert len(radii) == trials  # one ball per linesearch trial
+
+    @pytest.mark.parametrize("oracle, value, lifted", [
+        ("f.value", lambda out: 1e300, "Lf"),
+        ("g.value", lambda out: np.full_like(out, 1e300), "Lg"),
+    ], ids=["f", "G"])
+    def test_one_corrupted_trial_value(self, monkeypatch, oracle, value, lifted):
+        # one value of 1e300 at the first trial (the oracle's 2nd call):
+        # the secant jump lifts the weight to about 1e300, and the next ball
+        # is about 1e-150 wide, still positive
+        radii = checked_balls(monkeypatch)
+        prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0], l1_weight=0.3)
+        report = run(with_fault(prob, oracle, 2, first_output(value)), SolverConfig(),
+                     np.zeros(2))
+        assert getattr(report.trace[0], lifted) > 1e300
+        assert len(radii) == report.trials and min(radii) < 1e-150
 
 
 class TestFiniteGuard:

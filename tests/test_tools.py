@@ -1,5 +1,6 @@
 """The bit-identity checks in ``tools/trace_digests.py``, the line counter
-``tools/code_lines.py`` and the pair runner ``tools/bench_pairs.py``."""
+``tools/code_lines.py``, the pair runner ``tools/bench_pairs.py`` and the
+mutation sweep ``tools/mutants.py`` with its known survivors."""
 
 import dataclasses
 import importlib.util
@@ -266,24 +267,42 @@ def test_pair_runner_stops_at_a_failed_run(tmp_path):
     assert "FAILED instance 1" in done.stderr
 
 
-def test_mutation_sweep_reports_the_survivor_of_a_toy_package(tmp_path, capsys):
-    # four mutants: raise -> pass and both forced tests fail the test, but
-    # no test sits at x = 0, so the flip of "<" survives
+@pytest.fixture
+def mutants_tool():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_mutation_sweep_reports_the_survivor_of_a_toy_package(mutants_tool, tmp_path, capsys):
+    # six mutants: in check, raise -> pass and both forced tests fail the
+    # test, but no test sits at x = 0, so the flip of "<" survives; in big,
+    # the deleted return fails the test, and the flip of ">" survives too,
+    # but it is listed as known, so only its count is printed.  A second
+    # entry names a line that is not in the module, and is reported stale
+    tool = mutants_tool
     (tmp_path / "src" / "toy").mkdir(parents=True)
     (tmp_path / "tests").mkdir()
     (tmp_path / "pytest.ini").write_text("[pytest]\n")
-    source = "def check(x):\n    if x < 0:\n        raise ValueError(x)\n"
+    source = ("def check(x):\n    if x < 0:\n        raise ValueError(x)\n\n\n"
+              "def big(x):\n    return x > 10\n")
     (tmp_path / "src" / "toy" / "clip.py").write_text(source)
     (tmp_path / "tests" / "test_clip.py").write_text(
-        "import pytest\nfrom toy.clip import check\n\n\ndef test_check():\n"
-        "    check(1.0)\n    with pytest.raises(ValueError):\n        check(-1.0)\n")
-    survivors = tool.sweep(tmp_path, package="toy")
+        "import pytest\nfrom toy.clip import big, check\n\n\ndef test_check():\n"
+        "    check(1.0)\n    with pytest.raises(ValueError):\n        check(-1.0)\n"
+        "    assert big(20) and not big(1)\n")
+    known = tmp_path / "known.json"
+    known.write_text(json.dumps([
+        {"module": "clip", "line": "return x > 10", "edit": "> -> >=",
+         "reason": "no caller asks about 10"},
+        {"module": "clip", "line": "return x > 9", "edit": "> -> >=", "reason": "edited since"},
+    ]))
+    survivors = tool.sweep(tmp_path, package="toy", known=tool.load_known(known))
     assert [m.label() for m in survivors] == ["clip.py:2:7 < -> <="]
     assert capsys.readouterr().out.splitlines() == [
-        "survived clip.py:2:7 < -> <=", "total 4 mutants, 3 killed, 1 survived"]
+        "survived clip.py:2:7 < -> <=", "stale clip.py > -> >=: return x > 9",
+        "total 6 mutants, 4 killed, 2 survived (1 known, 1 new)"]
     assert (tmp_path / "src" / "toy" / "clip.py").read_text() == source  # left as it was
     with pytest.raises(RuntimeError, match="^no module nope in "):
         tool.sweep(tmp_path, ["nope"], package="toy")

@@ -25,16 +25,27 @@ once per worker into a temporary directory (``tempfile``, so ``TMPDIR``
 places it) and mutates the copies, with ``os.cpu_count()`` workers.  It
 first runs the unmutated suite in one copy and stops with status 2 if that
 fails.  Progress goes to stderr; stdout gets one ``survived
-<module>.py:<line>:<col> <edit>`` line per surviving mutant, in file
-order, then the totals.  A survivor is a test that is missing, or code
-that no caller needs.
+<module>.py:<line>:<col> <edit>`` line per new surviving mutant, in file
+order, then the totals with the count of known survivors.  A new survivor
+is a test that is missing, or code that no caller needs.
+
+Known survivors are equivalent mutants whose reasons have been recorded:
+``known_survivors.json`` beside this script lists each by its module, the
+text of the line it edits (stripped) and its edit, not by line number,
+which edits elsewhere shift.  A key listed ``k`` times covers ``k``
+survivors, so a second surviving edit of the same kind on a known line is
+still reported as new.  A listed key of a swept module that names no
+mutant (its line has changed) gets a ``stale <module>.py <edit>: <line>``
+line before the totals, to be mended or dropped from the list.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import concurrent.futures
+import json
 import os
 import queue
 import shutil
@@ -47,6 +58,7 @@ from typing import List, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "smba"
+KNOWN = ROOT / "tools" / "known_survivors.json"
 TOLERANCES = ("SECANT_GUARD", "FEASIBILITY_SLACK", "PHI_TOL", "SYMMETRY_TOL", "MU_FLOOR",
               "DIVERGENCE_NORM")
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
@@ -61,7 +73,8 @@ COPY_IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".
 
 class Mutant(NamedTuple):
     """One edit of ``module``: ``text`` replaces the source from ``start`` to
-    ``end``, byte offsets into its UTF-8 encoding."""
+    ``end``, byte offsets into its UTF-8 encoding; ``code`` is the stripped
+    text of the line ``line`` that the edit starts on."""
 
     module: str
     line: int
@@ -70,9 +83,14 @@ class Mutant(NamedTuple):
     start: int
     end: int
     text: str
+    code: str
 
     def label(self) -> str:
         return f"{self.module}.py:{self.line}:{self.col} {self.what}"
+
+    def key(self) -> tuple:
+        """What a known survivor is listed by: ``(module, code, edit)``."""
+        return self.module, self.code, self.what
 
     def apply(self, source: bytes) -> bytes:
         return source[:self.start] + self.text.encode() + source[self.end:]
@@ -146,14 +164,16 @@ def mutants(module: str, source: bytes) -> List[Mutant]:
     file order; an edit whose result does not parse is left out."""
     tree = ast.parse(source)
     parents, unedited = _parents(tree), ast.dump(tree)
+    lines = source.splitlines(keepends=True)
     starts = [0]
-    for line in source.splitlines(keepends=True):
+    for line in lines:
         starts.append(starts[-1] + len(line))
     found = []
     for node, what, text in _edits(tree, parents):
         start = starts[node.lineno - 1] + node.col_offset
         end = starts[node.end_lineno - 1] + node.end_col_offset
-        mutant = Mutant(module, node.lineno, node.col_offset, what, start, end, text)
+        mutant = Mutant(module, node.lineno, node.col_offset, what, start, end, text,
+                        lines[node.lineno - 1].decode().strip())
         edited = mutant.apply(source)
         try:
             if ast.dump(ast.parse(edited)) == unedited:
@@ -191,11 +211,17 @@ def _survives(copy: Path, package: str, mutant: Mutant, source: bytes, timeout: 
         path.write_bytes(source)
 
 
-def sweep(root: Path, modules=None, package=PACKAGE) -> List[Mutant]:
-    """The survivors among the mutants of ``modules`` (default: every module)
-    of ``root/src/<package>``, whose tests ``pytest`` finds from ``root``;
-    prints them and the totals.  Raises RuntimeError for a module that does
-    not exist and when the unmutated suite fails."""
+def load_known(path: Path) -> List[tuple]:
+    """The keys (``Mutant.key``) of the known survivors listed in ``path``."""
+    return [(e["module"], e["line"], e["edit"]) for e in json.loads(path.read_text())]
+
+
+def sweep(root: Path, modules=None, package=PACKAGE, known=()) -> List[Mutant]:
+    """The new survivors among the mutants of ``modules`` (default: every
+    module) of ``root/src/<package>``, whose tests ``pytest`` finds from
+    ``root``: those that the keys ``known`` do not cover.  Prints them and
+    the totals.  Raises RuntimeError for a module that does not exist and
+    when the unmutated suite fails."""
     folder = root / "src" / package
     names = modules or sorted(p.stem for p in folder.glob("*.py"))
     missing = [name for name in names if not (folder / f"{name}.py").is_file()]
@@ -229,11 +255,21 @@ def sweep(root: Path, modules=None, package=PACKAGE) -> List[Mutant]:
                       file=sys.stderr, flush=True)
                 if alive:
                     survivors.append(mutant)
+    unused = collections.Counter(known)
+    new = []
     for mutant in survivors:
-        print(f"survived {mutant.label()}")
+        if unused[mutant.key()] > 0:
+            unused[mutant.key()] -= 1
+        else:
+            new.append(mutant)
+            print(f"survived {mutant.label()}")
+    keys = {m.key() for m in todo}
+    for module, code, what in dict.fromkeys(known):
+        if module in names and (module, code, what) not in keys:
+            print(f"stale {module}.py {what}: {code}")
     print(f"total {len(todo)} mutants, {len(todo) - len(survivors)} killed, "
-          f"{len(survivors)} survived")
-    return survivors
+          f"{len(survivors)} survived ({len(survivors) - len(new)} known, {len(new)} new)")
+    return new
 
 
 def main(argv=None) -> int:
@@ -241,7 +277,7 @@ def main(argv=None) -> int:
     parser.add_argument("modules", nargs="*", help="module names (default: every module)")
     args = parser.parse_args(argv)
     try:
-        sweep(ROOT, args.modules)
+        sweep(ROOT, args.modules, known=load_known(KNOWN))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
