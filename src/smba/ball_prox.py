@@ -156,14 +156,16 @@ def _l1_multiplier(thresholds, a, c, L_f, R):
 
     The per-coordinate terms are formed on one ``(2, n)`` layout, row 0 for
     the +w threshold and row 1 for the -w one, as in ``thresholds``, the
-    ``L1Regularizer`` attribute of that name, and sorted once; one pass
-    over the sorted breakpoints in Python floats stops at the root's piece,
-    which is nearly always among the first few.  P and Q are carried as
-    double-doubles (``hi + lo``): the start sums by ``_double_sum``, each
-    breakpoint's delta by a two-sum.  A delta removes the very double that
-    the start sum or an earlier delta added, so the sums stay accurate where
-    they cancel, as when R is small next to ``||c||`` and Q falls by many
-    orders of magnitude before the root's piece.
+    ``L1Regularizer`` attribute of that name.  All 2n breakpoints come from
+    one division and are sorted once, those that never lie ahead last as
+    inf; one pass over them in Python floats stops at the root's piece,
+    which is nearly always among the first few, and at the first inf at the
+    latest.  P and Q are carried as double-doubles (``hi + lo``): the start
+    sums by ``_double_sum``, each breakpoint's delta by a two-sum.  A delta
+    removes the very double that the start sum or an earlier delta added, so
+    the sums stay accurate where they cancel, as when R is small next to
+    ``||c||`` and Q falls by many orders of magnitude before the root's
+    piece.
     """
     n = a.size
     S = thresholds - a  # w - s and -w - s at nu = 0
@@ -180,17 +182,15 @@ def _l1_multiplier(thresholds, a, c, L_f, R):
     Q, Q_lo = _double_sum((dead * dead).tolist())
     # s_i crosses +w_i at S[0, i] / c_i (flat position i) and -w_i at
     # S[1, i] / c_i (position n + i); each crossing moves coordinate i one
-    # region in the direction of c_i.  The stable sort breaks ties by
-    # position; a knot that overflows to inf only splits the last piece.  A
-    # coordinate on the center (c_i == 0, rare) never crosses: its knots are 0
-    on_center = count_nonzero(c) < n
-    knots = (np.divide(S, c, out=np.zeros((2, n)), where=c != 0.0) if on_center
-             else S / c).ravel()
-    keep = (knots > 0.0).nonzero()[0]
-    order = keep[knots[keep].argsort(kind="stable")].tolist()
+    # region in the direction of c_i.  A coordinate on the center (c_i == 0,
+    # rare) never crosses: its knots are 0.  A knot <= 0 never lies ahead and
+    # is sorted last as inf, where every scan stops, as it may at a knot that
+    # overflows to inf.  The stable sort breaks ties by position
+    knots = np.divide(S, c, out=np.zeros((2, n)), where=c != 0.0)
+    knots = np.where(knots > 0.0, knots, math.inf)
     R2 = R * R
     left = 0.0
-    for pos in order + [None]:
+    for pos in knots.argsort(axis=None, kind="stable").tolist() + [None]:
         right = math.inf if pos is None else knots.item(pos)
         Qs = Q + Q_lo
         nu = math.sqrt((P + P_lo) / (R2 - Qs)) - L_f if Qs < R2 else math.inf
@@ -198,7 +198,7 @@ def _l1_multiplier(thresholds, a, c, L_f, R):
             nu = left  # dead-zone terms alone at distance exactly R: a plateau of roots
         if nu <= right:
             return max(nu, left)
-        if pos is None:  # a NaN root: P or Q was lost to an overflow
+        if right == math.inf:  # a NaN root: P or Q was lost to an overflow
             raise NumericError("l1 subproblem terms overflow the float range")
         left = right
         ci = c.item(pos % n)

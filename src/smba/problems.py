@@ -203,7 +203,9 @@ def psd_affine_map(A) -> ConstraintMap:
     The stack goes through ``smba.cones.symmetrized``: an exactly symmetric
     one is kept as it is, one within ``SYMMETRY_TOL`` is symmetrized, and
     another raises ``ValueError``.  The map stores the upper triangles once, as
-    one contiguous ``(n, m(m+1)/2)`` array, and keeps no reference to ``A``.
+    the column-major ``(n + 1, m(m+1)/2)`` array that the gather forms, and
+    keeps no reference to ``A``; that layout picks the BLAS kernels, and so
+    the bits, of ``G`` and its adjoint.
     ``G(x)`` is gathered from its triangle, so it is exactly symmetric.  The
     adjoint, the vector of trace inner products ``-<A_i, u>``, folds
     ``u + u'`` onto the triangle with the diagonal halved, so it stays the

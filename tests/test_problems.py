@@ -404,6 +404,24 @@ class TestHalfSizeStack:
             assert (b.status, b.objective) == (a.status, a.objective)
             np.testing.assert_array_equal(b.x, a.x)
 
+    @pytest.mark.parametrize("n, m", [(20, 10), (100, 60)])
+    def test_bits_follow_a_column_major_triangle_stack(self, rng, n, m):
+        # the gathered triangle stack is column-major, and its layout picks
+        # the BLAS kernel, so the bits: a C-ordered copy changes them
+        A = random_stack(rng, n, m)
+        g = psd_affine_map(A)
+        rows, cols = np.triu_indices(m)
+        tri = np.asfortranarray(A[:, rows, cols])
+        where = np.empty((m, m), dtype=np.intp)
+        where[rows, cols] = where[cols, rows] = np.arange(rows.size)
+        weight = np.where(rows == cols, -0.5, -1.0)
+        for _ in range(50):
+            x, u = rng.normal(0, 1, n), rng.normal(0, 1, (m, m))
+            value = (-tri[0] - x @ tri[1:]).take(where)
+            adjoint = tri[1:] @ ((u[rows, cols] + u[cols, rows]) * weight)
+            assert g.value(x).tobytes() == value.tobytes()
+            assert g.adjoint_apply(x, u).tobytes() == adjoint.tobytes()
+
     def test_asymmetric_stack_rejected(self, rng):
         A = random_stack(rng, 3, 4)
         A[2, 0, 1] += 1e-6

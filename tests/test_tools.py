@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,24 +203,33 @@ def test_pair_summary_verdicts_follow_the_benchmark_rules():
 
 
 def test_each_side_adds_its_untimed_best_pass(monkeypatch):
-    # after the perfbench run, a second interpreter in the same tree times
-    # untimed passes; its best joins the side's metrics, and the summary
-    # gives it a median, an IQR and a lower-count like every other metric
+    # before and after the perfbench run, a second interpreter in the same
+    # tree times untimed passes; the lower of the two bests joins the side's
+    # metrics, whichever probe read it, and the summary gives it a median, an
+    # IQR and a lower-count like every other metric
     tool = bench_pairs()
-    commands = []
-
-    def canned(cmd, tree):
-        commands.append((cmd, tree))
-        return canned_run(0.40, 0.20, ["0.13"]) if len(commands) == 1 else "9\n0.1113\n"
-
-    monkeypatch.setattr(tool, "checked_run", canned)
     args = tool.argparse.Namespace(workload="nsdp-desk", seed=12, seconds=10.0)
-    metrics = tool.run_side(Path("/tree"), args)
-    assert metrics["untimed_best_s"] == (0.1113, "s")
-    untimed, tree = commands[1]
-    assert untimed[1:] == ["-c", tool.UNTIMED, "nsdp-desk", "12", str(tool.UNTIMED_PASSES),
-                           str(tool.UNTIMED_SECONDS)]
-    assert tree == Path("/tree") and (tool.UNTIMED_PASSES, tool.UNTIMED_SECONDS) == (7, 1.0)
+    for bests in (("0.1113", "0.1098"), ("0.1098", "0.1113")):
+        commands = []
+        outputs = iter([f"9\n{bests[0]}\n", canned_run(0.40, 0.20, ["0.13"]),
+                        f"8\n{bests[1]}\n"])
+
+        def canned(cmd, tree):
+            commands.append((cmd, tree))
+            return next(outputs)
+
+        monkeypatch.setattr(tool, "checked_run", canned)
+        metrics = tool.run_side(Path("/tree"), args)
+        assert metrics["untimed_best_s"] == (0.1098, "s")
+        assert metrics["solve_s"] == (0.40, "s")
+    (before, _), (run, _), (after, _) = commands
+    assert run[1:] == [str(Path("/tree/perfbench/run.py")), "--workload", "nsdp-desk",
+                       "--seed", "12", "--seconds", "10.0", "--trace", "0"]
+    assert before == after
+    assert before[1:] == ["-c", tool.UNTIMED, "nsdp-desk", "12", str(tool.UNTIMED_PASSES),
+                          str(tool.UNTIMED_SECONDS)]
+    assert {tree for _, tree in commands} == {Path("/tree")}
+    assert (tool.UNTIMED_PASSES, tool.UNTIMED_SECONDS) == (7, 1.0)
 
     def side(p50, best):
         run = tool.parse_run(canned_run(0.37, p50, ["0.12"]))
@@ -256,7 +266,11 @@ def test_pair_runner_refuses_a_parent_without_perfbench(tmp_path):
 
 
 def test_pair_runner_stops_at_a_failed_run(tmp_path):
-    # the parent runs first in the first pair; its failed checks end the tool
+    # the parent runs first in the first pair; its failed checks end the tool.
+    # The untimed probe before the run imports the tree's smba, which here
+    # ends it at once with status 0
+    (tmp_path / "src" / "smba").mkdir(parents=True)
+    (tmp_path / "src" / "smba" / "__init__.py").write_text("raise SystemExit(0)\n")
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(
         "import sys\nprint('FAILED instance 1: objective')\nsys.exit(1)\n")
@@ -275,23 +289,43 @@ def mutants_tool():
     return tool
 
 
-def test_mutation_sweep_reports_the_survivor_of_a_toy_package(mutants_tool, tmp_path, capsys):
-    # six mutants: in check, raise -> pass and both forced tests fail the
+def test_mutation_sweep_reports_the_survivor_of_a_toy_package(mutants_tool, tmp_path, capsys,
+                                                              monkeypatch):
+    # seven mutants: in check, raise -> pass and both forced tests fail the
     # test, but no test sits at x = 0, so the flip of "<" survives; in big,
     # the deleted return fails the test, and the flip of ">" survives too,
-    # but it is listed as known, so only its count is printed.  A second
-    # entry names a line that is not in the module, and is reported stale
+    # but it is listed as known, so only its count is printed.  In spin, the
+    # deleted decrement never returns.  A second entry names a line that is
+    # not in the module, and is reported stale.  The toy tests need no
+    # plugin, and a pytest that loads none starts in a fraction of the time
     tool = mutants_tool
+    monkeypatch.setattr(tool, "TIMEOUT_MARGIN", 1.0)
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
+    runs = []
+    pytest_run = tool._pytest
+
+    def timed(copy, args, timeout):
+        t0 = time.perf_counter()
+        passed = pytest_run(copy, args, timeout)
+        runs.append((bool(args), timeout, time.perf_counter() - t0, passed))
+        return passed
+
+    monkeypatch.setattr(tool, "_pytest", timed)
     (tmp_path / "src" / "toy").mkdir(parents=True)
     (tmp_path / "tests").mkdir()
     (tmp_path / "pytest.ini").write_text("[pytest]\n")
     source = ("def check(x):\n    if x < 0:\n        raise ValueError(x)\n\n\n"
-              "def big(x):\n    return x > 10\n")
+              "def big(x):\n    return x > 10\n\n\n"
+              "def spin(n):\n    while n:\n        n -= 1\n")
     (tmp_path / "src" / "toy" / "clip.py").write_text(source)
     (tmp_path / "tests" / "test_clip.py").write_text(
-        "import pytest\nfrom toy.clip import big, check\n\n\ndef test_check():\n"
+        "import pytest\nfrom toy.clip import big, check, spin\n\n\ndef test_check():\n"
         "    check(1.0)\n    with pytest.raises(ValueError):\n        check(-1.0)\n"
-        "    assert big(20) and not big(1)\n")
+        "    assert big(20) and not big(1)\n    spin(3)\n")
+    # a slow file elsewhere in the suite, so that the own file's timeout is
+    # the shorter one
+    (tmp_path / "tests" / "test_wait.py").write_text(
+        "import time\n\n\ndef test_wait():\n    time.sleep(1.0)\n")
     known = tmp_path / "known.json"
     known.write_text(json.dumps([
         {"module": "clip", "line": "return x > 10", "edit": "> -> >=",
@@ -302,7 +336,16 @@ def test_mutation_sweep_reports_the_survivor_of_a_toy_package(mutants_tool, tmp_
     assert [m.label() for m in survivors] == ["clip.py:2:7 < -> <="]
     assert capsys.readouterr().out.splitlines() == [
         "survived clip.py:2:7 < -> <=", "stale clip.py > -> >=: return x > 9",
-        "total 6 mutants, 4 killed, 2 survived (1 known, 1 new)"]
+        "total 7 mutants, 5 killed, 2 survived (1 known, 1 new)"]
+    # the unmutated suite and own file are timed first; each mutated run of
+    # either gets its own timeout, and the hanging mutant is cut at the
+    # own file's, the shorter
+    assert [(own, timeout) for own, timeout, _, _ in runs[:2]] == [(False, None), (True, None)]
+    own_timeout, = {timeout for own, timeout, _, _ in runs[2:] if own}
+    suite_timeout, = {timeout for own, timeout, _, _ in runs[2:] if not own}
+    assert own_timeout < suite_timeout
+    cut = [(own, passed) for own, timeout, seconds, passed in runs[2:] if seconds >= timeout]
+    assert cut == [(True, False)]
     assert (tmp_path / "src" / "toy" / "clip.py").read_text() == source  # left as it was
     with pytest.raises(RuntimeError, match="^no module nope in "):
         tool.sweep(tmp_path, ["nope"], package="toy")

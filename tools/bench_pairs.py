@@ -13,15 +13,17 @@ times that tree's ``src``.
 
 For each pair it prints the end-to-end metrics of the last JSON line of
 each run, which ``perfbench`` rescales by calibration samples taken around
-each solve.  Right after each run, a second interpreter in the same tree
-solves the same panel untimed: one warm-up pass, then as many passes in one
-process as fill ``UNTIMED_SECONDS`` at the warm-up's speed, and at least
-``UNTIMED_PASSES``, each solving every instance once from the origin with no
-calibration and no tracing.  The best of them is ``untimed_best_s``.  It
-reads the solver alone, so a shift in the speed of ``perfbench``'s
-calibration kernel between two trees, which rescales every timed metric,
-does not move it; and a short pass (about 1.3 ms on ``socp-dc``) gets
-hundreds of passes, so one slow pass cannot set it.  It then prints, for
+each solve.  Right before and right after each run, a second interpreter
+in the same tree solves the same panel untimed: one warm-up pass, then as
+many passes in one process as fill ``UNTIMED_SECONDS`` at the warm-up's
+speed, and at least ``UNTIMED_PASSES``, each solving every instance once
+from the origin with no calibration and no tracing.  The lower of the two
+probes' best passes is ``untimed_best_s``.  It reads the solver alone, so a
+shift in the speed of ``perfbench``'s calibration kernel between two trees,
+which rescales every timed metric, does not move it; a short pass (about
+1.3 ms on ``socp-dc``) gets hundreds of passes, so one slow pass cannot set
+it, and the two probes lie a whole run apart, so one slow spell of the host
+that covers a probe's window cannot set it either.  It then prints, for
 each metric, the medians over the pairs, parent -> change, the change in
 percent, the spread between the quartiles of the parent's runs, in how
 many pairs the change read lower, and a verdict.  The verdict reads each
@@ -145,14 +147,16 @@ def checked_run(cmd, tree: Path) -> str:
 
 
 def run_side(tree: Path, args) -> dict:
-    """The metrics of one ``perfbench`` run in ``tree``, then its
-    ``untimed_best_s``."""
+    """The metrics of one ``perfbench`` run in ``tree``, with the
+    ``untimed_best_s`` of the probes before and after it."""
+    probe = [sys.executable, "-c", UNTIMED, args.workload, str(args.seed),
+             str(UNTIMED_PASSES), str(UNTIMED_SECONDS)]
+    before = checked_run(probe, tree)
     metrics = parse_run(checked_run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"], tree))
-    best = checked_run([sys.executable, "-c", UNTIMED, args.workload, str(args.seed),
-                        str(UNTIMED_PASSES), str(UNTIMED_SECONDS)], tree)
-    metrics["untimed_best_s"] = (float(best.strip().splitlines()[-1]), "s")
+    bests = (float(out.split()[-1]) for out in (before, checked_run(probe, tree)))
+    metrics["untimed_best_s"] = (min(bests), "s")
     return metrics
 
 

@@ -19,12 +19,14 @@ module; ``MODULE`` is a name such as ``cones``).  The catalogue:
 A mutant is killed when a test fails on it.  Each one runs first the test
 file of its own module (``tests/test_<module>.py``, where there is one),
 then the whole suite, both with ``pytest -x`` and one BLAS thread; a run
-that outlasts ``TIMEOUT_FACTOR`` times the unmutated suite's time, plus
-10 s, counts as killed.  The sweep never edits the checkout: it copies it
-once per worker into a temporary directory (``tempfile``, so ``TMPDIR``
-places it) and mutates the copies, with ``os.cpu_count()`` workers.  It
-first runs the unmutated suite in one copy and stops with status 2 if that
-fails.  Progress goes to stderr; stdout gets one ``survived
+that outlasts ``TIMEOUT_FACTOR`` times the unmutated run of the same tests,
+plus ``TIMEOUT_MARGIN`` seconds, counts as killed, so a mutant that never
+returns costs about five times its own test file, not the whole suite.
+The sweep never edits the checkout: it copies it once per worker into a
+temporary directory (``tempfile``, so ``TMPDIR`` places it) and mutates the
+copies, with ``os.cpu_count()`` workers.  It first times the unmutated
+suite, and each swept module's own test file, in one copy, and stops with
+status 2 if one fails.  Progress goes to stderr; stdout gets one ``survived
 <module>.py:<line>:<col> <edit>`` line per new surviving mutant, in file
 order, then the totals with the count of known survivors.  A new survivor
 is a test that is missing, or code that no caller needs.
@@ -67,6 +69,7 @@ DROPPED_CALLS = ("float", "int", "asarray")
 DELETED = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.Return, ast.Delete,
            ast.Assert)
 TIMEOUT_FACTOR = 5
+TIMEOUT_MARGIN = 10.0
 COPY_IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                       "*.egg-info")
 
@@ -197,14 +200,26 @@ def _pytest(copy: Path, args, timeout: float) -> bool:
     return done.returncode == 0
 
 
-def _survives(copy: Path, package: str, mutant: Mutant, source: bytes, timeout: float) -> bool:
+def _timeout(copy: Path, args) -> float:
+    """The timeout of a mutated run of ``pytest -x args`` in ``copy``, from
+    the time of an unmutated one; raises RuntimeError when that fails."""
+    t0 = time.perf_counter()
+    if not _pytest(copy, args, timeout=None):
+        raise RuntimeError(f"the unmutated tests fail: {' '.join(args) or 'the whole suite'}")
+    return TIMEOUT_FACTOR * (time.perf_counter() - t0) + TIMEOUT_MARGIN
+
+
+def _survives(copy: Path, package: str, mutant: Mutant, source: bytes, own_timeout,
+              timeout: float) -> bool:
     """Whether ``mutant`` of a module of ``package`` passes the tests in
-    ``copy``; the copy's module is restored afterwards."""
+    ``copy``: its own test file within ``own_timeout`` seconds (``None``
+    where the module has none), then the whole suite within ``timeout``.
+    The copy's module is restored afterwards."""
     path = copy / "src" / package / f"{mutant.module}.py"
     own = copy / "tests" / f"test_{mutant.module}.py"
     path.write_bytes(mutant.apply(source))
     try:
-        if own.exists() and not _pytest(copy, [str(own)], timeout):
+        if own_timeout is not None and not _pytest(copy, [str(own)], own_timeout):
             return False
         return _pytest(copy, [], timeout)
     finally:
@@ -221,7 +236,7 @@ def sweep(root: Path, modules=None, package=PACKAGE, known=()) -> List[Mutant]:
     module) of ``root/src/<package>``, whose tests ``pytest`` finds from
     ``root``: those that the keys ``known`` do not cover.  Prints them and
     the totals.  Raises RuntimeError for a module that does not exist and
-    when the unmutated suite fails."""
+    when the unmutated suite, or a swept module's own test file, fails."""
     folder = root / "src" / package
     names = modules or sorted(p.stem for p in folder.glob("*.py"))
     missing = [name for name in names if not (folder / f"{name}.py").is_file()]
@@ -236,15 +251,18 @@ def sweep(root: Path, modules=None, package=PACKAGE, known=()) -> List[Mutant]:
             copy = Path(scratch) / f"w{w}"
             shutil.copytree(root, copy, ignore=COPY_IGNORED)
             copies.put(copy)
-        t0 = time.perf_counter()
-        if not _pytest(Path(scratch) / "w0", [], timeout=None):
-            raise RuntimeError("the unmutated test suite fails")
-        timeout = TIMEOUT_FACTOR * (time.perf_counter() - t0) + 10.0
+        first = Path(scratch) / "w0"
+        timeout, own_timeouts = _timeout(first, []), {}
+        for name in names:
+            own = first / "tests" / f"test_{name}.py"
+            if own.exists():
+                own_timeouts[name] = _timeout(first, [str(own)])
 
         def verdict(mutant):
             copy = copies.get()
             try:
-                return _survives(copy, package, mutant, sources[mutant.module], timeout)
+                return _survives(copy, package, mutant, sources[mutant.module],
+                                 own_timeouts.get(mutant.module), timeout)
             finally:
                 copies.put(copy)
 
