@@ -31,7 +31,9 @@ gives: below twice that constant, or the warm start.  A non-finite
 objective is tested for feasibility too: an infeasible trial is rejected as
 a feasibility failure, a feasible one ends the run.  The trace's ``i_k``
 counts the trials that failed the descent test and ``j_k + 1`` all trials;
-``max_inner_j`` caps ``j_k``.
+``max_inner_j`` caps ``j_k``.  The warm start ``Lg0`` reads two gradients
+of nearly one smoothed function (the hand-off), so it too stays at or below
+the constant it estimates.
 
 The hand-off.  One step hands the next a frozen ``IterateState``: the
 accepted point, the next step's mu, the point's f, psi and smoothed value
@@ -39,10 +41,15 @@ at that mu, the gradients of f and g_mu there, the P2 subgradient, and the
 next step's warm starts.  One builder forms it at x0 and at every accepted
 point.  It takes the smoothed value and the adjoint of the smoothing
 gradient that one ``smoothed(mu)`` call of the point's cone point gives
-(cone points hold no state, so nothing reads one back), checks that the
-smoothed value is negative, and forms the warm starts from the accepted
-step's own ``dx``, ``||dx||^2`` and gradient changes, with the clipped 1.0
-at x0.
+(cone points hold no state, so nothing reads one back), and the warm
+starts, and checks that the smoothed value is negative.  The warm starts
+come from the accepted step's own ``dx``, ``||dx||^2`` and gradient
+changes, with the clipped 1.0 at x0.  The change of ``mu grad g_mu`` pairs
+the accepted point's gradient at the certificate's mu, the next schedule
+value, with the last state's.  Two consecutive values inside a block of
+``blockwise`` or ``ramped_log`` differ by 3e-4 relative or less, so the two
+are gradients of nearly one smoothed function; the secant is formed before
+a stall advance jumps the next step's mu on, to the next block or to half.
 
 Each quantity of a step is formed once.  A trial evaluates f, P1 and P2 at
 its point, and, if it passes the descent test, ``G``, the cone point and
@@ -57,8 +64,9 @@ gives the next step's smoothed value and the smoothing gradient ``grad
 h_mu'(G(x_{k+1}))``, and one adjoint apply of it, at the next schedule
 value mu' (at the floor, where no step follows, the step's own mu).  The
 certificate's multiplier is ``lam_k`` times that smoothing gradient, and
-the next step reads the same adjoint output as its ``grad g_mu'``; only a
-stall advance, which moves mu' on, forms them again at the new mu.  Only
+the next warm starts and the next step read the same adjoint output, the
+step as its ``grad g_mu'``; only a stall advance, which moves mu' on,
+forms the step's pair again at the new mu.  Only
 when another step will run does the point also get that step's P2
 subgradient, so a run forms no state after its last row.  Each oracle
 output is scanned for NaN and inf once; the f gradient, the P2 subgradient
@@ -384,9 +392,12 @@ def bb_init(dx, dx2, df, dg, Lf0, Lg0, cfg: SolverConfig):
     g_mu`` by ``dg``, and which searched from ``Lf0`` and ``Lg0``.  They are
     the spectral ratio ``|dx.df| / ||dx||^2`` and the secant ratio ``||dg|| /
     ||dx||``, which by Cauchy-Schwarz lies between the two spectral ratios of
-    ``dg`` and never passes the Lipschitz constant of ``mu grad g_mu`` on the
-    step.  A ratio outside [L_min, L_max], or a step below 1e-12, falls back
-    to half that step's start, kept above L_min."""
+    ``dg``.  ``run`` forms ``dg`` from gradients at two consecutive schedule
+    values, not across a stall advance (module docstring, the hand-off), so
+    up to their difference the secant never passes the Lipschitz constant of
+    one ``mu grad g_mu`` on the step.  A ratio outside
+    [L_min, L_max], or a step below 1e-12, falls back to half that step's
+    start, kept above L_min."""
     lo, hi = cfg.L_min, cfg.L_max
     Lf0, Lg0 = max(lo, 0.5 * Lf0), max(lo, 0.5 * Lg0)
     if math.sqrt(dx2) > 1e-12:
@@ -408,25 +419,19 @@ def _smoothing_gradient(prob: DCProblem, x, point, mu: float, k: int):
                                 prob.dim)
 
 
-def _state(prob: DCProblem, cfg: SolverConfig, k: int, x, mu: float, f: float, psi: float,
-           grad_f, gmu: float, grad_gmu, prev: Optional[IterateState] = None,
-           step: Optional[InnerResult] = None) -> IterateState:
-    """The state of step ``k`` at ``x`` and ``mu``: x0 when ``prev`` is None,
-    else the point that ``step`` reached from ``prev``; ``gmu`` and
-    ``grad_gmu`` are the smoothed value and the checked smoothing gradient
-    there at ``mu``.  Checks that the smoothed value is negative, then forms
-    the P2 subgradient, guarded as the adjoint is, and the warm starts."""
+def _state(prob: DCProblem, k: int, x, mu: float, f: float, psi: float, grad_f, gmu: float,
+           grad_gmu, Lf0: float, Lg0: float) -> IterateState:
+    """The state of step ``k`` at ``x`` and ``mu`` with the warm starts
+    ``Lf0`` and ``Lg0``; ``gmu`` and ``grad_gmu`` are the smoothed value and
+    the checked smoothing gradient there at ``mu``.  Checks that the smoothed
+    value is negative, then forms the P2 subgradient, guarded as the adjoint
+    is."""
     if not gmu < 0:
-        if prev is None:
+        if k == 0:
             raise InfeasibleStartError(
                 f"smoothed constraint is not negative at x0 for mu0={mu:.3e} (value {gmu:.3e})")
         raise NumericError("strict feasibility chain broken")
     xi = _finite("P2 subgradient", prob.p2.subgradient(x), k, prob.dim)
-    if prev is None:
-        Lf0 = Lg0 = min(max(1.0, cfg.L_min), cfg.L_max)
-    else:
-        Lf0, Lg0 = bb_init(step.dx, step.step2, grad_f - prev.grad_f,
-                           mu * (grad_gmu - prev.grad_gmu), prev.Lf0, prev.Lg0, cfg)
     return IterateState(x, mu, f, psi, gmu, grad_gmu, grad_f, xi, Lf0, Lg0)
 
 
@@ -524,7 +529,8 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
             raise NumericError("objective value is not finite at step 0")
         grad_f0 = _finite("f gradient", prob.f.gradient(x0), 0, prob.dim)
         gmu0, _, grad_gmu0 = _smoothing_gradient(prob, x0, point0, mu0, 0)
-        state = _state(prob, cfg, 0, x0, mu0, f0, psi, grad_f0, gmu0, grad_gmu0)
+        L0 = min(max(1.0, cfg.L_min), cfg.L_max)
+        state = _state(prob, 0, x0, mu0, f0, psi, grad_f0, gmu0, grad_gmu0, L0, L0)
 
         for k in range(cfg.max_outer):
             inner = inner_loop_step(state, prob, cfg)
@@ -581,10 +587,15 @@ def run(prob: DCProblem, cfg: SolverConfig, x0) -> SolveReport:
                           f"at step {k + 1} (schedule index {s})")
                 break
             if k + 1 < cfg.max_outer:  # no state past the last step
+                # the secant reads the accepted point's gradient at mu_cert,
+                # before a stall advance forms it again at the mu it jumps to
+                Lf0, Lg0 = bb_init(inner.dx, inner.step2, grad_f_next - state.grad_f,
+                                   mu_cert * (grad_gmu - state.grad_gmu), state.Lf0,
+                                   state.Lg0, cfg)
                 if mu_next != mu_cert:  # a stall advance moved the schedule index
                     gmu_next, _, grad_gmu = _smoothing_gradient(prob, x_next, point, mu_next, k)
-                state = _state(prob, cfg, k + 1, x_next, mu_next, inner.f, inner.psi,
-                               grad_f_next, gmu_next, grad_gmu, state, inner)
+                state = _state(prob, k + 1, x_next, mu_next, inner.f, inner.psi, grad_f_next,
+                               gmu_next, grad_gmu, Lf0, Lg0)
     except InnerCapError as exc:
         status, reason, capped = SolveStatus.INNER_CAP_EXCEEDED, str(exc), (exc.i, exc.j)
     except NumericError as exc:

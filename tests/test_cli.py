@@ -76,6 +76,22 @@ class TestTraceIO:
             read_trace(path)
 
 
+def assert_written_as(text, fixture, native, rtol):
+    """``text`` has the fixture's keys in its order, and its bytes when
+    ``native`` (the BLAS core that wrote the fixture), else its values
+    within ``rtol``."""
+    pinned = (DATA / fixture).read_text()
+    doc, want = json.loads(text), json.loads(pinned)
+    assert list(doc) == list(want)
+    if native:
+        assert text == pinned
+    for key, value in want.items():
+        if isinstance(value, str):
+            assert doc[key] == value
+        else:
+            np.testing.assert_allclose(doc[key], value, rtol=rtol, atol=0.0, err_msg=key)
+
+
 class TestGenSolve:
     def test_gen_then_solve(self, tmp_path, capsys):
         inst_path = tmp_path / "p.json"
@@ -122,16 +138,23 @@ class TestGenSolve:
         assert doc["final_kkt"] == again.final_kkt.to_dict()
         assert doc["final_kkt"]["rho"] > 0.0
 
-    def test_written_formats_keep_their_bytes(self, tmp_path):
+    def test_written_formats_keep_their_bytes(self, tmp_path, monkeypatch):
         # the problem file and the certificate are written from their
-        # records' fields; both are pinned here, bytes and key order
+        # records' fields; both are pinned here, bytes and key order.  Their
+        # last bits follow the BLAS kernel, so the bytes are compared on the
+        # fixtures' OpenBLAS core, and elsewhere the values: under four cores
+        # the instance's A differs by 2.2e-16 and the certificate's step by
+        # 1.7e-10 relative, and no other field at all
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import harness
+        native = harness.blas_info()["core"] == "SkylakeX"
         inst_path, report = tmp_path / "p.json", tmp_path / "r.json"
         main(["gen-nsdp", "--n", "3", "--m", "2", "--seed", "1", "--out", str(inst_path)])
-        assert inst_path.read_bytes() == (DATA / "nsdp_n3_m2_seed1.json").read_bytes()
+        assert_written_as(inst_path.read_text(), "nsdp_n3_m2_seed1.json", native, 1e-15)
         assert main(["solve", "--problem", str(inst_path), "--report", str(report)]) == 0
         kkt = json.loads(report.read_text())["final_kkt"]
         assert list(kkt) == ["rho", "complementarity", "step", "v"]
-        assert json.dumps(kkt) + "\n" == (DATA / "nsdp_n3_m2_seed1_final_kkt.json").read_text()
+        assert_written_as(json.dumps(kkt) + "\n", "nsdp_n3_m2_seed1_final_kkt.json", native, 1e-9)
 
     def test_config_without_schedule_uses_the_default(self, tmp_path):
         inst_path, cfg_path = tmp_path / "p.json", tmp_path / "cfg.json"

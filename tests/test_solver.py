@@ -154,6 +154,24 @@ class TestBBInit:
             cross = abs(float(dx.dot(dg)))
             assert cross / dx.dot(dx) * (1 - 1e-14) <= Lg0 <= dg.dot(dg) / cross * (1 + 1e-14)
 
+    def test_secant_pairs_gradients_of_one_smoothed_function(self, monkeypatch):
+        # on a norm ball mu grad g_mu is 1-Lipschitz, so every secant ratio
+        # ||dg|| / ||dx|| that a warm start reads is at most 1, at the seven
+        # stall advances too: there the new state's gradient is formed at a
+        # mu of the next block, and the secant pairs the accepted point's
+        # gradient formed before the advance (measured maximum 0.271)
+        ratios = []
+
+        def recording(dx, dx2, df, dg, *rest):
+            ratios.append(math.sqrt(float(dg.dot(dg)) / dx2))
+            return bb_init(dx, dx2, df, dg, *rest)
+
+        monkeypatch.setattr(smba.solver, "bb_init", recording)
+        report = run(socp_dc_shaped(), SolverConfig(eps=1e-5), np.zeros(200))
+        assert report.status is SolveStatus.CONVERGED and report.advances == 7
+        assert len(ratios) == report.iterations - 1
+        assert max(ratios) <= 1.0
+
     def test_results_always_inside_safeguards(self, rng):
         prob = box_problem(c=[0.0, 0.0], b=[5.0, 5.0])
         cfg = SolverConfig()
@@ -693,12 +711,15 @@ class TestScheduleAdvance:
         # under power(0.5) this seed-0 desk instance ran to max_outer (5,000
         # steps) at eps = 1e-5, with term_slack stuck at 1.07e-5: the slack
         # falls only with mu.  Measured gaps to the optimum: 7.6e-6 and 3.0e-8
+        # The step counts move with rounding: 161-208 steps at 1e-5 and
+        # 755-981 at 1e-7 under four OpenBLAS cores, before and after the
+        # warm starts read one smoothed function; the advances do not
         prob = nsdp_problem(generate_nsdp(20, 10, 15))
-        for eps, steps, advances in ((1e-5, 168, 3), (1e-7, 923, 9)):
+        for eps, steps, advances in ((1e-5, 250, 3), (1e-7, 1200, 9)):
             cfg = SolverConfig(eps=eps, schedule=power_schedule(0.5))
             report = run(prob, cfg, np.zeros(20))
             assert report.status is SolveStatus.CONVERGED
-            assert (report.iterations, report.advances) == (steps, advances)
+            assert report.advances == advances and report.iterations <= steps
             assert abs(report.objective - DESK_15_OPTIMUM) <= eps * abs(DESK_15_OPTIMUM)
 
     def test_power_halving_index_past_float_range_not_taken(self):
@@ -764,11 +785,12 @@ class TestScheduleAdvance:
 class TestTinyBall:
     def test_ball_radius_below_phi_tol_converges(self):
         # mu0 = 1e-9 and eps = 1e-9 drive the ball radius to about 1e-12 near
-        # step 169, below the ball prox's starting margin
+        # step 169, below the ball prox's starting margin.  It converges in
+        # 190-194 steps under four OpenBLAS cores, with no stall advance
         cfg = SolverConfig(eps=1e-9, schedule=ramped_log_schedule(0.9, 3.0, mu0=1e-9))
         report = run(stalling_norm_ball(), cfg, np.zeros(5))
         assert report.status is SolveStatus.CONVERGED, report.reason
-        assert report.iterations == 194
+        assert report.advances == 0 and report.iterations <= 220
 
 
 def psd_toy_problem():
@@ -1533,19 +1555,29 @@ class TestCallCounts:
     @pytest.mark.parametrize("case", ["desk", "socp-dc"])
     def test_python_calls_per_step_within_budget(self, case):
         # Python calls whose code lies in the smba package, per accepted step
-        # of a pinned solve, counted from a fresh process (a warm schedule
-        # cache only lowers them).  Desk: 60.1 before the linesearch trial
-        # shed its per-call overhead (records built by keyword, frozen
-        # dataclasses, a four-deep call chain per cone-point evaluation),
-        # 50.4 after, 49.45 once one smoothed call gave an accepted point its
-        # smoothed value and gradient, and 44.31 once the array guards
-        # accepted a float64 array in one test.  The socp-dc shape (P1 = 0,
-        # a p-cone and a concave l1 term): 41.40 before those guards and
-        # the lean P1 = 0 subproblem, 34.84 after.  A change that adds a
-        # call per trial or per step must raise its budget and say why
-        prob, eps, steps, budget = {
-            "desk": (nsdp_problem(generate_nsdp(20, 10, 1)), 1e-7, 213, 44.35),
-            "socp-dc": (socp_dc_shaped(), 1e-5, 25, 34.9),
+        # of a solve, counted from a fresh process (a warm schedule cache
+        # only lowers them, by 4 to 12 calls a solve).  Desk: 60.1 before
+        # the linesearch trial shed its per-call overhead (records built by
+        # keyword, frozen dataclasses, a four-deep call chain per cone-point
+        # evaluation), 50.4 after, 49.45 once one smoothed call gave an
+        # accepted point its smoothed value and gradient, 44.31 once the
+        # array guards accepted a float64 array in one test, and 43.85 once
+        # the warm starts read one smoothed function (199 steps, not 213).
+        # The socp-dc shape (P1 = 0, a p-cone and a concave l1 term): 41.40
+        # before those guards and the lean P1 = 0 subproblem, 35.0 after
+        # (875 calls in 25 steps).  Its 7 stall advances each cost a second
+        # smoothing gradient, and the one-function warm starts removed 5
+        # plain steps of 31 calls each: 720 calls in 20 steps, 36.0 a step,
+        # with no step making more calls than before.  So its budget rose
+        # with the share of advance steps, and the per-solve cap keeps the
+        # removed steps removed.  Step counts move with the BLAS kernel
+        # (desk: 199-207 steps and 43.85 to 44.31 calls a step under four
+        # OpenBLAS cores); socp-dc makes 720 calls under each.  A change
+        # that adds a call per trial or per step must raise its budget and
+        # say why
+        prob, eps, budget, cap = {
+            "desk": (nsdp_problem(generate_nsdp(20, 10, 1)), 1e-7, 44.35, math.inf),
+            "socp-dc": (socp_dc_shaped(), 1e-5, 36.0, 720),
         }[case]
         package = os.path.dirname(smba.__file__) + os.sep
         calls = 0
@@ -1560,8 +1592,9 @@ class TestCallCounts:
             report = run(prob, SolverConfig(eps=eps), np.zeros(prob.dim))
         finally:
             sys.setprofile(None)
-        assert (report.status, report.iterations) == (SolveStatus.CONVERGED, steps)
+        assert report.status is SolveStatus.CONVERGED
         assert calls / report.iterations <= budget
+        assert calls <= cap
 
 
 def recorded_run(prob, eps):
@@ -1701,11 +1734,12 @@ def socp_dc_shaped(n=200, seed=1):
 class TestNoAliasing:
     @pytest.mark.parametrize("prob, eps", [
         (nsdp_problem(generate_nsdp(20, 10, 2)), 1e-7),
-        (socp_dc_shaped(), 1e-5),
+        (socp_dc_shaped(), 1e-7),
     ], ids=["nsdp", "socp-dc"])
     def test_read_only_oracle_outputs_leave_trace_unchanged(self, prob, eps):
         # a step that reused an oracle's output by writing into it would
-        # fail on a read-only copy, or change the trace
+        # fail on a read-only copy, or change the trace.  socp-dc runs at
+        # 1e-7 (26 steps) to pass more than 20 steps
         cfg = SolverConfig(eps=eps)
         plain = run(prob, cfg, np.zeros(prob.dim))
         guarded = run(with_read_only_outputs(prob), cfg, np.zeros(prob.dim))

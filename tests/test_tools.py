@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -71,8 +72,11 @@ def test_iterate_digest_skips_the_certificate_columns(monkeypatch):
 def test_prints_one_line_per_solve():
     # the three workloads under the default schedule, then the desk panel
     # under each schedule variant
-    out = subprocess.run([sys.executable, str(TOOL), "--seeds", "1"], capture_output=True,
-                         text=True, check=True).stdout.splitlines()
+    done = subprocess.run([sys.executable, str(TOOL), "--seeds", "1"], capture_output=True,
+                          text=True, check=True)
+    out = done.stdout.splitlines()
+    # stderr names where smba came from and the BLAS kernel the bits follow
+    assert re.fullmatch(r"smba imported from \S+; BLAS .+, core \w+\n", done.stderr)
     default = "schedule=ramped_log(0.9,3.0)"
     assert [(line.split()[0], line.split()[-1]) for line in out] == (
         [("nsdp-desk", default)] * 5 + [("nsdp-large", default)] * 2
@@ -80,9 +84,12 @@ def test_prints_one_line_per_solve():
         + [("nsdp-desk", "schedule=blockwise(0.9)")] * 5
         + [("nsdp-desk", "schedule=ramped_log(0.6,3.0)")] * 5)
     # every solve converges; desk instance 15 under power(0.5) stops after
-    # its stall advances (it ran to max_outer, 5,000 steps, without them)
+    # its stall advances (it ran to max_outer, 5,000 steps, without them;
+    # test_solver.py counts its advances), in 161-208 steps under four
+    # OpenBLAS cores
     assert all(line.split()[3] == "converged" for line in out)
-    assert "instance=15 converged steps=168 " in out[12]
+    assert out[12].split()[2] == "instance=15"
+    assert int(out[12].split()[4].removeprefix("steps=")) <= 250
     # each line carries both digests, the iterate one after the trace one
     for line in out:
         trace, iterates = line.split()[6:8]

@@ -23,7 +23,9 @@ prints: a sha256 over every trace column except ``elapsed_s``, row by row.
 The iterate digest is taken the same way over every column except
 ``rho``, ``term_slack`` and ``elapsed_s``: the columns a change to the KKT
 certificate alone leaves as they were.  Two trees whose outputs are
-identical give bit-identical traces.  The tool
+identical give bit-identical traces on one BLAS kernel; the bits follow the
+kernel, so the tool names the BLAS library and the core it dispatched to on
+stderr, beside where ``smba`` was imported from.  The tool
 exits with status 2, printing nothing, unless ``DIR/smba/__init__.py``
 exists and is the module imported.
 """
@@ -65,7 +67,9 @@ def main(argv=None) -> int:
         return 2
     import harness  # the trace digest that perfbench/run.py prints
     import workloads
-    print(f"smba imported from {init.parent}", file=sys.stderr)
+    blas = harness.blas_info()
+    print(f"smba imported from {init.parent}; BLAS {blas['library']}, core {blas['core']}",
+          file=sys.stderr)
 
     solves = [(w, smba.SolverConfig(eps=w.eps)) for w in workloads.WORKLOADS.values()]
     solves += [(workloads.WORKLOADS["nsdp-desk"], smba.SolverConfig(eps=1e-5, schedule=s))
