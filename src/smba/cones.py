@@ -14,27 +14,27 @@ Three cone families are provided.  For each one the membership test
 ``prepare(y)`` checks an argument and decomposes it once (one
 eigendecomposition for matrices); the returned point, which never changes,
 gives the support value ``support``, the smoothed value ``value(mu)`` at
-any mu, and with ``smoothed(mu)`` that value and its gradient.  The three
-point classes share these names by duck typing, with no common base; each
-raises ValueError for a mu outside ``[MU_FLOOR, inf)``.  The linesearch asks
-each trial's point for its value and an accepted one for both, so ``value``
-forms no gradient.  The module also holds
-the package's input rules, each checked once where an input enters:
-``checked_array``, the one test that an array is a finite real array of a
-given shape, with ``real_dtype`` its dtype rule; ``check_numbers``, the one
-test that a number is a finite real or an integer; ``check_keys``, the one
-test of a document's keys; and ``symmetrized``, the one symmetry rule.
+any mu, and with ``smoothed(mu)`` that value and its gradient.  The
+spectral point subclasses the log-sum-exp one, and the p-cone point shares
+these names by duck typing; each raises ValueError for a mu outside
+``[MU_FLOOR, inf)``.  The linesearch asks each trial's point for its value
+and an accepted one for both, so ``value`` forms no gradient.  The module
+also holds the package's input rules, each checked once where an input
+enters: ``checked_array``, the one test that an array is a finite real array
+of a given shape, with ``real_dtype`` its dtype rule; ``check_numbers``, the
+one test that a number is a finite real or an integer; ``check_keys``, the
+one test of a document's keys; and ``symmetrized``, the one symmetry rule.
 
 Each smoothed kernel h_mu majorizes the support value with a gap of at most
 ``alpha3 * mu``, and its gradient is ``alpha1 + alpha2 / mu`` Lipschitz.  An
 additive shift ``alpha4 * mu`` makes the family strictly decreasing in mu,
 which the solver relies on to keep iterates strictly feasible while mu
-shrinks; ``alpha4`` is the one constant the solver reads, an attribute of
-each cone.  The orthant and the NSD cone smooth by a log-sum-exp over m
-values on a base of norm at most 1: ``alpha3 = log(m) + alpha4``,
-``alpha1 = 0`` and ``alpha2 = 1``.  The second-order cone's base has norm at
-most ``sqrt(2)``, with ``alpha3 = 1 + alpha4``, ``alpha1 = 0`` and
-``alpha2 = 1``.
+shrinks; ``alpha4`` is ``SHIFT``, one constant for every cone, which each
+point reads when it evaluates.  The orthant and the NSD cone smooth by a
+log-sum-exp over m values on a base of norm at most 1: ``alpha3 = log(m) +
+alpha4``, ``alpha1 = 0`` and ``alpha2 = 1``.  The second-order cone's base
+has norm at most ``sqrt(2)``, with ``alpha3 = 1 + alpha4``, ``alpha1 = 0``
+and ``alpha2 = 1``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ except ImportError:  # numpy 1.x
 
 MU_FLOOR = 1e-12
 SYMMETRY_TOL = 1e-10
-DEFAULT_SHIFT = 1e-5
+SHIFT = 1e-5
 
 # The gufunc that numpy's ``eigh`` wrapper calls for a float64 matrix with
 # UPLO="L", bound once.  The wrapper's errstate context and type and shape
@@ -189,18 +189,17 @@ class _LogSumExpPoint:
     spectral point.
     """
 
-    def __init__(self, vals, support, alpha4, vecs=None):
+    def __init__(self, vals, support, vecs=None):
         self.vals = vals
-        self.alpha4 = alpha4
         self.support = support
         self.vecs = vecs
 
     def value(self, mu):
-        return _shifted_logsumexp(self.vals, self.support, mu)[0] + self.alpha4 * mu
+        return _shifted_logsumexp(self.vals, self.support, mu)[0] + SHIFT * mu
 
     def smoothed(self, mu):
         lse, expo, total = _shifted_logsumexp(self.vals, self.support, mu)
-        return lse + self.alpha4 * mu, expo / total
+        return lse + SHIFT * mu, expo / total
 
 
 class _SpectralPoint(_LogSumExpPoint):
@@ -212,15 +211,13 @@ class _SpectralPoint(_LogSumExpPoint):
         # array with its own transpose as one syrk, which is exactly
         # symmetric; softmax weights below machine epsilon are harmless
         R = self.vecs * np.sqrt(expo / total)
-        return lse + self.alpha4 * mu, R @ R.T
+        return lse + SHIFT * mu, R @ R.T
 
 
 class _PConePoint:
     """Hyperbolic smoothing ``sqrt(||y[:-1]||^2 + mu^2) - y[-1]``."""
 
-    def __init__(self, y, alpha4):
-        self.y = y
-        self.alpha4 = alpha4
+    def __init__(self, y):
         self.head = head = y[:-1]
         self.sq = float(_VDOT(head, head))
         self.top = y.item(-1)  # a Python float, so value() returns one too
@@ -228,17 +225,17 @@ class _PConePoint:
 
     def value(self, mu):
         mu = _checked_mu(mu)
-        return math.sqrt(self.sq + mu * mu) - self.top + self.alpha4 * mu
+        return math.sqrt(self.sq + mu * mu) - self.top + SHIFT * mu
 
     def smoothed(self, mu):
         mu = _checked_mu(mu)
         root = math.sqrt(self.sq + mu * mu)
         # the last entry is never divided: a lifted ball's radius near 1e300
         # would overflow at the floor
-        grad = np.empty(self.y.size)
+        grad = np.empty(self.head.size + 1)
         np.divide(self.head, root, out=grad[:-1])
         grad[-1] = -1.0
-        return root - self.top + self.alpha4 * mu, grad
+        return root - self.top + SHIFT * mu, grad
 
 
 class ConeBaseOracle:
@@ -248,17 +245,14 @@ class ConeBaseOracle:
     ``prepare``, which checks an argument and decomposes it once (one
     eigendecomposition for matrices) into the point that holds the support
     value and evaluates the smoothed kernel at any mu.  Each family is built
-    from its dimension ``m``, an integer ``>= 1``, and the shift slope
-    ``alpha4`` (module docstring), a finite real ``>= 0``.
+    from its dimension ``m``, an integer ``>= 1``.
     """
 
-    family: str
-
-    def __init__(self, m: int, alpha4: float = DEFAULT_SHIFT):
-        self.m, self.alpha4 = m, alpha4
-        check_numbers(self, reals=("alpha4",), integers=("m",))
-        if not (m >= 1 and alpha4 >= 0):
-            raise ValueError(f"{self.family}: need m >= 1, alpha4 >= 0; got {m!r}, {alpha4!r}")
+    def __init__(self, m: int):
+        self.m = m
+        check_numbers(self, integers=("m",))
+        if not m >= 1:
+            raise ValueError(f"{type(self).__name__}: need m >= 1, got {m!r}")
 
     def support_value(self, y) -> float:
         return self.prepare(y).support
@@ -267,17 +261,13 @@ class ConeBaseOracle:
 class NonposOrthant(ConeBaseOracle):
     """Orthant constraint ``y <= 0``; base is the probability simplex."""
 
-    family = "nonpos_orthant"
-
     def prepare(self, y):
         y = checked_array(y, (self.m,))
-        return _LogSumExpPoint(y, float(y.max()), self.alpha4)
+        return _LogSumExpPoint(y, float(y.max()))
 
 
 class NegSemidef(ConeBaseOracle):
     """Matrix constraint ``y`` negative semidefinite; base is the spectraplex."""
-
-    family = "neg_semidef"
 
     def _eigh(self, y):
         """Ascending spectrum and eigenvectors of a checked, exactly symmetric
@@ -298,13 +288,11 @@ class NegSemidef(ConeBaseOracle):
         it is reversed to descending, and its first entry is the support value.
         """
         vals, vecs = self._eigh(symmetrized(checked_array(y, (self.m, self.m))))
-        return _SpectralPoint(vals[::-1], vals.item(-1), self.alpha4, vecs[:, ::-1])
+        return _SpectralPoint(vals[::-1], vals.item(-1), vecs[:, ::-1])
 
 
 class PCone(ConeBaseOracle):
     """Second-order cone ``||y[:m]||_2 <= y[m]``."""
 
-    family = "p_cone"
-
     def prepare(self, y):
-        return _PConePoint(checked_array(y, (self.m + 1,)), self.alpha4)
+        return _PConePoint(checked_array(y, (self.m + 1,)))

@@ -2,7 +2,8 @@
 
 
 class UnsupportedFamilyError(ValueError):
-    """Requested a cone family or parameterization that is not implemented."""
+    """A ``DCProblem``'s P1 is none of the regularizers with an exact ball-prox
+    solver (``REGULARIZERS`` in ``smba.problems``)."""
 
 
 class InfeasibleStartError(ValueError):

@@ -14,7 +14,11 @@ residuals vanish):
 ``blockwise`` holds the exponent at ``rbar``; ``ramped_log`` ramps it as
 ``r_j = 0.01 + min(1, j / ramp_len) * (rbar - 0.01)`` (and
 ``s_j = min(1, j / ramp_len) * sbar`` for the log factor).  A supplied mu0
-must not lie below the kernel's smoothing floor.
+must not lie below the kernel's smoothing floor.  The builders set only a
+variant's shape parameters, ``power_schedule(r)``,
+``blockwise_schedule(rbar)`` and ``ramped_log_schedule(rbar, sbar)``;
+``n0``, ``nu0``, ``ramp_len`` and ``mu0`` are set on the ``ScheduleSpec``
+itself.
 
 Each value is ``mu0`` times factors that depend on the schedule's shape
 alone (every field but ``mu0``).  ``mu_at`` reads them from a bounded cache
@@ -86,18 +90,16 @@ class ScheduleSpec:
         return cls(**d)
 
 
-def power_schedule(r: float, mu0=None) -> ScheduleSpec:
-    return ScheduleSpec(variant="power", r=r, mu0=mu0)
+def power_schedule(r: float) -> ScheduleSpec:
+    return ScheduleSpec(variant="power", r=r)
 
 
-def blockwise_schedule(rbar, n0=DEFAULT_N0, nu0=DEFAULT_NU0, mu0=None) -> ScheduleSpec:
-    return ScheduleSpec(variant="blockwise", rbar=rbar, n0=n0, nu0=nu0, mu0=mu0)
+def blockwise_schedule(rbar: float) -> ScheduleSpec:
+    return ScheduleSpec(variant="blockwise", rbar=rbar)
 
 
-def ramped_log_schedule(rbar, sbar, n0=DEFAULT_N0, nu0=DEFAULT_NU0,
-                        ramp_len=DEFAULT_RAMP_LEN, mu0=None) -> ScheduleSpec:
-    return ScheduleSpec(variant="ramped_log", rbar=rbar, sbar=sbar, n0=n0, nu0=nu0,
-                        ramp_len=ramp_len, mu0=mu0)
+def ramped_log_schedule(rbar: float, sbar: float) -> ScheduleSpec:
+    return ScheduleSpec(variant="ramped_log", rbar=rbar, sbar=sbar)
 
 
 def _factors(spec: ScheduleSpec, ks: np.ndarray):

@@ -266,12 +266,10 @@ class SolveReport:
 
 class InnerCapError(NumericError):
     """The feasibility/descent loop exhausted its trial budget: ``i`` of its
-    ``j`` trials failed the descent test."""
+    ``j`` trials failed the descent test; the message names ``mu`` and the
+    last trial's ``Lg`` and ``g_mu``."""
 
     def __init__(self, mu, Lg, g_mu, i, j):
-        self.mu = mu
-        self.Lg = Lg
-        self.g_mu = g_mu
         self.i = i
         self.j = j
         super().__init__(

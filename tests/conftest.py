@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from smba import cones
 from smba.cones import NegSemidef, NonposOrthant, PCone
 
 
@@ -13,12 +14,19 @@ def rng():
     return np.random.default_rng(20240901)
 
 
+@pytest.fixture
+def no_shift(monkeypatch):
+    """Cone points evaluate without the shift ``SHIFT * mu``; each reads the
+    constant when it evaluates."""
+    monkeypatch.setattr(cones, "SHIFT", 0.0)
+
+
 def random_symmetric(rng, m, scale=3.0):
     y = rng.normal(0.0, scale, (m, m))
     return 0.5 * (y + y.T)
 
 
-def family_cases(alpha4=1e-5):
+def family_cases():
     """(oracle, sampler) pairs covering the three cone families."""
 
     def orthant(rng):
@@ -31,9 +39,9 @@ def family_cases(alpha4=1e-5):
         return rng.normal(0.0, 3.0, 6)
 
     return [
-        (NonposOrthant(5, alpha4=alpha4), orthant),
-        (NegSemidef(4, alpha4=alpha4), psd),
-        (PCone(5, alpha4=alpha4), pcone),
+        (NonposOrthant(5), orthant),
+        (NegSemidef(4), psd),
+        (PCone(5), pcone),
     ]
 
 

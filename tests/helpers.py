@@ -6,11 +6,11 @@ feasible sets, the closed form projection onto a ball, the closed-form
 optimum of the norm-ball problem with a concave l1 term, and a Lagrangian
 lower bound for convex NSDP.  Beside them are the composite smoothed
 constraint, a linear concave term and the iterate state the linesearch
-starts from, written from the problem's public oracles, and a reader for
-the CLI's CSV traces.  The rest are read off the solver's own kernels: the
-schedule at many indices and its half-window sums, the subproblem's path
-point and constraint value, the polar residual of a multiplier, and the
-constants of each cone's smoothing.
+starts from, written from the problem's public oracles, the invariants
+every trace row meets, and a reader for the CLI's CSV traces.  The rest are
+read off the solver's own kernels: the schedule at many indices and its
+half-window sums, the subproblem's path point and constraint value, the
+polar residual of a multiplier, and the constants of each cone's smoothing.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
+from smba import cones
 from smba.ball_prox import BallConstraint, _path_point
-from smba.cones import NegSemidef, NonposOrthant, checked_array, symmetrized
+from smba.cones import NegSemidef, NonposOrthant, PCone, checked_array, symmetrized
 from smba.problems import DCProblem, objective_value
 from smba.schedules import ScheduleSpec, _factors, mu_at
 from smba.solver import TRACE_COLUMNS, IterateState, TraceRow
@@ -295,15 +296,34 @@ class Smoothing(NamedTuple):
 # per cone family: the gap slope before the shift as a function of m,
 # alpha1, alpha2 and the base's norm bound
 SMOOTHING_TABLE = {
-    "nonpos_orthant": (math.log, 0.0, 1.0, 1.0),
-    "neg_semidef": (math.log, 0.0, 1.0, 1.0),
-    "p_cone": (lambda m: 1.0, 0.0, 1.0, math.sqrt(2.0)),
+    NonposOrthant: (math.log, 0.0, 1.0, 1.0),
+    NegSemidef: (math.log, 0.0, 1.0, 1.0),
+    PCone: (lambda m: 1.0, 0.0, 1.0, math.sqrt(2.0)),
 }
 
 
 def smoothing(cone) -> Smoothing:
-    gap, alpha1, alpha2, base = SMOOTHING_TABLE[cone.family]
-    return Smoothing(alpha1, alpha2, gap(cone.m) + cone.alpha4, cone.alpha4, base)
+    """The constants of ``cone``'s smoothing, with the shift ``cones.SHIFT``
+    read at call time."""
+    gap, alpha1, alpha2, base = SMOOTHING_TABLE[type(cone)]
+    return Smoothing(alpha1, alpha2, gap(cone.m) + cones.SHIFT, cones.SHIFT, base)
+
+
+def trace_invariants(cfg, report):
+    """Assert the invariants of every trace row: strict smoothed and exact
+    feasibility, ``i_k <= j_k <= max_inner_j``, a nonnegative multiplier,
+    descent from row to row, and a strictly decreasing mu."""
+    psi_prev = None
+    for row in report.trace:
+        assert row.g_mu <= 0.0, "smoothed feasibility lost"
+        assert row.sigma_B <= 0.0, "exact feasibility lost"
+        assert row.i_k <= row.j_k <= cfg.max_inner_j
+        assert row.lam >= 0.0
+        if psi_prev is not None:
+            assert row.psi <= psi_prev + 1e-10 * (1.0 + abs(psi_prev))
+        psi_prev = row.psi
+    mus = [row.mu for row in report.trace]
+    assert all(b < a for a, b in zip(mus, mus[1:]))
 
 
 class _Subclass(np.ndarray):

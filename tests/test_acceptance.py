@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from smba.ball_prox import BallConstraint, build_ball, solve_ball_prox
-from smba.cones import NegSemidef
+from smba.cones import SHIFT, NegSemidef
 from smba.nsdp import generate_nsdp, nsdp_problem
 from smba.problems import (
     L1Regularizer,
@@ -47,6 +47,7 @@ from helpers import (
     partial_sum_lower_bound,
     polar_residual,
     smoothing,
+    trace_invariants,
 )
 
 DESK_SEEDS = (1, 6, 10, 15, 16)
@@ -101,20 +102,6 @@ def desk_runs():
     return out
 
 
-def trace_invariants(cfg, report):
-    psi_prev = None
-    for row in report.trace:
-        assert row.g_mu <= 0.0, "smoothed feasibility lost"
-        assert row.sigma_B <= 0.0, "exact feasibility lost"
-        assert row.i_k <= row.j_k <= cfg.max_inner_j
-        assert row.lam >= 0.0
-        if psi_prev is not None:
-            assert row.psi <= psi_prev + 1e-10 * (1.0 + abs(psi_prev))
-        psi_prev = row.psi
-    mus = [row.mu for row in report.trace]
-    assert all(b < a for a, b in zip(mus, mus[1:]))
-
-
 def replay_with_ledger(prob, cfg, x0, steps):
     """Mirror the outer loop step by step, asserting the exact descent
     ledger, the strict feasibility chain, and subproblem complementarity."""
@@ -154,7 +141,7 @@ def replay_with_ledger(prob, cfg, x0, steps):
 def test_criterion_1_sandwich_and_shift():
     rng = np.random.default_rng(101)
     for oracle, sample in family_cases():
-        a3, a4 = smoothing(oracle).alpha3, oracle.alpha4
+        a3, a4 = smoothing(oracle).alpha3, SHIFT
         for _ in range(1000):
             y = sample(rng)
             mu1 = 10.0 ** rng.uniform(-6, 1)
@@ -315,7 +302,7 @@ def test_criterion_6_convex_rate(rate_run):
 @criterion(7, "schedule partial-sum bound", budget=1.0)
 def test_criterion_7_schedule_bound():
     for rbar in (0.33, 0.6, 0.9):
-        for spec in (power_schedule(rbar, mu0=1.0), blockwise_schedule(rbar, mu0=1.0)):
+        for spec in (power_schedule(rbar).with_mu0(1.0), blockwise_schedule(rbar).with_mu0(1.0)):
             for K in (100, 1000, 10000, 100000):
                 assert partial_sum(spec, K) >= partial_sum_lower_bound(spec, K)
 

@@ -9,6 +9,7 @@ names: the package ships only what ``run``, the CLI and the benchmark call.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,7 +50,9 @@ INTERNALS = [
 # _path_point and _factors (or, for ScheduleSpec.to_dict, done by
 # SolverConfig.to_dict's dataclasses.asdict), the abstract stubs of the
 # duck-typed cone points and families (ConePoint, ConeBaseOracle.prepare),
-# and the subproblem's result record (its one caller unpacks an (x, lam) pair)
+# the subproblem's result record (its one caller unpacks an (x, lam) pair),
+# and the cone shift's default and the families' names (the shift is the
+# one constant SHIFT, and a family is named by its class)
 REMOVED = [
     ("smba.cones", "stable_logsumexp"),
     ("smba.cones", "ConeBaseOracle.msa_value"),
@@ -73,7 +76,23 @@ REMOVED = [
     ("smba.solver", "_stall_index"),
     ("smba.schedules", "ScheduleSpec.to_dict"),
     ("smba.ball_prox", "SubproblemResult"),
+    ("smba.cones", "DEFAULT_SHIFT"),
+    ("smba.cones", "NonposOrthant.family"),
+    ("smba.cones", "NegSemidef.family"),
+    ("smba.cones", "PCone.family"),
 ]
+
+# every settable parameter of a cone family or a schedule builder: a cone's
+# shift and a schedule's n0, nu0, ramp_len and mu0 are set in one place each
+# (smba.cones.SHIFT, the ScheduleSpec fields)
+SIGNATURES = {
+    smba.NonposOrthant: ["m"],
+    smba.NegSemidef: ["m"],
+    smba.PCone: ["m"],
+    smba.power_schedule: ["r"],
+    smba.blockwise_schedule: ["rbar"],
+    smba.ramped_log_schedule: ["rbar", "sbar"],
+}
 
 
 def test_top_level_names():
@@ -96,6 +115,11 @@ def test_removed_entry_point_stays_removed(module, path):
     for owner in owners:
         obj = getattr(obj, owner)
     assert not hasattr(obj, name)
+
+
+@pytest.mark.parametrize("fn", SIGNATURES, ids=[fn.__name__ for fn in SIGNATURES])
+def test_constructor_takes_only_its_shape(fn):
+    assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
 
 
 def _docstrings(tree):

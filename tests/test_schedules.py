@@ -29,18 +29,19 @@ from helpers import mu_values, partial_sum, partial_sum_lower_bound
 def sweep_specs(mu0=1.0):
     specs = []
     for rbar in (0.33, 0.6, 0.9):
-        specs.append(power_schedule(rbar, mu0=mu0))
+        specs.append(power_schedule(rbar).with_mu0(mu0))
         for n0 in (0, 300):
             nu0 = 1.0 if n0 == 0 else 1.0 / (10 * n0 + 1)
-            specs.append(blockwise_schedule(rbar, n0=n0, nu0=nu0, mu0=mu0))
+            specs.append(ScheduleSpec("blockwise", mu0, rbar=rbar, n0=n0, nu0=nu0))
             for sbar in (0.0, 3.0):
-                specs.append(ramped_log_schedule(rbar, sbar, n0=n0, nu0=nu0, mu0=mu0))
+                specs.append(ScheduleSpec("ramped_log", mu0, rbar=rbar, sbar=sbar, n0=n0,
+                                          nu0=nu0))
     return specs
 
 
 class TestMuAt:
     def test_power_value(self):
-        assert mu_at(power_schedule(0.5, mu0=1.0), 3) == pytest.approx(0.5)
+        assert mu_at(power_schedule(0.5).with_mu0(1.0), 3) == pytest.approx(0.5)
 
     def test_anchor_at_zero(self):
         for spec in sweep_specs(mu0=0.37):
@@ -52,7 +53,7 @@ class TestMuAt:
         assert mu_at(spec, 4) == pytest.approx((3 + 0.5 + 1) ** -0.5)
 
     def test_ramped_log_hand_value(self):
-        spec = ramped_log_schedule(0.9, 3.0, n0=2, nu0=0.5, ramp_len=10, mu0=2.0)
+        spec = ScheduleSpec("ramped_log", 2.0, rbar=0.9, sbar=3.0, n0=2, nu0=0.5, ramp_len=10)
         k = 7  # k2 = 2, k1 = 1 -> kbar = 6.5
         kbar = 6.5
         r = 0.01 + min(1.0, kbar / 10) * (0.9 - 0.01)
@@ -62,7 +63,7 @@ class TestMuAt:
 
     def test_ramped_log_shortest_ramp(self):
         # ramp_len = 1, the least accepted: past index 0 the ramp is complete
-        spec = ramped_log_schedule(0.9, 3.0, n0=2, nu0=0.5, ramp_len=1, mu0=2.0)
+        spec = ScheduleSpec("ramped_log", 2.0, rbar=0.9, sbar=3.0, n0=2, nu0=0.5, ramp_len=1)
         want = 2.0 * 7.5 ** -0.9 * np.log(9.5) ** -3.0
         assert mu_at(spec, 7) == pytest.approx(want, rel=1e-14)
 
@@ -72,9 +73,9 @@ class TestMuAt:
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            mu_at(power_schedule(0.5, mu0=1.0), -1)
+            mu_at(power_schedule(0.5).with_mu0(1.0), -1)
         with pytest.raises(ValueError, match="K must be nonnegative"):
-            partial_sum(power_schedule(0.5, mu0=1.0), -1)
+            partial_sum(power_schedule(0.5).with_mu0(1.0), -1)
 
     @pytest.mark.parametrize("field", ["mu0", "r", "rbar", "sbar", "n0", "nu0", "ramp_len"])
     def test_nan_rejected(self, field):
@@ -109,7 +110,7 @@ class TestMuAt:
         with pytest.raises(ValueError, match="ramp_len must be >= 1"):
             ScheduleSpec(variant="ramped_log", rbar=0.9, ramp_len=0, mu0=1.0)
         with pytest.raises(ValueError, match="floor"):
-            power_schedule(0.5, mu0=0.5 * MU_FLOOR)
+            power_schedule(0.5).with_mu0(0.5 * MU_FLOOR)
 
     def test_strict_decrease_sweep_to_1e5(self):
         ks = np.arange(100001)
@@ -120,14 +121,16 @@ class TestMuAt:
 
     def test_roundtrip_dict(self):
         # from_dict reads the schedule as SolverConfig.to_dict writes it
-        spec = ramped_log_schedule(0.9, 3.0, mu0=0.45)
+        spec = ramped_log_schedule(0.9, 3.0).with_mu0(0.45)
         again = ScheduleSpec.from_dict(dataclasses.asdict(spec))
         assert again == spec
 
 
 def one_spec_per_variant(mu0):
-    return (power_schedule(0.9, mu0=mu0), blockwise_schedule(0.9, mu0=mu0),
-            ramped_log_schedule(0.9, 3.0, mu0=mu0))
+    """One spec of each variant holding ``mu0`` as given (``with_mu0`` would
+    make it a Python float)."""
+    return tuple(dataclasses.replace(spec, mu0=mu0) for spec in (
+        power_schedule(0.9), blockwise_schedule(0.9), ramped_log_schedule(0.9, 3.0)))
 
 
 def direct_mu(spec, k):
@@ -181,9 +184,9 @@ class TestMuTable:
     def test_alternating_specs(self):
         # specs of equal shape share chunks whatever their mu0; a spec is
         # never read from the chunk of another shape
-        first, second = power_schedule(0.5, mu0=0.2), blockwise_schedule(0.9, mu0=0.2)
+        first, second = power_schedule(0.5).with_mu0(0.2), blockwise_schedule(0.9).with_mu0(0.2)
         for k in (5, 5, 2000, 7, 3000, 1):
-            for spec in (first, second, power_schedule(0.5, mu0=0.2)):
+            for spec in (first, second, power_schedule(0.5).with_mu0(0.2)):
                 assert mu_at(spec, k) == direct_mu(spec, k), (spec, k)
         assert cached_chunks() == 6  # chunks 0, 1 and 2 of two shapes
 
@@ -204,7 +207,7 @@ class TestMuTable:
 
     def test_far_index_read_from_its_own_chunk(self):
         # no cap: an index of any size is read from the one chunk holding it
-        spec = power_schedule(0.5, mu0=1.0)
+        spec = power_schedule(0.5).with_mu0(1.0)
         for k in (2**20 - 1, 2**20, 2**20 + 1, 10 * 2**20, 123456789):
             schedules._chunk.cache_clear()
             assert mu_at(spec, k) == direct_mu(spec, k), k
@@ -214,7 +217,7 @@ class TestMuTable:
 
     def test_specs_differing_in_one_field_never_share_a_chunk(self):
         # the key holds every field but mu0, however many the spec has
-        base = ramped_log_schedule(0.9, 3.0, mu0=0.5)
+        base = ramped_log_schedule(0.9, 3.0).with_mu0(0.5)
         other = {"variant": "blockwise", "r": 0.25, "rbar": 0.6, "sbar": 1.0, "n0": 10,
                  "nu0": 0.5, "ramp_len": 100}
         names = {f.name for f in dataclasses.fields(ScheduleSpec)}
@@ -233,7 +236,7 @@ class TestMuTable:
         assert cached_chunks() == 1
 
     def test_cache_has_a_constant_bound(self):
-        spec = power_schedule(0.5, mu0=1.0)
+        spec = power_schedule(0.5).with_mu0(1.0)
         for c in range(200):
             assert mu_at(spec, c * 1024 + 3) == direct_mu(spec, c * 1024 + 3)
         assert schedules._chunk.cache_info().maxsize == cached_chunks() == 64
@@ -252,7 +255,7 @@ class TestMuTable:
         monkeypatch.setattr(schedules, "_factors", counted)
         bits = lambda report: [tuple(repr(v) for v in row[:-1]) for row in report.trace]
         cases = [(nsdp_problem(generate_nsdp(6, 4, seed)),
-                  SolverConfig(eps=1e-6, schedule=ramped_log_schedule(0.9, 3.0, mu0=mu0)))
+                  SolverConfig(eps=1e-6, schedule=ramped_log_schedule(0.9, 3.0).with_mu0(mu0)))
                  for seed, mu0 in ((1, 0.9), (4, 0.3))]
 
         alone = []
@@ -283,10 +286,10 @@ def test_import_and_problem_build_leave_the_memo_empty():
 
 class TestPartialSum:
     def test_single_term(self):
-        assert partial_sum(power_schedule(0.5, mu0=1.0), 0) == pytest.approx(1.0)
+        assert partial_sum(power_schedule(0.5).with_mu0(1.0), 0) == pytest.approx(1.0)
 
     def test_direct_sum_small(self):
-        spec = power_schedule(0.5, mu0=1.0)
+        spec = power_schedule(0.5).with_mu0(1.0)
         want = 3**-0.5 + 4**-0.5 + 5**-0.5
         assert partial_sum(spec, 4) == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(1.5245639, abs=1e-6)
@@ -306,7 +309,7 @@ class TestPartialSum:
         # power-law envelope [mu0 (k+1)^-rbar, mu0 nu0^-rbar (k+1)^-rbar]
         rbar, n0 = 0.9, 300
         nu0 = 1.0 / (10 * n0 + 1)
-        spec = blockwise_schedule(rbar, n0=n0, nu0=nu0, mu0=1.0)
+        spec = ScheduleSpec("blockwise", 1.0, rbar=rbar, n0=n0, nu0=nu0)
         ks = np.arange(100001)
         mus = mu_values(spec, ks)
         lower = (ks + 1.0) ** (-rbar)
@@ -317,6 +320,6 @@ class TestPartialSum:
     @given(st.integers(0, 500), st.floats(0.1, 0.9))
     @settings(max_examples=100, deadline=None)
     def test_partial_sum_matches_scalar_loop(self, K, r):
-        spec = power_schedule(r, mu0=1.0)
+        spec = power_schedule(r).with_mu0(1.0)
         want = sum(mu_at(spec, k) for k in range((K + 1) // 2, K + 1))
         assert partial_sum(spec, K) == pytest.approx(want, rel=1e-12)

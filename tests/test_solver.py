@@ -30,8 +30,8 @@ from smba.problems import (
     objective_value,
     psd_affine_problem,
 )
-from smba.schedules import (blockwise_schedule, mu_at, power_schedule, ramped_log_schedule,
-                            stall_index)
+from smba.schedules import (ScheduleSpec, blockwise_schedule, mu_at, power_schedule,
+                            ramped_log_schedule, stall_index)
 from smba.solver import (
     SolveStatus,
     SolverConfig,
@@ -49,6 +49,7 @@ from helpers import (
     make_state,
     polar_residual,
     socp_dc_optimum,
+    trace_invariants,
 )
 
 
@@ -73,15 +74,15 @@ def initial_mu(prob, x0):
 class TestFindInitialMu:
     """The initial smoothing search, read off the mu0 that ``run`` reports."""
 
+    @pytest.mark.usefixtures("no_shift")
     def test_hand_derived_orthant(self):
         # constraint value -1 at x0; condition -1 + mu log 2 <= -0.1 holds at 0.9
-        prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[1.0, 1.0]),
-                                   cone=cones.NonposOrthant(2, alpha4=0.0))
+        prob = box_problem(c=[0.0, 0.0], b=[1.0, 1.0])
         assert initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
 
+    @pytest.mark.usefixtures("no_shift")
     def test_deep_interior_accepts_immediately(self):
-        prob = dataclasses.replace(box_problem(c=[0.0, 0.0], b=[10.0, 10.0]),
-                                   cone=cones.NonposOrthant(2, alpha4=0.0))
+        prob = box_problem(c=[0.0, 0.0], b=[10.0, 10.0])
         assert initial_mu(prob, np.zeros(2)) == pytest.approx(0.9)
 
     def test_boundary_start_rejected(self):
@@ -229,11 +230,15 @@ class TestInnerLoop:
         state = make_state(base, np.zeros(2), 0.9, Lf0=2.0, Lg0=1e-6)
         with pytest.raises(InnerCapError) as err:
             inner_loop_step(state, prob, SolverConfig(max_inner_j=2))
-        assert err.value.mu == pytest.approx(0.9)
         assert len(trials) == 3  # j = 0, 1, 2, all infeasible
         assert (err.value.i, err.value.j) == (0, 3)
-        assert err.value.Lg > 4e-6
-        assert err.value.g_mu > 0.0
+        # the message names the step's mu and the last trial's Lg and g_mu
+        mu, Lg, g_mu = map(float, re.fullmatch(
+            r"inner loop cap exceeded at mu=(\S+); last Lg=(\S+), last g_mu=(\S+)",
+            str(err.value)).groups())
+        assert mu == 0.9
+        assert Lg > 4e-6
+        assert g_mu > 0.0
 
     def test_cap_without_evaluated_trial_reports_nan(self):
         # every trial overshoots and fails descent, so no smoothed value exists
@@ -241,9 +246,8 @@ class TestInnerLoop:
 
         prob = box_problem(c=[0.5, 0.5], b=[10.0, 10.0])
         state = make_state(prob, np.zeros(2), 0.9, Lf0=1e-3, Lg0=1.0)
-        with pytest.raises(InnerCapError, match="last g_mu=nan") as err:
+        with pytest.raises(InnerCapError, match="last g_mu=nan"):
             inner_loop_step(state, prob, SolverConfig(max_inner_j=0))
-        assert math.isnan(err.value.g_mu)
 
     def test_accepted_point_satisfies_both_tests(self, rng):
         cfg = SolverConfig()
@@ -372,13 +376,21 @@ def fixed_trial(monkeypatch, point):
                         lambda p1, x, q, Lf, ball: (np.array(point), 0.0))
 
 
+def trial_weights(monkeypatch):
+    """The list that receives the ``Lg`` of every trial's ball, in order."""
+    weights, build = [], smba.solver.build_ball
+    monkeypatch.setattr(smba.solver, "build_ball",
+                        lambda *args: weights.append(args[4]) or build(*args))
+    return weights
+
+
 class TestConstraintJump:
     def test_trial_on_the_smoothed_boundary_is_feasible(self, monkeypatch):
         # one value with shift 0.5 mu: g_mu(x) = x - 1 + 0.25 at mu = 0.5,
         # exactly 0.0 at the trial 0.75, which meets g_mu <= 0; the next mu
         # is smaller, so the shift makes the point strictly feasible there
-        prob = dataclasses.replace(box_problem(c=[2.0], b=[1.0]),
-                                   cone=cones.NonposOrthant(1, alpha4=0.5))
+        monkeypatch.setattr(cones, "SHIFT", 0.5)
+        prob = box_problem(c=[2.0], b=[1.0])
         state = make_state(prob, np.zeros(1), 0.5)
         fixed_trial(monkeypatch, [0.75])
         res = inner_loop_step(state, prob, SolverConfig())
@@ -428,10 +440,11 @@ class TestConstraintJump:
         prob = dataclasses.replace(base, g=g, cone=cones.NonposOrthant(1))
         state = make_state(prob, np.zeros(2), 0.9, Lf0=1.0, Lg0=0.01)
         fixed_trial(monkeypatch, [t, 0.0])
+        weights = trial_weights(monkeypatch)
         with pytest.raises(InnerCapError) as err:
             inner_loop_step(state, prob, SolverConfig(max_inner_j=2))
         assert (err.value.i, err.value.j) == (0, 3)
-        assert err.value.Lg == (0.01 * 512 if jumps else 0.01 * 4)
+        assert weights[-1] == (0.01 * 512 if jumps else 0.01 * 4)
 
     @pytest.mark.parametrize("curv, step2, above, rise", [
         (2.0, 1.0, True, 2), (2.0, 1.0, False, 2), (2.5, 1.0, True, 3), (2.5, 1.0, False, 2),
@@ -451,10 +464,11 @@ class TestConstraintJump:
         prob = curved_problem(1.0)
         state = make_state(prob, np.zeros(2), 0.9, Lf0=2.0, Lg0=0.01)
         fixed_trial(monkeypatch, [0.5, 0.0])  # uphill for f
+        weights = trial_weights(monkeypatch)
         with pytest.raises(InnerCapError) as err:
             inner_loop_step(state, prob, SolverConfig(max_inner_j=2))
         assert (err.value.i, err.value.j) == (3, 3)
-        assert err.value.Lg == 0.01 * 4
+        assert weights[-1] == 0.01 * 4
 
 
 class TestRunToyProblems:
@@ -471,8 +485,8 @@ class TestRunToyProblems:
         # schedule to drive it below eps quickly
         c = np.array([2.0, 2.0])
         prob = norm_ball_problem(c=c, radius=1.0)
-        cfg = SolverConfig(eps=1e-7, max_outer=4000,
-                           schedule=ramped_log_schedule(0.9, 3.0, ramp_len=1000))
+        schedule = ScheduleSpec("ramped_log", rbar=0.9, sbar=3.0, ramp_len=1000)
+        cfg = SolverConfig(eps=1e-7, max_outer=4000, schedule=schedule)
         report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.CONVERGED
         assert float(np.linalg.norm(report.x - c / np.linalg.norm(c))) <= 1e-4
@@ -577,7 +591,7 @@ class TestRunToyProblems:
     def test_supplied_mu0_skips_search(self):
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
         cfg = SolverConfig(eps=1e-6, max_outer=2000,
-                           schedule=power_schedule(0.9, mu0=0.45))
+                           schedule=power_schedule(0.9).with_mu0(0.45))
         report = run(prob, cfg, np.zeros(2))
         assert report.mu0 == 0.45
         assert report.status is SolveStatus.CONVERGED
@@ -589,9 +603,9 @@ class TestRunToyProblems:
         # mu0 made the first step's arithmetic float32, and an int or a
         # Fraction reached the trace's mu column
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
-        got = run(prob, SolverConfig(schedule=power_schedule(0.5, mu0=mu0)), np.zeros(2))
-        want = run(prob, SolverConfig(schedule=power_schedule(0.5, mu0=float(mu0))),
-                   np.zeros(2))
+        spec = power_schedule(0.5)
+        got = run(prob, SolverConfig(schedule=dataclasses.replace(spec, mu0=mu0)), np.zeros(2))
+        want = run(prob, SolverConfig(schedule=spec.with_mu0(mu0)), np.zeros(2))
         assert type(got.mu0) is float and got.mu0 == want.mu0
         assert all(type(row.mu) is float for row in got.trace)
         assert [row[:-1] for row in got.trace] == [row[:-1] for row in want.trace]
@@ -602,11 +616,12 @@ class TestRunToyProblems:
         # one value, support -1, shift 0.5 mu: exactly 0.0 at mu = 2
         ([2.0], [1.0], 0.5, 2.0),
     ], ids=["above", "zero"])
-    def test_supplied_mu0_too_large_rejected(self, c, b, alpha4, mu0):
-        prob = dataclasses.replace(box_problem(c=c, b=b),
-                                   cone=cones.NonposOrthant(len(b), alpha4=alpha4))
+    def test_supplied_mu0_too_large_rejected(self, monkeypatch, c, b, alpha4, mu0):
+        monkeypatch.setattr(cones, "SHIFT", alpha4)
+        prob = box_problem(c=c, b=b)
         with pytest.raises(InfeasibleStartError, match="not negative at x0"):
-            run(prob, SolverConfig(schedule=power_schedule(0.9, mu0=mu0)), np.zeros(len(b)))
+            run(prob, SolverConfig(schedule=power_schedule(0.9).with_mu0(mu0)),
+                np.zeros(len(b)))
 
 
 @pytest.fixture(scope="module")
@@ -618,32 +633,12 @@ def toy_report():
 
 class TestRunInvariants:
 
-    def test_strict_feasibility_all_iterates(self, toy_report):
-        _, _, report = toy_report
-        for row in report.trace:
-            assert row.g_mu <= 0.0
-            assert row.sigma_B <= 0.0
-
-    def test_descent_ledger(self, toy_report):
+    def test_trace_invariants_on_the_l1_toy(self, toy_report):
+        # the trace's own invariants, and the first step's descent from x0
         prob, cfg, report = toy_report
-        psi_prev = objective_value(prob, np.zeros(2))
-        for row in report.trace:
-            assert row.psi <= psi_prev + 1e-10 * (1 + abs(psi_prev))
-            psi_prev = row.psi
-
-    def test_inner_counters_ordered(self, toy_report):
-        _, cfg, report = toy_report
-        for row in report.trace:
-            assert row.i_k <= row.j_k <= cfg.max_inner_j
-
-    def test_mu_follows_schedule_strictly_decreasing(self, toy_report):
-        _, _, report = toy_report
-        mus = [row.mu for row in report.trace]
-        assert all(b < a for a, b in zip(mus, mus[1:]))
-
-    def test_multiplier_nonnegative(self, toy_report):
-        _, _, report = toy_report
-        assert all(row.lam >= 0.0 for row in report.trace)
+        trace_invariants(cfg, report)
+        psi0 = objective_value(prob, np.zeros(2))
+        assert report.trace[0].psi <= psi0 + 1e-10 * (1 + abs(psi0))
 
     def test_feasibility_chain_next_mu(self):
         # accepted points stay strictly feasible after the mu update: replay
@@ -742,7 +737,7 @@ class TestScheduleAdvance:
         # step 0's certificate is taken there, with no second smoothing
         # gradient; the run stops when index 2 falls below the floor
         mu0 = 1.414213562373095e-12
-        spec = power_schedule(0.5, mu0=mu0)
+        spec = power_schedule(0.5).with_mu0(mu0)
         assert mu_at(spec, 1) == MU_FLOOR
         base, adjoints = box_problem(c=[2.0, -1.0], b=[1.0, 1.0]), []
         prob = dataclasses.replace(base, g=dataclasses.replace(
@@ -787,7 +782,7 @@ class TestTinyBall:
         # mu0 = 1e-9 and eps = 1e-9 drive the ball radius to about 1e-12 near
         # step 169, below the ball prox's starting margin.  It converges in
         # 190-194 steps under four OpenBLAS cores, with no stall advance
-        cfg = SolverConfig(eps=1e-9, schedule=ramped_log_schedule(0.9, 3.0, mu0=1e-9))
+        cfg = SolverConfig(eps=1e-9, schedule=ramped_log_schedule(0.9, 3.0).with_mu0(1e-9))
         report = run(stalling_norm_ball(), cfg, np.zeros(5))
         assert report.status is SolveStatus.CONVERGED, report.reason
         assert report.advances == 0 and report.iterations <= 220
@@ -916,7 +911,7 @@ class TestRunFailureModes:
         # k = 2; the run stops there, and the kernel, which rejects such a
         # mu, never sees it
         prob = box_problem(c=[2.0, -1.0], b=[1.0, 1.0])
-        cfg = SolverConfig(eps=1e-16, max_outer=3000, schedule=power_schedule(0.9, mu0=2e-12))
+        cfg = SolverConfig(eps=1e-16, max_outer=3000, schedule=power_schedule(0.9).with_mu0(2e-12))
         report = run(prob, cfg, np.zeros(2))
         assert report.status is SolveStatus.MU_FLOOR
         assert "at step 2 (schedule index 2)" in report.reason
@@ -1505,8 +1500,8 @@ class TestCallCounts:
         assert counts["exp"] == searched + 1 + evaluated + report.iterations
         # a supplied mu0 skips the search: one exp pass at the start point
         counts.update(exp=0)
-        supplied = run(prob, SolverConfig(eps=1e-6, schedule=ramped_log_schedule(
-            0.9, 3.0, mu0=report.mu0)), np.zeros(6))
+        supplied = run(prob, SolverConfig(
+            eps=1e-6, schedule=ramped_log_schedule(0.9, 3.0).with_mu0(report.mu0)), np.zeros(6))
         assert [row[:-1] for row in supplied.trace] == [row[:-1] for row in report.trace]
         assert counts["exp"] == 1 + evaluated + supplied.iterations
         # a run cut by max_outer forms no state after its last row either
@@ -1772,7 +1767,7 @@ class TestTracedNames:
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = SolverConfig(eps=1e-5, schedule=ramped_log_schedule(0.6, 3.0, mu0=0.9))
+        cfg = SolverConfig(eps=1e-5, schedule=ramped_log_schedule(0.6, 3.0).with_mu0(0.9))
         again = SolverConfig.from_dict(cfg.to_dict())
         assert again == cfg
 

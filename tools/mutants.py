@@ -14,7 +14,7 @@ module; ``MODULE`` is a name such as ``cones``).  The catalogue:
 * one operand of an ``and`` or ``or`` dropped;
 * a statement in a function body deleted (replaced by ``pass``);
 * a ``float(v)``, ``int(v)`` or ``asarray(v, ...)`` call replaced by ``v``;
-* a named tolerance (``TOLERANCES``) scaled by 10, and by 0.1.
+* a named tolerance or constant (``TOLERANCES``) scaled by 10, and by 0.1.
 
 A mutant is killed when a test fails on it.  Each one runs first the test
 file of its own module (``tests/test_<module>.py``, where there is one),
@@ -62,7 +62,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "smba"
 KNOWN = ROOT / "tools" / "known_survivors.json"
 TOLERANCES = ("SECANT_GUARD", "FEASIBILITY_SLACK", "PHI_TOL", "SYMMETRY_TOL", "MU_FLOOR",
-              "DIVERGENCE_NORM")
+              "DIVERGENCE_NORM", "SHIFT")
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 DROPPED_CALLS = ("float", "int", "asarray")
