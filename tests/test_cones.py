@@ -301,6 +301,21 @@ class TestMsaValue:
         monkeypatch.setattr(cones, "SHIFT", 0.0)
         assert shifted == pytest.approx(point.value(0.25) + 1e-5 * 0.25, abs=1e-16)
 
+    @pytest.mark.parametrize("case", range(3), ids=["orthant", "psd", "pcone"])
+    def test_shift_read_when_each_family_evaluates(self, monkeypatch, rng, case):
+        # a point prepared under the shift reads SHIFT * mu more in value and
+        # smoothed value than after SHIFT is set to zero; the gradient is the
+        # same either way
+        oracle, sample = family_cases()[case]
+        point = oracle.prepare(sample(rng))
+        value, (smoothed, grad) = point.value(0.25), point.smoothed(0.25)
+        monkeypatch.setattr(cones, "SHIFT", 0.0)
+        bare, (bare_smoothed, bare_grad) = point.value(0.25), point.smoothed(0.25)
+        tol = 1e-15 * (1.0 + abs(bare))
+        assert value == pytest.approx(bare + 1e-5 * 0.25, abs=tol)
+        assert smoothed == pytest.approx(bare_smoothed + 1e-5 * 0.25, abs=tol)
+        assert np.array_equal(grad, bare_grad)
+
     def test_mu_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             NonposOrthant(2).prepare([0.0, 0.0]).value(0.0)
@@ -383,6 +398,12 @@ class TestCertificates:
         assert cert.alpha2 == 1.0
         assert cert.alpha3 == pytest.approx(math.log(8) + 1e-5)
         assert cert.alpha4 == 1e-5
+        assert cert.base_norm_bound == 1.0
+
+    def test_psd_cert_values(self):
+        cert = smoothing(NegSemidef(4))
+        assert (cert.alpha1, cert.alpha2, cert.alpha4) == (0.0, 1.0, 1e-5)
+        assert cert.alpha3 == pytest.approx(math.log(4) + 1e-5)
         assert cert.base_norm_bound == 1.0
 
     def test_pcone_cert_values(self):

@@ -125,6 +125,31 @@ class TestMuAt:
         again = ScheduleSpec.from_dict(dataclasses.asdict(spec))
         assert again == spec
 
+    @pytest.mark.parametrize("build, shape", [
+        (power_schedule, {"r": 0.6}), (blockwise_schedule, {"rbar": 0.6}),
+        (ramped_log_schedule, {"rbar": 0.6, "sbar": 3.0}),
+    ], ids=["power", "blockwise", "ramped_log"])
+    def test_builder_sets_only_its_shape(self, build, shape):
+        # every other field keeps its ScheduleSpec default, and mu0 is left
+        # for run's search
+        variant = build.__name__.removesuffix("_schedule")
+        assert build(*shape.values()) == ScheduleSpec(variant, **shape)
+        assert build(*shape.values()).mu0 is None
+
+    @pytest.mark.parametrize("build, shape", [
+        (power_schedule, {"r": 0.6}), (blockwise_schedule, {"rbar": 0.6}),
+        (ramped_log_schedule, {"rbar": 0.6, "sbar": 3.0}),
+    ], ids=["power", "blockwise", "ramped_log"])
+    def test_fields_past_the_shape_set_on_the_spec(self, build, shape):
+        # n0, nu0, ramp_len and mu0 set by dataclasses.replace and with_mu0
+        # give the spec the constructor and a config file give, and its values
+        fields = {"n0": 4, "nu0": 0.25, "ramp_len": 7}
+        variant = build.__name__.removesuffix("_schedule")
+        spec = dataclasses.replace(build(*shape.values()), **fields).with_mu0(0.5)
+        want = ScheduleSpec(variant, 0.5, **shape, **fields)
+        assert spec == want == ScheduleSpec.from_dict(dataclasses.asdict(want))
+        assert [mu_at(spec, k) for k in range(12)] == [mu_at(want, k) for k in range(12)]
+
 
 def one_spec_per_variant(mu0):
     """One spec of each variant holding ``mu0`` as given (``with_mu0`` would

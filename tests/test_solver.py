@@ -640,6 +640,17 @@ class TestRunInvariants:
         psi0 = objective_value(prob, np.zeros(2))
         assert report.trace[0].psi <= psi0 + 1e-10 * (1 + abs(psi0))
 
+    @pytest.mark.parametrize("make", [lambda: psd_toy_problem(),
+                                      lambda: norm_ball_problem([2.0, 2.0], 1.0)],
+                             ids=["neg_semidef", "p_cone"])
+    def test_trace_invariants_on_the_other_cone_families(self, make):
+        # the same invariants, on a converged run over each other cone
+        prob = make()
+        cfg = SolverConfig(eps=1e-7, max_outer=2000, schedule=power_schedule(0.9))
+        report = run(prob, cfg, np.zeros(2))
+        assert report.status is SolveStatus.CONVERGED
+        trace_invariants(cfg, report)
+
     def test_feasibility_chain_next_mu(self):
         # accepted points stay strictly feasible after the mu update: replay
         # a few outer steps by hand
